@@ -7,9 +7,12 @@ nearly untested.  This package stress-tests exactly that:
 * :mod:`repro.campaign.schedule` — timed/phase-triggered fault sequences
   and generators for the hard cases (fault during each recovery phase,
   correlated link+router faults, false-alarm storms, flaky links);
-* :mod:`repro.campaign.runner` — a crash-isolated parallel campaign runner
-  with per-run watchdogs and resumable JSONL records;
-* :mod:`repro.campaign.records` — the JSONL record format;
+* :mod:`repro.campaign.pool` — persistent crash-isolated workers with
+  per-run watchdogs, and the one loop that drives them;
+* :mod:`repro.campaign.runner` — the campaign on that loop: planned runs
+  in, resumable JSONL records out;
+* :mod:`repro.campaign.records` — the JSONL record format and the one
+  append/load helper pair every JSONL file in the repo goes through;
 * :mod:`repro.campaign.shrink` — greedy minimization of failing schedules
   into ready-to-paste reproducers.
 """

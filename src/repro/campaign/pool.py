@@ -1,22 +1,21 @@
-"""Persistent crash-isolated workers for small-schedule bursts.
+"""Persistent crash-isolated workers and the one loop that drives them.
 
-The per-run-process model of :mod:`repro.campaign.runner` is the right
-shape for long schedules: one interpreter per run, nothing shared, a
-watchdog per process.  The fuzz loop inverts the workload — hundreds of
-runs of a few simulated milliseconds each — and there the per-run process
-spawn plus module imports dominate wall clock.  This module keeps the
-crash-isolation contract (a wedged or crashing run becomes a HUNG/CRASHED
-payload, never the death of the batch) while amortizing process startup
-and machine construction across consecutive runs in one worker:
+Every run of a campaign, a fuzz session, a replay or a shrinker check
+executes in a :class:`BatchWorkerPool` worker, and
+:meth:`BatchWorkerPool.drive` is the only loop that feeds workers,
+collects results and runs the watchdog.  A wedged or crashing run becomes
+a HUNG/CRASHED payload, never the death of the batch:
 
 * each worker is a long-lived subprocess holding a
   :class:`~repro.core.machine.MachineFactory`, so consecutive runs whose
-  shape parameters match share topology construction;
+  shape parameters match share topology construction and no run pays
+  process startup or module imports;
 * the pool tracks one in-flight task per worker; a watchdog kills and
   respawns the whole worker when a task exceeds its wall-clock budget, so
   one wedged schedule costs one worker restart, not the batch;
-* results arrive on a shared queue tagged with the worker id, keeping
-  completion strictly attributable even across respawns.
+* results arrive on a shared queue tagged with the worker id, and a result
+  is delivered only while that worker still holds that run — completion
+  stays strictly attributable even across respawns.
 
 Determinism is untouched: a run executes the same
 :func:`~repro.core.experiment.run_schedule_experiment` with the same
@@ -25,10 +24,9 @@ test proves factory-reused and fresh machines produce bit-identical
 records.
 """
 
-# repro-lint: disable-file=wall-clock — this module is a real-time
-# boundary like the campaign runner: watchdogs and elapsed_s measure wall
-# clock around crash-isolated workers; nothing here runs under the event
-# scheduler.
+# repro-lint: disable-file=wall-clock — this module is the real-time
+# boundary: watchdogs and elapsed_s measure wall clock around
+# crash-isolated workers; nothing here runs under the event scheduler.
 
 import multiprocessing
 import queue as queue_module
@@ -48,6 +46,10 @@ FLIGHT_DUMP_EVENTS = 2_000
 #: even on a PASS verdict — a stray storm is evidence worth keeping
 STRAY_DUMP_THRESHOLD = 5
 
+#: longest the driving loop blocks on the result queue: the cadence of
+#: status heartbeats and of noticing a worker that died without reporting
+HEARTBEAT_S = 0.5
+
 
 def _attach_flight(payload, telemetry):
     """Attach the flight recorder's tail window to a worker payload."""
@@ -62,7 +64,6 @@ def _execute_schedule_run(schedule_dict, seed, run_limit, mem_per_node,
                           telemetry_mode="trace"):
     """Run one (schedule, seed) to a payload dict; never raises.
 
-    The shared body of the per-run campaign worker and the batch workers.
     With ``coverage=True`` the payload additionally carries the fuzzer's
     per-run coverage summary (feature strings + containment times).
     ``telemetry_mode="flight"`` swaps the full (head-capped) trace for an
@@ -185,12 +186,11 @@ class _Worker:
 class BatchWorkerPool:
     """A fixed set of persistent workers with per-task watchdogs.
 
-    Usage: ``submit`` tasks while :meth:`idle_count` is positive, then
-    ``poll`` for ``(run_index, payload)`` completions; a task that blows
-    its wall-clock budget or kills its worker comes back as a HUNG or
-    CRASHED payload and the worker slot is respawned.  ``close`` always —
-    the workers are daemons, but an orderly sentinel shutdown keeps queue
-    feeder threads from complaining.
+    Usage: :meth:`drive` with a task source and a result sink; a task that
+    blows its wall-clock budget or kills its worker comes back as a HUNG
+    or CRASHED payload and the worker slot is respawned.  ``close``
+    always — the workers are daemons, but an orderly sentinel shutdown
+    keeps queue feeder threads from complaining.
     """
 
     def __init__(self, jobs=1, timeout_s=300.0, run_limit=60_000_000_000,
@@ -214,31 +214,59 @@ class BatchWorkerPool:
         self._next_worker_id += 1
         return worker
 
-    # ------------------------------------------------------------ dispatch
+    # ------------------------------------------------------------- driving
 
-    def idle_count(self):
-        return sum(1 for worker in self.workers if worker.task is None)
+    def drive(self, next_task, on_result, on_tick=None):
+        """Run tasks until the source is dry and every worker is idle.
 
-    def busy_count(self):
-        return sum(1 for worker in self.workers if worker.task is not None)
+        ``next_task()`` returns ``(run_index, schedule_dict, seed)`` or
+        None when there is nothing (more) to run.  It is asked only when a
+        worker is idle and only after every result already available went
+        to ``on_result(run_index, payload)`` — a one-worker caller plans
+        run *i+1* having absorbed run *i*.  ``on_tick(in_flight)`` fires
+        after every wait with the runs still executing, as
+        ``{"run_index", "elapsed_s"}`` dicts.
 
-    def submit(self, run_index, schedule_dict, seed):
-        """Hand one run to an idle worker; returns False when all busy."""
-        for worker in self.workers:
-            if worker.task is None:
-                worker.task = (run_index, schedule_dict, seed)
-                worker.started = time.monotonic()
-                worker.task_queue.put(worker.task)
-                return True
-        return False
+        The loop blocks on the result queue, never sleeps: the wait is
+        bounded by the nearest watchdog deadline and :data:`HEARTBEAT_S`.
+        """
+        while True:
+            for worker in self.workers:
+                if worker.task is None:
+                    task = next_task()
+                    if task is None:
+                        break
+                    self._submit(worker, task)
+            busy = [worker for worker in self.workers
+                    if worker.task is not None]
+            if not busy:
+                return
+            deadline = min(worker.started for worker in busy) \
+                + self.timeout_s
+            wait_s = max(0.0, min(HEARTBEAT_S, deadline - time.monotonic()))
+            for run_index, payload in self._collect(wait_s):
+                on_result(run_index, payload)
+            if on_tick is not None:
+                now = time.monotonic()
+                on_tick([{"run_index": worker.task[0],
+                          "elapsed_s": round(now - worker.started, 2)}
+                         for worker in self.workers
+                         if worker.task is not None])
 
-    # ------------------------------------------------------------- results
+    @staticmethod
+    def _submit(worker, task):
+        worker.task = task
+        worker.started = time.monotonic()
+        worker.task_queue.put(task)
 
-    def poll(self):
+    def _collect(self, wait_s):
         """Collect finished runs; returns a list of (run_index, payload).
 
-        Also runs the watchdog: any worker whose task exceeded the budget
-        (or whose process died without reporting) yields a HUNG/CRASHED
+        Blocks up to ``wait_s`` for the first result, then drains what is
+        queued.  A result whose worker no longer holds that run (the
+        watchdog or the death check already answered for it) is dropped.
+        Then the watchdog: any worker whose task exceeded the budget (or
+        whose process died without reporting) yields a HUNG/CRASHED
         payload and a fresh worker takes its slot.
         """
         finished = []
@@ -246,15 +274,17 @@ class BatchWorkerPool:
         while True:
             try:
                 worker_id, run_index, payload = \
-                    self.result_queue.get_nowait()
+                    self.result_queue.get(timeout=wait_s)
             except queue_module.Empty:
                 break
-            finished.append((run_index, payload))
+            wait_s = 0.0
             worker = by_id.get(worker_id)
-            if worker is not None and worker.task is not None \
-                    and worker.task[0] == run_index:
-                worker.task = None
-                worker.started = None
+            if worker is None or worker.task is None \
+                    or worker.task[0] != run_index:
+                continue
+            finished.append((run_index, payload))
+            worker.task = None
+            worker.started = None
 
         for index, worker in enumerate(self.workers):
             if worker.task is None:

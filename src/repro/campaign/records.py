@@ -7,9 +7,11 @@ seed, re-running the same campaign against an existing file simply skips
 the indices already recorded — a killed batch resumes where it stopped.
 """
 
+import collections
 import dataclasses
 import enum
 import json
+import os
 
 
 class RunStatus(enum.Enum):
@@ -73,32 +75,62 @@ class RunRecord:
                    flight=dict(data.get("flight", {})))
 
 
-def append_record(path, record):
-    """Append one record; the trailing newline commits it atomically enough
-    for resume (a torn partial line is ignored by :func:`load_records`)."""
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+def append_json_line(path, data):
+    """Append one JSON object as one line — the single JSONL writer.
+
+    The trailing newline commits the line atomically enough for resume (a
+    torn partial line is ignored by :func:`load_json_lines`).  A file left
+    without a final newline by a killed writer gets one first, so the new
+    line is never glued onto the torn fragment and lost with it.
+    """
+    with open(path, "a+b") as handle:
+        if handle.tell():
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                handle.write(b"\n")
+        handle.write(json.dumps(data, sort_keys=True).encode("utf-8")
+                     + b"\n")
         handle.flush()
 
 
-def load_records(path):
-    """Read all complete records from a campaign file (missing file: [])."""
-    records = []
+def load_json_lines(path):
+    """Every complete JSON line of a file (missing file: []).
+
+    A line that does not parse is a torn write (writer killed mid-append)
+    and is skipped; everything around it is intact.
+    """
+    rows = []
     try:
         handle = open(path, "r", encoding="utf-8")
     except FileNotFoundError:
-        return records
+        return rows
     with handle:
         for line in handle:
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(RunRecord.from_dict(json.loads(line)))
-            except (ValueError, KeyError):
-                # A torn write (batch killed mid-append); that run will
-                # simply be re-executed on resume.
+                rows.append(json.loads(line))
+            except ValueError:
                 continue
+    return rows
+
+
+def append_record(path, record):
+    """Append one :class:`RunRecord` to a campaign file."""
+    append_json_line(path, record.to_dict())
+
+
+def load_records(path):
+    """Read all complete records from a campaign file (missing file: [])."""
+    records = []
+    for data in load_json_lines(path):
+        try:
+            records.append(RunRecord.from_dict(data))
+        except (ValueError, KeyError):
+            # A line that parses but is no record; that run will simply
+            # be re-executed on resume.
+            continue
     return records
 
 
@@ -106,8 +138,6 @@ def completed_indices(records):
     return {record.run_index for record in records}
 
 
-def count_by_status(records):
-    counts = {status: 0 for status in RunStatus}
-    for record in records:
-        counts[record.status] += 1
-    return counts
+def status_counts(records):
+    """Runs per outcome, keyed by status value; an absent outcome reads 0."""
+    return collections.Counter(record.status.value for record in records)

@@ -1,9 +1,13 @@
 """Crash-isolated campaign runner.
 
-Every run executes in its own ``multiprocessing`` worker with a wall-clock
-watchdog, so a simulator bug found by an aggressive schedule — a Python
-crash, an infinite event loop, a drained event heap — is *data* (a
+Every run executes in a persistent ``multiprocessing`` worker of a
+:class:`~repro.campaign.pool.BatchWorkerPool` with a wall-clock watchdog,
+so a simulator bug found by an aggressive schedule — a Python crash, an
+infinite event loop, a drained event heap — is *data* (a
 ``CRASHED``/``HUNG`` record) rather than the death of the whole batch.
+The pool's :meth:`~repro.campaign.pool.BatchWorkerPool.drive` is the one
+driving loop; this module supplies the campaign's task source (planned
+runs) and result sink (records, JSONL, status heartbeat).
 
 Determinism and resume:
 
@@ -15,25 +19,19 @@ Determinism and resume:
   existing results file skips the already-recorded run indices.
 """
 
-# repro-lint: disable-file=wall-clock — this module IS the real-time
-# boundary: the watchdog and per-run elapsed_s measure wall clock around
-# crash-isolated workers; nothing here runs under the event scheduler.
-
 import dataclasses
 import hashlib
-import multiprocessing
-import queue as queue_module
 import random
-import time
 
+from repro.campaign.pool import BatchWorkerPool
 from repro.campaign.records import (
     RunRecord,
     RunStatus,
     append_record,
-    completed_indices,
     load_records,
+    status_counts,
 )
-from repro.campaign.schedule import FaultSchedule, make_schedule
+from repro.campaign.schedule import make_schedule
 
 
 def derive_run_seed(campaign_seed, run_index):
@@ -43,22 +41,6 @@ def derive_run_seed(campaign_seed, run_index):
         ("%d:%d" % (campaign_seed, run_index)).encode("ascii"),
         digest_size=8).digest()
     return int.from_bytes(digest, "big") >> 1
-
-
-def _campaign_worker(result_queue, schedule_dict, seed, run_limit,
-                     mem_per_node, l2_size, telemetry_mode="trace"):
-    """Subprocess entry point: run one schedule, report via the queue.
-
-    The run body itself lives in :mod:`repro.campaign.pool` so the
-    per-run workers here and the persistent batch workers there execute
-    byte-for-byte the same experiment.
-    """
-    import warnings
-    warnings.simplefilter("ignore")   # skipped-injection warnings are data
-    from repro.campaign.pool import _execute_schedule_run
-    result_queue.put(_execute_schedule_run(
-        schedule_dict, seed, run_limit, mem_per_node, l2_size,
-        telemetry_mode=telemetry_mode))
 
 
 @dataclasses.dataclass
@@ -74,14 +56,12 @@ class CampaignSummary:
 
     @classmethod
     def from_records(cls, records):
-        counts = {status: 0 for status in RunStatus}
-        for record in records:
-            counts[record.status] += 1
+        counts = status_counts(records)
         return cls(total=len(records),
-                   passed=counts[RunStatus.PASS],
-                   failed=counts[RunStatus.FAIL],
-                   crashed=counts[RunStatus.CRASHED],
-                   hung=counts[RunStatus.HUNG],
+                   passed=counts[RunStatus.PASS.value],
+                   failed=counts[RunStatus.FAIL.value],
+                   crashed=counts[RunStatus.CRASHED.value],
+                   hung=counts[RunStatus.HUNG.value],
                    records=list(records))
 
     @property
@@ -99,25 +79,6 @@ class CampaignSummary:
                    self.crashed, self.hung))
 
 
-@dataclasses.dataclass
-class _PlannedRun:
-    """The identity of a pooled run (no process of its own to track)."""
-
-    run_index: int
-    seed: int
-    schedule: FaultSchedule
-
-
-@dataclasses.dataclass
-class _ActiveRun:
-    run_index: int
-    seed: int
-    schedule: FaultSchedule
-    process: multiprocessing.Process
-    queue: object
-    started: float
-
-
 class CampaignRunner:
     """Run ``runs`` schedules, each crash-isolated, streaming JSONL records.
 
@@ -125,6 +86,8 @@ class CampaignRunner:
     :data:`~repro.campaign.schedule.SCHEDULE_GENERATORS`; alternatively a
     fixed ``schedule`` replays one exact scenario every run (the per-run
     seeds still vary the machine's random fill and timing draws).
+    ``reuse_machines`` is accepted for old callers and ignored: every
+    campaign runs on the persistent worker pool.
     """
 
     def __init__(self, kind="random-multi", runs=50, campaign_seed=0,
@@ -148,10 +111,6 @@ class CampaignRunner:
         self.mem_per_node = mem_per_node
         self.l2_size = l2_size
         self.progress = progress
-        #: route runs through persistent batch workers
-        #: (:class:`repro.campaign.pool.BatchWorkerPool`) instead of one
-        #: process per run — same records, amortized startup.
-        self.reuse_machines = reuse_machines
         #: "trace" (full head-capped trace per run) or "flight" (tracing
         #: off, always-on last-N flight ring dumped on failures) — the
         #: cheap mode for very large sweeps.
@@ -184,14 +143,6 @@ class CampaignRunner:
         return StatusWriter(self.out_path + ".status.json",
                             kind="campaign", total=self.runs)
 
-    @staticmethod
-    def _counts_of(records):
-        counts = {}
-        for record in records.values():
-            key = record.status.value
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
     def run(self):
         """Execute all pending runs; returns a :class:`CampaignSummary`."""
         records = {}
@@ -201,145 +152,52 @@ class CampaignRunner:
                     records[record.run_index] = record
         pending = [index for index in range(self.runs)
                    if index not in records]
-
-        if self.reuse_machines:
-            return self._run_pooled(records, pending)
-
         status = self._status_writer()
-        counts = self._counts_of(records)
-        active = []
-        while pending or active:
-            while pending and len(active) < self.jobs:
-                active.append(self._launch(pending.pop(0)))
-            time.sleep(0.02)
-            still_running = []
-            for run in active:
-                record = self._poll(run)
-                if record is None:
-                    still_running.append(run)
-                    continue
-                records[record.run_index] = record
-                counts[record.status.value] = \
-                    counts.get(record.status.value, 0) + 1
-                if self.out_path:
-                    append_record(self.out_path, record)
-                if self.progress is not None:
-                    self.progress(record)
-            active = still_running
-            if status is not None:
-                now = time.monotonic()
-                status.update(
-                    done=len(records), counts=counts,
-                    in_flight=[{"run_index": run.run_index,
-                                "elapsed_s": round(now - run.started, 2)}
-                               for run in active])
-        if status is not None:
-            status.update(done=len(records), counts=counts, finished=True,
-                          force=True)
-
-        ordered = [records[index] for index in sorted(records)]
-        return CampaignSummary.from_records(ordered)
-
-    def _run_pooled(self, records, pending):
-        """Pooled driving loop: persistent workers, same records out."""
-        from repro.campaign.pool import BatchWorkerPool
+        counts = status_counts(records.values())
         plans = {}
-        status = self._status_writer()
-        counts = self._counts_of(records)
+
+        def next_task():
+            if not pending:
+                return None
+            run_index = pending.pop(0)
+            seed, schedule = self.plan_run(run_index)
+            plans[run_index] = (seed, schedule)
+            return run_index, schedule.to_dict(), seed
+
+        def on_result(run_index, payload):
+            seed, schedule = plans.pop(run_index)
+            record = self._record(run_index, seed, schedule, payload)
+            records[run_index] = record
+            counts[record.status.value] += 1
+            if self.out_path:
+                append_record(self.out_path, record)
+            if self.progress is not None:
+                self.progress(record)
+
+        def on_tick(in_flight):
+            if status is not None:
+                status.update(done=len(records), counts=counts,
+                              in_flight=in_flight)
+
         with BatchWorkerPool(jobs=self.jobs, timeout_s=self.timeout_s,
                              run_limit=self.run_limit,
                              mem_per_node=self.mem_per_node,
                              l2_size=self.l2_size,
                              telemetry_mode=self.telemetry_mode) as pool:
-            pending = list(pending)
-            outstanding = 0
-            while pending or outstanding:
-                while pending and pool.idle_count():
-                    run_index = pending.pop(0)
-                    seed, schedule = self.plan_run(run_index)
-                    plans[run_index] = (seed, schedule)
-                    pool.submit(run_index, schedule.to_dict(), seed)
-                    outstanding += 1
-                time.sleep(0.02)
-                for run_index, payload in pool.poll():
-                    outstanding -= 1
-                    seed, schedule = plans.pop(run_index)
-                    record = self._record(
-                        _PlannedRun(run_index, seed, schedule), payload)
-                    records[record.run_index] = record
-                    counts[record.status.value] = \
-                        counts.get(record.status.value, 0) + 1
-                    if self.out_path:
-                        append_record(self.out_path, record)
-                    if self.progress is not None:
-                        self.progress(record)
-                if status is not None:
-                    now = time.monotonic()
-                    status.update(
-                        done=len(records), counts=counts,
-                        in_flight=[
-                            {"run_index": worker.task[0],
-                             "elapsed_s": round(now - worker.started, 2)}
-                            for worker in pool.workers
-                            if worker.task is not None])
+            pool.drive(next_task, on_result, on_tick)
         if status is not None:
             status.update(done=len(records), counts=counts, finished=True,
                           force=True)
         ordered = [records[index] for index in sorted(records)]
         return CampaignSummary.from_records(ordered)
 
-    def _launch(self, run_index):
-        seed, schedule = self.plan_run(run_index)
-        return self._launch_with(run_index, seed, schedule)
-
-    def _launch_with(self, run_index, seed, schedule):
-        result_queue = multiprocessing.Queue()
-        process = multiprocessing.Process(
-            target=_campaign_worker,
-            args=(result_queue, schedule.to_dict(), seed, self.run_limit,
-                  self.mem_per_node, self.l2_size, self.telemetry_mode),
-            daemon=True)
-        process.start()
-        return _ActiveRun(run_index=run_index, seed=seed, schedule=schedule,
-                          process=process, queue=result_queue,
-                          started=time.monotonic())
-
-    def _poll(self, run):
-        """Returns the finished RunRecord, or None if still running."""
-        elapsed = time.monotonic() - run.started
-        if run.process.is_alive():
-            if elapsed < self.timeout_s:
-                return None
-            # Watchdog: terminate (then kill) the wedged worker.
-            run.process.terminate()
-            run.process.join(5.0)
-            if run.process.is_alive():
-                run.process.kill()
-                run.process.join(5.0)
-            return self._record(run, {
-                "status": RunStatus.HUNG.value,
-                "error": ("watchdog: run exceeded %.0fs wall clock"
-                          % self.timeout_s),
-                "elapsed_s": elapsed,
-            })
-        run.process.join()
-        try:
-            payload = run.queue.get(timeout=2.0)
-        except queue_module.Empty:
-            payload = {
-                "status": RunStatus.CRASHED.value,
-                "error": ("worker died without reporting (exitcode %s)"
-                          % run.process.exitcode),
-                "elapsed_s": elapsed,
-            }
-        return self._record(run, payload)
-
-    def _record(self, run, payload):
+    @staticmethod
+    def _record(run_index, seed, schedule, payload):
         return RunRecord(
-            run_index=run.run_index,
-            seed=run.seed,
+            run_index=run_index,
+            seed=seed,
             status=RunStatus(payload["status"]),
-            schedule=run.schedule.to_dict(),
+            schedule=schedule.to_dict(),
             problems=list(payload.get("problems", ())),
             restarts=payload.get("restarts", 0),
             episodes=payload.get("episodes", 0),
@@ -356,23 +214,12 @@ def run_schedule_isolated(schedule, seed, timeout_s=300.0,
                           mem_per_node=64 << 10, l2_size=8 << 10):
     """Run one exact (schedule, seed) in a crash-isolated worker.
 
-    Used by the shrinker's still-fails predicate and by replay: the seed is
-    the failing run's own, not derived, so the reproduction is exact.
+    Used by the shrinker's still-fails predicate and by replay: a
+    fixed-schedule campaign uses its seed literally, so the seed is the
+    failing run's own, not derived, and the reproduction is exact.
     Returns a :class:`~repro.campaign.records.RunRecord`.
     """
-    runner = CampaignRunner(schedule=schedule, runs=1, timeout_s=timeout_s,
-                            run_limit=run_limit, mem_per_node=mem_per_node,
-                            l2_size=l2_size)
-    run = runner._launch_with(0, seed, schedule)
-    while True:
-        record = runner._poll(run)
-        if record is not None:
-            return record
-        time.sleep(0.02)
-
-
-def resume_info(out_path, runs):
-    """How much of a campaign file is already done (for CLI messaging)."""
-    records = load_records(out_path)
-    done = {index for index in completed_indices(records) if index < runs}
-    return len(done), runs - len(done)
+    runner = CampaignRunner(schedule=schedule, runs=1, campaign_seed=seed,
+                            timeout_s=timeout_s, run_limit=run_limit,
+                            mem_per_node=mem_per_node, l2_size=l2_size)
+    return runner.run().records[0]

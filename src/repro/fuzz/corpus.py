@@ -15,8 +15,8 @@ process) and continues.
 
 import hashlib
 import json
-import os
 
+from repro.campaign.records import append_json_line, load_json_lines
 from repro.campaign.schedule import FaultSchedule
 
 
@@ -104,31 +104,12 @@ class Corpus:
     # ----------------------------------------------------------- persistence
 
     def append_to(self, path, entry):
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as handle:
-            for entry in self.entries:
-                handle.write(json.dumps(entry.to_dict(), sort_keys=True)
-                             + "\n")
+        append_json_line(path, entry.to_dict())
 
     @classmethod
     def load(cls, path):
         """Rebuild a corpus from JSONL, tolerating a torn final line."""
         corpus = cls()
-        if not os.path.exists(path):
-            return corpus
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                except ValueError:
-                    # A process killed mid-append leaves one torn line;
-                    # everything before it is intact.
-                    continue
-                corpus.add(CorpusEntry.from_dict(data))
+        for data in load_json_lines(path):
+            corpus.add(CorpusEntry.from_dict(data))
         return corpus

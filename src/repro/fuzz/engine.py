@@ -28,12 +28,15 @@ determinism contract is per-schedule via lineage, not per-session.  With
 # boundary like the campaign runner: wall-clock budgets and per-run
 # elapsed times are measured here, around crash-isolated workers.
 
-import json
 import os
 import time
 
 from repro.campaign.pool import BatchWorkerPool
-from repro.campaign.records import RunStatus
+from repro.campaign.records import (
+    RunStatus,
+    append_json_line,
+    load_json_lines,
+)
 from repro.campaign.runner import run_schedule_isolated
 from repro.campaign.schedule import SCHEDULE_GENERATORS, FaultSchedule
 from repro.campaign.shrink import repro_command, shrink_schedule
@@ -119,7 +122,7 @@ class FuzzEngine:
         if self.out_dir is None:
             return 0
         self.corpus = Corpus.load(self.corpus_path)
-        records = _load_json_lines(self.records_path)
+        records = load_json_lines(self.records_path)
         for record in sorted(records, key=lambda r: r.get("run_index", 0)):
             self._account(record, record.get("features", ()),
                           persist=False)
@@ -199,7 +202,7 @@ class FuzzEngine:
         new = self._account(record, features, persist=True)
         record["new_features"] = new
         if self.records_path:
-            _append_json_line(self.records_path, record)
+            append_json_line(self.records_path, record)
         if self.progress is not None:
             self.progress(record)
         return record
@@ -246,6 +249,16 @@ class FuzzEngine:
                             total=None if self.wall_clock_s is not None
                             else self.runs)
 
+    def _update_status(self, status, **kwargs):
+        status.update(
+            done=self.stats["runs"],
+            counts={key: self.stats[key] for key in
+                    ("pass", "fail", "crashed", "hung")},
+            extras={"coverage_features": len(self.coverage),
+                    "corpus_size": len(self.corpus),
+                    "failures": len(self.failures)},
+            **kwargs)
+
     def run(self):
         """Execute the session; returns the report dict."""
         if self.out_dir is not None:
@@ -253,46 +266,31 @@ class FuzzEngine:
         started = time.monotonic()
         status = self._status_writer()
         plans = {}
+
+        def next_task():
+            if not self._budget_left(started):
+                return None
+            run_index = self._next_index
+            self._next_index += 1
+            schedule, lineage, op = self._plan_next(run_index)
+            seed = derive_mutant_seed(self.campaign_seed, lineage)
+            plans[run_index] = (run_index, lineage, op, schedule, seed)
+            return run_index, schedule.to_dict(), seed
+
+        def on_result(run_index, payload):
+            self._absorb(plans.pop(run_index), payload)
+
+        def on_tick(in_flight):
+            if status is not None:
+                self._update_status(status, in_flight=in_flight)
+
         with BatchWorkerPool(jobs=self.jobs, timeout_s=self.timeout_s,
                              run_limit=self.run_limit,
                              mem_per_node=self.mem_per_node,
                              l2_size=self.l2_size, coverage=True) as pool:
-            while self._budget_left(started) or plans:
-                while self._budget_left(started) and pool.idle_count():
-                    run_index = self._next_index
-                    self._next_index += 1
-                    schedule, lineage, op = self._plan_next(run_index)
-                    seed = derive_mutant_seed(self.campaign_seed, lineage)
-                    plans[run_index] = (run_index, lineage, op, schedule,
-                                        seed)
-                    pool.submit(run_index, schedule.to_dict(), seed)
-                time.sleep(0.02)
-                for run_index, payload in pool.poll():
-                    self._absorb(plans.pop(run_index), payload)
-                if status is not None:
-                    now = time.monotonic()
-                    status.update(
-                        done=self.stats["runs"],
-                        counts={key: self.stats[key] for key in
-                                ("pass", "fail", "crashed", "hung")},
-                        in_flight=[
-                            {"run_index": worker.task[0],
-                             "elapsed_s": round(now - worker.started, 2)}
-                            for worker in pool.workers
-                            if worker.task is not None],
-                        extras={
-                            "coverage_features": len(self.coverage),
-                            "corpus_size": len(self.corpus),
-                            "failures": len(self.failures)})
+            pool.drive(next_task, on_result, on_tick)
         if status is not None:
-            status.update(
-                done=self.stats["runs"],
-                counts={key: self.stats[key] for key in
-                        ("pass", "fail", "crashed", "hung")},
-                extras={"coverage_features": len(self.coverage),
-                        "corpus_size": len(self.corpus),
-                        "failures": len(self.failures)},
-                finished=True, force=True)
+            self._update_status(status, finished=True, force=True)
         shrunk = self._shrink_failures()
         return self.report(elapsed_s=time.monotonic() - started,
                            shrunk=shrunk)
@@ -337,7 +335,7 @@ class FuzzEngine:
             }
             shrunk.append(entry)
             if self.failures_path:
-                _append_json_line(self.failures_path, entry)
+                append_json_line(self.failures_path, entry)
         return shrunk
 
     def replay_command(self, lineage):
@@ -420,27 +418,3 @@ def _thin(points, limit):
         return points
     step = (len(points) - 1) / (limit - 1)
     return [points[round(index * step)] for index in range(limit)]
-
-
-# ----------------------------------------------------------------- helpers
-
-def _append_json_line(path, data):
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(data, sort_keys=True) + "\n")
-        handle.flush()
-
-
-def _load_json_lines(path):
-    rows = []
-    if path is None or not os.path.exists(path):
-        return rows
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except ValueError:
-                continue   # torn final line from a killed session
-    return rows

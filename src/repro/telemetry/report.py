@@ -25,9 +25,9 @@ The same aggregate is available as JSON (``--json``) for dashboards.
 """
 
 import html
-import json
 import os
 
+from repro.campaign.records import load_json_lines
 from repro.telemetry.availability import merge_availability
 from repro.telemetry.metrics import Histogram
 
@@ -38,24 +38,6 @@ _STATUS_COLORS = {"pass": "#2e7d32", "fail": "#c62828",
 
 
 # ------------------------------------------------------------- collection
-
-def _load_json_lines(path):
-    rows = []
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        return rows
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except ValueError:
-                continue   # torn tail line of a live session
-    return rows
-
 
 def collect_sources(paths):
     """Resolve CLI paths into ``{path, kind, records}`` sources.
@@ -69,9 +51,9 @@ def collect_sources(paths):
         if os.path.isdir(path):
             records_path = os.path.join(path, "records.jsonl")
             sources.append({"path": path, "kind": "fuzz",
-                            "records": _load_json_lines(records_path)})
+                            "records": load_json_lines(records_path)})
             continue
-        records = _load_json_lines(path)
+        records = load_json_lines(path)
         kind = ("fuzz" if records and "lineage" in records[0]
                 else "campaign")
         sources.append({"path": path, "kind": kind, "records": records})

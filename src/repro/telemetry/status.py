@@ -2,9 +2,11 @@
 
 A 100k-schedule sweep (the ROADMAP's distributed campaign fabric) is only
 operable if a running batch can be *asked how it is doing* without
-attaching to its stderr.  Both driving loops — the campaign runner and
-the fuzz engine — already own a progress callback per finished run; this
-module rides that path with a structured heartbeat:
+attaching to its stderr.  The campaign runner and the fuzz engine are
+both callers of the one driving loop
+(:meth:`repro.campaign.pool.BatchWorkerPool.drive`), which ticks them at
+least every half second with the runs in flight; this module turns that
+tick into a structured heartbeat:
 
 * the driver owns a :class:`StatusWriter` pointed at a sidecar next to
   its output (``<records>.status.json`` for campaigns,

@@ -151,6 +151,25 @@ class TestRunner:
         assert summary.total == 3
         assert summary.passed == 3
 
+    def test_resume_after_torn_tail_keeps_every_record(self, tmp_path):
+        """Killed mid-append: the re-run record must start a fresh line
+        instead of being glued onto the torn fragment and lost with it
+        (regression: the file ended up holding runs [0, 2])."""
+        path = tmp_path / "runs.jsonl"
+        kwargs = dict(schedule=false_alarm_schedule(), campaign_seed=5,
+                      out_path=str(path), timeout_s=120.0)
+        CampaignRunner(runs=2, **kwargs).run()
+        data = path.read_bytes()
+        path.write_bytes(data[:-40])               # tear run 1's line
+        assert completed_indices(load_records(path)) == {0}
+        executed = []
+        summary = CampaignRunner(
+            runs=3, progress=lambda record: executed.append(
+                record.run_index), **kwargs).run()
+        assert executed == [1, 2]
+        assert summary.total == 3
+        assert completed_indices(load_records(path)) == {0, 1, 2}
+
     def test_crashing_run_is_recorded_not_fatal(self, tmp_path):
         # Node 9 does not exist on a 4-node machine: the worker raises
         # deep inside the simulator.  The batch must survive with a
@@ -169,15 +188,13 @@ class TestRunner:
         assert "Error" in record.error
 
     def test_worker_forensics_payload_reaches_record(self):
-        import types
-        runner = CampaignRunner(schedule=false_alarm_schedule(), runs=1)
-        run = types.SimpleNamespace(run_index=0, seed=1,
-                                    schedule=false_alarm_schedule())
+        schedule = false_alarm_schedule()
         summary = {"verdict": "contained", "faults": []}
-        record = runner._record(run, {"status": "fail",
-                                      "forensics": summary})
+        record = CampaignRunner._record(0, 1, schedule,
+                                        {"status": "fail",
+                                         "forensics": summary})
         assert record.forensics == summary
-        passing = runner._record(run, {"status": "pass"})
+        passing = CampaignRunner._record(0, 1, schedule, {"status": "pass"})
         assert passing.forensics == {}
 
     def test_watchdog_turns_wedged_run_into_hung(self, tmp_path):

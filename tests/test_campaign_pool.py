@@ -4,13 +4,20 @@ A pooled worker holds one :class:`~repro.core.machine.MachineFactory`
 for its lifetime and builds every run's machine through it.  That is
 only sound if a machine built from a reused factory behaves
 bit-identically to a fresh one — the directed test here — and if the
-pool's records match the one-process-per-run path byte for byte.
+pool's records match inline fresh-machine execution byte for byte.
+
+The pool's ``drive`` is the one loop every campaign, fuzz session and
+replay runs on, so the harness itself is fault-injected here: a stale
+result, a watchdog kill and a SIGKILLed worker must each cost exactly
+the run they hit.
 """
 
+import os
 import random
+import signal
 
 from repro.campaign.pool import BatchWorkerPool, _execute_schedule_run
-from repro.campaign.records import RunStatus
+from repro.campaign.records import RunStatus, load_records
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.schedule import make_schedule
 from repro.core.machine import MachineFactory
@@ -69,6 +76,28 @@ class TestMachineReuseDeterminism:
         assert machine_a.topology is machine_b.topology
 
 
+def _drive(pool, tasks, on_result=None):
+    """Run ``tasks`` (run_index, schedule, seed) through ``pool.drive``;
+    returns {run_index: payload}."""
+    tasks = list(tasks)
+    got = {}
+
+    def next_task():
+        if not tasks:
+            return None
+        index, schedule, seed = tasks.pop(0)
+        return index, schedule.to_dict(), seed
+
+    def deliver(run_index, payload):
+        assert run_index not in got, "run %d delivered twice" % run_index
+        got[run_index] = payload
+        if on_result is not None:
+            on_result(run_index, payload)
+
+    pool.drive(next_task, deliver)
+    return got
+
+
 class TestBatchWorkerPool:
     def test_pool_results_match_inline_execution(self):
         schedules = _schedules(4)
@@ -78,43 +107,127 @@ class TestBatchWorkerPool:
                 run_limit=60_000_000_000, mem_per_node=64 << 10,
                 l2_size=8 << 10))
             for index, schedule in enumerate(schedules)}
-        got = {}
         with BatchWorkerPool(jobs=2, timeout_s=120.0,
                              run_limit=60_000_000_000) as pool:
-            pending = list(enumerate(schedules))
-            while pending or len(got) < len(schedules):
-                while pending and pool.idle_count():
-                    index, schedule = pending.pop(0)
-                    pool.submit(index, schedule.to_dict(), 200 + index)
-                for index, payload in pool.poll():
-                    got[index] = _strip_wall_clock(payload)
-        assert got == expected
+            got = _drive(pool, [(index, schedule, 200 + index)
+                                for index, schedule in enumerate(schedules)])
+        assert {index: _strip_wall_clock(payload)
+                for index, payload in got.items()} == expected
 
     def test_pool_statuses_are_valid(self):
         statuses = {status.value for status in RunStatus}
         with BatchWorkerPool(jobs=1, timeout_s=120.0,
                              run_limit=60_000_000_000) as pool:
-            pool.submit(0, _schedules(1)[0].to_dict(), 5)
-            results = []
-            while not results:
-                results = pool.poll()
-        assert results[0][1]["status"] in statuses
+            got = _drive(pool, [(0, _schedules(1)[0], 5)])
+        assert got[0]["status"] in statuses
+
+    def test_next_task_waits_for_available_results(self):
+        """With one worker, run i+1 is planned only after run i was
+        delivered — what keeps a jobs=1 fuzz session deterministic."""
+        schedules = _schedules(3)
+        events = []
+        tasks = [(index, schedule, 300 + index)
+                 for index, schedule in enumerate(schedules)]
+
+        def next_task():
+            if not tasks:
+                return None
+            index, schedule, seed = tasks.pop(0)
+            events.append(("plan", index))
+            return index, schedule.to_dict(), seed
+
+        ticks = []
+        with BatchWorkerPool(jobs=1, timeout_s=120.0) as pool:
+            pool.drive(next_task,
+                       lambda index, payload: events.append(("done", index)),
+                       ticks.append)
+        assert events == [("plan", 0), ("done", 0), ("plan", 1),
+                          ("done", 1), ("plan", 2), ("done", 2)]
+        assert ticks and ticks[-1] == []
+        for in_flight in ticks:
+            assert all(set(entry) == {"run_index", "elapsed_s"}
+                       for entry in in_flight)
+
+    def test_result_from_retired_worker_is_dropped(self):
+        """A worker that posts just before the watchdog kills it must not
+        complete the run a second time (regression: the duplicate used to
+        reach the caller and KeyError the batch)."""
+        with BatchWorkerPool(jobs=1, timeout_s=120.0) as pool:
+            pool.result_queue.put((999, 0, {"status": "pass", "stale": 1}))
+            pool.result_queue.put(
+                (pool.workers[0].worker_id, 7, {"status": "pass"}))
+            got = _drive(pool, [(0, _schedules(1)[0], 5)])
+        assert list(got) == [0]
+        assert "stale" not in got[0]
+
+    def test_hung_run_then_normal_run_on_respawned_slot(self):
+        schedules = _schedules(2)
+        with BatchWorkerPool(jobs=1, timeout_s=0.05) as pool:
+            first_worker = pool.workers[0].worker_id
+
+            def relax(run_index, payload):
+                pool.timeout_s = 120.0
+
+            got = _drive(pool, [(0, schedules[0], 1), (1, schedules[1], 2)],
+                         on_result=relax)
+            assert pool.workers[0].worker_id != first_worker
+        assert got[0]["status"] == RunStatus.HUNG.value
+        assert "watchdog" in got[0]["error"]
+        assert _strip_wall_clock(got[1]) == _strip_wall_clock(
+            _execute_schedule_run(
+                schedules[1].to_dict(), seed=2, run_limit=60_000_000_000,
+                mem_per_node=64 << 10, l2_size=8 << 10))
 
 
-class TestCampaignRunnerReuse:
-    def test_pooled_campaign_matches_per_process_campaign(self):
-        """reuse_machines=True must change throughput, never records."""
-        def run(reuse):
-            runner = CampaignRunner(
-                kind="random-multi", runs=3, campaign_seed=11,
-                num_nodes=4, jobs=2, timeout_s=120.0,
-                reuse_machines=reuse)
-            records = runner.run().records
-            return [
-                {"run_index": r.run_index, "seed": r.seed,
-                 "status": r.status, "schedule": r.schedule,
-                 "problems": r.problems, "restarts": r.restarts,
-                 "episodes": r.episodes, "metrics": r.metrics,
-                 "forensics": r.forensics}
-                for r in sorted(records, key=lambda r: r.run_index)]
-        assert run(True) == run(False)
+_RECORD_FIELDS = ("status", "problems", "restarts", "episodes", "metrics",
+                  "forensics")
+
+
+class TestCampaignRunnerOnPool:
+    def test_campaign_records_match_inline_fresh_machines(self):
+        """The reference: every record equals ``_execute_schedule_run`` of
+        the same plan on a fresh machine in this process."""
+        runner = CampaignRunner(kind="random-multi", runs=3,
+                                campaign_seed=11, num_nodes=4, jobs=2,
+                                timeout_s=120.0)
+        records = runner.run().records
+        assert [record.run_index for record in records] == [0, 1, 2]
+        for record in records:
+            seed, schedule = runner.plan_run(record.run_index)
+            payload = _execute_schedule_run(
+                schedule.to_dict(), seed, runner.run_limit,
+                runner.mem_per_node, runner.l2_size)
+            expected = CampaignRunner._record(record.run_index, seed,
+                                              schedule, payload)
+            assert record.seed == seed
+            assert record.schedule == schedule.to_dict()
+            for field in _RECORD_FIELDS:
+                assert getattr(record, field) == getattr(expected, field)
+
+    def test_sigkilled_worker_costs_one_run(self, tmp_path, monkeypatch):
+        """SIGKILL a worker mid-run: that run is CRASHED, the slot
+        respawns, every other run completes, the record set is whole."""
+        submit = BatchWorkerPool._submit
+        killed = []
+
+        def submit_and_kill(worker, task):
+            submit(worker, task)
+            if task[0] == 2:
+                killed.append(worker.worker_id)
+                os.kill(worker.process.pid, signal.SIGKILL)
+
+        monkeypatch.setattr(BatchWorkerPool, "_submit",
+                            staticmethod(submit_and_kill))
+        path = str(tmp_path / "runs.jsonl")
+        summary = CampaignRunner(kind="random-multi", runs=5,
+                                 campaign_seed=11, num_nodes=4, jobs=2,
+                                 timeout_s=120.0, out_path=path).run()
+        assert len(killed) == 1
+        assert [record.run_index for record in summary.records] \
+            == list(range(5))
+        assert {record.run_index: record.status
+                for record in summary.records
+                if record.status.is_abort} == {2: RunStatus.CRASHED}
+        assert "died without reporting" in summary.records[2].error
+        assert sorted(record.run_index for record in load_records(path)) \
+            == list(range(5))
