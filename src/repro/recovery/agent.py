@@ -176,7 +176,7 @@ class RecoveryAgent:
                     raise RecoveryCommError(
                         "dissemination round %d: no message from %d at %d"
                         % (round_no, partner, self.node_id))
-                their_view = SystemView.decode(packet.payload["view"])
+                their_view = packet.payload["view"]   # a ViewSnapshot
                 yield self._work(
                     self.params.instr_merge_per_entry
                     * their_view.entry_count())
@@ -203,7 +203,7 @@ class RecoveryAgent:
                 else:
                     yield self._work(
                         self.params.instr_bft_per_node
-                        * max(1, len(self.view.nodes)))
+                        * max(1, self.view.node_count()))
                     rounds_target = self._compute_rounds_target()
                     hint = rounds_target
             if rounds_target is not None and round_no >= rounds_target:
@@ -215,7 +215,7 @@ class RecoveryAgent:
             # nodes (§4.3).
             yield self._work(
                 self.params.instr_bft_per_node
-                * max(1, len(self.view.nodes)))
+                * max(1, self.view.node_count()))
         # From here on, any straggler's round messages are answered from the
         # final (converged) view by the comm layer's responder, so nodes
         # whose round counts end slightly apart never deadlock each other.
@@ -228,7 +228,7 @@ class RecoveryAgent:
     def _compute_rounds_target(self):
         """2h termination bound (§4.3): h = height of the BFT rooted at a
         deterministically chosen functioning node."""
-        height = self.manager.bft_height_for_view(self.view, self.node_id)
+        height = self.manager.bft_height_for_view(self.view)
         return max(1, 2 * height)
 
     def _echo_round(self, packet):
@@ -240,7 +240,7 @@ class RecoveryAgent:
         self.comm.send(
             MessageKind.DISSEMINATE,
             {"round": packet.payload.get("round"),
-             "view": self.view.encode(),
+             "view": self.view.encode(),   # the converged view's one snapshot
              "hint": self.rounds_executed, "entry_count": entries},
             route)
 
@@ -301,7 +301,7 @@ class RecoveryAgent:
         # Step 3: recompute and program deadlock-free routing tables (§4.4).
         yield self._work(
             self.params.instr_route_per_node
-            * max(1, len(self.view.nodes)))
+            * max(1, self.view.node_count()))
         tables = self.manager.routing_tables_for_view(self.view)
         own_table = tables.get(self.node_id, {})
         self.magic.router.program_table(own_table)
@@ -317,8 +317,7 @@ class RecoveryAgent:
         ports = set()
         for port, (neighbor, _) in self.topology.neighbors(
                 self.node_id).items():
-            key = frozenset((self.node_id, neighbor))
-            if self.view.links.get(key) == LinkStatus.DOWN:
+            if self.view.link_is_down(self.node_id, neighbor):
                 ports.add(port)
         return ports
 

@@ -127,8 +127,13 @@ class RecoveryComm:
 
     def drain_pending(self, match):
         """Pop all already-buffered packets satisfying ``match``."""
-        taken = [p for p in self._pending if match(p)]
-        self._pending = [p for p in self._pending if not match(p)]
+        taken, kept = [], []
+        for packet in self._pending:
+            if match(packet):
+                taken.append(packet)
+            else:
+                kept.append(packet)
+        self._pending = kept
         return taken
 
     # ------------------------------------------------------------- probing

@@ -323,11 +323,8 @@ class RecoveryManager:
 
     # --------------------------------------- deterministic view computations
 
-    def _view_key(self, view):
-        return view.signature()
-
     def _memo(self, name, view, builder):
-        key = (name, self._view_key(view))
+        key = (name, view.signature())
         if key not in self._cache:
             self._cache[key] = builder()
         return self._cache[key]
@@ -353,7 +350,7 @@ class RecoveryManager:
                     if rid in component}
         return self._memo("radj", view, build)
 
-    def bft_height_for_view(self, view, _node_id):
+    def bft_height_for_view(self, view):
         """Height of the BFT rooted at the deterministically chosen node
         (the lowest-id functioning node, §4.3)."""
         def build():
@@ -422,11 +419,9 @@ class RecoveryManager:
         return self._memo("tables", view, build)
 
     def source_route_for_view(self, view, src, dst):
-        key = ("route", self._view_key(view), src, dst)
-        if key not in self._cache:
-            adjacency = self.restricted_adjacency_for_view(view)
-            self._cache[key] = compute_source_route(adjacency, src, dst)
-        return self._cache[key]
+        return self._memo(
+            ("route", src, dst), view, lambda: compute_source_route(
+                self.restricted_adjacency_for_view(view), src, dst))
 
     def available_nodes_for_view(self, view):
         """Apply the failure-unit rule: alive nodes in fully intact units."""

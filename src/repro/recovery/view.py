@@ -14,9 +14,19 @@ Status semantics:
 * a link is UP when a probe crossed it; DOWN when a probe timed out.  DOWN
   wins a merge — links do not heal, so the most pessimistic observation is
   the most recent truth.
+
+Representation: the paper's nodes exchange small node-state and link-state
+vectors and OR them together.  Here a view is four sets (alive, dead,
+up-links, down-links; a node or link is in at most one of its two) and a
+merge is set algebra.  What goes on the wire is a :class:`ViewSnapshot` of
+four frozensets: immutable, cached until the view next changes, and shared
+by reference between the sender and every receiver.  None of this costs
+simulated time — that is charged by the agent through
+``recovery_work(instr_* × entry_count)`` and the packet's flit count.
 """
 
 import enum
+from typing import NamedTuple
 
 
 class NodeStatus(enum.Enum):
@@ -29,110 +39,144 @@ class LinkStatus(enum.Enum):
     DOWN = "down"
 
 
+class ViewSnapshot(NamedTuple):
+    """Immutable contents of a view: its wire format and its signature."""
+
+    alive: frozenset
+    dead: frozenset
+    up: frozenset      # links are frozenset({a, b})
+    down: frozenset
+
+    def entry_count(self):
+        return sum(map(len, self))
+
+
 class SystemView:
     """One node's knowledge of node and link health."""
 
-    __slots__ = ("nodes", "links")
+    __slots__ = ("_alive", "_dead", "_up", "_down", "_snapshot")
 
     def __init__(self, nodes=None, links=None):
-        self.nodes = dict(nodes or {})    # node_id -> NodeStatus
-        self.links = dict(links or {})    # frozenset({a, b}) -> LinkStatus
+        self._alive = set()
+        self._dead = set()
+        self._up = set()
+        self._down = set()
+        self._snapshot = None     # cached encode(); None after a mutation
+        for node_id, status in (nodes or {}).items():
+            self.observe_node(node_id, status)
+        for key, status in (links or {}).items():
+            self.observe_link(*key, status)
 
     def observe_node(self, node_id, status):
-        current = self.nodes.get(node_id)
-        if current == NodeStatus.ALIVE:
+        if node_id in self._alive:
             return
-        self.nodes[node_id] = status
+        if status == NodeStatus.ALIVE:
+            self._dead.discard(node_id)
+            self._alive.add(node_id)
+        elif node_id not in self._dead:
+            self._dead.add(node_id)
+        else:
+            return
+        self._snapshot = None
 
     def observe_link(self, a, b, status):
         key = frozenset((a, b))
-        current = self.links.get(key)
-        if current == LinkStatus.DOWN:
+        if key in self._down:
             return
-        self.links[key] = status
+        if status == LinkStatus.DOWN:
+            self._up.discard(key)
+            self._down.add(key)
+        elif key not in self._up:
+            self._up.add(key)
+        else:
+            return
+        self._snapshot = None
 
     def merge(self, other):
-        """Merge another view in place; returns True if anything changed."""
-        changed = False
-        for node_id, status in other.nodes.items():
-            current = self.nodes.get(node_id)
-            merged = _merge_node(current, status)
-            if merged != current:
-                self.nodes[node_id] = merged
-                changed = True
-        for key, status in other.links.items():
-            current = self.links.get(key)
-            merged = _merge_link(current, status)
-            if merged != current:
-                self.links[key] = merged
-                changed = True
+        """Merge another view, or a snapshot of one, in place; returns True
+        if anything changed."""
+        if isinstance(other, SystemView):
+            other = other.encode()
+        new_alive = other.alive - self._alive
+        self._alive |= new_alive
+        self._dead -= new_alive
+        new_dead = other.dead.difference(self._alive, self._dead)
+        self._dead |= new_dead
+        new_down = other.down - self._down
+        self._down |= new_down
+        self._up -= new_down
+        new_up = other.up.difference(self._down, self._up)
+        self._up |= new_up
+        changed = bool(new_alive or new_dead or new_down or new_up)
+        if changed:
+            self._snapshot = None
         return changed
 
     # -- queries ---------------------------------------------------------------
 
     def alive_nodes(self):
-        return {n for n, s in self.nodes.items() if s == NodeStatus.ALIVE}
+        return set(self._alive)
 
     def dead_nodes(self):
-        return {n for n, s in self.nodes.items() if s == NodeStatus.DEAD}
+        return set(self._dead)
 
     def down_links(self):
-        return {key for key, s in self.links.items()
-                if s == LinkStatus.DOWN}
+        return set(self._down)
+
+    def node_count(self):
+        return len(self._alive) + len(self._dead)
+
+    def link_is_down(self, a, b):
+        return frozenset((a, b)) in self._down
 
     def entry_count(self):
         """Size of the view (drives message size and merge cost)."""
-        return len(self.nodes) + len(self.links)
+        return (len(self._alive) + len(self._dead)
+                + len(self._up) + len(self._down))
+
+    @property
+    def nodes(self):
+        """node_id -> NodeStatus, built on demand (tests and debugging)."""
+        nodes = dict.fromkeys(self._alive, NodeStatus.ALIVE)
+        nodes.update(dict.fromkeys(self._dead, NodeStatus.DEAD))
+        return nodes
+
+    @property
+    def links(self):
+        """frozenset({a, b}) -> LinkStatus, built on demand."""
+        links = dict.fromkeys(self._up, LinkStatus.UP)
+        links.update(dict.fromkeys(self._down, LinkStatus.DOWN))
+        return links
 
     # -- wire format --------------------------------------------------------------
 
     def encode(self):
-        return {
-            "nodes": {n: s.value for n, s in self.nodes.items()},
-            "links": [(tuple(sorted(key)), s.value)
-                      for key, s in self.links.items()],
-        }
-
-    @classmethod
-    def decode(cls, wire):
-        view = cls()
-        view.nodes = {n: NodeStatus(s) for n, s in wire["nodes"].items()}
-        view.links = {frozenset(pair): LinkStatus(s)
-                      for pair, s in wire["links"]}
-        return view
-
-    def copy(self):
-        return SystemView(self.nodes, self.links)
+        """The view's :class:`ViewSnapshot`; the same object until the view
+        next changes, so every partner of a round shares one."""
+        snapshot = self._snapshot
+        if snapshot is None:
+            snapshot = self._snapshot = ViewSnapshot(
+                frozenset(self._alive), frozenset(self._dead),
+                frozenset(self._up), frozenset(self._down))
+        return snapshot
 
     def signature(self):
-        """Hashable digest used to detect stabilization across rounds."""
-        return (frozenset(self.nodes.items()),
-                frozenset(self.links.items()))
+        """Hashable digest of the contents (keys the manager's memo): the
+        snapshot itself."""
+        return self.encode()
+
+    def copy(self):
+        clone = SystemView()
+        clone.merge(self)
+        return clone
 
     def __eq__(self, other):
         return (isinstance(other, SystemView)
-                and self.nodes == other.nodes and self.links == other.links)
+                and self.encode() == other.encode())
 
     def __repr__(self):
         return "<SystemView alive=%s dead=%s down_links=%d>" % (
-            sorted(self.alive_nodes()), sorted(self.dead_nodes()),
-            len(self.down_links()))
-
-
-def _merge_node(current, incoming):
-    if current is None:
-        return incoming
-    if NodeStatus.ALIVE in (current, incoming):
-        return NodeStatus.ALIVE
-    return current
-
-
-def _merge_link(current, incoming):
-    if current is None:
-        return incoming
-    if LinkStatus.DOWN in (current, incoming):
-        return LinkStatus.DOWN
-    return current
+            sorted(self._alive), sorted(self._dead), len(self._down))
 
 
 def surviving_adjacency_from_view(topology, view):

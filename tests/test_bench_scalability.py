@@ -10,9 +10,11 @@ import pytest
 
 from repro.faults.models import FaultType
 from repro.interconnect.topology import make_topology
+from repro.telemetry import scalability
 from repro.telemetry.scalability import (
     DEFAULT_SIZES,
     default_fault,
+    run_scalability_point,
     run_scalability_sweep,
     scalability_table,
     sublinear_check,
@@ -33,6 +35,61 @@ class TestDefaultFault:
         fault = default_fault("link_failure", 8, topology)
         assert fault.fault_type is FaultType.LINK_FAILURE
         assert 7 in fault.target
+
+
+class TestPinnedSimulatedOutcome:
+    """Two small points pinned to the numbers the tree produced before the
+    dissemination views became set snapshots.  A host-side optimisation
+    must leave every one of them alone: simulated cost is charged through
+    ``recovery_work`` and flit counts only, never through how long the
+    Python takes.  Update the literals only for a change that is meant to
+    alter the simulation, and say so in CHANGES.md."""
+
+    PINNED = {
+        (16, "node_failure", "mesh"): {
+            "events_executed": 17927,
+            "sim_ns": 25657010.0,
+            "phase_durations_ms": {"P1": 8.96486, "P2": 17.53192,
+                                   "P3": 2.7914, "P4": 0.27718,
+                                   "WB": 0.0768},
+            "total_ms": 24.54069,
+            "marked_incoherent": 7,
+            "agent_rounds": dict.fromkeys(range(15), 12),
+        },
+        (16, "link_failure", "hypercube"): {
+            "events_executed": 17818,
+            "sim_ns": 16657152.0,
+            "phase_durations_ms": {"P1": 4.61472, "P2": 8.89712,
+                                   "P3": 1.75455, "P4": 0.27644,
+                                   "WB": 0.0768},
+            "total_ms": 15.54235,
+            "marked_incoherent": 0,
+            "agent_rounds": dict.fromkeys(range(16), 8),
+        },
+    }
+
+    @pytest.mark.parametrize("point", sorted(PINNED))
+    def test_point_matches_pinned_literals(self, point, monkeypatch):
+        machines = []
+
+        class RecordingMachine(scalability.FlashMachine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                machines.append(self)
+
+        monkeypatch.setattr(scalability, "FlashMachine", RecordingMachine)
+        result = run_scalability_point(*point, seed=0)
+        assert result["completed"]
+        report = machines[-1].recovery_manager.reports[-1]
+        recovery = result["recovery"]
+        assert {
+            "events_executed": result["sim"]["events_executed"],
+            "sim_ns": result["sim"]["sim_ns"],
+            "phase_durations_ms": recovery["phase_durations_ms"],
+            "total_ms": recovery["total_ms"],
+            "marked_incoherent": recovery["marked_incoherent"],
+            "agent_rounds": report.agent_rounds,
+        } == self.PINNED[point]
 
 
 @pytest.fixture(scope="module")

@@ -89,7 +89,7 @@ class TestManagerComputations:
     def test_bft_height_uses_lowest_alive_root(self):
         m = machine()
         view = full_view(9)
-        height = m.recovery_manager.bft_height_for_view(view, 5)
+        height = m.recovery_manager.bft_height_for_view(view)
         # Root = node 0 (corner of the 3x3 mesh): height = its
         # eccentricity = 4.
         assert height == 4
@@ -140,6 +140,27 @@ class TestRecoveryComm:
         m.sim.spawn(proc())
         m.run(until=200_000)
         assert results == ["wanted", "later"]
+
+    def test_drain_pending_partitions_in_one_pass(self):
+        m = machine(num_nodes=4)
+        comm = self.make_comm(m)
+        from repro.interconnect.packet import Packet
+        from repro.common.types import Lane
+        kinds = [MessageKind.DISSEMINATE, MessageKind.BARRIER_UP,
+                 MessageKind.DISSEMINATE, MessageKind.BARRIER_DOWN]
+        comm._pending = [
+            Packet(1, 0, Lane.RECOVERY_A, kind, payload={"tag": index})
+            for index, kind in enumerate(kinds)]
+        calls = []
+
+        def match(packet):
+            calls.append(packet.payload["tag"])
+            return packet.kind == MessageKind.DISSEMINATE
+
+        taken = comm.drain_pending(match)
+        assert [p.payload["tag"] for p in taken] == [0, 2]
+        assert [p.payload["tag"] for p in comm._pending] == [1, 3]
+        assert calls == [0, 1, 2, 3]   # match ran once per buffered packet
 
     def test_stale_epoch_packets_dropped(self):
         m = machine(num_nodes=4)

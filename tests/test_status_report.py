@@ -4,7 +4,10 @@ accounting, the aggregated report, and bench provenance stamps."""
 import json
 import os
 import re
+import subprocess
 import types
+
+import pytest
 
 from repro.telemetry.availability import (
     availability_from_reports,
@@ -344,3 +347,29 @@ class TestBenchProvenance:
         assert lines[0]["flight_overhead"] == {"overhead": 0.01}
         assert lines[1]["sublinear"] == {"ok": True}
         assert all(line["meta"]["git_sha"] for line in lines)
+
+    def test_ci_history_files_are_tracked_by_git(self):
+        """CI appends to ``--history`` files and DESIGN §15 calls them
+        committed; an ignore pattern once kept the file out of the tree."""
+        root = os.path.realpath(os.path.join(os.path.dirname(__file__), ".."))
+        try:
+            inside = subprocess.run(
+                ["git", "rev-parse", "--show-toplevel"], cwd=root,
+                capture_output=True, text=True)
+        except FileNotFoundError:
+            pytest.skip("git is not installed")
+        if (inside.returncode != 0
+                or os.path.realpath(inside.stdout.strip()) != root):
+            pytest.skip("not a git checkout of this repo")
+        with open(os.path.join(root, ".github", "workflows", "ci.yml"),
+                  encoding="utf-8") as handle:
+            named = set(re.findall(r"--history[ \t]+([\w./-]+)",
+                                   handle.read()))
+        assert named, "ci.yml no longer passes --history anywhere"
+        for name in sorted(named):
+            tracked = subprocess.run(
+                ["git", "ls-files", "--error-unmatch", name], cwd=root,
+                capture_output=True, text=True)
+            assert tracked.returncode == 0, (
+                "%s is named by ci.yml but not tracked: %s"
+                % (name, tracked.stderr.strip()))

@@ -12,6 +12,7 @@ from repro.recovery.view import (
     LinkStatus,
     NodeStatus,
     SystemView,
+    ViewSnapshot,
     surviving_adjacency_from_view,
 )
 
@@ -76,8 +77,13 @@ class TestMerge:
         view.observe_node(0, NodeStatus.ALIVE)
         view.observe_node(5, NodeStatus.DEAD)
         view.observe_link(0, 5, LinkStatus.DOWN)
-        decoded = SystemView.decode(view.encode())
-        assert decoded == view
+        wire = view.encode()
+        assert isinstance(wire, ViewSnapshot)
+        assert all(isinstance(part, frozenset) for part in wire)
+        assert wire.entry_count() == view.entry_count() == 3
+        received = SystemView()
+        assert received.merge(wire) is True
+        assert received == view
 
     def test_entry_count(self):
         view = SystemView()
@@ -91,6 +97,66 @@ class TestMerge:
         a.observe_node(1, NodeStatus.ALIVE)
         b.observe_node(1, NodeStatus.ALIVE)
         assert a.signature() == b.signature()
+
+
+class TestSnapshotAliasing:
+    """What is on the wire is shared by reference with every receiver, so
+    it must never change after it was sent."""
+
+    def view(self):
+        view = SystemView()
+        view.observe_node(0, NodeStatus.ALIVE)
+        view.observe_node(5, NodeStatus.DEAD)
+        view.observe_link(0, 5, LinkStatus.UP)
+        return view
+
+    def test_snapshot_survives_later_observations_and_merges(self):
+        view = self.view()
+        sent = view.encode()
+        frozen = tuple(set(part) for part in sent)
+        view.observe_node(5, NodeStatus.ALIVE)
+        view.observe_link(0, 5, LinkStatus.DOWN)
+        other = SystemView()
+        other.observe_node(7, NodeStatus.DEAD)
+        other.observe_link(5, 7, LinkStatus.UP)
+        view.merge(other)
+        view.merge(other.encode())
+        assert tuple(set(part) for part in sent) == frozen
+        assert sent.dead == {5} and sent.up == {frozenset((0, 5))}
+        assert view.encode() != sent
+
+    def test_encode_is_cached_until_the_next_mutation(self):
+        view = self.view()
+        first = view.encode()
+        assert view.encode() is first
+        assert view.signature() is first
+        view.observe_node(6, NodeStatus.DEAD)
+        second = view.encode()
+        assert second is not first and second != first
+        other = SystemView()
+        other.observe_link(1, 2, LinkStatus.DOWN)
+        assert view.merge(other.encode()) is True
+        assert view.encode() is not second
+
+    def test_noop_merge_and_observations_keep_the_snapshot(self):
+        view = self.view()
+        sent = view.encode()
+        assert view.merge(sent) is False
+        assert view.merge(view.copy()) is False
+        view.observe_node(0, NodeStatus.ALIVE)
+        view.observe_node(0, NodeStatus.DEAD)     # ALIVE already won
+        view.observe_node(5, NodeStatus.DEAD)
+        view.observe_link(5, 0, LinkStatus.UP)
+        assert view.encode() is sent
+
+    def test_receiver_does_not_alias_the_senders_sets(self):
+        sender = self.view()
+        receiver = SystemView()
+        receiver.merge(sender.encode())
+        receiver.observe_node(9, NodeStatus.ALIVE)
+        sender.observe_node(8, NodeStatus.ALIVE)
+        assert sender.alive_nodes() == {0, 8}
+        assert receiver.alive_nodes() == {0, 9}
 
 
 class TestCopyAndQueries:
@@ -177,6 +243,41 @@ view_strategy = st.builds(
     build_view,
     st.lists(node_obs, max_size=12),
     st.lists(link_obs, max_size=12))
+
+
+def reference_merge(nodes, links, other_nodes, other_links):
+    """The documented rules, one entry at a time, on plain dicts: unknown
+    adopts the incoming status, ALIVE wins, DOWN wins."""
+    changed = False
+    for table, incoming, winner in ((nodes, other_nodes, NodeStatus.ALIVE),
+                                    (links, other_links, LinkStatus.DOWN)):
+        for key, status in incoming.items():
+            current = table.get(key)
+            if current is None:
+                merged = status
+            elif winner in (current, status):
+                merged = winner
+            else:
+                merged = current
+            if merged != current:
+                table[key] = merged
+                changed = True
+    return changed
+
+
+@given(view_strategy, view_strategy, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_property_merge_matches_reference(a, b, as_snapshot):
+    nodes, links = a.nodes, a.links
+    expected_changed = reference_merge(nodes, links, b.nodes, b.links)
+    b_before = b.copy()
+    changed = a.merge(b.encode() if as_snapshot else b)
+    assert changed is expected_changed
+    assert a.nodes == nodes and a.links == links
+    assert a.entry_count() == len(nodes) + len(links)
+    assert a.encode().entry_count() == a.entry_count()
+    assert a.node_count() == len(nodes)
+    assert b == b_before      # the source of a merge is never written
 
 
 @given(view_strategy, view_strategy)
