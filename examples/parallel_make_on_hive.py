@@ -9,7 +9,6 @@ Run:  python examples/parallel_make_on_hive.py
 """
 
 from repro.faults.models import FaultSpec
-from repro.hive.endtoend import membership_monitor
 from repro.hive.os import HiveConfig, HiveOS
 from repro.workloads.pmake import compile_job, create_build_tree
 
@@ -29,8 +28,6 @@ def main():
             job_id, "cc%d" % job_id,
             compile_job(hive, job_id, job_id),
             dependencies={config.file_server_cell})
-    for cell in hive.cells:
-        hive.sim.spawn(membership_monitor(hive, cell))
     print("Started %d compile jobs." % len(jobs))
 
     # Let the build get going, then kill cell 5's node.

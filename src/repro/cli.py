@@ -36,22 +36,31 @@ def _fault_from_args(args):
                      dwell=getattr(args, "dwell", None))
 
 
-def cmd_validate(args):
+def _run_validation(args, telemetry=None):
+    """The one §5.2 run behind ``validate``, ``trace`` and ``forensics``:
+    the machine and fault the arguments describe; returns the
+    ScheduleResult."""
     config = MachineConfig(
         num_nodes=args.nodes_count, mem_per_node=args.mem_kb << 10,
-        l2_size=args.l2_kb << 10, seed=args.seed)
-    result = run_validation_experiment(
-        _fault_from_args(args), config=config, seed=args.seed)
+        l2_size=args.l2_kb << 10, seed=args.seed,
+        firewall_enabled=not getattr(args, "no_firewall", False))
+    return run_validation_experiment(
+        _fault_from_args(args), config=config, seed=args.seed,
+        telemetry=telemetry)
+
+
+def cmd_validate(args):
+    result = _run_validation(args)
     print(result)
     for problem in result.problems:
         print("  !", problem)
-    report = result.recovery_report
-    if report is None:
+    if not result.reports:
         # A transient fault can heal before any detector fires.
         print("recovery: never triggered (fault healed undetected)")
-    else:
-        print("recovery: %.2f ms, survivors %s, %d lines marked incoherent"
-              % (report.total_duration / 1e6,
+    for index, report in enumerate(result.reports):
+        print("recovery episode %d: %.2f ms, %d restart(s), survivors %s, "
+              "%d lines marked incoherent"
+              % (index, report.total_duration / 1e6, report.restarts,
                  sorted(report.available_nodes), report.marked_incoherent))
     return 0 if result.passed else 1
 
@@ -293,12 +302,7 @@ def cmd_trace(args):
     from repro.telemetry.timeline import format_timeline
 
     telemetry = Telemetry(max_events=args.max_events)
-    config = MachineConfig(
-        num_nodes=args.nodes_count, mem_per_node=args.mem_kb << 10,
-        l2_size=args.l2_kb << 10, seed=args.seed)
-    result = run_validation_experiment(
-        _fault_from_args(args), config=config, seed=args.seed,
-        telemetry=telemetry)
+    result = _run_validation(args, telemetry=telemetry)
     print(result)
     recorder = telemetry.recorder
     events = recorder.events
@@ -334,13 +338,7 @@ def cmd_forensics(args):
     from repro.telemetry.forensics import analyze, format_forensics
 
     telemetry = Telemetry(max_events=args.max_events)
-    config = MachineConfig(
-        num_nodes=args.nodes_count, mem_per_node=args.mem_kb << 10,
-        l2_size=args.l2_kb << 10, seed=args.seed,
-        firewall_enabled=not args.no_firewall)
-    result = run_validation_experiment(
-        _fault_from_args(args), config=config, seed=args.seed,
-        telemetry=telemetry)
+    result = _run_validation(args, telemetry=telemetry)
     report = analyze(telemetry.recorder)
     if args.format == "json":
         payload = report.to_dict()
@@ -700,21 +698,25 @@ def build_parser():
         p.add_argument("--l2-kb", type=int, default=8,
                        help="L2 cache size in KB")
 
+    def add_validation_run(p):
+        """What ``_run_validation`` reads: machine size and one fault."""
+        add_common(p)
+        p.add_argument("--nodes-count", type=int, default=8)
+        p.add_argument(
+            "--fault", default="node_failure",
+            choices=[t.value for t in FaultType])
+        p.add_argument("--target", type=int, default=7)
+        p.add_argument("--target2", type=int, default=None)
+        p.add_argument("--dwell", type=float, default=None,
+                       help="heal/manifestation delay in ns "
+                            "(transient link, delayed wedge)")
+        p.add_argument("--drop-rate", type=float, default=None,
+                       help="per-packet drop probability "
+                            "(intermittent link)")
+
     p_validate = sub.add_parser(
         "validate", help="one Table 5.3-style validation run")
-    add_common(p_validate)
-    p_validate.add_argument("--nodes-count", type=int, default=8)
-    p_validate.add_argument(
-        "--fault", default="node_failure",
-        choices=[t.value for t in FaultType])
-    p_validate.add_argument("--target", type=int, default=7)
-    p_validate.add_argument("--target2", type=int, default=None)
-    p_validate.add_argument("--dwell", type=float, default=None,
-                            help="heal/manifestation delay in ns "
-                                 "(transient link, delayed wedge)")
-    p_validate.add_argument("--drop-rate", type=float, default=None,
-                            help="per-packet drop probability "
-                                 "(intermittent link)")
+    add_validation_run(p_validate)
     p_validate.set_defaults(func=cmd_validate)
 
     p_e2e = sub.add_parser(
@@ -817,15 +819,7 @@ def build_parser():
         help="run one validation experiment with event tracing; write a "
              "Chrome trace (chrome://tracing / Perfetto) and print the "
              "per-phase recovery timeline")
-    add_common(p_trace)
-    p_trace.add_argument("--nodes-count", type=int, default=8)
-    p_trace.add_argument(
-        "--fault", default="node_failure",
-        choices=[t.value for t in FaultType])
-    p_trace.add_argument("--target", type=int, default=7)
-    p_trace.add_argument("--target2", type=int, default=None)
-    p_trace.add_argument("--dwell", type=float, default=None)
-    p_trace.add_argument("--drop-rate", type=float, default=None)
+    add_validation_run(p_trace)
     p_trace.add_argument("--out", default="trace.json",
                          help="Chrome trace_event JSON output path")
     p_trace.add_argument("--max-events", type=int, default=None,
@@ -839,15 +833,7 @@ def build_parser():
         "forensics",
         help="run one traced validation experiment, reconstruct the causal "
              "DAG and print the blast-radius / containment-audit report")
-    add_common(p_forensics)
-    p_forensics.add_argument("--nodes-count", type=int, default=8)
-    p_forensics.add_argument(
-        "--fault", default="node_failure",
-        choices=[t.value for t in FaultType])
-    p_forensics.add_argument("--target", type=int, default=7)
-    p_forensics.add_argument("--target2", type=int, default=None)
-    p_forensics.add_argument("--dwell", type=float, default=None)
-    p_forensics.add_argument("--drop-rate", type=float, default=None)
+    add_validation_run(p_forensics)
     p_forensics.add_argument("--max-events", type=int, default=None,
                              help="cap on recorded events (memory bound)")
     p_forensics.add_argument("--no-firewall", action="store_true",

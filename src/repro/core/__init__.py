@@ -4,7 +4,6 @@ from repro.core.config import MachineConfig
 from repro.core.machine import FlashMachine
 from repro.core.experiment import (
     EndToEndResult,
-    ValidationResult,
     run_end_to_end_experiment,
     run_recovery_scalability,
     run_validation_experiment,
@@ -14,7 +13,6 @@ __all__ = [
     "EndToEndResult",
     "FlashMachine",
     "MachineConfig",
-    "ValidationResult",
     "run_end_to_end_experiment",
     "run_recovery_scalability",
     "run_validation_experiment",

@@ -1,19 +1,21 @@
 """Fault-injection experiment harnesses (paper §5).
 
-Four experiment families:
+Three experiment families:
 
-* :func:`run_validation_experiment` — the §5.2 methodology behind
-  Table 5.3: fill caches with a random sharing pattern, inject a fault,
-  recover, then read all of memory and verify every line is either correct
-  or properly marked, with no over-marking.
-* :func:`run_schedule_experiment` — the same methodology for a whole
-  :class:`~repro.campaign.schedule.FaultSchedule` of overlapping faults
-  (the campaign engine's workhorse): the oracle accumulates the union of
-  allowed-incoherent sets across every injection.
+* :func:`run_schedule_experiment` — the §5.2 methodology behind Table 5.3
+  and the campaign engine: fill caches with a random sharing pattern,
+  inject a :class:`~repro.campaign.schedule.FaultSchedule`, recover, then
+  read all of memory and verify every line is either correct or properly
+  marked, with no over-marking.  It is the only implementation of that
+  run; :func:`run_validation_experiment` wraps a single
+  :class:`~repro.faults.models.FaultSpec` in a one-entry schedule and
+  calls it.
 * :func:`run_end_to_end_experiment` — thin wrapper over the Hive harness
   behind Table 5.4 (defined in :mod:`repro.hive.endtoend`).
 * :func:`run_recovery_scalability` — phase-resolved recovery timing behind
-  Figures 5.5-5.7.
+  Figures 5.5-5.7 (no oracle, no memory check: only the report).  It and
+  :func:`repro.telemetry.scalability.run_scalability_point` share the
+  §5.2 run's cache fill and detection prober.
 """
 
 import dataclasses
@@ -27,26 +29,6 @@ from repro.workloads.standalone import (
     memory_check_program,
     partition_lines,
 )
-
-
-@dataclasses.dataclass
-class ValidationResult:
-    """Outcome of one §5.2 validation run."""
-
-    fault: FaultSpec
-    passed: bool
-    problems: list
-    lines_checked: int
-    lines_marked_incoherent: int
-    lines_allowed_incoherent: int
-    recovery_report: object
-
-    def __str__(self):
-        verdict = "PASS" if self.passed else "FAIL"
-        return ("[%s] %s checked=%d marked=%d allowed=%d problems=%d"
-                % (verdict, self.fault, self.lines_checked,
-                   self.lines_marked_incoherent,
-                   self.lines_allowed_incoherent, len(self.problems)))
 
 
 def expected_failed_nodes(machine, fault):
@@ -65,144 +47,38 @@ def expected_failed_nodes(machine, fault):
     return set()
 
 
-def run_validation_experiment(fault, config=None, fill_fraction=0.6,
-                              seed=0, run_limit=30_000_000_000,
-                              telemetry=None):
-    """One complete §5.2 validation run; returns a ValidationResult.
-
-    ``fault`` may also be a :class:`~repro.campaign.schedule.FaultSchedule`,
-    in which case the multi-fault harness runs instead and a
-    :class:`ScheduleResult` is returned.
-    """
-    from repro.campaign.schedule import FaultSchedule
-    if isinstance(fault, FaultSchedule):
-        return run_schedule_experiment(
-            fault, config=config, fill_fraction=fill_fraction, seed=seed,
-            run_limit=max(run_limit, 60_000_000_000), telemetry=telemetry)
-    config = config or MachineConfig(seed=seed)
-    machine = FlashMachine(config, telemetry=telemetry).start()
-    oracle = machine.oracle
-
-    # Phase 1: fill caches with a random shared/exclusive pattern.
-    fill_lines = max(1, int(config.l2_lines * fill_fraction))
+def fill_caches(machine, fill_fraction, seed, run_limit):
+    """§5.2 step one: every node fills ``l2_lines * fill_fraction`` lines
+    of its cache with a random shared/exclusive pattern, then the machine
+    drains.  The one cache fill behind every experiment in this module
+    and the scalability bench."""
+    fill_lines = max(1, int(machine.config.l2_lines * fill_fraction))
     machine.run_programs(
         [(node_id, cache_fill_program(machine, node_id, fill_lines, seed))
-         for node_id in range(config.num_nodes)],
+         for node_id in range(machine.config.num_nodes)],
         limit=run_limit)
     machine.quiesce()
 
-    # Phase 2: inject, snapshotting ground truth at the same instant, and
-    # again when the first agent reaches P4 (after the drain, when no more
-    # protocol transitions can happen).
-    failed_nodes = expected_failed_nodes(machine, fault)
-    oracle.snapshot_at_injection(machine, failed_nodes)
-    machine.recovery_manager.phase4_hook = (
-        lambda: oracle.snapshot_at_injection(machine, failed_nodes))
-    machine.injector.inject(fault)
 
-    # Phase 3: detection.  One prober issues a read aimed at the failed
-    # region; its timeout (or NAK overflow / truncated packet) triggers
-    # recovery (§4.2).  A false alarm needs no prober.
-    prober_proc = None
-    if fault.fault_type != FaultType.FALSE_ALARM:
-        prober_proc = _start_prober(machine, fault)
-    if fault.fault_type in _MAYBE_UNDETECTED:
-        # A transient/intermittent link may heal (or never drop the probe)
-        # before any detector fires: wait for the prober, settle whatever
-        # recovery it did trigger, and accept a fault-free outcome.
-        machine.run_until(lambda: not prober_proc.alive, limit=run_limit)
-        while machine.recovery_manager.in_progress:
-            machine.run_until_recovered(limit=run_limit)
-        machine.quiesce()
-        reports = machine.recovery_manager.reports
-        report = reports[-1] if reports else None
-    else:
-        report = machine.run_until_recovered(limit=run_limit)
-        if prober_proc is not None:
-            # Let the prober finish its (reissued) post-recovery read.
-            machine.run_until(lambda: not prober_proc.alive, limit=run_limit)
+def run_validation_experiment(fault, config=None, fill_fraction=0.6,
+                              seed=0, run_limit=30_000_000_000,
+                              telemetry=None):
+    """One complete §5.2 validation run of a single fault (Table 5.3).
 
-    # Phase 4: upon completion of recovery, the processors read all of the
-    # system's memory and check every line (§5.2).
-    available = (set(report.available_nodes) if report is not None
-                 else set(machine.alive_nodes()))
-    checkers = sorted(available)
-    assignment = partition_lines(machine, checkers) if checkers else {}
-    observations = {node_id: [] for node_id in checkers}
-    procs = {
-        node_id: machine.nodes[node_id].processor.run_program(
-            memory_check_program(assignment[node_id],
-                                 observations[node_id]))
-        for node_id in checkers
-    }
-    manager = machine.recovery_manager
-
-    def finished():
-        return all(not proc.alive for proc in procs.values())
-
-    machine.run_until(finished, limit=run_limit)
-    if manager.reports:
-        report = manager.reports[-1]
-        available = set(report.available_nodes)
-
-    # Phase 4: verdict.
-    problems = []
-    lines_checked = 0
-    for node_id in checkers:
-        if node_id not in available:
-            continue
-        for line, kind, detail in observations[node_id]:
-            lines_checked += 1
-            problems.extend(
-                _judge_observation(machine, oracle, available,
-                                   line, kind, detail))
-
-    overmarked = oracle.overmarked_lines()
-    if overmarked:
-        problems.append(
-            "over-marked %d lines (e.g. 0x%x)"
-            % (len(overmarked), min(overmarked)))
-    if lines_checked == 0:
-        problems.append("no surviving checker completed: recovery lost the"
-                        " whole machine (available=%s)" % sorted(available))
-
-    return ValidationResult(
-        fault=fault,
-        passed=not problems,
-        problems=problems,
-        lines_checked=lines_checked,
-        lines_marked_incoherent=len(oracle.marked_incoherent),
-        lines_allowed_incoherent=len(oracle.may_be_incoherent or ()),
-        recovery_report=report,
-    )
-
-
-_MAYBE_UNDETECTED = (FaultType.TRANSIENT_LINK_FAILURE,
-                     FaultType.INTERMITTENT_LINK)
-
-
-def _start_prober(machine, fault):
-    """Issue one read aimed into the faulted region to trigger detection."""
-    if fault.is_link_fault:
-        prober, victim = fault.target
-    else:
-        victim = fault.target
-        prober = 0 if victim != 0 else 1
-    if fault.fault_type == FaultType.DELAYED_WEDGE:
-        # The wedge manifests only after the dwell time; probing earlier
-        # would find a healthy node and detect nothing.
-        return machine.nodes[prober].processor.run_program(
-            _delayed_probe(machine, victim,
-                           (fault.dwell or 2_000_000.0) + 50_000.0),
-            name="prober%d" % prober)
-    return machine.nodes[prober].processor.run_program(
-        _probe_program(machine, victim), name="prober%d" % prober)
-
-
-def _delayed_probe(machine, victim, delay):
-    from repro.node.processor import Compute
-    yield Compute(delay)
-    yield from _probe_program(machine, victim)
+    A single fault is a one-entry schedule: ``fault`` is wrapped in a
+    :class:`~repro.campaign.schedule.FaultSchedule` (one passes through
+    as it is) and :func:`run_schedule_experiment` does the run; returns
+    its :class:`ScheduleResult`.
+    """
+    from repro.campaign.schedule import FaultSchedule, TimedFault
+    if not isinstance(fault, FaultSchedule):
+        config = config or MachineConfig(seed=seed)
+        fault = FaultSchedule((TimedFault(fault),),
+                              num_nodes=config.num_nodes,
+                              topology=config.topology)
+    return run_schedule_experiment(
+        fault, config=config, fill_fraction=fill_fraction, seed=seed,
+        run_limit=run_limit, telemetry=telemetry)
 
 
 def _judge_observation(machine, oracle, available, line, kind, detail):
@@ -235,7 +111,8 @@ def _judge_observation(machine, oracle, available, line, kind, detail):
 
 @dataclasses.dataclass
 class ScheduleResult:
-    """Outcome of one multi-fault schedule run (campaign engine)."""
+    """Outcome of one §5.2 validation run: a campaign's multi-fault
+    schedule or a single fault's one-entry schedule alike."""
 
     schedule: object
     passed: bool
@@ -265,14 +142,15 @@ def run_schedule_experiment(schedule, config=None, fill_fraction=0.6,
                             seed=0, run_limit=60_000_000_000,
                             settle_time=2_000_000.0, telemetry=None,
                             collect_metrics=False, machine=None):
-    """One §5.2-style validation run of a whole fault schedule.
+    """One §5.2 validation run of a whole fault schedule.
 
-    The same methodology as :func:`run_validation_experiment`, generalized
-    to overlapping faults: the oracle snapshots at *every* injection with
-    the cumulative ground-truth failed set (the union of allowed-incoherent
-    sets keeps growing), recovery episodes — including §4.1 restarts — are
-    allowed to cascade, and the final full-memory check judges every line
-    against the accumulated oracle state.
+    Fill the caches, inject, recover, read all of memory, judge every
+    line — for any number of overlapping faults: the oracle snapshots at
+    *every* injection with the cumulative ground-truth failed set (the
+    union of allowed-incoherent sets keeps growing), recovery episodes —
+    including §4.1 restarts — are allowed to cascade, and the final
+    full-memory check judges every line against the accumulated oracle
+    state.
 
     ``machine`` may be a not-yet-started :class:`FlashMachine` (e.g. from
     a :class:`~repro.core.machine.MachineFactory`); the caller keeps the
@@ -283,19 +161,12 @@ def run_schedule_experiment(schedule, config=None, fill_fraction=0.6,
             num_nodes=schedule.num_nodes, topology=schedule.topology,
             seed=seed)
         machine = FlashMachine(config, telemetry=telemetry)
-    else:
-        config = machine.config
     machine.start()
     manager = machine.recovery_manager
     oracle = machine.oracle
 
     # Phase 1: fill caches with a random shared/exclusive pattern.
-    fill_lines = max(1, int(config.l2_lines * fill_fraction))
-    machine.run_programs(
-        [(node_id, cache_fill_program(machine, node_id, fill_lines, seed))
-         for node_id in range(config.num_nodes)],
-        limit=run_limit)
-    machine.quiesce()
+    fill_caches(machine, fill_fraction, seed, run_limit)
 
     # Phase 2: arm the whole schedule.  Ground truth is snapshotted at the
     # instant each fault actually fires (and again at each episode's P4
@@ -321,9 +192,7 @@ def run_schedule_experiment(schedule, config=None, fill_fraction=0.6,
         if entry.phase is not None:
             continue
         spec = entry.spec
-        delay = entry.time + 10.0
-        if spec.fault_type == FaultType.DELAYED_WEDGE:
-            delay += (spec.dwell or 2_000_000.0) + 50_000.0
+        delay = entry.time + 10.0 + _manifestation_delay(spec)
         horizon = max(horizon, delay, entry.time + (spec.dwell or 0.0))
         if spec.fault_type == FaultType.FALSE_ALARM:
             continue
@@ -410,8 +279,35 @@ def run_schedule_experiment(schedule, config=None, fill_fraction=0.6,
     )
 
 
+def _manifestation_delay(spec):
+    """Nanoseconds after injection before a probe can detect ``spec``: a
+    delayed wedge manifests only after its dwell time, and probing earlier
+    would find a healthy node and detect nothing."""
+    if spec.fault_type == FaultType.DELAYED_WEDGE:
+        return (spec.dwell or 2_000_000.0) + 50_000.0
+    return 0.0
+
+
+def inject_and_probe(machine, fault):
+    """Inject ``fault`` now and aim the detection probe at it — the
+    recovery-timing harnesses' whole fault step (no oracle, no settle
+    loop; the caller runs the machine until recovered).  A false alarm
+    triggers recovery by itself and needs no probe."""
+    machine.injector.inject(fault)
+    if fault.fault_type == FaultType.FALSE_ALARM:
+        return
+    delay = _manifestation_delay(fault)
+    if delay:
+        machine.run(until=machine.sim.now + delay)
+    _start_schedule_prober(machine, fault, [])
+
+
 def _start_schedule_prober(machine, spec, procs, retries=100):
-    """Fire a detection probe for one schedule entry (at its own time)."""
+    """Issue one read aimed into the faulted region to trigger detection
+    (§4.2): its timeout, NAK overflow or truncated packet starts recovery.
+    A link fault is probed from one endpoint to the other so the read has
+    to cross the link; any other fault from the lowest-numbered idle
+    survivor."""
     if spec.is_link_fault:
         prober, victim = spec.target
     else:
@@ -476,25 +372,10 @@ def run_recovery_scalability(num_nodes, topology="mesh",
         num_nodes=num_nodes, topology=topology,
         mem_per_node=mem_per_node, l2_size=l2_size, seed=seed, **overrides)
     machine = FlashMachine(config, telemetry=telemetry).start()
-
-    fill_lines = max(1, int(config.l2_lines * fill_fraction))
-    machine.run_programs(
-        [(node_id, cache_fill_program(machine, node_id, fill_lines, seed))
-         for node_id in range(num_nodes)],
-        limit=run_limit)
-    machine.quiesce()
-
-    if fault is None:
-        fault = FaultSpec.node_failure(num_nodes - 1)
-    machine.injector.inject(fault)
-    if fault.fault_type != FaultType.FALSE_ALARM:
-        # Detection: one read aimed into the failed region times out.
-        victim = fault.target if isinstance(fault.target, int) else fault.target[0]
-        prober = 0 if victim != 0 else 1
-        machine.nodes[prober].processor.run_program(
-            _probe_program(machine, victim))
-    report = machine.run_until_recovered(limit=run_limit)
-    return report
+    fill_caches(machine, fill_fraction, seed, run_limit)
+    inject_and_probe(
+        machine, fault or FaultSpec.node_failure(num_nodes - 1))
+    return machine.run_until_recovered(limit=run_limit)
 
 
 def _probe_program(machine, victim_node):

@@ -17,13 +17,6 @@ from repro.workloads.pmake import (
 )
 
 
-def membership_monitor(hive, cell):
-    """Deprecated shim: HiveOS now runs its own per-cell liveness monitor
-    (see :meth:`repro.hive.os.HiveOS.start`); kept for API compatibility —
-    spawning it adds an extra, harmless prober."""
-    yield from hive._membership_monitor(cell)
-
-
 def expected_dead_cells(hive, fault):
     """Cells the fault is *expected* to take down (its failure unit).
 

@@ -23,7 +23,6 @@ from repro.analysis.tables import format_series
 from repro.core.config import MachineConfig
 from repro.core.machine import FlashMachine
 from repro.faults.models import LINK_FAULT_TYPES, FaultSpec, FaultType
-from repro.workloads.standalone import cache_fill_program
 
 #: the paper's Figure 5.5 sweep points (2 replaced by 4: a 2-node machine
 #: has a degenerate barrier tree and measures nothing interesting)
@@ -58,27 +57,18 @@ def run_scalability_point(num_nodes, fault_class="node_failure",
     Returns a JSON-friendly result dict; ``completed`` is False (with an
     ``error``) when recovery never finished within ``run_limit``.
     """
-    from repro.core.experiment import _start_prober
+    from repro.core.experiment import fill_caches, inject_and_probe
 
     config = MachineConfig(
         num_nodes=num_nodes, topology=topology, mem_per_node=mem_per_node,
         l2_size=l2_size, seed=seed)
     machine = FlashMachine(config, telemetry=telemetry).start()
-
-    fill_lines = max(1, int(config.l2_lines * fill_fraction))
-    machine.run_programs(
-        [(node_id, cache_fill_program(machine, node_id, fill_lines, seed))
-         for node_id in range(num_nodes)],
-        limit=run_limit)
-    machine.quiesce()
+    fill_caches(machine, fill_fraction, seed, run_limit)
 
     fault = default_fault(fault_class, num_nodes, machine.topology)
     wall_start = time.perf_counter()
     events_before = machine.sim.events_executed
-
-    machine.injector.inject(fault)
-    if fault.fault_type != FaultType.FALSE_ALARM:
-        _start_prober(machine, fault)
+    inject_and_probe(machine, fault)
 
     result = {"nodes": num_nodes, "fault": fault_class,
               "topology": topology, "seed": seed}

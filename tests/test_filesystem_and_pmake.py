@@ -157,9 +157,6 @@ class TestPmakeWorkload:
         create_build_tree(hive, range(4))
         process = hive.spawn_process(
             1, "cc1", compile_job(hive, 1, 1), dependencies={0})
-        from repro.hive.endtoend import membership_monitor
-        for cell in hive.cells:
-            hive.sim.spawn(membership_monitor(hive, cell))
         hive.sim.run(until=500_000)
         hive.machine.injector.inject(
             FaultSpec.node_failure(hive.cells[3].lead_node))
@@ -175,9 +172,6 @@ class TestPmakeWorkload:
             3, "cc3", compile_job(hive, 3, 3), dependencies={0})
         survivor = hive.spawn_process(
             1, "cc1", compile_job(hive, 1, 1), dependencies={0})
-        from repro.hive.endtoend import membership_monitor
-        for cell in hive.cells:
-            hive.sim.spawn(membership_monitor(hive, cell))
         # Let job 3 write its log slot (held exclusive), then kill it.
         hive.sim.run(until=1_200_000)
         hive.machine.injector.inject(

@@ -9,7 +9,7 @@ by hop, and end-to-end by issuing reads across the reconfigured fabric.
 import pytest
 
 from repro.core.config import MachineConfig
-from repro.core.experiment import _start_prober
+from repro.core.experiment import inject_and_probe
 from repro.core.machine import FlashMachine
 from repro.faults.models import FaultSpec
 from repro.interconnect.router import LOCAL_PORT
@@ -20,8 +20,7 @@ def recover_from(fault, num_nodes=8, seed=0):
                            l2_size=8 << 10, seed=seed)
     machine = FlashMachine(config).start()
     machine.quiesce()
-    machine.injector.inject(fault)
-    _start_prober(machine, fault)
+    inject_and_probe(machine, fault)
     report = machine.run_until_recovered()
     return machine, report
 

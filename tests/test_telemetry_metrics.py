@@ -150,14 +150,13 @@ class TestHarvestAndSummary:
 @pytest.fixture(scope="module")
 def recovered_point():
     """One recovered 4-node machine, shared across harvesting tests."""
-    from repro.core.experiment import _start_prober
+    from repro.core.experiment import inject_and_probe
     from repro.core.machine import FlashMachine
     config = MachineConfig(num_nodes=4, mem_per_node=64 << 10,
                            l2_size=8 << 10, seed=0)
     machine = FlashMachine(config).start()
     machine.quiesce()
-    fault = machine.injector.inject(FaultSpec.node_failure(3))
-    _start_prober(machine, fault)
+    inject_and_probe(machine, FaultSpec.node_failure(3))
     machine.run_until_recovered()
     return machine
 

@@ -8,7 +8,7 @@ completion time — while adding the per-node structure only a trace has.
 import pytest
 
 from repro.core.config import MachineConfig
-from repro.core.experiment import _start_prober
+from repro.core.experiment import inject_and_probe
 from repro.core.machine import FlashMachine
 from repro.faults.models import FaultSpec
 from repro.telemetry import Telemetry, build_timelines
@@ -28,8 +28,7 @@ def traced_recovery():
                            l2_size=8 << 10, seed=0)
     machine = FlashMachine(config, telemetry=telemetry).start()
     machine.quiesce()
-    fault = machine.injector.inject(FaultSpec.node_failure(7))
-    _start_prober(machine, fault)
+    inject_and_probe(machine, FaultSpec.node_failure(7))
     report = machine.run_until_recovered()
     return telemetry, report
 
