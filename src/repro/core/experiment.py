@@ -24,6 +24,7 @@ from repro.common.types import BusErrorKind
 from repro.core.config import MachineConfig
 from repro.core.machine import FlashMachine
 from repro.faults.models import FaultSpec, FaultType
+from repro.sim.process import all_finished
 from repro.workloads.standalone import (
     cache_fill_program,
     memory_check_program,
@@ -213,9 +214,7 @@ def run_schedule_experiment(schedule, config=None, fill_fraction=0.6,
             break
     else:
         raise RuntimeError("recovery episodes never settled: %s" % schedule)
-    machine.run_until(
-        lambda: all(not proc.alive for proc in prober_procs),
-        limit=run_limit)
+    machine.run_until(all_finished(prober_procs), limit=run_limit)
 
     # Phase 4: the survivors read all of memory and check every line.
     reports = list(manager.reports)
@@ -230,9 +229,7 @@ def run_schedule_experiment(schedule, config=None, fill_fraction=0.6,
                                  observations[node_id]))
         for node_id in checkers
     }
-    machine.run_until(
-        lambda: all(not proc.alive for proc in procs.values()),
-        limit=run_limit)
+    machine.run_until(all_finished(procs.values()), limit=run_limit)
     if manager.reports:
         # The check itself may have tripped further episodes (e.g. reads
         # into a region a late fault took down).

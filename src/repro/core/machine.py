@@ -20,6 +20,7 @@ from repro.node.memory import AddressMap
 from repro.node.node import Node
 from repro.recovery.manager import RecoveryManager
 from repro.sim import Simulator
+from repro.sim.process import all_finished
 
 
 class FlashMachine:
@@ -116,8 +117,7 @@ class FlashMachine:
         """Run (node_id, program) pairs until all their processors halt."""
         procs = [self.nodes[node_id].processor.run_program(program)
                  for node_id, program in programs]
-        self.sim.run_until(lambda: all(not p.alive for p in procs),
-                           limit=limit)
+        self.sim.run_until(all_finished(procs), limit=limit)
         return procs
 
     def run_until_recovered(self, limit=10_000_000_000):

@@ -50,7 +50,8 @@ class Network:
             router.program_table(topology.baseline_table(rid))
 
     def start(self):
-        """Spawn all router and interface processes."""
+        """Schedule every router's first scan and every interface's first
+        pump run."""
         for router in self.routers:
             router.start()
         for interface in self.interfaces:

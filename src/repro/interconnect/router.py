@@ -1,11 +1,13 @@
 """SPIDER-like router with per-lane input buffering and credit back-pressure.
 
-Each router runs one forwarding process.  Input buffers exist per
-``(port, lane)``; a packet is forwarded when its output port is idle and the
-downstream buffer has a free slot (credit reserved at transfer start).  A
-full downstream buffer therefore backs traffic up toward the sources, which
-is exactly the congestion mechanism that makes a wedged node controller
-dangerous (paper §3.1).
+A router has no process: :meth:`Router.notify` puts one forwarding scan
+(:meth:`Router._run`) on the event heap unless one is already pending, and
+the scan is a plain callback (DESIGN.md §12 states the scheduling rule).
+Input buffers exist per ``(port, lane)``; a packet is forwarded when its
+output port is idle and the downstream buffer has a free slot (credit
+reserved at transfer start).  A full downstream buffer therefore backs
+traffic up toward the sources, which is exactly the congestion mechanism
+that makes a wedged node controller dangerous (paper §3.1).
 
 Recovery lanes get two special behaviours from the hardware (paper §4.1):
 
@@ -33,7 +35,6 @@ from repro.interconnect.packet import (
     ROUTER_SET_TABLE,
     merge_causes,
 )
-from repro.sim.process import Event
 
 #: The port connecting a router to its own node's controller.
 LOCAL_PORT = -1
@@ -86,8 +87,7 @@ class NodeInterface:
         self.trace = None            # telemetry recorder (None: disabled)
         self.fault_lineage = None    # (root id, inject eid) when failed
         self._outbox = deque()
-        self._pump_proc = None
-        self._space_event = None
+        self._pump_idle = False      # started and no pump run on the heap
 
     # -- router-side API -----------------------------------------------------
 
@@ -170,29 +170,29 @@ class NodeInterface:
         return len(self._outbox)
 
     def start(self):
-        """Spawn the outbound pump process (called by the network)."""
-        self._pump_proc = self.sim.spawn(
-            self._pump(), name="ni%d.pump" % self.node_id)
+        """Schedule the first outbound pump run (called by the network)."""
+        self.sim.schedule(0.0, self._pump)
 
     def _kick_pump(self):
-        if self._space_event is not None and not self._space_event.triggered:
-            self._space_event.trigger()
+        """One pump run on the heap per idle period; kicks before
+        :meth:`start`, or while a run is pending, schedule nothing."""
+        if self._pump_idle:
+            self._pump_idle = False
+            self.sim.schedule(0.0, self._pump)
 
     def notify_space(self):
         """Router informs us a local input-buffer slot was freed."""
         self._kick_pump()
 
     def _pump(self):
-        while True:
-            while self._outbox and not self.failed:
-                packet = self._outbox[0]
-                if self.router.inject_local(packet):
-                    self._outbox.popleft()
-                else:
-                    break
-            self._space_event = Event(self.sim)
-            yield self._space_event
-            self._space_event = None
+        outbox = self._outbox
+        while outbox and not self.failed:
+            if not self.router.inject_local(outbox[0]):
+                break
+            outbox.popleft()
+        self._pump_idle = True
+
+    _pump.profile_label = "niN.pump"
 
     def fail(self):
         self.failed = True
@@ -221,13 +221,12 @@ class Router:
         self.fault_lineage = None    # (root id, inject eid) when failed
 
         self._buffers = {}           # (port, lane) -> deque of packets
-        self._scan_order = ()        # buffer keys, deterministic scan order
+        self._scan_order = ()        # (key, port, lane, deque), scan order
         self._head_since = {}        # (port, lane) -> time current head stalled
         self._reserved = {}          # (port, lane) -> credits handed upstream
         self._output_busy_until = {} # port -> time
-        self._wake_event = None
+        self._idle = False           # started and no scan on the heap
         self._dirty = False
-        self._proc = None
 
     # -- wiring ---------------------------------------------------------------
 
@@ -252,11 +251,13 @@ class Router:
         """Buffers only appear at wiring time, so the deterministic scan
         order is computed here instead of re-sorting on every wakeup."""
         self._scan_order = tuple(
-            sorted(self._buffers, key=lambda k: (k[0], int(k[1]))))
+            (key, key[0], key[1], self._buffers[key])
+            for key in sorted(self._buffers,
+                              key=lambda k: (k[0], int(k[1]))))
 
     def start(self):
-        self._proc = self.sim.spawn(
-            self._run(), name="router%d" % self.router_id)
+        """Schedule the first forwarding scan."""
+        self.sim.schedule(0.0, self._run)
 
     # -- capacity / credits -----------------------------------------------------
 
@@ -278,10 +279,6 @@ class Router:
             return False
         self._reserved[(port, lane)] += 1
         return True
-
-    def release(self, port, lane):
-        self._reserved[(port, lane)] = max(
-            0, self._reserved[(port, lane)] - 1)
 
     def _note_drop(self, reason, packet, lineage=None):
         """Emit a telemetry event for a dropped packet (stats already
@@ -337,29 +334,30 @@ class Router:
     # -- forwarding engine -----------------------------------------------------------
 
     def notify(self):
+        """Something changed: put one scan on the heap unless one is
+        already there.  Before :meth:`start`, while a scan is pending and
+        from inside the scan itself this only sets ``_dirty``."""
         self._dirty = True
-        if self._wake_event is not None and not self._wake_event.triggered:
-            self._wake_event.trigger()
+        if self._idle:
+            self._idle = False
+            self.sim.schedule(0.0, self._run)
 
     def _run(self):
-        while True:
-            self._dirty = False
-            if not self.failed:
-                self._scan_once()
-            if self._dirty:
-                # New arrivals or credits while scanning: scan again.
-                yield 0.0
-                continue
-            self._wake_event = Event(self.sim)
-            yield self._wake_event
-            self._wake_event = None
+        self._dirty = False
+        if not self.failed:
+            self._scan_once()
+        if self._dirty:
+            # New arrivals or credits while scanning: scan again.
+            self.sim.schedule(0.0, self._run)
+        else:
+            self._idle = True
+
+    _run.profile_label = "routerN"
 
     def _scan_once(self):
         """One pass over all input buffers, forwarding whatever can move."""
         now = self.sim.now
-        for key in self._scan_order:
-            port, lane = key
-            buffer = self._buffers[key]
+        for key, port, lane, buffer in self._scan_order:
             while buffer:
                 packet = buffer[0]
                 outcome = self._try_forward(packet, port, lane, now)
@@ -499,6 +497,7 @@ class Router:
         interface = self.node_interface
         if interface is None:
             self.stats.dropped_unroutable += 1
+            self._note_drop("no_interface", packet)
             return "moved"
         if not interface.can_accept():
             return "blocked"

@@ -2,8 +2,9 @@
 
 Capacity limits in the interconnect model are enforced by the *senders*
 (credit-based flow control), so the channel itself never blocks a put.  The
-channel also exposes a ``wake`` event-stream used by router processes that
-multiplex over several buffers.
+channel also exposes :meth:`Channel.watch`, a one-shot "next put" event for
+consumers that multiplex over several channels (MAGIC's main loop and the
+recovery communicator).
 """
 
 from collections import deque

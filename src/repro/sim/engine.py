@@ -83,7 +83,6 @@ class Simulator:
                              else compact_min_cancelled)
         self._seq = itertools.count()
         self.rng = random.Random(seed)
-        self._processes = []
         #: executed (non-cancelled) events — the telemetry bench divides
         #: this by wall time for its events/sec throughput figure
         self.events_executed = 0
@@ -125,69 +124,68 @@ class Simulator:
         """Create a :class:`Process` driving ``generator``; starts at now."""
         from repro.sim.process import Process
 
-        proc = Process(self, generator, name=name)
-        self._processes.append(proc)
-        return proc
+        return Process(self, generator, name=name)
 
-    def step(self, _until=None):
-        """Execute the next pending event.  Returns False if none remain.
+    def _loop(self, until=None, predicate=None, limit=None, once=False):
+        """The event loop: pop, skip dead entries, advance the clock,
+        dispatch.  :meth:`step`, :meth:`run` and :meth:`run_until` are
+        this one body with different stop conditions.
 
-        With ``_until`` set, an event strictly later than it is left in
-        the heap and False is returned — this is the shared loop body of
-        both :meth:`run` modes (dead entries are popped and discarded
-        either way).
+        Returns True when stopped by ``once`` or a true ``predicate``,
+        False when the heap drained or its next live event lies past
+        ``until`` (that event stays in the heap).  The alias ``heap``
+        stays valid across callbacks because :meth:`_compact` rebuilds
+        the list in place.
         """
         heap = self._heap
-        while heap:
-            head = heap[0]
-            call = head[2]
-            if call.cancelled:
+        while True:
+            if predicate is not None:
+                if predicate():
+                    return True
+                if limit is not None and self._now > limit:
+                    raise TimeoutError(
+                        "run_until exceeded limit of %r ns" % limit)
+            while heap and heap[0][2].cancelled:
                 heappop(heap)
                 self._cancelled -= 1
-                continue
-            if _until is not None and head[0] > _until:
+            if not heap or (until is not None and heap[0][0] > until):
                 return False
-            heappop(heap)
+            time, _seq, call = heappop(heap)
             # Mark the entry consumed so a later cancel() (the common
             # case: a process cancelling the very timeout that woke it)
             # is a no-op instead of a dead-entry miscount.
             call.cancelled = True
-            self._now = head[0]
+            self._now = time
             self.events_executed += 1
             prof = self.profiler
             if prof is not None:
                 prof.dispatch(call.callback, call.args)
             else:
                 call.callback(*call.args)
-            return True
-        return False
+            if once:
+                return True
+
+    def step(self):
+        """Execute the next pending event.  Returns False if none remain."""
+        return self._loop(once=True)
 
     def run(self, until=None):
         """Run until the heap is empty or the clock passes ``until``."""
-        step = self.step
-        if until is None:
-            while step():
-                pass
-            return self._now
-        while step(until):
-            pass
-        if until > self._now:
+        self._loop(until=until)
+        if until is not None and until > self._now:
             self._now = until
         return self._now
 
-    def run_until(self, predicate, check_interval=1000.0, limit=None):
-        """Run until ``predicate()`` is true, polling between events.
+    def run_until(self, predicate, limit=None):
+        """Run until ``predicate()`` is true.
 
-        The predicate is evaluated after every executed event; ``limit`` (ns)
-        bounds the run to guard against livelock in tests.
+        The predicate is evaluated before the first event and after every
+        executed one; ``limit`` (ns) bounds the run to guard against
+        livelock in tests.
         """
-        while not predicate():
-            if limit is not None and self._now > limit:
-                raise TimeoutError(
-                    "run_until exceeded limit of %r ns" % limit)
-            if not self.step():
-                raise RuntimeError(
-                    "event heap drained before predicate became true")
+        if not self._loop(predicate=predicate, limit=limit):
+            raise RuntimeError(
+                "event heap drained before predicate became true")
         return self._now
 
     # -- lazy-deletion bookkeeping -----------------------------------------
@@ -199,9 +197,9 @@ class Simulator:
         the pop order of the unfiltered heap minus the dead entries, so
         compaction is invisible to the simulation.
         """
-        self._heap = [entry for entry in self._heap
-                      if not entry[2].cancelled]
-        heapify(self._heap)
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapify(heap)
         self._cancelled = 0
         self.compactions += 1
 

@@ -98,7 +98,9 @@ class _Waiter:
     Knows its event so :meth:`detach` can unsubscribe without the process
     carrying a closure around; ``live`` goes False on detach so a resume
     already scheduled by ``Event.trigger`` becomes a no-op (the interrupt
-    vs. event-resume race in :meth:`Process._step`).
+    vs. event-resume race in :meth:`Process._step`).  A normal resume
+    clears the process's ``_pending_wait`` itself: the event has fired
+    and dropped its waiter list, so there is nothing to unsubscribe.
     """
 
     __slots__ = ("process", "event", "live")
@@ -112,6 +114,7 @@ class _Waiter:
         process = self.process
         if self.live and process.alive:
             self.live = False
+            process._pending_wait = None
             process._step(value, None)
 
     def detach(self):
@@ -318,3 +321,20 @@ class Process:
     def __repr__(self):
         state = "alive" if self.alive else "dead"
         return "<Process %s (%s)>" % (self.name, state)
+
+
+def all_finished(processes):
+    """Predicate for ``run_until``: true once every process has terminated.
+
+    Evaluated after every event, so it must not rescan: dead processes
+    are popped off the tail of a private list (dead stays dead) and a
+    call costs one liveness test while anything is still running.
+    """
+    waiting = list(processes)
+
+    def finished():
+        while waiting and not waiting[-1].alive:
+            waiting.pop()
+        return not waiting
+
+    return finished

@@ -9,9 +9,12 @@ the protocol:
   cancels it a few hundred simulated nanoseconds later, so dead timers
   dominate the heap unless the engine reclaims them (paper §4.2 arms one
   such timer per outstanding memory operation).
-* ``router_saturation`` — a put/watch/get pipeline in the style of the
-  SPIDER router processes: every ``Channel.put`` must wake a fan-out of
-  one-shot watchers without rebuilding the watcher list.
+* ``router_saturation`` — a put/watch/get pipeline: every
+  ``Channel.put`` must wake a fan-out of one-shot watchers without
+  rebuilding the watcher list.  The name is historical — it measures
+  the ``Channel`` watcher lane (MAGIC, recovery comm); routers and NI
+  pumps are scheduled callbacks with no process, channel or watcher
+  (DESIGN.md §12), so this number says nothing about how they run.
 * ``barrier_storm`` — recovery-style barrier rounds: many processes
   arrive on per-round events, a coordinator waits ``AllOf`` and releases
   everyone through a broadcast event, stressing the subscribe/trigger

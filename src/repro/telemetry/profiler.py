@@ -4,9 +4,8 @@ The ROADMAP's "timer wheel + stage-batched routers" item needs a target:
 *which* callbacks actually burn the wall clock in a campaign-scale run?
 cProfile answers in Python-function terms; this profiler answers in
 simulation terms — per process family and per handler — by wrapping the
-single point every event already passes through,
-:meth:`Simulator.step <repro.sim.engine.Simulator.step>`'s callback
-dispatch.
+single point every event already passes through, the callback dispatch
+of the simulator's one event loop (``Simulator._loop``).
 
 Contract (mirrors the trace guard, DESIGN.md §9/§15):
 
@@ -66,8 +65,13 @@ class SimProfiler:
 
     @staticmethod
     def _label(callback):
-        """``process-family;generator`` for process-owned callbacks,
-        qualname for plain functions."""
+        """A callback's own ``profile_label`` (a function attribute shows
+        through the bound method: router scans, NI pump runs),
+        ``process-family;generator`` for process-owned callbacks,
+        qualname for other plain functions."""
+        label = getattr(callback, "profile_label", None)
+        if label is not None:
+            return label
         process = getattr(callback, "__self__", None)
         if process is None or not hasattr(process, "generator"):
             # Wait-lane adapters carry their process one or two hops away.

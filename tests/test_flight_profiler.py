@@ -212,6 +212,35 @@ class TestSimProfiler:
         # Digits normalize so the three instances aggregate as one family.
         assert top["workerN;worker"] == 3 * (5 + 1)   # steps + StopIteration
 
+    def test_router_scans_and_pump_runs_keep_their_labels(self, monkeypatch):
+        # Routers and NI pumps are plain callbacks, not processes; their
+        # profile_label keeps a scan counted as a router wakeup and
+        # nothing else (transfer completions, busy-timer notifies) as one.
+        import functools
+        from repro.interconnect.router import Router
+        scans = []
+        scan = Router._run
+
+        @functools.wraps(scan)
+        def counted_scan(router):
+            scans.append(router.router_id)
+            scan(router)
+
+        monkeypatch.setattr(Router, "_run", counted_scan)
+        schedule = small_schedule(num_nodes=8)
+        config = MachineConfig(num_nodes=8, mem_per_node=64 << 10,
+                               l2_size=8 << 10, seed=11)
+        machine = FlashMachine(config)
+        profiler = machine.sim.profiler = SimProfiler()
+        run_schedule_experiment(schedule, seed=11, machine=machine)
+        assert profiler.dispatches == machine.sim.events_executed
+        counts = {label: count
+                  for label, count, _ in profiler.top(limit=None)}
+        assert counts["routerN"] == len(scans) > 0
+        assert set(scans) == set(range(8))
+        assert counts["niN.pump"] > 0
+        assert counts["Router._complete_transfer"] > 0
+
     def test_folded_and_table_render(self):
         profiler = SimProfiler()
         profiler._stats["workerN"] = [10, 0.5]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import AllOf, AnyOf, Channel, Event, Interrupt, Simulator
+from repro.sim.process import all_finished
 
 
 def test_clock_starts_at_zero():
@@ -463,27 +464,42 @@ def _compaction_workload(sim, log):
         sim.spawn(worker(worker_id), name="w%d" % worker_id)
 
 
+def _drive_sliced(sim):
+    # Bounded slices while the workers are active, then drain: the final
+    # clock is the last event's time, as for the other two drivers.
+    for _ in range(40):
+        sim.run(until=sim.now + 37.0)
+    sim.run()
+
+
+def _drive_predicate(sim):
+    sim.run_until(lambda: sim.pending_events == 0)
+
+
 def test_compaction_preserves_event_order_bit_identically():
     # The determinism directed test: the same seed must produce the same
     # event trace whether the heap compacts aggressively, lazily, or
-    # never.  Compaction may only change *when* dead entries are
-    # reclaimed, never what executes or at what virtual time.
+    # never, and whichever entry point drives the one event loop.
+    # Compaction may only change *when* dead entries are reclaimed, never
+    # what executes or at what virtual time — a loop that kept popping
+    # from a heap list that a callback's compaction replaced would
+    # replay or lose events here.
     traces = []
-    for compact_min in (1, 64, 10**9):
-        sim = Simulator(seed=42, compact_min_cancelled=compact_min)
-        log = []
-        _compaction_workload(sim, log)
-        sim.run()
-        traces.append((log, sim.now, sim.events_executed))
-    assert traces[0][0] == traces[1][0] == traces[2][0]
-    assert traces[0][1] == traces[1][1] == traces[2][1]
-    assert traces[0][2] == traces[1][2] == traces[2][2]
+    compactions = {}
+    for drive in (Simulator.run, _drive_sliced, _drive_predicate):
+        for compact_min in (1, 64, 10**9):
+            sim = Simulator(seed=42, compact_min_cancelled=compact_min)
+            log = []
+            _compaction_workload(sim, log)
+            drive(sim)
+            traces.append((log, sim.now, sim.events_executed))
+            compactions[drive, compact_min] = sim.compactions
+    assert len(traces) == 9
+    assert all(trace == traces[0] for trace in traces[1:])
     # The aggressive config really did compact; the disabled one never.
-    aggressive = Simulator(seed=42, compact_min_cancelled=1)
-    log = []
-    _compaction_workload(aggressive, log)
-    aggressive.run()
-    assert aggressive.compactions > 0
+    for drive in (Simulator.run, _drive_sliced, _drive_predicate):
+        assert compactions[drive, 1] > 0
+        assert compactions[drive, 10**9] == 0
 
 
 def test_channel_watcher_reregister_during_callback_not_dropped():
@@ -545,3 +561,117 @@ def test_run_until_predicate():
     sim.spawn(proc())
     sim.run_until(lambda: state["done"], limit=1_000)
     assert sim.now == 100.0
+
+
+def test_run_until_limit_and_drained_heap():
+    sim = Simulator()
+
+    def ticker():
+        while True:
+            yield 100
+
+    sim.spawn(ticker())
+    with pytest.raises(TimeoutError):
+        sim.run_until(lambda: False, limit=1_000)
+    # The limit is tested before each event, so the clock stops on the
+    # first event past it.
+    assert sim.now == 1_100.0
+
+    drained = Simulator()
+    drained.schedule(5, lambda: None)
+    with pytest.raises(RuntimeError):
+        drained.run_until(lambda: False)
+    assert drained.now == 5.0
+    # A predicate that already holds runs nothing.
+    assert drained.run_until(lambda: True) == 5.0
+
+
+def test_step_on_empty_or_dead_heap_returns_false():
+    sim = Simulator()
+    assert sim.step() is False
+    sim.schedule(5, lambda: None).cancel()
+    assert sim.step() is False
+    assert sim.heap_size == 0
+    fired = []
+    sim.schedule(5, fired.append, "a")
+    sim.schedule(9, fired.append, "b")
+    assert sim.step() is True
+    assert (fired, sim.now, sim.events_executed) == (["a"], 5.0, 1)
+
+
+def test_interrupt_beats_same_timestamp_event_resume():
+    # The event fires and its waiter's resume is already on the heap when
+    # the process is interrupted at the same timestamp: only the
+    # Interrupt may reach the generator (the race _Waiter.live exists
+    # for; the waiter, not _step, clears _pending_wait on a normal
+    # resume).
+    sim = Simulator()
+    event = Event(sim)
+    seen = []
+
+    def waiter():
+        try:
+            value = yield event
+            seen.append(("value", value))
+        except Interrupt as interrupt:
+            seen.append(("interrupt", interrupt.cause))
+        seen.append(("slept", (yield 10)))
+
+    proc = sim.spawn(waiter())
+    sim.run(until=50)
+
+    def fire_then_interrupt():
+        event.trigger("payload")
+        proc.interrupt("nmi")
+
+    sim.schedule(0, fire_then_interrupt)
+    sim.run()
+    assert seen == [("interrupt", "nmi"), ("slept", None)]
+    assert not proc.alive and sim.now == 60.0
+
+    # Without the interrupt the same wait resumes with the value and
+    # leaves no armed wait behind.
+    sim = Simulator()
+    event = Event(sim)
+    seen = []
+    proc = sim.spawn(waiter())
+    sim.schedule(50, event.trigger, "payload")
+    sim.run(until=55)
+    assert seen == [("value", "payload")]
+    assert proc._pending_wait is None
+
+
+def test_all_finished_predicate():
+    sim = Simulator()
+    assert all_finished([])() is True
+
+    def sleeper(delay):
+        yield delay
+
+    # Finishing order is neither list order nor its reverse.
+    procs = [sim.spawn(sleeper(delay)) for delay in (30, 10, 40, 20)]
+    finished = all_finished(procs)
+    while sim.step():
+        assert finished() == all(not proc.alive for proc in procs)
+    assert finished() is True          # dead stays dead
+    sim.run_until(all_finished(procs))
+    assert sim.now == 40.0
+
+
+def test_all_finished_agrees_with_rescan_on_seeded_run():
+    sim = Simulator(seed=7)
+    procs = []
+    log = []
+
+    def worker(worker_id):
+        for _ in range(sim.rng.randrange(1, 40)):
+            yield 1.0 + sim.rng.random() * 9.0
+        log.append(worker_id)
+
+    for worker_id in range(12):
+        procs.append(sim.spawn(worker(worker_id)))
+    finished = all_finished(iter(procs))
+    while sim.step():
+        assert finished() == all(not proc.alive for proc in procs)
+    assert finished() and sorted(log) == list(range(12))
+    assert log != sorted(log)           # they really finished out of order
