@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.cli validate --fault node_failure --target 3
     python -m repro.cli endtoend --fault infinite_loop --target 5
-    python -m repro.cli scale --nodes 2 8 16 32 --topology mesh
+    python -m repro.cli bench --sizes 4 8 16 32 --topology mesh
     python -m repro.cli campaign --runs 50 --seed 7 \\
         --schedule fault-during-recovery
 """
@@ -13,12 +13,9 @@ import argparse
 import json
 import sys
 
-from repro.analysis.tables import format_series, format_table
+from repro.analysis.tables import format_table
 from repro.core.config import MachineConfig
-from repro.core.experiment import (
-    run_recovery_scalability,
-    run_validation_experiment,
-)
+from repro.core.experiment import run_validation_experiment
 from repro.faults.models import LINK_FAULT_TYPES, FaultSpec, FaultType
 from repro.telemetry.scalability import DEFAULT_SIZES
 
@@ -88,28 +85,6 @@ def cmd_endtoend(args):
             ("OS recovery [ms]", "%.2f" % (result.os_recovery_ns / 1e6)),
         ]))
     return 0 if not result.failed else 1
-
-
-def cmd_scale(args):
-    rows = []
-    for num_nodes in args.nodes:
-        report = run_recovery_scalability(
-            num_nodes, topology=args.topology,
-            mem_per_node=args.mem_kb << 10, l2_size=args.l2_kb << 10,
-            seed=args.seed)
-        rows.append((
-            num_nodes,
-            "%.2f" % (report.phase_duration_from_trigger("P1") / 1e6),
-            "%.2f" % (report.phase_duration_from_trigger("P2") / 1e6),
-            "%.2f" % (report.phase_duration_from_trigger("P3") / 1e6),
-            "%.2f" % (report.total_duration / 1e6),
-        ))
-        print("  %d nodes done" % num_nodes, file=sys.stderr)
-    print(format_series(
-        "Hardware recovery scaling (%s)" % args.topology,
-        "nodes", ["P1 [ms]", "P1,2 [ms]", "P1,2,3 [ms]", "total [ms]"],
-        rows))
-    return 0
 
 
 def cmd_campaign(args):
@@ -367,9 +342,6 @@ def cmd_bench(args):
         write_bench_json,
     )
 
-    if args.micro:
-        return _cmd_bench_micro(args)
-
     sizes = args.sizes
     if sizes is None:
         sizes = [n for n in DEFAULT_SIZES if n <= args.max_nodes]
@@ -394,109 +366,6 @@ def cmd_bench(args):
     print(scalability_table(payload))
     print("wrote %s" % out)
     return 0 if sweep_ok(payload) else 1
-
-
-def _cmd_bench_micro(args):
-    from repro.telemetry.microbench import (
-        baseline_from_payload,
-        check_against_baseline,
-        load_baseline,
-        micro_table,
-        run_flight_overhead,
-        run_micro_suite,
-        run_profiled_suite,
-    )
-    from repro.telemetry.profiler import profile_table
-    from repro.telemetry.scalability import (
-        append_bench_history,
-        write_bench_json,
-    )
-
-    def progress(result):
-        print("  %-18s %8s events/s (heap<=%d, %d compactions)"
-              % (result["name"], result["events_per_sec"],
-                 result["max_heap"], result["compactions"]), file=sys.stderr)
-
-    out = args.out or "BENCH_simcore.json"
-    payload = run_micro_suite(seed=args.seed, repeats=args.repeats,
-                              progress=progress)
-
-    if args.update_baseline:
-        write_bench_json(payload, out)
-        if args.baseline is None:
-            raise SystemExit("--update-baseline needs --baseline PATH")
-        baseline = baseline_from_payload(payload)
-        with open(args.baseline, "w", encoding="utf-8") as handle:
-            json.dump(baseline, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("baseline: wrote %s (margin %.2f)"
-              % (args.baseline, baseline["margin"]), file=sys.stderr)
-        return 0
-
-    overhead = None
-    if args.flight_overhead:
-        print("  measuring flight-recorder overhead (paired 8-node "
-              "recovery runs) ...", file=sys.stderr)
-        overhead = run_flight_overhead(seed=args.seed,
-                                       repeats=args.repeats)
-        payload["flight_overhead"] = overhead
-    write_bench_json(payload, out)
-    if args.history:
-        append_bench_history(payload, args.history)
-
-    failures = []
-    if args.baseline is not None:
-        failures = check_against_baseline(
-            payload, load_baseline(args.baseline),
-            max_regression=args.max_regression)
-    if overhead is not None and overhead["overhead"] is not None \
-            and overhead["overhead"] > args.max_flight_overhead:
-        failures.append(
-            "flight recorder costs %.1f%% of machine throughput "
-            "(budget %.0f%%): %d ev/s off -> %d ev/s flight"
-            % (100.0 * overhead["overhead"],
-               100.0 * args.max_flight_overhead,
-               overhead["events_per_sec_off"],
-               overhead["events_per_sec_flight"]))
-
-    # The profiled pass runs on its own simulators: timing every dispatch
-    # is real overhead, so it must never touch the gated throughput run.
-    profiler = None
-    if not args.no_profile:
-        profiler = run_profiled_suite(seed=args.seed)
-        if args.folded_out:
-            with open(args.folded_out, "w", encoding="utf-8") as handle:
-                handle.write(profiler.folded())
-
-    if args.summary_json:
-        print(json.dumps({
-            "benchmark": payload["benchmark"],
-            "events_per_sec": payload["events_per_sec"],
-            "out": out,
-            "baseline": args.baseline,
-            "max_regression": (args.max_regression
-                               if args.baseline is not None else None),
-            "flight_overhead": overhead,
-            "regressions": failures,
-            "ok": not failures,
-        }, sort_keys=True))
-    else:
-        print(micro_table(payload))
-        if profiler is not None:
-            print(profile_table(profiler))
-            if args.folded_out:
-                print("folded stacks: %s" % args.folded_out)
-        if overhead is not None:
-            print("flight overhead: %.2f%% (%d ev/s off -> %d ev/s "
-                  "flight, budget %.0f%%)"
-                  % (100.0 * (overhead["overhead"] or 0.0),
-                     overhead["events_per_sec_off"],
-                     overhead["events_per_sec_flight"],
-                     100.0 * args.max_flight_overhead))
-        print("wrote %s" % out)
-    for failure in failures:
-        print("PERF REGRESSION: %s" % failure, file=sys.stderr)
-    return 1 if failures else 0
 
 
 def cmd_status(args):
@@ -733,15 +602,6 @@ def build_parser():
                        help="Hive incoherent-line bug emulation rate")
     p_e2e.set_defaults(func=cmd_endtoend)
 
-    p_scale = sub.add_parser(
-        "scale", help="Figure 5.5-style recovery-time sweep")
-    add_common(p_scale)
-    p_scale.add_argument("--nodes", type=int, nargs="+",
-                         default=[2, 8, 16, 32])
-    p_scale.add_argument("--topology", default="mesh",
-                         choices=["mesh", "hypercube"])
-    p_scale.set_defaults(func=cmd_scale)
-
     p_camp = sub.add_parser(
         "campaign",
         help="multi-fault campaign: crash-isolated runs, JSONL records")
@@ -848,9 +708,8 @@ def build_parser():
 
     p_bench = sub.add_parser(
         "bench",
-        help="scalability benchmark sweep (nodes x fault classes, writes "
-             "BENCH_scalability.json), or --micro for the sim-core "
-             "micro-benchmarks (writes BENCH_simcore.json)")
+        help="Figure 5.5 recovery-time sweep (nodes x fault classes, "
+             "writes BENCH_scalability.json)")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--sizes", type=int, nargs="+", default=None,
                          help="explicit machine sizes (default: %s)"
@@ -865,39 +724,8 @@ def build_parser():
     p_bench.add_argument("--mem-kb", type=int, default=64)
     p_bench.add_argument("--l2-kb", type=int, default=8)
     p_bench.add_argument("--out", default=None,
-                         help="output JSON (default: BENCH_scalability.json"
-                              ", or BENCH_simcore.json with --micro)")
-    p_bench.add_argument("--micro", action="store_true",
-                         help="run the sim-core micro-benchmark suite "
-                              "(timeout-heavy stream, router saturation, "
-                              "barrier storm) instead of the sweep")
-    p_bench.add_argument("--repeats", type=int, default=3,
-                         help="micro: runs per bench, best throughput wins")
-    p_bench.add_argument("--baseline", default=None,
-                         help="micro: committed baseline JSON to gate "
-                              "against (benchmarks/baseline_simcore.json "
-                              "in CI)")
-    p_bench.add_argument("--max-regression", type=float, default=0.30,
-                         help="micro: fail when events/sec drops more than "
-                              "this fraction below the baseline")
-    p_bench.add_argument("--update-baseline", action="store_true",
-                         help="micro: rewrite --baseline from this run "
-                              "instead of gating")
-    p_bench.add_argument("--summary-json", action="store_true",
-                         help="micro: one machine-readable summary line")
-    p_bench.add_argument("--no-profile", action="store_true",
-                         help="micro: skip the separate profiled pass "
-                              "(per-handler wall-time attribution)")
-    p_bench.add_argument("--folded-out", default=None, metavar="PATH",
-                         help="micro: write the profiled pass as folded "
-                              "stacks (flamegraph.pl / speedscope input)")
-    p_bench.add_argument("--flight-overhead", action="store_true",
-                         help="micro: also measure the always-on flight "
-                              "recorder's cost on paired 8-node recovery "
-                              "runs and gate it")
-    p_bench.add_argument("--max-flight-overhead", type=float, default=0.05,
-                         help="fail when the flight recorder costs more "
-                              "than this fraction of machine throughput")
+                         help="output JSON (default: "
+                              "BENCH_scalability.json)")
     p_bench.add_argument("--history", default=None, metavar="PATH",
                          help="append this run's headline figures as one "
                               "JSONL line (BENCH_history.jsonl)")

@@ -14,11 +14,13 @@ Three experiment families:
   behind Table 5.4 (defined in :mod:`repro.hive.endtoend`).
 * :func:`run_recovery_scalability` — phase-resolved recovery timing behind
   Figures 5.5-5.7 (no oracle, no memory check: only the report).  It and
-  :func:`repro.telemetry.scalability.run_scalability_point` share the
+  :func:`repro.telemetry.scalability.run_scalability_point` are the same
+  run up to the injected fault — :func:`start_recovery_run` — built on the
   §5.2 run's cache fill and detection prober.
 """
 
 import dataclasses
+import time
 
 from repro.common.types import BusErrorKind
 from repro.core.config import MachineConfig
@@ -353,6 +355,24 @@ class EndToEndResult:
 
 # ------------------------------------------------------------------ figures 5.5-5.7
 
+def start_recovery_run(config, fault, fill_fraction, run_limit,
+                       telemetry=None):
+    """The one front half of a recovery-timing run: build the machine,
+    give it a light cached working set, inject ``fault`` and aim the
+    detection probe; the caller runs the machine until recovered.
+
+    Returns ``(machine, events_before, wall_start)`` — the simulator's
+    event count and the host clock read after the fill and before the
+    injection, for a caller that reports the recovery's cost alone.
+    """
+    machine = FlashMachine(config, telemetry=telemetry).start()
+    fill_caches(machine, fill_fraction, config.seed, run_limit)
+    wall_start = time.perf_counter()
+    events_before = machine.sim.events_executed
+    inject_and_probe(machine, fault)
+    return machine, events_before, wall_start
+
+
 def run_recovery_scalability(num_nodes, topology="mesh",
                              mem_per_node=1 << 20, l2_size=1 << 20,
                              fault=None, seed=0, fill_fraction=0.25,
@@ -368,10 +388,9 @@ def run_recovery_scalability(num_nodes, topology="mesh",
     config = MachineConfig(
         num_nodes=num_nodes, topology=topology,
         mem_per_node=mem_per_node, l2_size=l2_size, seed=seed, **overrides)
-    machine = FlashMachine(config, telemetry=telemetry).start()
-    fill_caches(machine, fill_fraction, seed, run_limit)
-    inject_and_probe(
-        machine, fault or FaultSpec.node_failure(num_nodes - 1))
+    machine, _, _ = start_recovery_run(
+        config, fault or FaultSpec.node_failure(num_nodes - 1),
+        fill_fraction, run_limit, telemetry=telemetry)
     return machine.run_until_recovered(limit=run_limit)
 
 

@@ -57,7 +57,7 @@ from repro.telemetry.metrics import (
     harvest_machine_metrics,
     summarize_run,
 )
-from repro.telemetry.profiler import SimProfiler, profile_table
+from repro.telemetry.profiler import SimProfiler
 from repro.telemetry.report import aggregate, render_html, write_report
 from repro.telemetry.scalability import (
     DEFAULT_SIZES,
@@ -104,7 +104,6 @@ __all__ = [
     "format_status",
     "harvest_machine_metrics",
     "merge_availability",
-    "profile_table",
     "read_status",
     "render_html",
     "run_scalability_sweep",

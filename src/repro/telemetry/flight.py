@@ -26,8 +26,9 @@ Contract notes:
   .build_dag` counts it);
 * the hot path stores plain tuples and materializes
   :class:`~repro.telemetry.trace.TraceEvent` objects only when the
-  :attr:`events` view is read, keeping the always-on cost low enough for
-  the CI overhead gate (``repro.cli bench --micro --flight-overhead``).
+  :attr:`events` view is read.  "Always-on" is not free: the ring costs
+  roughly a tenth of a recovery point's wall time (EXPERIMENTS.md has
+  the paired measurement).
 
 ``dropped_events`` counts ring evictions, so the forensics truncation
 caveat (``truncated`` / ``dropped_events``) applies to tail windows

@@ -26,9 +26,7 @@ Contract (mirrors the trace guard, DESIGN.md §9/§15):
 
 Labels normalize per-instance digits (``fwd3`` -> ``fwdN``) so the
 attribution aggregates by process *family*; the generator's code name is
-kept as a second frame, which makes :meth:`SimProfiler.folded` output
-directly loadable by any flamegraph renderer (``flamegraph.pl``,
-speedscope, inferno) — one line per stack, weight in microseconds.
+kept as a second ``;``-separated frame.
 """
 
 import re
@@ -112,13 +110,6 @@ class SimProfiler:
             },
         }
 
-    def folded(self):
-        """Folded-stack lines (``frame;frame weight``), weight in us."""
-        lines = []
-        for label, (_count, wall) in sorted(self._stats.items()):
-            lines.append("sim;%s %d" % (label, round(wall * 1e6)))
-        return "\n".join(lines) + ("\n" if lines else "")
-
     def merge(self, other):
         """Fold another profiler's attribution into this one."""
         for label, (count, wall) in other._stats.items():
@@ -131,19 +122,3 @@ class SimProfiler:
         self.wall_s += other.wall_s
         return self
 
-
-def profile_table(profiler, limit=10, title="Sim-time profile"):
-    """Human-readable top-N table of one profiler's attribution."""
-    from repro.analysis.tables import format_table
-    total = profiler.wall_s or 1.0
-    rows = []
-    for label, count, wall in profiler.top(limit):
-        rows.append((label, count, "%.4f" % wall,
-                     "%.1f%%" % (100.0 * wall / total),
-                     "%.2f" % (wall / count * 1e6 if count else 0.0)))
-    return format_table(
-        "%s (top %d of %d handlers, %.4fs dispatched)"
-        % (title, min(limit, len(profiler._stats)), len(profiler._stats),
-           profiler.wall_s),
-        ["handler", "events", "wall [s]", "share", "us/event"],
-        rows)

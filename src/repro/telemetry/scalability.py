@@ -21,8 +21,9 @@ import time
 
 from repro.analysis.tables import format_series
 from repro.core.config import MachineConfig
-from repro.core.machine import FlashMachine
+from repro.core.experiment import start_recovery_run
 from repro.faults.models import LINK_FAULT_TYPES, FaultSpec, FaultType
+from repro.interconnect.topology import make_topology
 
 #: the paper's Figure 5.5 sweep points (2 replaced by 4: a 2-node machine
 #: has a degenerate barrier tree and measures nothing interesting)
@@ -57,18 +58,15 @@ def run_scalability_point(num_nodes, fault_class="node_failure",
     Returns a JSON-friendly result dict; ``completed`` is False (with an
     ``error``) when recovery never finished within ``run_limit``.
     """
-    from repro.core.experiment import fill_caches, inject_and_probe
-
     config = MachineConfig(
         num_nodes=num_nodes, topology=topology, mem_per_node=mem_per_node,
         l2_size=l2_size, seed=seed)
-    machine = FlashMachine(config, telemetry=telemetry).start()
-    fill_caches(machine, fill_fraction, seed, run_limit)
-
-    fault = default_fault(fault_class, num_nodes, machine.topology)
-    wall_start = time.perf_counter()
-    events_before = machine.sim.events_executed
-    inject_and_probe(machine, fault)
+    # A link fault has to name a link before the machine exists; the
+    # topology is pure shape, built lazily, so a second one costs nothing.
+    fault = default_fault(fault_class, num_nodes,
+                          make_topology(topology, num_nodes))
+    machine, events_before, wall_start = start_recovery_run(
+        config, fault, fill_fraction, run_limit, telemetry=telemetry)
 
     result = {"nodes": num_nodes, "fault": fault_class,
               "topology": topology, "seed": seed}
@@ -252,14 +250,13 @@ def append_bench_history(payload, path):
     """Append one compact JSONL line to the committed bench history.
 
     The line keeps the headline figures only (benchmark name, provenance
-    meta, events/sec map or sublinear verdicts), so the history stays
-    reviewable in diffs while every CI run adds a point to the trend.
+    meta, seed, sublinear verdicts), so the history stays reviewable in
+    diffs while every CI run adds a point to the trend.
     """
     import json
     line = {"benchmark": payload.get("benchmark"),
             "meta": payload.get("meta") or bench_meta()}
-    for key in ("events_per_sec", "sublinear", "flight_overhead", "stats",
-                "coverage_features", "seed"):
+    for key in ("sublinear", "seed"):
         if payload.get(key) is not None:
             line[key] = payload[key]
     with open(path, "a", encoding="utf-8") as handle:

@@ -51,12 +51,22 @@ class TestCli:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_scale_command_runs(self, capsys):
-        code = main(["scale", "--nodes", "2", "4",
-                     "--mem-kb", "64", "--l2-kb", "8"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "total [ms]" in out
+    def test_removed_entry_points_are_rejected(self):
+        """``bench`` is the one Figure 5.5 command and takes only the
+        sweep's options; host speed is ``benchmarks/e2e``'s job."""
+        parser = build_parser()
+        for argv in (["scale", "--nodes", "4"], ["bench", "--micro"],
+                     ["bench", "--flight-overhead"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+        subcommands, = (action for action in parser._actions
+                        if action.dest == "command")
+        assert len(subcommands.choices) == 11
+        options = {flag for action in subcommands.choices["bench"]._actions
+                   for flag in action.option_strings} - {"-h", "--help"}
+        assert options == {"--seed", "--sizes", "--max-nodes", "--faults",
+                           "--topology", "--mem-kb", "--l2-kb", "--out",
+                           "--history"}
 
 
 class TestTraceCli:
@@ -140,6 +150,14 @@ class TestBenchCli:
         payload = json.loads(out.read_text())
         assert payload["sizes"] == [4, 8]
         assert all(r["completed"] for r in payload["results"])
+
+    def test_bench_two_node_point_runs(self, capsys, tmp_path):
+        # The degenerate two-node barrier tree is not a default sweep
+        # size but must still recover when asked for.
+        code = main(["bench", "--sizes", "2", "4", "--mem-kb", "64",
+                     "--l2-kb", "8", "--out", str(tmp_path / "b.json")])
+        assert code == 0
+        assert "total [ms]" in capsys.readouterr().out
 
     def test_bench_rejects_empty_size_list(self):
         import pytest as _pytest

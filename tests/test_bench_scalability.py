@@ -8,10 +8,12 @@ import json
 
 import pytest
 
+from repro.core import experiment
 from repro.faults.models import FaultType
 from repro.interconnect.topology import make_topology
-from repro.telemetry import scalability
 from repro.telemetry.scalability import (
+    BENCH_L2_SIZE,
+    BENCH_MEM_PER_NODE,
     DEFAULT_SIZES,
     default_fault,
     run_scalability_point,
@@ -72,12 +74,12 @@ class TestPinnedSimulatedOutcome:
     def test_point_matches_pinned_literals(self, point, monkeypatch):
         machines = []
 
-        class RecordingMachine(scalability.FlashMachine):
+        class RecordingMachine(experiment.FlashMachine):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 machines.append(self)
 
-        monkeypatch.setattr(scalability, "FlashMachine", RecordingMachine)
+        monkeypatch.setattr(experiment, "FlashMachine", RecordingMachine)
         result = run_scalability_point(*point, seed=0)
         assert result["completed"]
         report = machines[-1].recovery_manager.reports[-1]
@@ -90,6 +92,29 @@ class TestPinnedSimulatedOutcome:
             "marked_incoherent": recovery["marked_incoherent"],
             "agent_rounds": report.agent_rounds,
         } == self.PINNED[point]
+
+
+@pytest.mark.parametrize("fault_class, topology", [
+    ("node_failure", "mesh"), ("link_failure", "hypercube")])
+def test_point_and_figure_harness_time_the_same_recovery(fault_class,
+                                                         topology):
+    """The bench point and the Figure 5.5-5.7 harness are one run
+    (``start_recovery_run``): same machine, same fault, same four curves.
+    The link class is the one whose private copy once drifted."""
+    fault = default_fault(fault_class, 16, make_topology(topology, 16))
+    report = experiment.run_recovery_scalability(
+        16, topology=topology, mem_per_node=BENCH_MEM_PER_NODE,
+        l2_size=BENCH_L2_SIZE, fault=fault)
+    recovery = run_scalability_point(16, fault_class, topology)["recovery"]
+    assert [recovery[key]
+            for key in ("P1_ms", "P12_ms", "P123_ms", "total_ms")] == [
+        round(latency / 1e6, 6) for latency in (
+            report.phase_duration_from_trigger("P1"),
+            report.phase_duration_from_trigger("P2"),
+            report.phase_duration_from_trigger("P3"),
+            report.total_duration)]
+    assert recovery["restarts"] == report.restarts
+    assert recovery["marked_incoherent"] == report.marked_incoherent
 
 
 @pytest.fixture(scope="module")

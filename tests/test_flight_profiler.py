@@ -29,7 +29,7 @@ from repro.telemetry.flight import (
     events_from_dump,
 )
 from repro.telemetry.forensics import analyze, forensic_summary
-from repro.telemetry.profiler import SimProfiler, profile_table
+from repro.telemetry.profiler import SimProfiler
 from repro.telemetry.scalability import run_scalability_point
 
 
@@ -240,15 +240,6 @@ class TestSimProfiler:
         assert set(scans) == set(range(8))
         assert counts["niN.pump"] > 0
         assert counts["Router._complete_transfer"] > 0
-
-    def test_folded_and_table_render(self):
-        profiler = SimProfiler()
-        profiler._stats["workerN"] = [10, 0.5]
-        profiler.dispatches, profiler.wall_s = 10, 0.5
-        folded = profiler.folded()
-        assert folded == "sim;workerN 500000\n"
-        table = profile_table(profiler)
-        assert "workerN" in table and "100.0%" in table
 
     def test_merge_accumulates(self):
         left, right = SimProfiler(), SimProfiler()

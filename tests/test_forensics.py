@@ -28,6 +28,12 @@ def small_config(**overrides):
     return MachineConfig(**defaults)
 
 
+def eight_small_nodes():
+    """The default eight nodes with the CLI's memory sizing: the same
+    node-7 failure and the same verdicts in half a second, not twenty."""
+    return MachineConfig(num_nodes=8, mem_per_node=1 << 16, l2_size=1 << 13)
+
+
 def _event(eid, cause=None, category="pkt", name="send", node=0, **data):
     return TraceEvent(float(eid), category, name, node, data, eid, cause)
 
@@ -74,7 +80,8 @@ class TestContainedFault:
     def test_node_failure_blast_radius_confined_to_cell(self):
         telemetry = Telemetry()
         result = run_validation_experiment(
-            FaultSpec.node_failure(7), seed=0, telemetry=telemetry)
+            FaultSpec.node_failure(7), config=eight_small_nodes(), seed=0,
+            telemetry=telemetry)
         assert result.passed
         report = analyze(telemetry.recorder)
         assert report.verdict == "contained"
@@ -218,7 +225,8 @@ class TestTruncationDegradesGracefully:
 
     def test_capped_trace_reports_truncation(self):
         full = Telemetry()
-        run_validation_experiment(FaultSpec.node_failure(7), seed=0,
+        run_validation_experiment(FaultSpec.node_failure(7),
+                                  config=eight_small_nodes(), seed=0,
                                   telemetry=full)
         total = len(full.recorder.events)
         inject = [event.eid for event in full.recorder.events
@@ -227,7 +235,8 @@ class TestTruncationDegradesGracefully:
         assert cap < total
 
         capped = Telemetry(max_events=cap)
-        run_validation_experiment(FaultSpec.node_failure(7), seed=0,
+        run_validation_experiment(FaultSpec.node_failure(7),
+                                  config=eight_small_nodes(), seed=0,
                                   telemetry=capped)
         recorder = capped.recorder
         assert recorder.dropped_events == total - cap
@@ -243,7 +252,8 @@ class TestTruncationDegradesGracefully:
 
     def test_summary_carries_truncation_flag(self):
         capped = Telemetry(max_events=1500)
-        run_validation_experiment(FaultSpec.node_failure(7), seed=0,
+        run_validation_experiment(FaultSpec.node_failure(7),
+                                  config=eight_small_nodes(), seed=0,
                                   telemetry=capped)
         summary = forensic_summary(capped.recorder)
         assert summary["truncated"] is True

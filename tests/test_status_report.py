@@ -330,23 +330,32 @@ class TestBenchProvenance:
             "git_sha": "pinned"}
 
     def test_append_bench_history_keeps_headlines_only(self, tmp_path):
+        """The one live payload is ``run_scalability_sweep``'s: its line
+        is the sublinear verdicts and the seed, never the per-point
+        results."""
         path = str(tmp_path / "BENCH_history.jsonl")
-        append_bench_history({"benchmark": "simcore",
-                              "events_per_sec": {"stream4": 100.0},
-                              "results": [{"huge": "blob"}] * 50,
-                              "flight_overhead": {"overhead": 0.01}},
-                             path)
-        append_bench_history({"benchmark": "scalability",
-                              "sublinear": {"ok": True}}, path)
+        verdict = {"node_failure": {"ok": True, "nodes": [4, 16],
+                                    "total_ms": [12.7, 24.5],
+                                    "latency_ratio": 1.928,
+                                    "node_ratio": 4.0}}
+        sweep = {"version": 1, "benchmark": "recovery-scalability",
+                 "topology": "mesh", "sizes": [4, 8, 16],
+                 "fault_classes": ["node_failure"],
+                 "mem_per_node": 65536, "l2_size": 8192, "seed": 3,
+                 "results": [{"huge": "blob"}] * 50,
+                 "sublinear": verdict}
+        append_bench_history(sweep, path)
+        append_bench_history(dict(sweep, seed=4,
+                                  meta={"git_sha": "pinned"}), path)
         lines = [json.loads(line)
                  for line in open(path).read().splitlines()]
-        assert [line["benchmark"] for line in lines] == ["simcore",
-                                                         "scalability"]
-        assert "results" not in lines[0]            # compact, diffable
-        assert lines[0]["events_per_sec"] == {"stream4": 100.0}
-        assert lines[0]["flight_overhead"] == {"overhead": 0.01}
-        assert lines[1]["sublinear"] == {"ok": True}
-        assert all(line["meta"]["git_sha"] for line in lines)
+        for line in lines:                          # compact, diffable
+            assert set(line) == {"benchmark", "meta", "seed", "sublinear"}
+            assert line["benchmark"] == "recovery-scalability"
+            assert line["sublinear"] == verdict
+        assert [line["seed"] for line in lines] == [3, 4]
+        assert lines[0]["meta"]["git_sha"]          # stamped when absent
+        assert lines[1]["meta"] == {"git_sha": "pinned"}
 
     def test_ci_history_files_are_tracked_by_git(self):
         """CI appends to ``--history`` files and DESIGN §15 calls them
