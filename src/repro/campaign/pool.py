@@ -33,10 +33,9 @@ import queue as queue_module
 import time
 
 from repro.campaign.records import RunStatus
-
-#: flight-ring capacity for ``telemetry_mode="flight"`` workers — deep
-#: enough to hold a recovery episode's tail, cheap enough to be always-on
-FLIGHT_CAPACITY = 20_000
+# the window of ``telemetry_mode="flight"`` workers: one number, defined
+# beside the retention policy it sizes
+from repro.telemetry.flight import DEFAULT_CAPACITY as FLIGHT_CAPACITY
 
 #: newest events a dumped flight window keeps in the run record (the full
 #: ring still feeds in-process forensics; the record stays one JSONL line)
@@ -52,9 +51,10 @@ HEARTBEAT_S = 0.5
 
 
 def _attach_flight(payload, telemetry):
-    """Attach the flight recorder's tail window to a worker payload."""
+    """Attach a keep-last recorder's tail window to a worker payload; a
+    head-capped trace (or a crash before any recorder exists) adds none."""
     recorder = None if telemetry is None else telemetry.recorder
-    if recorder is not None and hasattr(recorder, "dump"):
+    if recorder is not None and recorder.keep == "last":
         payload["flight"] = recorder.dump(limit=FLIGHT_DUMP_EVENTS)
     return payload
 
@@ -66,9 +66,9 @@ def _execute_schedule_run(schedule_dict, seed, run_limit, mem_per_node,
 
     With ``coverage=True`` the payload additionally carries the fuzzer's
     per-run coverage summary (feature strings + containment times).
-    ``telemetry_mode="flight"`` swaps the full (head-capped) trace for an
-    always-on :class:`~repro.telemetry.flight.FlightRecorder` ring — the
-    cheap mode for very large sweeps; a FAIL/HUNG/CRASHED verdict (or a
+    ``telemetry_mode="flight"`` swaps the recorder's retention policy from
+    the first 200 000 events to the last :data:`FLIGHT_CAPACITY` — the
+    mode for very large sweeps; a FAIL/HUNG/CRASHED verdict (or a
     stray-message storm) then dumps the tail window into the payload.
     """
     started = time.monotonic()
@@ -87,8 +87,7 @@ def _execute_schedule_run(schedule_dict, seed, run_limit, mem_per_node,
         # A recorder is attached to every campaign run (bit-identical to
         # untraced by the §9 contract) so a FAIL verdict arrives with its
         # forensic story attached instead of needing a re-run to diagnose:
-        # the full head-capped trace by default, the last-N flight ring in
-        # flight mode.
+        # head-capped by default, the last-N window in flight mode.
         if telemetry_mode == "flight":
             telemetry = Telemetry(trace=False, flight=FLIGHT_CAPACITY)
         else:

@@ -48,7 +48,7 @@ class RunRecord:
     #: root causes, blast radii and the containment-audit verdict —
     #: attached to FAIL runs only, {} otherwise
     forensics: dict = dataclasses.field(default_factory=dict)
-    #: flight-recorder tail window (FlightRecorder.dump) — attached by
+    #: flight-mode tail window (TraceRecorder.dump) — attached by
     #: flight-mode workers on FAIL/HUNG/CRASHED verdicts and stray-message
     #: storms, {} otherwise; replayable through telemetry.flight
     #: .events_from_dump for forensics/timeline analysis

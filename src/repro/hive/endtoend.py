@@ -18,25 +18,17 @@ from repro.workloads.pmake import (
 
 
 def expected_dead_cells(hive, fault):
-    """Cells the fault is *expected* to take down (its failure unit).
-
-    ``fault`` may be a single :class:`~repro.faults.models.FaultSpec` or a
-    whole :class:`~repro.campaign.schedule.FaultSchedule`; for a schedule
-    the failure unit is the union over every entry.
-    """
-    if fault is None:
-        return set()
-    specs = fault.specs() if hasattr(fault, "specs") else [fault]
-    dead = set()
-    for spec in specs:
-        if spec.fault_type in NODE_LOSS_FAULT_TYPES:
-            dead.add(hive.cell_of_node(spec.target).cell_id)
-    return dead
+    """Cells ``fault`` (one :class:`~repro.faults.models.FaultSpec`) is
+    *expected* to take down — its failure unit."""
+    if fault.fault_type in NODE_LOSS_FAULT_TYPES:
+        return {hive.cell_of_node(fault.target).cell_id}
+    return set()
 
 
 def run_end_to_end_experiment(fault, hive_config=None, inject_delay=2_000_000.0,
                               seed=0, run_limit=120_000_000_000):
-    """One Table 5.4 run; returns an EndToEndResult."""
+    """One Table 5.4 run of a single
+    :class:`~repro.faults.models.FaultSpec`; returns an EndToEndResult."""
     config = hive_config or HiveConfig(seed=seed)
     hive = HiveOS(config).start()
     sim = hive.sim
@@ -57,30 +49,16 @@ def run_end_to_end_experiment(fault, hive_config=None, inject_delay=2_000_000.0,
     sim.run(until=sim.now + inject_delay)
     manager = hive.machine.recovery_manager
     reports_before = len(manager.reports)
-    entries = getattr(fault, "entries", None)
-    if entries is not None:
-        # A whole FaultSchedule: arm everything, then run past the last
-        # timed manifestation.  Unlike a Table 5.2 fault, a schedule need
-        # not be detectable at all (transient links can heal unnoticed), so
-        # no recovery episode is demanded here — ``settled`` below waits
-        # out whatever episodes do happen.
-        base = sim.now
-        hive.machine.injector.inject_schedule(fault, base_time=base)
-        horizon = max((entry.time + (entry.spec.dwell or 0.0)
-                       for entry in entries if entry.phase is None),
-                      default=0.0)
-        sim.run(until=base + horizon + 10.0)
-    else:
-        hive.machine.injector.inject(fault)
+    hive.machine.injector.inject(fault)
 
-        # Every Table 5.2 fault type eventually triggers recovery (user
-        # traffic or the liveness monitor detects it); wait for that episode
-        # first — the compiles may well have finished before the fault was
-        # even noticed (late injections).
-        sim.run_until(
-            lambda: len(manager.reports) > reports_before
-            and not manager.in_progress,
-            limit=run_limit)
+    # Every Table 5.2 fault type eventually triggers recovery (user
+    # traffic or the liveness monitor detects it); wait for that episode
+    # first — the compiles may well have finished before the fault was
+    # even noticed (late injections).
+    sim.run_until(
+        lambda: len(manager.reports) > reports_before
+        and not manager.in_progress,
+        limit=run_limit)
 
     # Then run until the surviving compiles settle (done/failed/...).
     def settled():

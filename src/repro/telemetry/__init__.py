@@ -1,17 +1,18 @@
 """Telemetry: event tracing, metrics, timelines, and the scalability bench.
 
-The subsystem has four layers, all disabled by default (zero-cost when off):
+Everything is disabled by default (zero-cost when off):
 
 * :mod:`repro.telemetry.trace` — the structured event bus.  Instrumented
   components (routers, node interfaces, MAGIC, the recovery manager and
   agents, the fault injector) each hold a ``trace`` attribute that is
-  ``None`` unless a :class:`TraceRecorder` was attached; every emission
-  site is guarded by a single ``is None`` check, which is the whole
-  overhead contract (see DESIGN.md §9).
-* :mod:`repro.telemetry.metrics` — counters / gauges / histograms with
-  per-node labels and machine-wide aggregation, plus harvesting of the
-  hardware stats (RouterStats, MagicStats, RecoveryReports) that the model
-  maintains anyway.
+  ``None`` unless the one recorder class, :class:`TraceRecorder`, was
+  attached; every emission site is guarded by a single ``is None`` check,
+  which is the whole overhead contract (see DESIGN.md §9).  The recorder
+  takes a retention policy: unbounded, the first N events, or the last N.
+* :mod:`repro.telemetry.metrics` — the live counter registry (per-node
+  labels, machine-wide totals) and :func:`summarize_run`, the one
+  post-run sweep of the hardware stats (RouterStats, MagicStats,
+  RecoveryReports) that the model maintains anyway.
 * :mod:`repro.telemetry.timeline` — reconstruction of per-episode recovery
   timelines (P1..P4 spans per node, critical path) from a trace.
 * :mod:`repro.telemetry.chrome` — Chrome ``trace_event`` JSON export for
@@ -21,8 +22,8 @@ The subsystem has four layers, all disabled by default (zero-cost when off):
 
 The observability layer (DESIGN.md §15) builds on the same contract:
 
-* :mod:`repro.telemetry.flight` — the always-on flight recorder, a
-  bounded ring keeping the *last* N events instead of the first N;
+* :mod:`repro.telemetry.flight` — flight mode, the recorder's
+  keep-the-*last*-N policy, and the readers of a dumped window;
 * :mod:`repro.telemetry.profiler` — per-handler sim-time profiling over
   the event-loop dispatch (attach-only, same ``is not None`` guard);
 * :mod:`repro.telemetry.availability` — per-cell up/degraded/down
@@ -52,11 +53,7 @@ from repro.telemetry.forensics import (
     forensic_summary,
     format_forensics,
 )
-from repro.telemetry.metrics import (
-    MetricsRegistry,
-    harvest_machine_metrics,
-    summarize_run,
-)
+from repro.telemetry.metrics import MetricsRegistry, summarize_run
 from repro.telemetry.profiler import SimProfiler
 from repro.telemetry.report import aggregate, render_html, write_report
 from repro.telemetry.scalability import (
@@ -75,7 +72,7 @@ from repro.telemetry.status import (
     status_sidecar_path,
 )
 from repro.telemetry.timeline import EpisodeTimeline, build_timelines
-from repro.telemetry.trace import NULL_RECORDER, Telemetry, TraceEvent, TraceRecorder
+from repro.telemetry.trace import Telemetry, TraceEvent, TraceRecorder
 
 __all__ = [
     "DEFAULT_SIZES",
@@ -83,7 +80,6 @@ __all__ = [
     "FlightRecorder",
     "ForensicsReport",
     "MetricsRegistry",
-    "NULL_RECORDER",
     "SimProfiler",
     "StatusWriter",
     "Telemetry",
@@ -102,7 +98,6 @@ __all__ = [
     "format_availability",
     "format_forensics",
     "format_status",
-    "harvest_machine_metrics",
     "merge_availability",
     "read_status",
     "render_html",

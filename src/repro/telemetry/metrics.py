@@ -1,15 +1,13 @@
-"""Metrics: counters, gauges and histograms with per-node aggregation.
+"""Metrics: live counters, the histogram, and the per-run summary.
 
-Two sources feed the registry:
-
-* explicit instrumentation (``registry.counter("x", node=3).inc()``);
-* :func:`harvest_machine_metrics`, which sweeps the statistics the hardware
-  model keeps anyway (RouterStats, MagicStats, RecoveryReports, the
-  simulator's executed-event counter) into the registry after a run —
-  zero cost during the run itself.
-
-:func:`summarize_run` produces the compact JSON-friendly per-run summary
-that campaign records carry.
+* :class:`MetricsRegistry` holds the counters components bump while a run
+  executes (``registry.counter("x", node=3).inc()``) — today the
+  ``protocol.cover.*`` transition counters and ``protocol.stray_messages``
+  that :mod:`repro.fuzz.coverage` reads;
+* :func:`summarize_run` is the one post-run sweep of the statistics the
+  hardware model keeps anyway (RouterStats, MagicStats, RecoveryReports,
+  the simulator's executed-event counter) — zero cost during the run —
+  into the compact JSON-friendly summary that campaign records carry.
 """
 
 
@@ -21,16 +19,6 @@ class Counter:
 
     def inc(self, amount=1):
         self.value += amount
-
-
-class Gauge:
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0.0
-
-    def set(self, value):
-        self.value = value
 
 
 class Histogram:
@@ -94,43 +82,22 @@ MACHINE = "_machine"
 
 
 class MetricsRegistry:
-    """Named instruments, each optionally labelled with a node id."""
+    """Named counters, each optionally labelled with a node id."""
 
     def __init__(self):
         self._counters = {}
-        self._gauges = {}
-        self._histograms = {}
-
-    # ----------------------------------------------------------- factories
 
     def counter(self, name, node=None):
-        return self._get(self._counters, Counter, name, node)
-
-    def gauge(self, name, node=None):
-        return self._get(self._gauges, Gauge, name, node)
-
-    def histogram(self, name, node=None):
-        return self._get(self._histograms, Histogram, name, node)
-
-    @staticmethod
-    def _get(store, factory, name, node):
         key = (name, MACHINE if node is None else node)
-        instrument = store.get(key)
-        if instrument is None:
-            instrument = store[key] = factory()
-        return instrument
-
-    # ---------------------------------------------------------- aggregation
+        counter = self._counters.get(key)
+        if counter is None:
+            counter = self._counters[key] = Counter()
+        return counter
 
     def counter_total(self, name):
         """Machine-wide sum of a counter across all nodes."""
         return sum(counter.value for (n, _), counter in
                    self._counters.items() if n == name)
-
-    def counter_by_node(self, name):
-        return {node: counter.value
-                for (n, node), counter in self._counters.items()
-                if n == name and node != MACHINE}
 
     def counter_items(self, prefix=""):
         """Sorted ``(name, node, value)`` triples, optionally filtered by
@@ -141,72 +108,12 @@ class MetricsRegistry:
              if name.startswith(prefix)),
             key=lambda item: (item[0], str(item[1])))
 
-    def names(self):
-        return sorted({name for name, _ in self._counters}
-                      | {name for name, _ in self._gauges}
-                      | {name for name, _ in self._histograms})
 
-    def snapshot(self):
-        """Nested JSON-friendly dump: kind -> name -> node -> value."""
-        out = {"counters": {}, "gauges": {}, "histograms": {}}
-        for (name, node), counter in sorted(
-                self._counters.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
-            out["counters"].setdefault(name, {})[str(node)] = counter.value
-        for (name, node), gauge in sorted(
-                self._gauges.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
-            out["gauges"].setdefault(name, {})[str(node)] = gauge.value
-        for (name, node), histogram in sorted(
-                self._histograms.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
-            out["histograms"].setdefault(
-                name, {})[str(node)] = histogram.snapshot()
-        return out
+# ------------------------------------------------------------ run summary
 
-
-# --------------------------------------------------------------- harvesting
-
-_ROUTER_STAT_FIELDS = (
-    "forwarded", "delivered_local", "dropped_failed", "dropped_unroutable",
-    "dropped_discard", "dropped_stall", "dropped_link",
-    "dropped_intermittent", "probes_answered",
-)
-
-_MAGIC_STAT_FIELDS = (
-    "handlers_run", "pi_requests", "naks_sent", "naks_received",
-    "bus_errors", "timeouts", "nak_overflows", "assertion_failures",
-    "truncated_received", "stray_messages", "firewall_rejections",
-    "range_check_rejections", "drained_messages",
-)
-
-_PHASES = ("P1", "P2", "P3", "P4", "WB")
-
-
-def harvest_machine_metrics(machine, registry=None):
-    """Sweep a machine's hardware statistics into a registry."""
-    registry = registry or MetricsRegistry()
-    for router in machine.network.routers:
-        for field in _ROUTER_STAT_FIELDS:
-            registry.counter("router.%s" % field, node=router.router_id).inc(
-                getattr(router.stats, field))
-    for node in machine.nodes:
-        for field in _MAGIC_STAT_FIELDS:
-            registry.counter("magic.%s" % field, node=node.node_id).inc(
-                getattr(node.magic.stats, field))
-    manager = machine.recovery_manager
-    registry.counter("recovery.episodes").inc(len(manager.reports))
-    for report in manager.reports:
-        registry.counter("recovery.restarts").inc(report.restarts)
-        registry.counter("recovery.marked_incoherent").inc(
-            report.marked_incoherent)
-        if report.total_duration is not None:
-            registry.histogram("recovery.total_ns").observe(
-                report.total_duration)
-        for phase in _PHASES:
-            duration = report.phase_durations.get(phase)
-            if duration is not None:
-                registry.histogram("recovery.%s_ns" % phase).observe(duration)
-    registry.gauge("sim.now_ns").set(machine.sim.now)
-    registry.gauge("sim.events_executed").set(machine.sim.events_executed)
-    return registry
+#: RouterStats ``dropped_<reason>`` counters, in record order
+_DROP_REASONS = ("failed", "unroutable", "discard", "stall", "link",
+                 "intermittent")
 
 
 def summarize_run(machine):
@@ -222,12 +129,10 @@ def summarize_run(machine):
         stats = router.stats
         packets["forwarded"] += stats.forwarded
         packets["delivered"] += stats.delivered_local
-        for field in _ROUTER_STAT_FIELDS:
-            if field.startswith("dropped_"):
-                count = getattr(stats, field)
-                if count:
-                    reason = field[len("dropped_"):]
-                    dropped[reason] = dropped.get(reason, 0) + count
+        for reason in _DROP_REASONS:
+            count = getattr(stats, "dropped_" + reason)
+            if count:
+                dropped[reason] = dropped.get(reason, 0) + count
     packets["dropped"] = dropped
 
     detectors = {"timeouts": 0, "nak_overflows": 0, "truncated": 0}

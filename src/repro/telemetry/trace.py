@@ -12,8 +12,8 @@ Design contract (the "disabled-by-default overhead" rule, DESIGN.md §9):
   so with telemetry off the *entire* cost is one attribute load and one
   identity comparison — no call, no argument packing, no event object;
 * recording must never perturb the simulation: :meth:`TraceRecorder.emit`
-  reads the clock and appends to a list, draws no randomness and schedules
-  nothing.  A directed test asserts a traced run and an untraced run
+  reads the clock and appends to one sequence, draws no randomness and
+  schedules nothing.  A directed test asserts a traced run and an untraced run
   produce bit-identical recovery reports.
 
 Event taxonomy (category / name):
@@ -32,6 +32,12 @@ barrier    done                  RecoveryComm combining-tree barrier (§4.4)
 fault      inject, skip          FaultInjector
 ========== ===================== ==========================================
 
+There is one recorder.  What bounds its memory is a *retention policy*,
+not a second class: ``TraceRecorder(max_events=N, keep="first")`` stores
+the head of the stream in a list, ``keep="last"`` the tail in a
+``deque(maxlen=N)``; eids, ``total_emitted``, ``dropped_events`` and
+:meth:`TraceRecorder.dump` mean the same under both.
+
 Events optionally carry a *causal edge* (DESIGN.md §11): ``emit`` accepts
 ``cause=<parent eid or tuple of eids>`` and returns the new event's eid so
 callers can thread provenance through packets and handler fan-out.  The
@@ -39,27 +45,26 @@ forensics module (:mod:`repro.telemetry.forensics`) reconstructs the
 per-fault causal DAG from those edges.
 """
 
+from collections import deque
+from typing import NamedTuple, Optional, Union
 
-class TraceEvent:
+
+class TraceEvent(NamedTuple):
     """One structured event: (time ns, category, name, node, data).
 
-    ``eid`` is the event's index in its recorder; ``cause`` is the eid of
-    the event that caused it (or a tuple of eids for merge points), forming
-    the causal DAG edges used by forensics.  Both are None for events
-    recorded without provenance.
+    ``eid`` is the event's index in its recorder's stream; ``cause`` is
+    the eid of the event that caused it (or a tuple of eids for merge
+    points), forming the causal DAG edges used by forensics.  Both are
+    None for events built without provenance.
     """
 
-    __slots__ = ("time", "category", "name", "node", "data", "eid", "cause")
-
-    def __init__(self, time, category, name, node, data, eid=None,
-                 cause=None):
-        self.time = time
-        self.category = category
-        self.name = name
-        self.node = node
-        self.data = data
-        self.eid = eid
-        self.cause = cause
+    time: float
+    category: str
+    name: str
+    node: Optional[int]
+    data: dict
+    eid: Optional[int] = None
+    cause: Union[int, tuple, None] = None
 
     @property
     def key(self):
@@ -73,25 +78,30 @@ class TraceEvent:
                 "name": self.name, "node": self.node, "data": self.data,
                 "eid": self.eid, "cause": cause}
 
-    def __repr__(self):
-        return "<TraceEvent %s.%s node=%s @%.0f %r>" % (
-            self.category, self.name, self.node, self.time, self.data)
-
 
 class TraceRecorder:
     """Collects :class:`TraceEvent` objects from instrumented components.
 
-    ``max_events`` bounds memory on long runs: once reached, further events
-    are counted in :attr:`dropped_events` instead of stored (the cap keeps
-    the oldest events, which carry the episode structure).
+    ``max_events`` bounds memory on long runs and ``keep`` says which end
+    of the stream survives the bound: ``"first"`` stops storing once full
+    (the head carries the fault roots and the episode structure — the
+    shape timelines and forensics want), ``"last"`` evicts the oldest (the
+    tail carries the failure — the shape a fleet wants, see
+    :mod:`repro.telemetry.flight`).  Under both, an eid is the event's
+    index in the whole stream, so ``cause=`` edges stay meaningful when
+    either end is gone: a missing parent is a dangling edge, which
+    :func:`repro.telemetry.forensics.build_dag` counts and tolerates.
     """
 
-    def __init__(self, sim=None, max_events=None):
+    def __init__(self, sim=None, max_events=None, keep="first"):
+        if keep not in ("first", "last"):
+            raise ValueError("keep must be 'first' or 'last' (got %r)"
+                             % (keep,))
         self._sim = sim
         self.max_events = max_events
-        self.events = []
-        self.dropped_events = 0
+        self.keep = keep
         self.enabled = True
+        self.clear()
 
     def bind(self, sim):
         """Attach the simulator whose clock stamps the events."""
@@ -107,26 +117,38 @@ class TraceRecorder:
 
         ``cause`` is an optional causal-parent eid (or tuple of eids) as
         returned by a previous ``emit``; forensics reconstructs the causal
-        DAG from these edges.  Events dropped by the cap return None, so
-        downstream edges simply dangle — DAG construction tolerates that.
+        DAG from these edges.  Events a full ``keep="first"`` recorder
+        turns away return None, so downstream edges simply dangle.
         """
         if not self.enabled:
             return None
-        eid = len(self.events)
-        if self.max_events is not None and eid >= self.max_events:
-            self.dropped_events += 1
+        eid = self.total_emitted
+        self.total_emitted = eid + 1
+        events = self._events
+        if len(events) == self.max_events and self.keep == "first":
             return None
-        self.events.append(
+        # A full keep="last" deque evicts its oldest entry on append.
+        events.append(
             TraceEvent(self.now, category, name, node, data, eid, cause))
         return eid
 
     # ------------------------------------------------------------- queries
 
+    @property
+    def events(self):
+        """The retained events, oldest first."""
+        return list(self._events)
+
+    @property
+    def dropped_events(self):
+        """Events emitted but not retained, whichever end lost them."""
+        return self.total_emitted - len(self._events)
+
     def __len__(self):
-        return len(self.events)
+        return len(self._events)
 
     def events_of(self, category, name=None):
-        return [event for event in self.events
+        return [event for event in self._events
                 if event.category == category
                 and (name is None or event.name == name)]
 
@@ -134,43 +156,41 @@ class TraceRecorder:
         return len(self.events_of(category, name))
 
     def clear(self):
-        self.events = []
-        self.dropped_events = 0
+        if self.keep == "last":
+            self._events = deque(maxlen=self.max_events)
+        else:
+            self._events = []
+        self.total_emitted = 0
 
     def to_dicts(self):
-        return [event.to_dict() for event in self.events]
+        return [event.to_dict() for event in self._events]
 
+    def dump(self, limit=None):
+        """JSON-friendly snapshot of the retained events.
 
-class _NullRecorder(TraceRecorder):
-    """A recorder that records nothing.
-
-    Components never call it (they check ``trace is None``), but harness
-    code that wants to call ``recorder.emit`` unconditionally can use
-    :data:`NULL_RECORDER` instead of branching.  A no-op-recorder test
-    pins this behaviour.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.enabled = False
-
-    def emit(self, category, name, node=None, cause=None, **data):
-        return None
-
-
-NULL_RECORDER = _NullRecorder()
+        ``limit`` keeps only the newest ``limit`` of them — campaign
+        records cap their attached window so a FAIL line stays a line,
+        while in-process forensics still sees everything retained.
+        """
+        events = self.events
+        clipped = 0 if limit is None else max(0, len(events) - limit)
+        return {
+            "capacity": self.max_events,
+            "total_emitted": self.total_emitted,
+            "evicted": self.dropped_events + clipped,
+            "events": [event.to_dict() for event in events[clipped:]],
+        }
 
 
 class Telemetry:
     """The bundle a :class:`~repro.core.machine.FlashMachine` accepts.
 
-    ``Telemetry()`` enables both the event bus and the metrics registry;
-    ``Telemetry(trace=False)`` keeps only metrics (cheap counters harvested
-    at the end of a run, nothing on the hot path);
-    ``Telemetry(trace=False, flight=N)`` attaches a
-    :class:`~repro.telemetry.flight.FlightRecorder` instead — a bounded
-    ring keeping the *last* N events (the always-on campaign/fuzz mode:
-    full tracing off, but a failure still arrives with its tail window).
+    ``Telemetry()`` enables both the event bus and the counter registry;
+    ``Telemetry(max_events=N)`` keeps the *first* N events;
+    ``Telemetry(trace=False)`` keeps only the registry;
+    ``Telemetry(trace=False, flight=N)`` keeps the *last* N events (the
+    campaign/fuzz fleet mode, :mod:`repro.telemetry.flight`: a failure
+    arrives with its tail window).
     """
 
     def __init__(self, trace=True, max_events=None, flight=None):

@@ -11,13 +11,15 @@ Two contracts anchor this file:
   audit the window with the truncation caveat intact.
 """
 
+import hashlib
 import json
 import random
 
 import pytest
 
 from repro.campaign.pool import _execute_schedule_run
-from repro.campaign.schedule import make_schedule
+from repro.campaign.runner import CampaignRunner
+from repro.campaign.schedule import SCHEDULE_GENERATORS, make_schedule
 from repro.core.config import MachineConfig
 from repro.core.experiment import run_schedule_experiment
 from repro.core.machine import FlashMachine
@@ -36,6 +38,18 @@ from repro.telemetry.scalability import run_scalability_point
 def small_schedule(num_nodes=4, seed=17):
     rng = random.Random(seed)
     return make_schedule("random-multi", rng, num_nodes=num_nodes)
+
+
+def campaign_payload(kind, run_index, mode, run_limit=60_000_000_000):
+    """What a worker hands back for run ``run_index`` of the 8-node
+    campaign (seed 7) of ``kind``, minus its wall time."""
+    seed, schedule = CampaignRunner(
+        kind=kind, campaign_seed=7).plan_run(run_index)
+    payload = _execute_schedule_run(
+        schedule.to_dict(), seed, run_limit, mem_per_node=64 << 10,
+        l2_size=8 << 10, telemetry_mode=mode)
+    del payload["elapsed_s"]
+    return payload
 
 
 # ------------------------------------------------------------------ ring
@@ -121,10 +135,13 @@ class TestFlightDump:
         recorder = FlightRecorder(capacity=10)
         for index in range(8):
             recorder.emit("pkt", "send", node=index)
-        dump = recorder.dump(limit=3)
-        assert len(dump["events"]) == 3
-        assert dump["evicted"] == 5             # clipped, ring never evicted
-        assert [entry["eid"] for entry in dump["events"]] == [5, 6, 7]
+        # limit -> eids shipped; the rest count as clipped (the ring
+        # itself never evicted).  0 ships nothing, not everything.
+        for limit, kept in ((3, [5, 6, 7]), (0, []), (8, list(range(8))),
+                            (50, list(range(8))), (None, list(range(8)))):
+            dump = recorder.dump(limit=limit)
+            assert [entry["eid"] for entry in dump["events"]] == kept
+            assert dump["evicted"] == 8 - len(kept)
 
     def test_analyze_dump_carries_truncation_caveat(self):
         recorder = FlightRecorder(capacity=2)
@@ -276,15 +293,15 @@ class TestWorkerFlightMode:
         assert "flight" not in payload
 
     def test_flight_mode_matches_trace_mode_verdict(self):
-        schedule = small_schedule()
-        kwargs = dict(seed=4, run_limit=60_000_000_000,
-                      mem_per_node=64 << 10, l2_size=8 << 10)
-        trace = _execute_schedule_run(schedule.to_dict(), **kwargs)
-        flight = _execute_schedule_run(schedule.to_dict(),
-                                       telemetry_mode="flight", **kwargs)
-        for key in ("status", "problems", "restarts", "episodes"):
-            assert trace[key] == flight[key]
-        assert trace["metrics"] == flight["metrics"]
+        """Both caps are above an 8-node run's event count, so the two
+        retention policies hold the same events and the whole payload —
+        verdict, metrics, forensics — is equal, for every generator."""
+        for kind in sorted(SCHEDULE_GENERATORS):
+            trace = campaign_payload(kind, 0, "trace")
+            flight = campaign_payload(kind, 0, "flight")
+            flight.pop("flight", None)
+            assert trace == flight, kind
+            assert trace["metrics"], kind
 
     def test_hung_run_dumps_tail_window(self):
         """A run that blows its event budget aborts with the flight dump
@@ -307,6 +324,37 @@ class TestWorkerFlightMode:
             mem_per_node=64 << 10, l2_size=8 << 10)
         assert payload["status"] in ("hung", "crashed")
         assert "flight" not in payload
+
+
+    def test_worker_payloads_match_pinned_digest(self):
+        """Byte identity of what a worker hands back — summaries, metrics
+        and HUNG flight dumps — across both retention policies, pinned at
+        0013436 (the last commit with two recorder classes).  A change
+        that moves it changed the records campaigns write.  Packet uids
+        come from a process-wide counter, so each dump's are rebased to
+        its smallest: the digest must not depend on which tests ran
+        before."""
+        digest = hashlib.sha256()
+        hung_dumps = 0
+        for kind in ("fault-during-recovery", "random-multi", "flaky-links"):
+            for run_index in range(4):
+                for mode in ("trace", "flight"):
+                    for run_limit in (60_000_000_000, 3_000_000):
+                        payload = campaign_payload(kind, run_index, mode,
+                                                   run_limit)
+                        if "flight" in payload:
+                            hung_dumps += 1
+                            packets = [event["data"] for event
+                                       in payload["flight"]["events"]
+                                       if "uid" in event["data"]]
+                            base = min(data["uid"] for data in packets)
+                            for data in packets:
+                                data["uid"] -= base
+                        digest.update(json.dumps(
+                            payload, sort_keys=True).encode())
+        assert hung_dumps == 12     # every 3 ms flight-mode run, no other
+        assert digest.hexdigest() == (
+            "0322e8425335ef44d8f1b978feb9f9b41ad08cf49e9a45bf931c5bba72fb51c1")
 
 
 class TestFlightForensics:

@@ -6,12 +6,16 @@ None and recording cannot perturb the simulation — a traced run and an
 untraced run of the same experiment must be identical event for event.
 """
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import MachineConfig
 from repro.core.machine import FlashMachine
 from repro.faults.models import FaultSpec
-from repro.telemetry import NULL_RECORDER, Telemetry, TraceRecorder
+from repro.telemetry import Telemetry, TraceRecorder
+from repro.telemetry.flight import events_from_dump
 from repro.telemetry.scalability import run_scalability_point
 
 
@@ -53,11 +57,6 @@ class TestTraceRecorder:
         assert len(recorder) == 2
         assert recorder.dropped_events == 3
 
-    def test_null_recorder_is_inert(self):
-        NULL_RECORDER.emit("a", "b", node=1, anything=2)
-        assert len(NULL_RECORDER) == 0
-        assert NULL_RECORDER.enabled is False
-
     def test_queries_and_clear(self):
         recorder = TraceRecorder()
         recorder.emit("pkt", "send")
@@ -71,6 +70,38 @@ class TestTraceRecorder:
         assert dicts[0]["category"] == "pkt"
         recorder.clear()
         assert len(recorder) == 0 and recorder.dropped_events == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 60), cap=st.integers(1, 40),
+       keep=st.sampled_from(["first", "last"]))
+def test_property_retention_policy(n, cap, keep):
+    """One recorder, two ends: ``first`` holds the head of the stream,
+    ``last`` the tail; eids are stream indices and the counters and the
+    dump mean the same under both."""
+    recorder = TraceRecorder(max_events=cap, keep=keep)
+    returned = []
+    for index in range(n):
+        cause = None if not index else (
+            index - 1 if index % 2 else (index - 1, index // 2))
+        returned.append(recorder.emit("pkt", "send", node=index,
+                                      cause=cause, seq=index))
+    held = (range(min(n, cap)) if keep == "first"
+            else range(max(0, n - cap), n))
+    assert [event.eid for event in recorder.events] == list(held)
+    assert [event.node for event in recorder.events] == list(held)
+    assert len(recorder) == len(held)
+    assert recorder.total_emitted == n
+    assert recorder.dropped_events == n - len(recorder)
+    # emit hands back the eid of what it stored, None for what a full
+    # head cap turned away (an evicted tail event was stored first).
+    assert returned == [index if keep == "last" or index < cap else None
+                        for index in range(n)]
+    dump = json.loads(json.dumps(recorder.dump()))
+    assert dump["total_emitted"] == n
+    assert dump["evicted"] == recorder.dropped_events
+    rebuilt = events_from_dump(dump)
+    assert rebuilt == recorder.events     # keys, eids, tuple causes, data
 
 
 class TestZeroCostWhenDisabled:
