@@ -9,12 +9,13 @@ nearly untested.  This package stress-tests exactly that:
   correlated link+router faults, false-alarm storms, flaky links);
 * :mod:`repro.campaign.pool` — persistent crash-isolated workers with
   per-run watchdogs, and the one loop that drives them;
-* :mod:`repro.campaign.runner` — the campaign on that loop: planned runs
-  in, resumable JSONL records out;
-* :mod:`repro.campaign.records` — the JSONL record format and the one
+* :mod:`repro.campaign.runner` — the one harness on that loop: planned
+  runs in (from a generator, a fixed schedule or the fuzz planner),
+  resumable JSONL records, status heartbeat and outcome counts out;
+* :mod:`repro.campaign.records` — the one record type and the one
   append/load helper pair every JSONL file in the repo goes through;
 * :mod:`repro.campaign.shrink` — greedy minimization of failing schedules
-  into ready-to-paste reproducers.
+  into ready-to-paste reproducers, and the one shrink-and-report path.
 """
 
 from repro.campaign.records import RunRecord, RunStatus

@@ -53,10 +53,17 @@ class RunRecord:
     #: storms, {} otherwise; replayable through telemetry.flight
     #: .events_from_dump for forensics/timeline analysis
     flight: dict = dataclasses.field(default_factory=dict)
+    #: what a fuzz planner chose and learned (fuzz.engine.FuzzEngine
+    #: .account): lineage, op, fingerprint, features, new_features,
+    #: escape, injector_skips — {} for a run no planner bred, and then
+    #: left out of the JSON so campaign files carry no trace of it
+    fuzz: dict = dataclasses.field(default_factory=dict)
 
     def to_dict(self):
         data = dataclasses.asdict(self)
         data["status"] = self.status.value
+        if not self.fuzz:
+            del data["fuzz"]
         return data
 
     @classmethod
@@ -72,7 +79,8 @@ class RunRecord:
                    elapsed_s=data.get("elapsed_s", 0.0),
                    metrics=dict(data.get("metrics", {})),
                    forensics=dict(data.get("forensics", {})),
-                   flight=dict(data.get("flight", {})))
+                   flight=dict(data.get("flight", {})),
+                   fuzz=dict(data.get("fuzz", {})))
 
 
 def append_json_line(path, data):

@@ -13,6 +13,8 @@ line and in JSONL records.
 """
 
 import dataclasses
+import hashlib
+import json
 
 from repro.common.errors import ConfigurationError
 from repro.faults.models import FaultSpec, FaultType
@@ -140,6 +142,15 @@ def valid_for_machine(schedule, num_nodes, topology=None):
         if entry.phase_node is not None and entry.phase_node >= num_nodes:
             return False
     return True
+
+
+def schedule_fingerprint(schedule):
+    """Stable identity of a schedule's *content* (name excluded)."""
+    data = schedule.to_dict()
+    data.pop("name", None)
+    canon = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.blake2b(canon.encode("utf-8"),
+                           digest_size=16).hexdigest()
 
 
 def redundant_entries(schedule):

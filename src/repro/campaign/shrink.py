@@ -14,12 +14,21 @@ The passes (each run to a fixpoint, in order of expected payoff):
 3. **shrink the machine** — retarget the schedule onto fewer nodes when
    every fault target still exists there
    (:func:`~repro.campaign.schedule.valid_for_machine`).
+
+:func:`shrink_failures` is what a finished campaign or fuzz session calls:
+it minimizes the first few distinct failing records, each candidate in a
+crash-isolated worker, and returns one report entry per failure.
 """
 
 import dataclasses
 import json
 
-from repro.campaign.schedule import FaultSchedule, valid_for_machine
+from repro.campaign.records import RunStatus, append_json_line
+from repro.campaign.schedule import (
+    FaultSchedule,
+    schedule_fingerprint,
+    valid_for_machine,
+)
 
 _MS = 1_000_000.0
 
@@ -128,3 +137,68 @@ def repro_command(schedule, seed=0):
     payload = json.dumps(schedule.to_dict(), sort_keys=True)
     return ("PYTHONPATH=src python -m repro.cli campaign "
             "--replay '%s' --runs 1 --seed %d" % (payload, seed))
+
+
+def replay_command(lineage, campaign):
+    """A ready-to-paste bit-identical rebuild-and-run of one fuzz lineage
+    of ``campaign``."""
+    return ("PYTHONPATH=src python -m repro.cli fuzz --replay '%s' "
+            "--seed %d --nodes-count %d --topology %s"
+            % (lineage, campaign.campaign_seed, campaign.num_nodes,
+               campaign.topology))
+
+
+def shrink_failures(campaign, failures, limit=1, max_checks=200,
+                    out_path=None):
+    """Minimize the first ``limit`` of ``failures`` with distinct
+    schedules; returns one JSON-friendly entry per minimized failure.
+
+    ``failures`` are non-PASS run records of ``campaign`` (a
+    :class:`~repro.campaign.runner.CampaignRunner`); every candidate runs
+    with the failing run's own seed in a crash-isolated worker under the
+    campaign's watchdog and machine sizing, so a candidate that crashes or
+    hangs counts as still failing.  Each entry is appended to
+    ``out_path`` (JSONL) as soon as it exists.
+    """
+    from repro.campaign.runner import run_schedule_isolated
+    entries = []
+    seen = set()
+    for record in failures:
+        if len(entries) >= limit:
+            break
+        schedule = FaultSchedule.from_dict(record.schedule)
+        fingerprint = schedule_fingerprint(schedule)
+        if fingerprint in seen:
+            continue
+        seen.add(fingerprint)
+
+        def still_fails(candidate):
+            rerun = run_schedule_isolated(
+                candidate, record.seed, timeout_s=campaign.timeout_s,
+                run_limit=campaign.run_limit,
+                mem_per_node=campaign.mem_per_node,
+                l2_size=campaign.l2_size)
+            return rerun.status is not RunStatus.PASS
+
+        result = shrink_schedule(schedule, still_fails,
+                                 max_checks=max_checks)
+        entry = {
+            "run_index": record.run_index,
+            "seed": record.seed,
+            "status": record.status.value,
+            "problems": record.problems,
+            "forensics": record.forensics,
+            "schedule": record.schedule,
+            "shrunk_schedule": result.schedule.to_dict(),
+            "shrink_summary": str(result),
+            "shrink_steps": result.steps,
+            "shrink_checks": result.checks,
+            "repro": repro_command(result.schedule, record.seed),
+        }
+        if record.fuzz:
+            entry["lineage"] = record.fuzz["lineage"]
+            entry["replay"] = replay_command(entry["lineage"], campaign)
+        entries.append(entry)
+        if out_path:
+            append_json_line(out_path, entry)
+    return entries

@@ -10,8 +10,11 @@ Usage::
 """
 
 import argparse
+import ast
 import json
+import os
 import sys
+import time
 
 from repro.analysis.tables import format_table
 from repro.core.config import MachineConfig
@@ -87,16 +90,26 @@ def cmd_endtoend(args):
     return 0 if not result.failed else 1
 
 
+def _pool_runner(args, **kwargs):
+    """The CampaignRunner behind ``campaign`` and ``fuzz``: budget, seed,
+    machine shape and sizing, watchdog and workers from the options the
+    two subcommands share."""
+    from repro.campaign.runner import CampaignRunner, print_progress
+    return CampaignRunner(
+        runs=args.runs, campaign_seed=args.seed, num_nodes=args.nodes_count,
+        topology=args.topology, timeout_s=args.timeout, jobs=args.jobs,
+        mem_per_node=args.mem_kb << 10, l2_size=args.l2_kb << 10,
+        progress=print_progress, **kwargs)
+
+
 def cmd_campaign(args):
-    from repro.campaign import (
-        SCHEDULE_GENERATORS,
-        CampaignRunner,
-        FaultSchedule,
-        repro_command,
-        shrink_schedule,
+    from repro.campaign import SCHEDULE_GENERATORS, FaultSchedule
+    from repro.campaign.runner import (
+        print_failure,
+        print_shrunk,
+        report_evidence,
     )
-    from repro.campaign.records import RunStatus
-    from repro.campaign.runner import run_schedule_isolated
+    from repro.campaign.shrink import shrink_failures
 
     fixed_schedule = None
     if args.replay:
@@ -113,84 +126,25 @@ def cmd_campaign(args):
         label = "replay" if fixed_schedule is not None else args.schedule
         out_path = "campaign_%s_seed%d.jsonl" % (label, args.seed)
 
-    def progress(record):
-        line = "  run %3d [%s] seed=%d" % (
-            record.run_index, record.status.value, record.seed)
-        if record.status is RunStatus.FAIL:
-            line += " problems=%d" % len(record.problems)
-        elif record.status.is_abort:
-            line += " %s" % record.error.strip().splitlines()[-1]
-        print(line, file=sys.stderr)
-
-    runner = CampaignRunner(
-        kind=args.schedule, runs=args.runs, campaign_seed=args.seed,
-        num_nodes=args.nodes_count, topology=args.topology,
-        schedule=fixed_schedule, out_path=out_path,
-        timeout_s=args.timeout, jobs=args.jobs,
-        mem_per_node=args.mem_kb << 10, l2_size=args.l2_kb << 10,
-        progress=progress, telemetry_mode=args.telemetry)
+    runner = _pool_runner(args, kind=args.schedule, schedule=fixed_schedule,
+                          out_path=out_path, telemetry_mode=args.telemetry)
     summary = runner.run()
-    forensics_path = None
-    failing_forensics = [
-        {"run_index": record.run_index, "seed": record.seed,
-         "schedule": record.schedule, "problems": record.problems,
-         "forensics": record.forensics}
-        for record in summary.records
-        if record.status is RunStatus.FAIL and record.forensics]
-    if failing_forensics:
-        forensics_path = out_path + ".forensics.json"
-        with open(forensics_path, "w", encoding="utf-8") as handle:
-            json.dump(failing_forensics, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print("forensic report (%d failing run(s)): %s"
-              % (len(failing_forensics), forensics_path), file=sys.stderr)
-    flight_dumps = sum(1 for record in summary.records if record.flight)
-    if flight_dumps:
-        print("flight recorder: %d run(s) carry a dumped tail window in "
-              "%s (replay via repro.telemetry.flight.events_from_dump)"
-              % (flight_dumps, out_path), file=sys.stderr)
+    forensics_path = report_evidence(out_path, summary.records)
+    failures = summary.failures()
     if args.summary_json:
-        print(json.dumps({
-            "total": summary.total,
-            "passed": summary.passed,
-            "failed": summary.failed,
-            "crashed": summary.crashed,
-            "hung": summary.hung,
-            "ok": summary.ok,
-            "records": out_path,
-            "forensics": forensics_path,
-        }, sort_keys=True))
+        print(json.dumps(dict(summary.to_dict(), records=out_path,
+                              forensics=forensics_path), sort_keys=True))
     else:
         print(summary)
         print("records: %s" % out_path)
-
-    failures = summary.failures()
-    for record in (() if args.summary_json else failures):
-        print("  %s run %d (seed %d): %s" % (
-            record.status.value, record.run_index, record.seed,
-            record.problems[:3] if record.problems
-            else record.error.strip().splitlines()[-1:]))
-        print("    repro: %s" % repro_command(
-            FaultSchedule.from_dict(record.schedule), record.seed))
+        for record in failures:
+            print_failure(record)
 
     if args.shrink and failures:
-        record = failures[0]
-        schedule = FaultSchedule.from_dict(record.schedule)
-        print("shrinking %s run %d ..." % (record.status.value,
-                                           record.run_index))
-
-        def still_fails(candidate):
-            result = run_schedule_isolated(
-                candidate, record.seed, timeout_s=args.timeout,
-                mem_per_node=args.mem_kb << 10, l2_size=args.l2_kb << 10)
-            return result.status is not RunStatus.PASS
-
-        shrunk = shrink_schedule(schedule, still_fails)
-        print(shrunk)
-        for step in shrunk.steps:
-            print("  -", step)
-        print("minimal repro: %s" % repro_command(shrunk.schedule,
-                                                  record.seed))
+        print("shrinking %s run %d ..." % (failures[0].status.value,
+                                           failures[0].run_index))
+        for entry in shrink_failures(runner, failures):
+            print_shrunk(entry)
 
     # Exit status reflects batch health: FAIL verdicts are findings the
     # records carry; CRASHED/HUNG means the campaign machinery itself
@@ -200,8 +154,9 @@ def cmd_campaign(args):
 
 def cmd_fuzz(args):
     from repro.campaign.records import RunStatus
-    from repro.campaign.runner import run_schedule_isolated
-    from repro.fuzz.engine import FuzzEngine, format_report
+    from repro.campaign.runner import print_failure, run_schedule_isolated
+    from repro.campaign.shrink import shrink_failures
+    from repro.fuzz.engine import SHRINK_CHECKS, FuzzEngine, format_report
     from repro.fuzz.mutate import derive_mutant_seed, rebuild_from_lineage
 
     if args.replay:
@@ -221,51 +176,34 @@ def cmd_fuzz(args):
             print("replay %s" % args.replay)
             print("  schedule: %s" % schedule)
             print("  machine seed: %d" % seed)
-            print("  -> [%s] problems=%d" % (record.status.value,
-                                             len(record.problems)))
-            for problem in record.problems:
-                print("     !", problem)
-            if record.error:
-                print("     %s" % record.error.strip().splitlines()[-1])
+            print("  -> [%s]" % record.status.value)
+            if record.status is not RunStatus.PASS:
+                print_failure(record)
         return 0 if record.status is RunStatus.PASS else 1
 
     out_dir = args.out or "fuzz_seed%d" % args.seed
-    import os
-    have_records = os.path.exists(os.path.join(out_dir, "records.jsonl"))
-    if have_records and not args.resume:
+    records_path = os.path.join(out_dir, "records.jsonl")
+    if os.path.exists(records_path) and not args.resume:
         raise SystemExit(
             "%s already holds a fuzz session; pass --resume to continue "
             "it (or --out for a fresh directory)" % out_dir)
+    os.makedirs(out_dir, exist_ok=True)
 
-    def progress(record):
-        new = len(record.get("new_features", ()))
-        line = "  run %3d [%s] %s" % (record["run_index"],
-                                      record["status"], record["op"])
-        if new:
-            line += " +%d coverage" % new
-        if record["status"] not in ("pass",):
-            line += " <-- %s" % record["lineage"]
-        print(line, file=sys.stderr)
-
-    engine = FuzzEngine(
-        campaign_seed=args.seed, num_nodes=args.nodes_count,
-        topology=args.topology, runs=args.runs,
-        wall_clock_s=args.wall_clock, jobs=args.jobs,
-        timeout_s=args.timeout, mem_per_node=args.mem_kb << 10,
-        l2_size=args.l2_kb << 10, out_dir=out_dir,
-        strategy=args.strategy, max_shrinks=args.max_shrinks,
-        progress=progress)
-    if args.resume:
-        done = engine.resume()
-        print("resumed: %d run(s) already recorded, %d coverage "
-              "feature(s), corpus %d"
-              % (done, len(engine.coverage), len(engine.corpus)),
-              file=sys.stderr)
-    report = engine.run()
+    started = time.monotonic()
+    engine = FuzzEngine(strategy=args.strategy)
+    runner = _pool_runner(
+        args, planner=engine, wall_clock_s=args.wall_clock,
+        out_path=records_path,
+        status_path=os.path.join(out_dir, "status.json"))
+    summary = runner.run()
+    shrunk = shrink_failures(
+        runner, summary.failures(), limit=args.max_shrinks,
+        max_checks=SHRINK_CHECKS,
+        out_path=os.path.join(out_dir, "failures.jsonl"))
+    report = engine.report(runner, summary, shrunk=shrunk,
+                           elapsed_s=time.monotonic() - started)
     if args.summary_json:
-        payload = dict(report)
-        payload["out_dir"] = out_dir
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(dict(report, out_dir=out_dir), sort_keys=True))
     else:
         print(format_report(report))
         print("artifacts: %s" % out_dir)
@@ -369,8 +307,6 @@ def cmd_bench(args):
 
 
 def cmd_status(args):
-    import time
-
     from repro.telemetry.status import (
         format_status,
         read_status,
@@ -393,11 +329,9 @@ def cmd_status(args):
 
 
 def cmd_report(args):
-    from repro.telemetry.report import aggregate, collect_sources, render_html
+    from repro.telemetry.report import write_report
 
-    agg = aggregate(collect_sources(args.paths))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(render_html(agg, title=args.title))
+    agg = write_report(args.paths, args.out, title=args.title)
     if args.json:
         payload = dict(agg)
         payload["out"] = args.out
@@ -477,9 +411,6 @@ def cmd_lint(args):
 
 
 def cmd_verify_protocol(args):
-    import ast
-    import os
-
     from repro.lint.extract import (ExtractionError, extract_protocol,
                                     load_spec, spec_diff, write_spec)
     from repro.verify import verify_spec
@@ -567,6 +498,21 @@ def build_parser():
         p.add_argument("--l2-kb", type=int, default=8,
                        help="L2 cache size in KB")
 
+    def add_pool_run(p, runs, timeout):
+        """What ``_pool_runner`` reads: budget, machine, workers."""
+        add_common(p)
+        p.add_argument("--runs", type=int, default=runs, help="run budget")
+        p.add_argument("--nodes-count", type=int, default=8)
+        p.add_argument("--topology", default="mesh",
+                       choices=["mesh", "hypercube"])
+        p.add_argument("--timeout", type=float, default=timeout,
+                       help="per-run wall-clock watchdog in seconds")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="concurrent crash-isolated workers")
+        p.add_argument("--summary-json", action="store_true",
+                       help="print one machine-readable JSON summary "
+                            "line instead of the human report")
+
     def add_validation_run(p):
         """What ``_run_validation`` reads: machine size and one fault."""
         add_common(p)
@@ -605,31 +551,20 @@ def build_parser():
     p_camp = sub.add_parser(
         "campaign",
         help="multi-fault campaign: crash-isolated runs, JSONL records")
-    add_common(p_camp)
-    p_camp.add_argument("--runs", type=int, default=50)
+    add_pool_run(p_camp, runs=50, timeout=300.0)
     p_camp.add_argument("--schedule", default="random-multi",
                         help="schedule generator name (see "
                              "repro.campaign.SCHEDULE_GENERATORS)")
     p_camp.add_argument("--replay", default=None, metavar="JSON",
                         help="replay one exact schedule (JSON, as printed "
                              "by a failure's repro command)")
-    p_camp.add_argument("--nodes-count", type=int, default=8)
-    p_camp.add_argument("--topology", default="mesh",
-                        choices=["mesh", "hypercube"])
     p_camp.add_argument("--out", default=None,
                         help="JSONL results file (default: "
                              "campaign_<schedule>_seed<N>.jsonl); "
                              "re-running resumes, skipping recorded runs")
-    p_camp.add_argument("--timeout", type=float, default=300.0,
-                        help="per-run wall-clock watchdog in seconds")
-    p_camp.add_argument("--jobs", type=int, default=1,
-                        help="concurrent crash-isolated workers")
     p_camp.add_argument("--shrink", action="store_true",
                         help="minimize the first failing schedule and "
                              "print its repro command")
-    p_camp.add_argument("--summary-json", action="store_true",
-                        help="print one machine-readable JSON summary "
-                             "line instead of the human report")
     p_camp.add_argument("--telemetry", default="trace",
                         choices=["trace", "flight"],
                         help="'flight': tracing off, an always-on "
@@ -642,22 +577,13 @@ def build_parser():
         "fuzz",
         help="coverage-guided schedule fuzzing: mutate fault schedules "
              "against a live coverage map, shrink and replay findings")
-    add_common(p_fuzz)
-    p_fuzz.add_argument("--runs", type=int, default=200,
-                        help="run budget (ignored with --wall-clock)")
+    add_pool_run(p_fuzz, runs=200, timeout=120.0)
     p_fuzz.add_argument("--wall-clock", type=float, default=None,
                         metavar="SECONDS",
-                        help="budget by wall clock instead of run count")
-    p_fuzz.add_argument("--nodes-count", type=int, default=8)
-    p_fuzz.add_argument("--topology", default="mesh",
-                        choices=["mesh", "hypercube"])
-    p_fuzz.add_argument("--jobs", type=int, default=1,
-                        help="persistent crash-isolated batch workers")
-    p_fuzz.add_argument("--timeout", type=float, default=120.0,
-                        help="per-run wall-clock watchdog in seconds")
+                        help="budget by wall clock instead of --runs")
     p_fuzz.add_argument("--out", default=None, metavar="DIR",
                         help="session directory (default: fuzz_seed<N>); "
-                             "holds records.jsonl, corpus.jsonl, "
+                             "holds records.jsonl, status.json, "
                              "failures.jsonl")
     p_fuzz.add_argument("--resume", action="store_true",
                         help="continue the session already in --out")
@@ -670,8 +596,6 @@ def build_parser():
                              "baseline for coverage comparisons)")
     p_fuzz.add_argument("--max-shrinks", type=int, default=3,
                         help="distinct failures to minimize at session end")
-    p_fuzz.add_argument("--summary-json", action="store_true",
-                        help="print one machine-readable JSON report line")
     p_fuzz.set_defaults(func=cmd_fuzz)
 
     p_trace = sub.add_parser(

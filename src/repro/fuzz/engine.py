@@ -1,22 +1,25 @@
-"""The coverage-guided fuzz loop.
+"""The coverage-guided fuzz planner.
 
-One session owns a machine shape and a campaign seed.  The loop:
+A fuzz session is a campaign
+(:class:`~repro.campaign.runner.CampaignRunner`) whose schedules come from
+a corpus.  The runner owns the worker pool, the run records, the status
+sidecar, the outcome counts, resume and shrinking; :class:`FuzzEngine` is
+its *planner* and owns only which schedule runs next and what each
+finished run teaches:
 
-1. seed the corpus by running every registered schedule generator;
-2. repeatedly pick an energy-weighted parent from the corpus, mutate it
-   (:mod:`repro.fuzz.mutate`), and run the mutant in a crash-isolated
-   batch worker (:mod:`repro.campaign.pool`) with coverage extraction on;
-3. admit any run that reached new coverage
-   (:class:`~repro.fuzz.coverage.CoverageMap`) into the corpus;
-4. when the budget (runs or wall clock) is spent, route every failing run
-   through the greedy shrinker and emit ready-to-paste reproduction
-   commands.
+1. the first runs seed the corpus with every registered schedule
+   generator;
+2. after that :meth:`FuzzEngine.plan_run` picks an energy-weighted parent
+   from the corpus and mutates it (:mod:`repro.fuzz.mutate`);
+3. :meth:`FuzzEngine.account` folds each finished record into the
+   coverage map (:class:`~repro.fuzz.coverage.CoverageMap`) and admits any
+   run that reached new coverage into the corpus.
 
-Resumability: every finished run appends one JSONL record; restarting
-with the same output directory reloads the corpus and replays the
-records through a fresh coverage map, then continues planning at the
-next run index.  Every schedule is bit-reproducible from
-``(campaign_seed, lineage)`` alone — see ``repro.cli fuzz --replay``.
+Resumability: the runner replays the recorded runs through ``account`` in
+file order — the order the live session accounted them in — so a resumed
+engine holds the same coverage map, corpus and growth curve.  Every
+schedule is bit-reproducible from ``(campaign_seed, lineage)`` alone — see
+``repro.cli fuzz --replay``.
 
 Planning note: with ``jobs > 1`` the *trajectory* (which parent breeds
 when) depends on result arrival order, exactly as in AFL; the
@@ -24,23 +27,12 @@ determinism contract is per-schedule via lineage, not per-session.  With
 ``jobs=1`` the whole session is deterministic.
 """
 
-# repro-lint: disable-file=wall-clock — the fuzz loop is a real-time
-# boundary like the campaign runner: wall-clock budgets and per-run
-# elapsed times are measured here, around crash-isolated workers.
-
-import os
-import time
-
-from repro.campaign.pool import BatchWorkerPool
-from repro.campaign.records import (
-    RunStatus,
-    append_json_line,
-    load_json_lines,
+from repro.campaign.schedule import (
+    SCHEDULE_GENERATORS,
+    FaultSchedule,
+    schedule_fingerprint,
 )
-from repro.campaign.runner import run_schedule_isolated
-from repro.campaign.schedule import SCHEDULE_GENERATORS, FaultSchedule
-from repro.campaign.shrink import repro_command, shrink_schedule
-from repro.fuzz.corpus import Corpus, CorpusEntry, schedule_fingerprint
+from repro.fuzz.corpus import Corpus, CorpusEntry
 from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.mutate import (
     derive_mutant_seed,
@@ -57,107 +49,69 @@ _MUTATE_ATTEMPTS = 8
 #: so the corpus never inbreeds to a single family
 _FRESH_ROOT_RATE = 0.1
 
+#: shrinker predicate budget per failure at the end of a session
+SHRINK_CHECKS = 40
+
 
 class FuzzEngine:
-    """Drive one coverage-guided fuzzing session."""
+    """The planner of one coverage-guided fuzzing session.
 
-    def __init__(self, campaign_seed=0, num_nodes=8, topology="mesh",
-                 runs=200, wall_clock_s=None, jobs=1, timeout_s=120.0,
-                 run_limit=60_000_000_000, mem_per_node=64 << 10,
-                 l2_size=8 << 10, out_dir=None, strategy="coverage",
-                 max_shrinks=3, shrink_checks=40, progress=None):
-        self.campaign_seed = campaign_seed
-        self.num_nodes = num_nodes
-        self.topology = topology
-        self.runs = runs
-        self.wall_clock_s = wall_clock_s
-        self.jobs = max(1, jobs)
-        self.timeout_s = timeout_s
-        self.run_limit = run_limit
-        self.mem_per_node = mem_per_node
-        self.l2_size = l2_size
-        self.out_dir = out_dir
+    ``campaign`` in the methods below is the
+    :class:`~repro.campaign.runner.CampaignRunner` driving the session:
+    its campaign seed and machine shape name the schedules.
+    """
+
+    def __init__(self, strategy="coverage"):
         self.strategy = strategy
-        self.max_shrinks = max_shrinks
-        self.shrink_checks = shrink_checks
-        self.progress = progress
-
         self.coverage = CoverageMap()
         self.corpus = Corpus()
         self.containment = Histogram()
         self.growth = []          # (run_count, coverage_size) checkpoints
-        self.failures = []        # finished-run dicts with status != PASS
         self.seen_fingerprints = set()
+        self.accounted = 0        # finished runs folded in, live or resumed
         self.stats = {
-            "runs": 0, "pass": 0, "fail": 0, "crashed": 0, "hung": 0,
             "skip_noop": 0, "skip_dup": 0, "new_coverage_runs": 0,
             "injector_skips": 0, "fresh_roots": 0,
         }
-        self._next_index = 0
+        #: run_index -> (lineage, op, fingerprint) of runs in flight
+        self._planned = {}
         self._kinds = sorted(SCHEDULE_GENERATORS)
-
-    # ------------------------------------------------------------ paths
-
-    def _path(self, name):
-        if self.out_dir is None:
-            return None
-        return os.path.join(self.out_dir, name)
-
-    @property
-    def records_path(self):
-        return self._path("records.jsonl")
-
-    @property
-    def corpus_path(self):
-        return self._path("corpus.jsonl")
-
-    @property
-    def failures_path(self):
-        return self._path("failures.jsonl")
-
-    # ----------------------------------------------------------- resume
-
-    def resume(self):
-        """Reload corpus + records from ``out_dir``; returns runs done."""
-        if self.out_dir is None:
-            return 0
-        self.corpus = Corpus.load(self.corpus_path)
-        records = load_json_lines(self.records_path)
-        for record in sorted(records, key=lambda r: r.get("run_index", 0)):
-            self._account(record, record.get("features", ()),
-                          persist=False)
-            self._next_index = max(self._next_index,
-                                   record.get("run_index", -1) + 1)
-            self.seen_fingerprints.add(record.get("fingerprint", ""))
-        return self.stats["runs"]
 
     # --------------------------------------------------------- planning
 
-    def _plan_root(self, run_index, salt=None):
+    def plan_run(self, campaign, run_index):
+        """The (seed, schedule) of the next run to launch."""
+        schedule, lineage, op = self._plan_next(campaign, run_index)
+        self._planned[run_index] = (lineage, op,
+                                    schedule_fingerprint(schedule))
+        return derive_mutant_seed(campaign.campaign_seed, lineage), schedule
+
+    def _plan_root(self, campaign, run_index, salt=None):
         kind = self._kinds[run_index % len(self._kinds)]
         salt = run_index // len(self._kinds) if salt is None else salt
         schedule, lineage = root_schedule(
-            self.campaign_seed, kind, salt,
-            num_nodes=self.num_nodes, topology=self.topology)
+            campaign.campaign_seed, kind, salt,
+            num_nodes=campaign.num_nodes, topology=campaign.topology)
         return schedule, lineage, "seed"
 
-    def _plan_next(self, run_index):
-        """The (schedule, lineage, op) of the next run to launch."""
+    def _plan_next(self, campaign, run_index):
+        """The (schedule, lineage, op) of run ``run_index``."""
         seeding = run_index < len(self._kinds)
         if seeding or self.strategy == "random" or not len(self.corpus):
             if not seeding:
                 self.stats["fresh_roots"] += 1
-            return self._plan_root(run_index)
-        rng = rng_for(self.campaign_seed, "plan:%d" % run_index)
+            return self._plan_root(campaign, run_index)
+        seed = campaign.campaign_seed
+        rng = rng_for(seed, "plan:%d" % run_index)
         if rng.random() < _FRESH_ROOT_RATE:
             self.stats["fresh_roots"] += 1
-            return self._plan_root(run_index)
+            return self._plan_root(campaign, run_index)
         parent = self.corpus.select_parent(rng, self.coverage)
         donor = self.corpus.select_donor(rng, parent)
         for attempt in range(_MUTATE_ATTEMPTS):
             salt = run_index * _MUTATE_ATTEMPTS + attempt
             bred = mutate(
-                self.campaign_seed, parent.schedule, parent.lineage, salt,
+                seed, parent.schedule, parent.lineage, salt,
                 donor=None if donor is None else donor.schedule,
                 donor_lineage=None if donor is None else donor.lineage)
             if bred is None:
@@ -170,193 +124,65 @@ class FuzzEngine:
             return schedule, lineage, op
         # Every attempt no-opped or duplicated: explore instead.
         self.stats["fresh_roots"] += 1
-        return self._plan_root(run_index, salt=run_index)
+        return self._plan_root(campaign, run_index, salt=run_index)
 
-    # --------------------------------------------------------- absorbing
+    # -------------------------------------------------------- accounting
 
-    def _absorb(self, plan, payload):
-        """Fold one finished run into coverage, corpus, stats, records."""
-        run_index, lineage, op, schedule, seed = plan
-        cover = payload.get("coverage", {})
-        features = cover.get("features", [])
-        record = {
-            "run_index": run_index,
-            "lineage": lineage,
-            "op": op,
-            "seed": seed,
-            "status": payload["status"],
-            "schedule": schedule.to_dict(),
-            "fingerprint": schedule_fingerprint(schedule),
-            "features": features,
-            "elapsed_s": payload.get("elapsed_s", 0.0),
-            "escape": cover.get("escape", False),
-            "containment_ns": cover.get("containment_ns", []),
-            "injector_skips": cover.get("skipped_injections", 0),
-        }
-        if payload.get("problems"):
-            record["problems"] = list(payload["problems"])
-        if payload.get("error"):
-            record["error"] = payload["error"]
-        if payload.get("forensics"):
-            record["forensics"] = payload["forensics"]
-        new = self._account(record, features, persist=True)
-        record["new_features"] = new
-        if self.records_path:
-            append_json_line(self.records_path, record)
-        if self.progress is not None:
-            self.progress(record)
-        return record
+    def account(self, record, coverage=None):
+        """Fold one finished run into coverage, corpus and growth curve.
 
-    def _account(self, record, features, persist):
-        """Shared state update for live results and resumed records."""
-        status = record["status"]
-        self.stats["runs"] += 1
-        self.stats[status if status in ("pass", "fail") else
-                   ("crashed" if status == RunStatus.CRASHED.value
-                    else "hung")] += 1
-        self.stats["injector_skips"] += record.get("injector_skips", 0)
-        self.seen_fingerprints.add(record.get("fingerprint", ""))
-        for value in record.get("containment_ns", ()):
-            self.containment.observe(value)
-        new = self.coverage.add(features)
+        A live result arrives with the worker's ``coverage`` summary (``{}``
+        when the run aborted before producing one), from which this writes
+        the record's ``fuzz`` section; a resumed record already has it.
+        """
+        if coverage is not None:
+            lineage, op, fingerprint = self._planned.pop(record.run_index)
+            record.fuzz = {
+                "lineage": lineage,
+                "op": op,
+                "fingerprint": fingerprint,
+                "features": coverage.get("features", []),
+                "escape": coverage.get("escape", False),
+                "injector_skips": coverage.get("skipped_injections", 0),
+            }
+        fuzz = record.fuzz
+        self.accounted += 1
+        self.stats["injector_skips"] += fuzz["injector_skips"]
+        self.seen_fingerprints.add(fuzz["fingerprint"])
+        availability = record.metrics.get("availability") or {}
+        for duration_ms in availability.get("episode_durations_ms", ()):
+            self.containment.observe(round(duration_ms * 1e6))
+        new = fuzz["new_features"] = self.coverage.add(fuzz["features"])
         if new:
             self.stats["new_coverage_runs"] += 1
-            self.growth.append((self.stats["runs"], len(self.coverage)))
-            schedule = FaultSchedule.from_dict(record["schedule"])
-            entry = CorpusEntry(
-                lineage=record["lineage"], schedule=schedule,
-                seed=record["seed"], features=features,
-                new_features=new, op=record.get("op", "seed"))
-            if self.corpus.add(entry) and persist and self.corpus_path:
-                self.corpus.append_to(self.corpus_path, entry)
-        if status != RunStatus.PASS.value:
-            self.failures.append(record)
-        return new
+            self.growth.append((self.accounted, len(self.coverage)))
+            self.corpus.add(CorpusEntry(
+                fuzz["lineage"], FaultSchedule.from_dict(record.schedule),
+                fuzz["features"]))
 
-    # ------------------------------------------------------------ driving
-
-    def _budget_left(self, started):
-        if self.wall_clock_s is not None:
-            return time.monotonic() - started < self.wall_clock_s
-        return self._next_index < self.runs
-
-    def _status_writer(self):
-        """Heartbeat sidecar in the session directory (None without one)."""
-        if self.out_dir is None:
-            return None
-        from repro.telemetry.status import StatusWriter
-        return StatusWriter(self._path("status.json"), kind="fuzz",
-                            total=None if self.wall_clock_s is not None
-                            else self.runs)
-
-    def _update_status(self, status, **kwargs):
-        status.update(
-            done=self.stats["runs"],
-            counts={key: self.stats[key] for key in
-                    ("pass", "fail", "crashed", "hung")},
-            extras={"coverage_features": len(self.coverage),
-                    "corpus_size": len(self.corpus),
-                    "failures": len(self.failures)},
-            **kwargs)
-
-    def run(self):
-        """Execute the session; returns the report dict."""
-        if self.out_dir is not None:
-            os.makedirs(self.out_dir, exist_ok=True)
-        started = time.monotonic()
-        status = self._status_writer()
-        plans = {}
-
-        def next_task():
-            if not self._budget_left(started):
-                return None
-            run_index = self._next_index
-            self._next_index += 1
-            schedule, lineage, op = self._plan_next(run_index)
-            seed = derive_mutant_seed(self.campaign_seed, lineage)
-            plans[run_index] = (run_index, lineage, op, schedule, seed)
-            return run_index, schedule.to_dict(), seed
-
-        def on_result(run_index, payload):
-            self._absorb(plans.pop(run_index), payload)
-
-        def on_tick(in_flight):
-            if status is not None:
-                self._update_status(status, in_flight=in_flight)
-
-        with BatchWorkerPool(jobs=self.jobs, timeout_s=self.timeout_s,
-                             run_limit=self.run_limit,
-                             mem_per_node=self.mem_per_node,
-                             l2_size=self.l2_size, coverage=True) as pool:
-            pool.drive(next_task, on_result, on_tick)
-        if status is not None:
-            self._update_status(status, finished=True, force=True)
-        shrunk = self._shrink_failures()
-        return self.report(elapsed_s=time.monotonic() - started,
-                           shrunk=shrunk)
-
-    # ----------------------------------------------------------- shrinking
-
-    def _shrink_failures(self):
-        """Minimize the first few distinct failures; returns their dicts."""
-        shrunk = []
-        seen = set()
-        for failure in self.failures:
-            if len(shrunk) >= self.max_shrinks:
-                break
-            if failure["fingerprint"] in seen:
-                continue
-            seen.add(failure["fingerprint"])
-            schedule = FaultSchedule.from_dict(failure["schedule"])
-            seed = failure["seed"]
-
-            def still_fails(candidate):
-                record = run_schedule_isolated(
-                    candidate, seed, timeout_s=self.timeout_s,
-                    run_limit=self.run_limit,
-                    mem_per_node=self.mem_per_node, l2_size=self.l2_size)
-                return record.status is not RunStatus.PASS
-
-            result = shrink_schedule(schedule, still_fails,
-                                     max_checks=self.shrink_checks)
-            entry = {
-                "run_index": failure["run_index"],
-                "lineage": failure["lineage"],
-                "seed": seed,
-                "status": failure["status"],
-                "problems": failure.get("problems", []),
-                "forensics": failure.get("forensics", {}),
-                "schedule": failure["schedule"],
-                "shrunk_schedule": result.schedule.to_dict(),
-                "shrink_steps": result.steps,
-                "shrink_checks": result.checks,
-                "repro": repro_command(result.schedule, seed),
-                "replay": self.replay_command(failure["lineage"]),
-            }
-            shrunk.append(entry)
-            if self.failures_path:
-                append_json_line(self.failures_path, entry)
-        return shrunk
-
-    def replay_command(self, lineage):
-        """Ready-to-paste bit-identical replay of one lineage."""
-        return ("PYTHONPATH=src python -m repro.cli fuzz --replay '%s' "
-                "--seed %d --nodes-count %d --topology %s"
-                % (lineage, self.campaign_seed, self.num_nodes,
-                   self.topology))
+    def status_extras(self):
+        """The engine's lines of the session's status heartbeat."""
+        return {"coverage_features": len(self.coverage),
+                "corpus_size": len(self.corpus)}
 
     # ------------------------------------------------------------ reporting
 
-    def report(self, elapsed_s=0.0, shrunk=()):
+    def report(self, campaign, summary, elapsed_s=0.0, shrunk=()):
+        """The session report: the runner's outcome counts plus what the
+        engine learned."""
         percentiles = (self.containment.percentiles()
                        if self.containment.count else {})
+        stats = {"runs": summary.total, "pass": summary.passed,
+                 "fail": summary.failed, "crashed": summary.crashed,
+                 "hung": summary.hung}
+        stats.update(self.stats)
         return {
-            "campaign_seed": self.campaign_seed,
-            "num_nodes": self.num_nodes,
-            "topology": self.topology,
+            "campaign_seed": campaign.campaign_seed,
+            "num_nodes": campaign.num_nodes,
+            "topology": campaign.topology,
             "strategy": self.strategy,
             "elapsed_s": elapsed_s,
-            "stats": dict(self.stats),
+            "stats": stats,
             "coverage_features": len(self.coverage),
             "corpus_size": len(self.corpus),
             "growth": list(self.growth),
@@ -366,7 +192,7 @@ class FuzzEngine:
                 "p95": percentiles.get("p95"),
                 "p99": percentiles.get("p99"),
             },
-            "failures": len(self.failures),
+            "failures": len(summary.failures()),
             "shrunk": list(shrunk),
         }
 

@@ -18,7 +18,7 @@ external assets, no dependencies) with the paper-facing statistics:
   actually reached (forensic summaries), the observational containment
   evidence;
 * **coverage growth** — the fuzz sessions' distinct-feature curve over
-  run index, showing whether the mutation loop is still finding new
+  finished runs, showing whether the mutation loop is still finding new
   behaviour.
 
 The same aggregate is available as JSON (``--json``) for dashboards.
@@ -42,19 +42,16 @@ _STATUS_COLORS = {"pass": "#2e7d32", "fail": "#c62828",
 def collect_sources(paths):
     """Resolve CLI paths into ``{path, kind, records}`` sources.
 
-    A directory is a fuzz session (``records.jsonl`` inside); a JSONL
-    file is sniffed — fuzz records carry ``lineage``, campaign records do
-    not.
+    A directory stands for the ``records.jsonl`` inside it.  Every file
+    holds one record shape (:class:`~repro.campaign.records.RunRecord`);
+    a source is a fuzz session iff its records carry a ``fuzz`` section.
     """
     sources = []
     for path in paths:
-        if os.path.isdir(path):
-            records_path = os.path.join(path, "records.jsonl")
-            sources.append({"path": path, "kind": "fuzz",
-                            "records": load_json_lines(records_path)})
-            continue
-        records = load_json_lines(path)
-        kind = ("fuzz" if records and "lineage" in records[0]
+        records = load_json_lines(
+            os.path.join(path, "records.jsonl") if os.path.isdir(path)
+            else path)
+        kind = ("fuzz" if any(record.get("fuzz") for record in records)
                 else "campaign")
         sources.append({"path": path, "kind": kind, "records": records})
     return sources
@@ -78,21 +75,11 @@ def aggregate(sources):
             status = record.get("status", "crashed")
             counts[status] = counts.get(status, 0) + 1
             outcomes[status] = outcomes.get(status, 0) + 1
-            metrics = record.get("metrics") or {}
-            section = metrics.get("availability")
+            section = (record.get("metrics") or {}).get("availability")
             if section:
                 availability_sections.append(section)
                 for duration_ms in section.get("episode_durations_ms", ()):
                     containment.observe(duration_ms)
-            elif source["kind"] == "fuzz":
-                for ns in record.get("containment_ns", ()):
-                    containment.observe(ns / 1e6)
-            else:
-                # Pre-availability campaign records still carry the last
-                # episode's recovery latency in the metrics summary.
-                total_ms = (metrics.get("recovery") or {}).get("total_ms")
-                if total_ms:
-                    containment.observe(total_ms)
             for fault in (record.get("forensics") or {}).get("faults", ()):
                 radius = len(fault.get("blast_nodes", ()))
                 blast[radius] = blast.get(radius, 0) + 1
@@ -104,9 +91,9 @@ def aggregate(sources):
         })
         if source["kind"] == "fuzz":
             seen = 0
-            for record in sorted(source["records"],
-                                 key=lambda r: r.get("run_index", 0)):
-                seen += len(record.get("new_features", ()))
+            for record in source["records"]:    # file = accounting order
+                fuzz = record.get("fuzz") or {}
+                seen += len(fuzz.get("new_features", ()))
                 fuzz_runs += 1
                 growth.append((fuzz_runs, seen))
 
@@ -234,7 +221,7 @@ def _availability_section(agg):
     avail = agg["availability"]
     if not avail.get("runs"):
         return "<h2>Availability</h2><p class='empty'>no availability " \
-               "sections (records predate the availability layer)</p>"
+               "sections in these records (no run reached a verdict)</p>"
     mttr = avail.get("mttr_ms") or {}
     mttr_html = ""
     if mttr:

@@ -2,13 +2,13 @@
 
 A 100k-schedule sweep (the ROADMAP's distributed campaign fabric) is only
 operable if a running batch can be *asked how it is doing* without
-attaching to its stderr.  The campaign runner and the fuzz engine are
-both callers of the one driving loop
-(:meth:`repro.campaign.pool.BatchWorkerPool.drive`), which ticks them at
-least every half second with the runs in flight; this module turns that
-tick into a structured heartbeat:
+attaching to its stderr.  The campaign runner — generator campaigns,
+replays and fuzz sessions alike — is the one caller of the one driving
+loop (:meth:`repro.campaign.pool.BatchWorkerPool.drive`), which ticks it
+at least every half second with the runs in flight; this module turns
+that tick into a structured heartbeat:
 
-* the driver owns a :class:`StatusWriter` pointed at a sidecar next to
+* the runner owns a :class:`StatusWriter` pointed at a sidecar next to
   its output (``<records>.status.json`` for campaigns,
   ``<out_dir>/status.json`` for fuzz sessions);
 * every update writes the *whole* status document to a temp file and
@@ -22,7 +22,8 @@ tick into a structured heartbeat:
 
 The document is deliberately self-contained: kind, pid, wall-clock
 progress, outcome counts, in-flight runs with their ages, a rate/ETA
-estimate, and engine-specific extras (coverage growth for fuzz sessions).
+estimate, and planner-specific extras (coverage and corpus sizes for fuzz
+sessions).
 """
 
 import json

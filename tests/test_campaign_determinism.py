@@ -6,6 +6,8 @@ per-run seeds are a pure function of (campaign seed, run index), and a
 same recovery structure, same virtual time, event for event.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -152,3 +154,28 @@ class TestRunDeterminism:
         assert first["metrics"]["sim_ns"] == second["metrics"]["sim_ns"]
         assert (first["metrics"]["sim_events"]
                 == second["metrics"]["sim_events"])
+
+
+class TestPinnedCampaignFile:
+    def test_campaign_jsonl_matches_pinned_digest(self, tmp_path):
+        """Byte identity of the file a campaign writes: ``fault-during-
+        recovery``, seed 7, 6 runs, both telemetry modes, every line minus
+        ``elapsed_s``, pinned at a109e33 (the last commit before fuzz
+        sessions wrote the same record type).  A change that moves it
+        changed what campaigns put on disk — a key that should have been
+        left out when empty, say."""
+        digest = hashlib.sha256()
+        for mode in ("trace", "flight"):
+            path = tmp_path / ("%s.jsonl" % mode)
+            CampaignRunner(kind="fault-during-recovery", runs=6,
+                           campaign_seed=7, jobs=1, telemetry_mode=mode,
+                           out_path=str(path)).run()
+            lines = path.read_text().splitlines()
+            assert len(lines) == 6
+            for line in lines:
+                row = json.loads(line)
+                assert line == json.dumps(row, sort_keys=True)
+                del row["elapsed_s"]
+                digest.update(json.dumps(row, sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "9dd6a5b93568463ae1fe567820079610190929e49be167163318e79f63e7b10e")

@@ -1,18 +1,22 @@
 """The fuzz loop end to end: corpus, sessions, resume, replay, CLI.
 
-The slow tests here run real (small) simulations; they are sized so the
-whole module stays within a tier-1 budget while still proving the
-acceptance criteria: coverage grows past the generator seeds, sessions
-resume from JSONL, and any recorded lineage replays bit-identically.
+A session is a :class:`CampaignRunner` with a :class:`FuzzEngine` as its
+planner.  The slow tests here run real (small) simulations; they are
+sized so the whole module stays within a tier-1 budget while still
+proving the acceptance criteria: coverage grows past the generator
+seeds, sessions resume from JSONL, and any recorded lineage replays
+bit-identically.
 """
 
+import hashlib
 import json
 
 import pytest
 
-from repro.campaign.records import RunStatus
-from repro.campaign.runner import run_schedule_isolated
+from repro.campaign.records import RunStatus, load_json_lines
+from repro.campaign.runner import CampaignRunner, run_schedule_isolated
 from repro.campaign.schedule import SCHEDULE_GENERATORS
+from repro.campaign.shrink import shrink_failures
 from repro.cli import main as cli_main
 from repro.fuzz.corpus import Corpus, CorpusEntry
 from repro.fuzz.coverage import CoverageMap
@@ -25,10 +29,22 @@ from repro.fuzz.mutate import (
 )
 
 
+def _session(out, executed=None, **campaign):
+    """A fresh engine and the runner of a session in directory ``out``
+    (the layout ``repro.cli fuzz`` uses)."""
+    engine = FuzzEngine()
+    runner = CampaignRunner(
+        planner=engine, campaign_seed=0,
+        out_path=str(out / "records.jsonl"),
+        status_path=str(out / "status.json"),
+        progress=None if executed is None
+        else lambda record: executed.append(record.run_index), **campaign)
+    return engine, runner
+
+
 def _entry(kind, salt, features):
     schedule, lineage = root_schedule(0, kind, salt)
-    return CorpusEntry(lineage=lineage, schedule=schedule, seed=salt,
-                       features=features)
+    return CorpusEntry(lineage, schedule, features)
 
 
 class TestCorpus:
@@ -64,20 +80,6 @@ class TestCorpus:
             donor = corpus.select_donor(rng, parent)
             assert donor.fingerprint != parent.fingerprint
 
-    def test_jsonl_round_trip_tolerates_torn_line(self, tmp_path):
-        path = str(tmp_path / "corpus.jsonl")
-        corpus = Corpus()
-        for salt in range(3):
-            entry = _entry("random-multi", salt, ["f%d" % salt])
-            corpus.add(entry)
-            corpus.append_to(path, entry)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"lineage": "g:torn')   # killed mid-append
-        loaded = Corpus.load(path)
-        assert len(loaded) == 3
-        assert [e.to_dict() for e in loaded.entries] \
-            == [e.to_dict() for e in corpus.entries]
-
 
 class TestFuzzSession:
     """One tiny real session, shared across the assertions below."""
@@ -91,20 +93,30 @@ class TestFuzzSession:
     @pytest.fixture(autouse=True, scope="class")
     def session(self, request, tmp_path_factory):
         out = tmp_path_factory.mktemp("fuzz")
-        engine = FuzzEngine(campaign_seed=0, runs=self.RUNS, jobs=2,
-                            out_dir=str(out), max_shrinks=1,
-                            shrink_checks=10)
-        report = engine.run()
+        engine, runner = _session(out, runs=self.RUNS, jobs=2)
+        summary = runner.run()
+        shrunk = shrink_failures(runner, summary.failures(), limit=1,
+                                 max_checks=10)
         request.cls.out = out
         request.cls.engine = engine
-        request.cls.report = report
+        request.cls.report = engine.report(runner, summary, shrunk=shrunk)
+        request.cls.records = load_json_lines(str(out / "records.jsonl"))
 
     def test_all_runs_recorded(self):
         assert self.report["stats"]["runs"] == self.RUNS
-        with open(self.out / "records.jsonl", encoding="utf-8") as handle:
-            records = [json.loads(line) for line in handle if line.strip()]
-        assert sorted(r["run_index"] for r in records) \
+        assert sorted(r["run_index"] for r in self.records) \
             == list(range(self.RUNS))
+
+    def test_records_are_run_records_with_a_fuzz_section(self):
+        """One record type: what a campaign run carries, plus ``fuzz``."""
+        for record in self.records:
+            assert set(record["fuzz"]) == {
+                "lineage", "op", "fingerprint", "features", "new_features",
+                "escape", "injector_skips"}
+            assert "containment_ns" not in record
+            if record["status"] in ("pass", "fail"):
+                assert record["metrics"]["availability"]["episodes"] \
+                    == record["episodes"]
 
     def test_coverage_grows_past_the_seed_corpus(self):
         """Acceptance criterion: the generators alone seed the corpus;
@@ -115,26 +127,23 @@ class TestFuzzSession:
         assert self.report["corpus_size"] >= 1
 
     def test_seed_runs_cover_every_generator(self):
-        with open(self.out / "records.jsonl", encoding="utf-8") as handle:
-            records = [json.loads(line) for line in handle if line.strip()]
-        seeds = [r for r in records if r["op"] == "seed"
+        seeds = [r["fuzz"] for r in self.records
+                 if r["fuzz"]["op"] == "seed"
                  and r["run_index"] < len(SCHEDULE_GENERATORS)]
-        kinds = {r["lineage"].split(":")[1] for r in seeds}
+        kinds = {fuzz["lineage"].split(":")[1] for fuzz in seeds}
         assert kinds == set(SCHEDULE_GENERATORS)
 
     def test_every_recorded_lineage_rebuilds_its_schedule(self):
-        with open(self.out / "records.jsonl", encoding="utf-8") as handle:
-            records = [json.loads(line) for line in handle if line.strip()]
-        for record in records:
-            rebuilt = rebuild_from_lineage(0, record["lineage"])
-            assert rebuilt.to_dict() == record["schedule"], \
-                record["lineage"]
+        for record in self.records:
+            lineage = record["fuzz"]["lineage"]
+            rebuilt = rebuild_from_lineage(0, lineage)
+            assert rebuilt.to_dict() == record["schedule"], lineage
 
     def test_recorded_run_replays_bit_identically(self):
-        with open(self.out / "records.jsonl", encoding="utf-8") as handle:
-            record = json.loads(handle.readline())
-        schedule = rebuild_from_lineage(0, record["lineage"])
-        seed = derive_mutant_seed(0, record["lineage"])
+        record = self.records[0]
+        lineage = record["fuzz"]["lineage"]
+        schedule = rebuild_from_lineage(0, lineage)
+        seed = derive_mutant_seed(0, lineage)
         assert seed == record["seed"]
 
         def replay():
@@ -146,18 +155,66 @@ class TestFuzzSession:
         first, second = replay(), replay()
         assert first == second
         assert first["status"] == record["status"]
+        # The session's record is that same run plus the fuzz section.
+        first.pop("run_index")
+        assert first == {key: value for key, value in record.items()
+                         if key not in ("elapsed_s", "fuzz", "run_index")}
 
     def test_resume_continues_at_next_index(self):
-        resumed = FuzzEngine(campaign_seed=0, runs=self.RUNS,
-                             out_dir=str(self.out))
-        assert resumed.resume() == self.RUNS
+        executed = []
+        resumed, runner = _session(self.out, executed, runs=self.RUNS)
+        assert runner.run().total == self.RUNS
+        assert executed == []
         assert len(resumed.coverage) == self.report["coverage_features"]
         assert len(resumed.corpus) == self.report["corpus_size"]
-        assert resumed._next_index == self.RUNS
         # A resumed session with a larger budget plans fresh indices.
-        resumed.runs = self.RUNS + 1
-        schedule, lineage, _op = resumed._plan_next(self.RUNS)
+        schedule, lineage, _op = resumed._plan_next(runner, self.RUNS)
         assert lineage   # planning works off the reloaded corpus
+
+    def test_resumed_engine_equals_the_live_one(self):
+        """Resume replays the records in file order — the order the live
+        ``jobs=2`` session accounted them in — so first-seen credit, the
+        growth curve and corpus admission come out the same."""
+        resumed, runner = _session(self.out, runs=self.RUNS)
+        runner.run()
+        live = self.engine
+        assert resumed.coverage.hits == live.coverage.hits
+        assert resumed.growth == live.growth
+        assert [entry.fingerprint for entry in resumed.corpus.entries] \
+            == [entry.fingerprint for entry in live.corpus.entries]
+        assert resumed.seen_fingerprints == live.seen_fingerprints
+        assert resumed.containment.buckets == live.containment.buckets
+
+    def test_resume_credits_first_seen_in_file_order(self, tmp_path):
+        """Not in run-index order: the record a live session accounted
+        first is the one that got the first-seen credit."""
+        with open(tmp_path / "records.jsonl", "w") as handle:
+            for record in reversed(self.records):
+                handle.write(json.dumps(record) + "\n")
+        resumed, runner = _session(tmp_path, runs=self.RUNS)
+        runner.run()
+        last = self.records[-1]["fuzz"]
+        assert resumed.corpus.entries[0].fingerprint == last["fingerprint"]
+        assert resumed.growth[0] == (1, len(last["features"]))
+
+    def test_resume_fills_a_hole(self, tmp_path):
+        """A parent killed at ``--jobs 2`` leaves a middle index missing;
+        the resumed session runs exactly that index."""
+        hole = 3
+        with open(tmp_path / "records.jsonl", "w") as handle:
+            for record in self.records:
+                if record["run_index"] != hole:
+                    handle.write(json.dumps(record) + "\n")
+        executed = []
+        engine, runner = _session(tmp_path, executed, runs=self.RUNS)
+        summary = runner.run()
+        assert executed == [hole]
+        assert [record.run_index for record in summary.records] \
+            == list(range(self.RUNS))
+        assert engine.accounted == self.RUNS
+        recorded = load_json_lines(str(tmp_path / "records.jsonl"))
+        assert sorted(r["run_index"] for r in recorded) \
+            == list(range(self.RUNS))
 
     def test_report_formats(self):
         text = format_report(self.report)
@@ -165,17 +222,84 @@ class TestFuzzSession:
         assert "%d runs" % self.RUNS in text
 
 
+class TestPinnedTrajectory:
+    """A ``jobs=1`` session is deterministic from its seed; this one is
+    pinned to what commit a109e33 (the last with a private fuzz harness)
+    planned, learned and measured."""
+
+    def test_seed_0_eight_runs_match_the_pinned_session(self, tmp_path):
+        engine, runner = _session(tmp_path, runs=8, jobs=1)
+        summary = runner.run()
+        records = load_json_lines(str(tmp_path / "records.jsonl"))
+        steps = [(r["run_index"], r["fuzz"]["lineage"], r["fuzz"]["op"],
+                  r["seed"], r["status"], len(r["fuzz"]["features"]))
+                 for r in records]
+        assert steps == [
+            (0, "g:correlated-link-router:0", "seed",
+             2386620223787653712, "pass", 36),
+            (1, "g:false-alarm-storm:0", "seed",
+             6625035737852725587, "pass", 32),
+            (2, "g:fault-during-recovery:0", "seed",
+             6472825155648837629, "pass", 37),
+            (3, "g:flaky-links:0", "seed",
+             3010554384421439401, "pass", 37),
+            (4, "g:random-multi:0", "seed",
+             5951196366663144337, "pass", 34),
+            (5, "g:flaky-links:0/m40:retarget", "retarget",
+             4817939335188362069, "pass", 36),
+            (6, "g:flaky-links:0/m49:swap-model", "swap-model",
+             3276882237784319572, "pass", 36),
+            (7, "g:flaky-links:0/m56:perturb-time", "perturb-time",
+             3866202923197141521, "pass", 37),
+        ]
+        learned = [r["fuzz"]["new_features"] for r in records]
+        assert learned[0] == records[0]["fuzz"]["features"]
+        assert learned[1:] == [
+            ["bl|contained|0|1", "bl|contained|0|3", "dk|LOCKED|INVAL",
+             "trig|false_alarm"],
+            ["bl|contained|1|3", "pe|P2>P1|x",
+             "re|dissemination round 1: no message from 3 at 1", "rs|1"],
+            ["ab|3", "bl|contained|0|2", "bl|contained|1|1",
+             "dk|LOCKED|FWD_GET"],
+            [],
+            ["bl|contained|0|0", "dk|EXCLUSIVE|UC_READ"],
+            [],
+            ["ab|4"],
+        ]
+        # The same sequence with every feature list spelled out.
+        full = [[r["run_index"], r["fuzz"]["lineage"], r["fuzz"]["op"],
+                 r["seed"], r["status"], r["fuzz"]["features"],
+                 r["fuzz"]["new_features"]] for r in records]
+        assert hashlib.sha256(json.dumps(
+            full, sort_keys=True).encode()).hexdigest() == (
+            "d850f7cc7c80de419feead3fcb890b165e34c6fe5fc44481648b97fe28303f47")
+        report = engine.report(runner, summary)
+        assert report["coverage_features"] == 51
+        assert report["corpus_size"] == 6
+        assert report["growth"] == [(1, 36), (2, 40), (3, 44), (4, 48),
+                                    (6, 50), (8, 51)]
+        assert report["containment_ns"] == {
+            "count": 8, "p50": 16777216, "p95": 225851500.0,
+            "p99": 225851500.0}
+        assert report["stats"] == {
+            "runs": 8, "pass": 8, "fail": 0, "crashed": 0, "hung": 0,
+            "skip_noop": 0, "skip_dup": 1, "new_coverage_runs": 6,
+            "injector_skips": 0, "fresh_roots": 0}
+
+
 class TestStrategies:
     def test_random_strategy_plans_only_roots(self):
-        engine = FuzzEngine(campaign_seed=0, runs=20, strategy="random")
+        engine = FuzzEngine(strategy="random")
+        campaign = CampaignRunner(campaign_seed=0)
         for run_index in range(12):
-            _schedule, lineage, op = engine._plan_next(run_index)
+            _schedule, lineage, op = engine._plan_next(campaign, run_index)
             assert op == "seed"
             assert lineage.startswith("g:")
             assert "/m" not in lineage
 
     def test_coverage_strategy_breeds_after_seeding(self):
-        engine = FuzzEngine(campaign_seed=0, runs=50)
+        engine = FuzzEngine()
+        campaign = CampaignRunner(campaign_seed=0)
         # Fake a seeded state: corpus + coverage without running sims.
         for salt, kind in enumerate(sorted(SCHEDULE_GENERATORS)):
             entry = _entry(kind, 0, ["f|%s" % kind])
@@ -184,7 +308,7 @@ class TestStrategies:
             engine.seen_fingerprints.add(entry.fingerprint)
         ops = set()
         for run_index in range(len(SCHEDULE_GENERATORS), 40):
-            _schedule, _lineage, op = engine._plan_next(run_index)
+            _schedule, _lineage, op = engine._plan_next(campaign, run_index)
             ops.add(op)
         assert ops - {"seed"}, "mutation ops never selected"
 
@@ -215,7 +339,8 @@ class TestCli:
         # Replay one recorded lineage; exit code mirrors the verdict.
         with open(out / "records.jsonl", encoding="utf-8") as handle:
             record = json.loads(handle.readline())
-        code = cli_main(["fuzz", "--replay", record["lineage"], "--seed",
+        lineage = record["fuzz"]["lineage"]
+        code = cli_main(["fuzz", "--replay", lineage, "--seed",
                          "0", "--summary-json"])
         replayed = json.loads(capsys.readouterr().out)
         assert replayed["status"] == record["status"]

@@ -197,15 +197,22 @@ def _campaign_record(status="pass", durations=(20.0,), blast=None):
     return record
 
 
-def _fuzz_record(run_index, new_features=(), containment_ns=(),
-                 status="pass"):
-    return {
-        "run_index": run_index,
-        "status": status,
-        "lineage": [],
+def _fuzz_record(run_index, new_features=(), durations=(), status="pass"):
+    """A fuzz session's line: a campaign record plus the ``fuzz`` section
+    (an aborted run has no metrics)."""
+    record = (_campaign_record(status, durations)
+              if status in ("pass", "fail") else {"status": status})
+    record["run_index"] = run_index
+    record["fuzz"] = {
+        "lineage": "g:random-multi:%d" % run_index,
+        "op": "seed",
+        "fingerprint": "%032x" % run_index,
+        "features": list(new_features),
         "new_features": list(new_features),
-        "containment_ns": list(containment_ns),
+        "escape": False,
+        "injector_skips": 0,
     }
+    return record
 
 
 def _write_jsonl(path, records):
@@ -248,8 +255,7 @@ class TestAggregate:
         session = tmp_path / "session"
         session.mkdir()
         _write_jsonl(session / "records.jsonl", [
-            _fuzz_record(0, new_features=["a", "b"],
-                         containment_ns=(25e6,)),
+            _fuzz_record(0, new_features=["a", "b"], durations=(25.0,)),
             _fuzz_record(1, new_features=["c"], status="hung"),
         ])
         agg = aggregate(collect_sources([str(campaign), str(session)]))
@@ -257,23 +263,36 @@ class TestAggregate:
         assert agg["runs"] == 4
         assert agg["outcomes"] == {"pass": 2, "fail": 1, "crashed": 0,
                                    "hung": 1}
-        # 3 availability episodes + 1 fuzz containment_ns fallback.
+        # 3 campaign episodes + 1 fuzz episode, one place to read them.
         assert agg["containment_ms"]["count"] == 4
         assert agg["containment_ms"]["p50"] is not None
         assert agg["containment_ms"]["p50"] <= agg["containment_ms"]["p99"]
-        assert agg["availability"]["runs"] == 2
-        assert agg["availability"]["mttr_ms"]["count"] == 3
+        assert agg["availability"]["runs"] == 3
+        assert agg["availability"]["mttr_ms"]["count"] == 4
         assert agg["blast_radius"] == {"1": 1, "2": 1}
         assert agg["coverage_growth"] == [(1, 2), (2, 3)]
 
-    def test_pre_availability_records_fall_back_to_recovery(self,
-                                                           tmp_path):
-        path = tmp_path / "old.jsonl"
-        _write_jsonl(path, [{"status": "pass",
-                             "metrics": {"recovery": {"total_ms": 42.0}}}])
-        agg = aggregate(collect_sources([str(path)]))
-        assert agg["containment_ms"]["count"] == 1
-        assert agg["availability"]["runs"] == 0
+    def test_fuzz_runs_count_in_the_availability_table(self, tmp_path):
+        """A fuzz record is a campaign record: its episodes are in the
+        fleet's MTTR distribution and its run in the availability mean."""
+        campaign = tmp_path / "records.jsonl"
+        _write_jsonl(campaign, [_campaign_record(durations=(20.0,))])
+        session = tmp_path / "session"
+        session.mkdir()
+        _write_jsonl(session / "records.jsonl", [
+            _fuzz_record(0, ["a"], durations=(30.0, 40.0)),
+            _fuzz_record(1, ["b"], durations=(50.0,), status="fail"),
+            _fuzz_record(2, status="crashed"),
+        ])
+        alone = aggregate(collect_sources([str(campaign)]))
+        mixed = aggregate(collect_sources([str(campaign), str(session)]))
+        assert alone["availability"]["runs"] == 1
+        assert alone["availability"]["mttr_ms"]["count"] == 1
+        assert mixed["availability"]["runs"] == 3
+        assert mixed["availability"]["episodes"] == 4
+        assert mixed["availability"]["mttr_ms"]["count"] == 4
+        assert mixed["availability"]["mttr_ms"]["mean"] == 35.0
+        assert mixed["containment_ms"]["count"] == 4
 
 
 class TestRenderHtml:
