@@ -79,7 +79,7 @@ _REQUEST_KINDS = frozenset({
     MessageKind.GET, MessageKind.GETX, MessageKind.PUT,
     MessageKind.UC_READ, MessageKind.UC_WRITE,
     MessageKind.FWD_GET, MessageKind.FWD_GETX, MessageKind.INVAL,
-    MessageKind.PAGE_SCRUB,
+    MessageKind.PAGE_SCRUB, MessageKind.FLUSH_DONE,
 })
 
 

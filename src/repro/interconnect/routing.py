@@ -5,10 +5,13 @@ recomputed so that traffic is routed around the failed regions *without
 introducing cycles* in the channel-dependency graph (which would risk
 wormhole deadlock).  The paper uses the turn method and techniques from its
 citations [5][21] and notes a fully general solution is open; as our
-substitute we implement up*/down* routing on a BFS tree of the surviving
-graph, which is provably deadlock-free and handles arbitrary fault shapes as
-long as the surviving graph stays connected (the paper makes the same
-connectivity assumption).
+substitute we implement Autonet up*/down* routing over every surviving link:
+links are oriented "up" toward the end nearer the lowest-id surviving router
+(by BFS depth, then id), and a routed path never turns from a down hop back
+to an up hop, so the channel-dependency graph is acyclic.  Paths stay
+shortest among the legal ones (minimal on a healthy mesh or hypercube), and
+arbitrary fault shapes are handled as long as the surviving graph stays
+connected (the paper makes the same connectivity assumption).
 
 All functions here are pure: they take an explicit description of the
 surviving graph and return tables, so the recovery code can run them on each
@@ -79,13 +82,23 @@ def connected_component(adjacency, start):
 def compute_up_down_tables(adjacency, dead_node_controllers=()):
     """Compute deadlock-free routing tables for the surviving graph.
 
-    We route along the BFS tree rooted at the lowest-id surviving router:
-    a packet climbs toward the root until the destination lies in the
-    current router's subtree, then descends tree links to it.  Every routed
-    path is therefore up*down* along *tree* links only, and because the
-    "destination in my subtree" predicate is consistent across routers, the
-    per-router tables chain into exactly those paths — which makes the
-    induced channel-dependency graph acyclic (verified by a property test).
+    Autonet up*/down* routing over *every* surviving link.  Routers are
+    ranked by ``(BFS depth, id)`` from the lowest-id surviving router, and
+    each link is oriented "up" toward its lower-ranked end.  A legal path is
+    zero or more up hops followed by zero or more down hops; it never turns
+    from a down hop back to an up hop.  Per destination:
+
+    * a router from which ``dst`` is reachable by down hops alone takes the
+      next hop of a shortest down-only path (so a packet that has taken a
+      down hop keeps descending: its next router has a down-only path too);
+    * every other router takes the up hop that minimises the remaining
+      distance under these tables (the root reaches everything by down
+      hops along its BFS tree, so an up hop always exists and leads there).
+
+    Deadlock freedom: up channels depend only on up channels of strictly
+    lower rank or on down channels, and down channels only on down channels
+    of strictly higher rank, so the channel-dependency graph is acyclic
+    (also checked by property tests).  Ties break toward the lower port.
 
     Parameters
     ----------
@@ -98,50 +111,51 @@ def compute_up_down_tables(adjacency, dead_node_controllers=()):
 
     Returns
     -------
-    dict ``router_id -> {dst_node -> port}`` covering every surviving
-    destination.
+    dict ``router_id -> {dst_node -> port}`` covering every destination
+    reachable from the root.
     """
     if not adjacency:
         return {}
-    root = min(adjacency)
-    parent, _depth = bfs_tree(adjacency, root)
-    live_routers = set(parent)
-    destinations = sorted(
-        rid for rid in live_routers if rid not in set(dead_node_controllers))
+    _, depth = bfs_tree(adjacency, min(adjacency))
+    routers = sorted(depth, key=lambda rid: (depth[rid], rid))
+    rank = {rid: index for index, rid in enumerate(routers)}
+    up = {rid: [] for rid in routers}      # rid -> [(port, lower-rank nbr)]
+    down = {rid: [] for rid in routers}    # rid -> [(port, higher-rank nbr)]
+    for rid in routers:
+        for port, nbr, _ in adjacency[rid]:
+            if nbr in rank:
+                (up if rank[nbr] < rank[rid] else down)[rid].append(
+                    (port, nbr))
+    dead = set(dead_node_controllers)
 
-    # ancestry[rid] = chain from rid up to root (inclusive), as a list.
-    ancestry = {}
-    for rid in live_routers:
-        chain = []
-        walk = rid
-        while walk is not None:
-            chain.append(walk)
-            walk = parent[walk]
-        ancestry[rid] = chain
-
-    tables = {rid: {} for rid in live_routers}
-    for dst in destinations:
-        dst_chain = ancestry[dst]
-        dst_ancestors = set(dst_chain)
-        for rid in live_routers:
-            if rid == dst:
-                continue
-            if rid in dst_ancestors:
-                # dst is in rid's subtree: step down toward dst along the
-                # tree — the next hop is dst's ancestor one level below rid.
-                child = dst_chain[dst_chain.index(rid) - 1]
-                tables[rid][dst] = _port_toward(adjacency, rid, child)
+    tables = {rid: {} for rid in routers}
+    for dst in sorted(depth):
+        if dst in dead:
+            continue
+        # Shortest down-only distance to dst: BFS from dst walking links
+        # backwards, i.e. from each router to its up neighbours.
+        down_dist = {dst: 0}
+        frontier = deque([dst])
+        while frontier:
+            rid = frontier.popleft()
+            for _, nbr in up[rid]:
+                if nbr not in down_dist:
+                    down_dist[nbr] = down_dist[rid] + 1
+                    frontier.append(nbr)
+        # Rank order settles every up neighbour before the router itself.
+        dist = {}
+        for rid in routers:
+            if rid in down_dist:
+                dist[rid] = down_dist[rid]
+                if rid != dst:
+                    tables[rid][dst] = min(
+                        (down_dist[nbr], port) for port, nbr in down[rid]
+                        if nbr in down_dist)[1]
             else:
-                tables[rid][dst] = _port_toward(adjacency, rid, parent[rid])
+                hops, port = min((dist[nbr], port) for port, nbr in up[rid])
+                dist[rid] = hops + 1
+                tables[rid][dst] = port
     return tables
-
-
-def _port_toward(adjacency, src, neighbor):
-    for port, nbr, _ in adjacency[src]:
-        if nbr == neighbor:
-            return port
-    raise ConfigurationError(
-        "no port from %r toward %r" % (src, neighbor))
 
 
 def compute_source_route(adjacency, src, dst):

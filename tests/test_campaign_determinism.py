@@ -161,9 +161,12 @@ class TestPinnedCampaignFile:
         """Byte identity of the file a campaign writes: ``fault-during-
         recovery``, seed 7, 6 runs, both telemetry modes, every line minus
         ``elapsed_s``, pinned at a109e33 (the last commit before fuzz
-        sessions wrote the same record type).  A change that moves it
-        changed what campaigns put on disk — a key that should have been
-        left out when empty, say."""
+        sessions wrote the same record type) and re-pinned when P3's
+        tables became up*/down* over every surviving link (simulated
+        times, event and packet counts moved; every status, restart count
+        and episode count stayed).  A change that moves it changed what
+        campaigns put on disk — a key that should have been left out when
+        empty, say."""
         digest = hashlib.sha256()
         for mode in ("trace", "flight"):
             path = tmp_path / ("%s.jsonl" % mode)
@@ -178,4 +181,4 @@ class TestPinnedCampaignFile:
                 del row["elapsed_s"]
                 digest.update(json.dumps(row, sort_keys=True).encode())
         assert digest.hexdigest() == (
-            "9dd6a5b93568463ae1fe567820079610190929e49be167163318e79f63e7b10e")
+            "2d044abe55e6f4b6df6da22e5c727983c98965d70230cf8f207127817e1b3512")

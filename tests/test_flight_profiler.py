@@ -329,8 +329,10 @@ class TestWorkerFlightMode:
     def test_worker_payloads_match_pinned_digest(self):
         """Byte identity of what a worker hands back — summaries, metrics
         and HUNG flight dumps — across both retention policies, pinned at
-        0013436 (the last commit with two recorder classes).  A change
-        that moves it changed the records campaigns write.  Packet uids
+        0013436 (the last commit with two recorder classes) and re-pinned
+        when P3's tables became up*/down* over every surviving link (every
+        status, restart count and dump presence stayed).  A change that
+        moves it changed the records campaigns write.  Packet uids
         come from a process-wide counter, so each dump's are rebased to
         its smallest: the digest must not depend on which tests ran
         before."""
@@ -354,7 +356,7 @@ class TestWorkerFlightMode:
                             payload, sort_keys=True).encode())
         assert hung_dumps == 12     # every 3 ms flight-mode run, no other
         assert digest.hexdigest() == (
-            "0322e8425335ef44d8f1b978feb9f9b41ad08cf49e9a45bf931c5bba72fb51c1")
+            "d1f6c3ab5ee3bec2ac4d429b32e68473ea3b495200d6aeea56cc798293097ca4")
 
 
 class TestFlightForensics:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.coherence.messages import MessageKind, make_packet
 from repro.common.params import TimingParams
 from repro.common.types import Lane
 from repro.interconnect.network import Network
@@ -258,6 +259,31 @@ class TestFailures:
             Packet(src=1, dst=2, lane=Lane.REQUEST, kind="innocent"))
         sim.run(until=200_000)
         assert received == []   # stuck behind the congestion
+
+
+class TestFlushBarrierOrdering:
+    def test_flush_done_trails_a_backed_up_writeback(self):
+        """§4.5: FLUSH_DONE rides behind the sender's PUTs.  With the
+        receiver's inbox full and the request lane backed up from it, a
+        FLUSH_DONE on any other lane would overtake the queued PUT."""
+        sim, params, network = build(4, 1, magic_inbox_capacity=1,
+                                     buffer_capacity=1)
+        sender = network.interface(0)
+        for line in range(6):
+            sender.send(make_packet(params, 0, 3, MessageKind.GET,
+                                    {"line": line}))
+        sender.send(make_packet(params, 0, 3, MessageKind.PUT,
+                                {"line": 99}))
+        sender.send(make_packet(params, 0, 3, MessageKind.FLUSH_DONE,
+                                {"sender": 0}))
+        sim.run(until=100_000)
+        assert network.total_buffered_packets() >= 3   # lane backed up
+        received = []
+        drain_all(sim, network, 3, received)
+        sim.run(until=1_000_000)
+        kinds = [packet.kind for _, packet in received]
+        assert kinds.index(MessageKind.PUT) < kinds.index(
+            MessageKind.FLUSH_DONE)
 
 
 class TestRecoveryLaneStallDiscard:
