@@ -98,18 +98,6 @@ class Packet:
     def is_recovery(self):
         return self.lane in (Lane.RECOVERY_A, Lane.RECOVERY_B)
 
-    def next_route_port(self):
-        """Peek the next source-route hop, or None when the route is done."""
-        if self.source_route is None:
-            return None
-        if self.route_index >= len(self.source_route):
-            return None
-        return self.source_route[self.route_index]
-
-    def advance_route(self):
-        """Consume one source-route hop."""
-        self.route_index += 1
-
     def truncate(self):
         """Mark the packet truncated and discard its data payload (§3.1)."""
         self.truncated = True

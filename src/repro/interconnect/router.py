@@ -39,8 +39,8 @@ from repro.interconnect.packet import (
 #: The port connecting a router to its own node's controller.
 LOCAL_PORT = -1
 
-_NORMAL_LANES = (Lane.REQUEST, Lane.REPLY)
 _RECOVERY_LANES = (Lane.RECOVERY_A, Lane.RECOVERY_B)
+_ROUTER_KINDS = (ROUTER_PROBE, ROUTER_SET_DISCARD, ROUTER_SET_TABLE)
 
 
 def _payload_line(packet):
@@ -212,6 +212,7 @@ class Router:
         self.params = params
         self.router_id = router_id
         self.links = {}              # port -> Link
+        self._ports = {}             # port -> (link, downstream, its port)
         self.node_interface = None   # NodeInterface on LOCAL_PORT
         self.table = {}              # dst node -> port (normal lanes)
         self.discard_ports = set()   # isolation during interconnect recovery
@@ -220,8 +221,12 @@ class Router:
         self.trace = None            # telemetry recorder (None: disabled)
         self.fault_lineage = None    # (root id, inject eid) when failed
 
+        self._lane_capacity = {
+            lane: (params.recovery_buffer_capacity
+                   if lane in _RECOVERY_LANES else params.buffer_capacity)
+            for lane in Lane}
         self._buffers = {}           # (port, lane) -> deque of packets
-        self._scan_order = ()        # (key, port, lane, deque), scan order
+        self._scan_order = ()        # (key, port, lane, deque, recovery?)
         self._head_since = {}        # (port, lane) -> time current head stalled
         self._reserved = {}          # (port, lane) -> credits handed upstream
         self._output_busy_until = {} # port -> time
@@ -232,6 +237,7 @@ class Router:
 
     def attach_link(self, port, link):
         self.links[port] = link
+        self._ports[port] = (link,) + link.other_side(self.router_id)
         for lane in Lane:
             self._buffers[(port, lane)] = deque()
             self._reserved[(port, lane)] = 0
@@ -251,7 +257,8 @@ class Router:
         """Buffers only appear at wiring time, so the deterministic scan
         order is computed here instead of re-sorting on every wakeup."""
         self._scan_order = tuple(
-            (key, key[0], key[1], self._buffers[key])
+            (key, key[0], key[1], self._buffers[key],
+             key[1] in _RECOVERY_LANES)
             for key in sorted(self._buffers,
                               key=lambda k: (k[0], int(k[1]))))
 
@@ -259,26 +266,7 @@ class Router:
         """Schedule the first forwarding scan."""
         self.sim.schedule(0.0, self._run)
 
-    # -- capacity / credits -----------------------------------------------------
-
-    def _capacity(self, lane):
-        if lane in _RECOVERY_LANES:
-            return self.params.recovery_buffer_capacity
-        return self.params.buffer_capacity
-
-    def free_slots(self, port, lane):
-        key = (port, lane)
-        return (self._capacity(lane)
-                - len(self._buffers[key]) - self._reserved[key])
-
-    def try_reserve(self, port, lane):
-        """Reserve one downstream slot for an in-flight transfer."""
-        if self.failed:
-            return True   # failed routers sink anything sent at them
-        if self.free_slots(port, lane) <= 0:
-            return False
-        self._reserved[(port, lane)] += 1
-        return True
+    # -- arrivals -----------------------------------------------------------------
 
     def _note_drop(self, reason, packet, lineage=None):
         """Emit a telemetry event for a dropped packet (stats already
@@ -298,18 +286,18 @@ class Router:
 
     def receive(self, packet, port, lane):
         """A transfer completed: enqueue the packet at an input buffer."""
-        self._reserved[(port, lane)] = max(
-            0, self._reserved[(port, lane)] - 1)
+        key = (port, lane)
+        self._reserved[key] = max(0, self._reserved[key] - 1)
         if self.failed:
             self.stats.dropped_failed += 1
             self._note_drop("failed_router", packet, self.fault_lineage)
             return
-        if packet.is_source_routed:
+        if packet.source_route is not None:
             packet.trace_ports.append(port)
         packet.hops += 1
-        buffer = self._buffers[(port, lane)]
+        buffer = self._buffers[key]
         if not buffer:
-            self._head_since[(port, lane)] = self.sim.now
+            self._head_since[key] = self.sim.now
         buffer.append(packet)
         self.notify()
 
@@ -323,7 +311,7 @@ class Router:
             return True
         key = (LOCAL_PORT, packet.lane)
         if (len(self._buffers[key]) + self._reserved[key]
-                >= self._capacity(packet.lane)):
+                >= self._lane_capacity[packet.lane]):
             return False
         if not self._buffers[key]:
             self._head_since[key] = self.sim.now
@@ -357,25 +345,21 @@ class Router:
     def _scan_once(self):
         """One pass over all input buffers, forwarding whatever can move."""
         now = self.sim.now
-        for key, port, lane, buffer in self._scan_order:
+        try_forward = self._try_forward
+        for key, port, lane, buffer, recovery in self._scan_order:
             while buffer:
-                packet = buffer[0]
-                outcome = self._try_forward(packet, port, lane, now)
-                if outcome == "moved":
+                if try_forward(buffer[0], port, lane, now):
                     buffer.popleft()
                     if buffer:
                         self._head_since[key] = now
                     self._credit_upstream(port)
                     continue
-                if outcome == "blocked":
-                    self._maybe_stall_discard(key, buffer, port, lane, now)
-                    break
-                raise AssertionError(outcome)
+                if recovery:
+                    self._maybe_stall_discard(key, buffer, port, now)
+                break
 
-    def _maybe_stall_discard(self, key, buffer, port, lane, now):
-        """Discard long-stalled recovery-lane packets (paper §4.1)."""
-        if lane not in _RECOVERY_LANES:
-            return
+    def _maybe_stall_discard(self, key, buffer, port, now):
+        """Discard a long-stalled recovery-lane head packet (paper §4.1)."""
         stalled_for = now - self._head_since.get(key, now)
         threshold = self.params.recovery_stall_discard
         if stalled_for >= threshold:
@@ -396,33 +380,32 @@ class Router:
             if self.node_interface is not None:
                 self.node_interface.notify_space()
             return
-        link = self.links.get(port)
-        if link is None:
-            return
-        upstream, _ = link.other_side(self.router_id)
-        upstream.notify()
-
-    def _route_of(self, packet):
-        """Output port for a packet, or None if unroutable."""
-        if packet.is_source_routed:
-            next_port = packet.next_route_port()
-            if next_port is None:
-                return LOCAL_PORT
-            return next_port
-        if packet.dst == self.router_id:
-            return LOCAL_PORT
-        return self.table.get(packet.dst)
+        wired = self._ports.get(port)
+        if wired is not None:
+            wired[1].notify()
 
     def _try_forward(self, packet, in_port, lane, now):
-        out_port = self._route_of(packet)
+        """Move the head packet of an input buffer one step.
 
-        if out_port is None:
-            self.stats.dropped_unroutable += 1
-            self._note_drop("unroutable", packet)
-            return "moved"   # consumed (dropped)
+        Returns True when it left the buffer (forwarded, delivered, handled
+        by the router or dropped) and False when it is blocked.  The checks
+        run in a fixed order, so an intermittent link draws its RNG only
+        for a packet that would otherwise cross it.
+        """
+        route = packet.source_route
+        if route is not None:
+            index = packet.route_index
+            out_port = route[index] if index < len(route) else LOCAL_PORT
+        elif packet.dst == self.router_id:
+            out_port = LOCAL_PORT
+        else:
+            out_port = self.table.get(packet.dst)
+            if out_port is None:
+                self.stats.dropped_unroutable += 1
+                self._note_drop("unroutable", packet)
+                return True
 
-        if out_port == LOCAL_PORT and packet.kind in (
-                ROUTER_PROBE, ROUTER_SET_DISCARD, ROUTER_SET_TABLE):
+        if out_port == LOCAL_PORT and packet.kind in _ROUTER_KINDS:
             # Router-addressed packets are handled by the router hardware
             # itself, even when the local port is in the discard set — the
             # recovery algorithm must stay able to probe and reprogram a
@@ -431,59 +414,68 @@ class Router:
                 self._answer_probe(packet)
             else:
                 self._apply_control(packet)
-            return "moved"
+            return True
 
         if out_port in self.discard_ports:
             self.stats.dropped_discard += 1
             self._note_drop("discard_port", packet)
-            return "moved"
+            return True
 
         if out_port == LOCAL_PORT:
             return self._deliver_local(packet, now)
 
-        if out_port == in_port and not packet.is_source_routed:
+        if out_port == in_port and route is None:
             # Table inconsistency during reconfiguration: drop rather than
             # bounce forever.
             self.stats.dropped_unroutable += 1
             self._note_drop("bounce", packet)
-            return "moved"
+            return True
 
-        link = self.links.get(out_port)
-        if link is None:
+        wired = self._ports.get(out_port)
+        if wired is None:
             self.stats.dropped_unroutable += 1
             self._note_drop("no_link", packet)
-            return "moved"
+            return True
+        link, downstream, downstream_port = wired
 
-        if self._output_busy_until[out_port] > now:
-            self.sim.schedule(
-                self._output_busy_until[out_port] - now, self.notify)
-            return "blocked"
+        busy_until = self._output_busy_until[out_port]
+        if busy_until > now:
+            self.sim.schedule(busy_until - now, self.notify)
+            return False
 
         if link.failed:
             # Black hole: the packet is sunk (paper §4.1).
             self.stats.dropped_link += 1
             self._note_drop("failed_link", packet, link.fault_lineage)
-            return "moved"
+            return True
 
         if link.should_drop(packet):
             # Intermittent link fault: the packet is sunk mid-crossing.
             self.stats.dropped_intermittent += 1
             self._note_drop("intermittent", packet, link.fault_lineage)
-            return "moved"
+            return True
 
-        downstream, downstream_port = link.other_side(self.router_id)
-        if not downstream.try_reserve(downstream_port, packet.lane):
-            return "blocked"
+        # Credit: reserve a downstream slot (a failed router sinks anything
+        # sent at it, so it always has room).
+        if not downstream.failed:
+            key = (downstream_port, lane)
+            reserved = downstream._reserved
+            if (len(downstream._buffers[key]) + reserved[key]
+                    >= downstream._lane_capacity[lane]):
+                return False
+            reserved[key] += 1
 
-        if packet.is_source_routed:
-            packet.advance_route()
-        transfer_time = self.params.packet_transfer_time(packet.flits)
-        self._output_busy_until[out_port] = now + packet.flits * self.params.flit_time
+        if route is not None:
+            packet.route_index += 1
+        params = self.params
+        serialization = packet.flits * params.flit_time
+        self._output_busy_until[out_port] = now + serialization
         record = _Transfer(packet, link, downstream, downstream_port)
         link.in_flight.append(record)
-        self.sim.schedule(transfer_time, self._complete_transfer, record)
+        self.sim.schedule(params.hop_latency + serialization,
+                          self._complete_transfer, record)
         self.stats.forwarded += 1
-        return "moved"
+        return True
 
     def _complete_transfer(self, record):
         if record in record.link.in_flight:
@@ -498,21 +490,21 @@ class Router:
         if interface is None:
             self.stats.dropped_unroutable += 1
             self._note_drop("no_interface", packet)
-            return "moved"
+            return True
         if not interface.can_accept():
-            return "blocked"
-        if self._output_busy_until[LOCAL_PORT] > now:
-            self.sim.schedule(
-                self._output_busy_until[LOCAL_PORT] - now, self.notify)
-            return "blocked"
+            return False
+        busy_until = self._output_busy_until[LOCAL_PORT]
+        if busy_until > now:
+            self.sim.schedule(busy_until - now, self.notify)
+            return False
         interface.reserve()
-        transfer_time = self.params.packet_transfer_time(packet.flits)
-        self._output_busy_until[LOCAL_PORT] = (
-            now + packet.flits * self.params.flit_time)
-        self.sim.schedule(
-            transfer_time, interface.complete_delivery, packet)
+        params = self.params
+        serialization = packet.flits * params.flit_time
+        self._output_busy_until[LOCAL_PORT] = now + serialization
+        self.sim.schedule(params.hop_latency + serialization,
+                          interface.complete_delivery, packet)
         self.stats.delivered_local += 1
-        return "moved"
+        return True
 
     def _answer_probe(self, probe):
         """Reply to a router probe in hardware (always, while powered)."""
@@ -552,7 +544,7 @@ class Router:
         """Queue a router-generated reply as if it came from the local port."""
         key = (LOCAL_PORT, reply.lane)
         if (len(self._buffers[key]) + self._reserved[key]
-                < self._capacity(reply.lane)):
+                < self._lane_capacity[reply.lane]):
             if not self._buffers[key]:
                 self._head_since[key] = self.sim.now
             self._buffers[key].append(reply)
