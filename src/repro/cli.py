@@ -10,7 +10,6 @@ Usage::
 """
 
 import argparse
-import ast
 import json
 import os
 import sys
@@ -411,44 +410,29 @@ def cmd_lint(args):
 
 
 def cmd_verify_protocol(args):
-    from repro.lint.extract import (ExtractionError, extract_protocol,
-                                    load_spec, spec_diff, write_spec)
-    from repro.verify import verify_spec
+    from repro.verify import GOLDEN_SPEC, ExtractionError, check_protocol
 
-    import repro.coherence.protocol as protocol_module
-
-    source_path = protocol_module.__file__
-    spec_path = os.path.join(os.path.dirname(source_path),
-                             "protocol.spec.json")
-    with open(source_path) as handle:
-        source = handle.read()
     try:
-        model = extract_protocol(ast.parse(source), strict=True)
+        check = check_protocol(update_spec=args.update_spec,
+                               max_states=args.max_states)
     except ExtractionError as exc:
         print("verify-protocol: extraction failed: %s" % exc,
               file=sys.stderr)
         return 2
-
     if args.update_spec:
-        write_spec(spec_path, model)
-        print("verify-protocol: wrote golden spec to %s" % spec_path,
+        print("verify-protocol: wrote golden spec to %s" % GOLDEN_SPEC,
               file=sys.stderr)
         return 0
-
-    spec = model.to_spec()
-    drift = []
-    if os.path.exists(spec_path):
-        drift = spec_diff(load_spec(spec_path), spec)
-    else:
+    if check.drift is None:
         print("verify-protocol: no golden spec at %s (run with "
-              "--update-spec to bless the current AST)" % spec_path,
+              "--update-spec to bless the current AST)" % GOLDEN_SPEC,
               file=sys.stderr)
 
-    report = verify_spec(spec, max_states=args.max_states)
+    report, spec, drift = check.report, check.spec, check.drift or []
     payload = report.to_dict()
     payload["drift"] = drift
     payload["spec"] = spec
-    ok = report.ok and not drift
+    ok = check.ok
 
     if args.out:
         with open(args.out, "w") as handle:
@@ -476,7 +460,7 @@ def cmd_verify_protocol(args):
             print("    %s" % step)
     if drift:
         print("DRIFT against %s (rerun with --update-spec after "
-              "reviewing):" % spec_path)
+              "reviewing):" % GOLDEN_SPEC)
         for line in drift:
             print("    %s" % line)
     print("verify-protocol: %s (%d states, %d transitions explored)"
@@ -689,8 +673,8 @@ def build_parser():
 
     p_lint = sub.add_parser(
         "lint",
-        help="AST invariant linter: determinism, protocol exhaustiveness, "
-             "telemetry zero-cost guards, sim-process hygiene")
+        help="AST code-hygiene linter: determinism, telemetry zero-cost "
+             "guards, sim-process hygiene")
     p_lint.add_argument("paths", nargs="*",
                         help="files or directories to lint (default: the "
                              "installed repro package)")

@@ -72,7 +72,7 @@ class ProtocolEngine:
         Beyond the MagicStats counter, the stray is made visible in
         timelines (trace event) and in live metrics, so an unhandled kind
         shows up in a Chrome trace instead of only in post-run stats —
-        the dynamic mirror of the lint's protocol-exhaustiveness rule.
+        the dynamic mirror of the tier-1 dispatch-coverage test.
         """
         magic = self.magic
         magic.stats.stray_messages += 1

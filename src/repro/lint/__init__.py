@@ -1,8 +1,10 @@
-"""``repro.lint`` — AST-based invariant linter for the reproduction.
+"""``repro.lint`` — AST-based code-hygiene linter for the reproduction.
 
-The static counterpart of the paper's firmware assertions (§4.2): four
-checker families prove classes of simulator bugs absent at lint time
-rather than catching them as flaky campaign failures.
+The static counterpart of the paper's firmware assertions (§4.2) for the
+simulator's own code: three checker families prove classes of simulator
+bugs absent at lint time rather than catching them as flaky campaign
+failures.  The coherence protocol itself is checked by one gate,
+``repro.cli verify-protocol`` (:mod:`repro.verify`), not here.
 
 =====================  ====================================================
 rule                   invariant guarded
@@ -12,22 +14,16 @@ wall-clock             deterministic replay: no real-clock reads in
 unseeded-random        deterministic replay: all randomness is seeded
 unordered-iter         deterministic replay: no set-order-dependent event
                        scheduling
-protocol-exhaustive    firmware-assertion analogue: every MessageKind is
-                       dispatched, every home handler covers DirState
 telemetry-guard        §6.2 zero-overhead claim: emission sites reduce to
                        one identity check when disabled
+telemetry-cause        forensics: packet-path emissions name their causal
+                       parent
 sim-blocking           virtual time: sim processes never block on the
                        real world
 handler-cost           timing model: every dispatch handler returns its
                        occupancy
 broad-except           fault containment of the *tooling*: model bugs
                        escalate except at crash-isolation boundaries
-lock-leak              extracted transition system: directory locks are
-                       never doubled and every pending kind has a release
-escape-send            §4.1 firewall: write grants are dominated by an
-                       ACL consultation
-model-drift            the AST-extracted transition system matches the
-                       blessed ``coherence/protocol.spec.json``
 =====================  ====================================================
 
 Run it as ``python -m repro.cli lint``; suppress a deliberate exception
@@ -50,27 +46,15 @@ from repro.lint.engine import (
     default_checkers,
     format_json,
     format_text,
-    golden_spec_path,
     lint_project,
     package_root,
-    repo_checkers,
     run_lint,
-)
-from repro.lint.extract import (
-    ExtractionError,
-    ProtocolModel,
-    extract_protocol,
-    load_spec,
-    spec_diff,
-    write_spec,
 )
 
 __all__ = [
-    "Checker", "ExtractionError", "Finding", "Module", "Project",
-    "ProtocolModel", "Severity",
+    "Checker", "Finding", "Module", "Project", "Severity",
     "apply_baseline", "load_baseline", "write_baseline",
-    "all_rules", "build_project", "default_checkers", "extract_protocol",
-    "format_json", "format_text", "golden_spec_path", "lint_project",
-    "load_spec", "package_root", "repo_checkers", "run_lint",
-    "spec_diff", "write_spec",
+    "all_rules", "build_project", "default_checkers",
+    "format_json", "format_text", "lint_project",
+    "package_root", "run_lint",
 ]

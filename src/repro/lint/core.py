@@ -8,7 +8,7 @@ ever runs.  The framework is deliberately small:
 * a :class:`Finding` is one violation at ``path:line`` with a rule name
   and severity;
 * a :class:`Module` is one parsed source file; a :class:`Project` is the
-  set of modules a cross-file checker (protocol exhaustiveness) needs;
+  sorted set of modules one run lints;
 * ``# repro-lint: disable=<rule>[,<rule>...]`` on the offending line
   suppresses findings on that line, and
   ``# repro-lint: disable-file=<rule>`` anywhere in a file suppresses the
@@ -115,18 +115,14 @@ class Module:
 
 
 class Project:
-    """The modules under lint, addressable by package-relative path."""
+    """The modules under lint, in package-relative path order."""
 
     def __init__(self, modules):
         self.modules = sorted(modules, key=lambda module: module.rel)
-        self._by_rel = {module.rel: module for module in self.modules}
-
-    def module(self, rel):
-        return self._by_rel.get(rel)
 
 
 class Checker:
-    """Base class: per-module and/or whole-project checks.
+    """Base class: one visitor run over every module.
 
     ``rules`` maps each rule name the checker may report to its severity;
     subclasses build findings through :meth:`finding` so severities stay
@@ -140,9 +136,6 @@ class Checker:
                        path=module.path, line=line, message=message)
 
     def check_module(self, module):
-        return ()
-
-    def check_project(self, project):
         return ()
 
 
@@ -236,19 +229,26 @@ def attr_chain(node):
     return ".".join(reversed(parts))
 
 
-def enum_members(tree, class_name):
-    """Member name -> line of a simple ``NAME = value`` enum class."""
+def handler_table(tree, table_name="_HANDLERS"):
+    """The module-level handler dict: kind member -> (method name, line)."""
     for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == class_name:
-            members = {}
-            for statement in node.body:
-                if not isinstance(statement, ast.Assign):
+        if not isinstance(node, ast.Assign):
+            continue
+        targets = [target.id for target in node.targets
+                   if isinstance(target, ast.Name)]
+        if table_name in targets and isinstance(node.value, ast.Dict):
+            table = {}
+            for key, value in zip(node.value.keys, node.value.values):
+                chain = attr_chain(key)
+                if chain is None or not chain.startswith("MessageKind."):
                     continue
-                for target in statement.targets:
-                    if (isinstance(target, ast.Name)
-                            and not target.id.startswith("_")):
-                        members[target.id] = statement.lineno
-            return members
+                method = None
+                if isinstance(value, ast.Attribute):
+                    method = value.attr
+                elif isinstance(value, ast.Name):
+                    method = value.id
+                table[chain.split(".", 1)[1]] = (method, key.lineno)
+            return table
     return None
 
 

@@ -19,36 +19,19 @@ from repro.lint.core import (
 )
 from repro.lint.determinism import DeterminismChecker
 from repro.lint.hygiene import HygieneChecker
-from repro.lint.protocol import ProtocolChecker
 from repro.lint.telemetry import TelemetryCauseChecker, TelemetryGuardChecker
-from repro.lint.verifyrules import VerifyChecker
-
-
-def golden_spec_path():
-    """The blessed transition-system spec shipped with the package, or
-    None when absent (synthetic fixture projects)."""
-    path = os.path.join(package_root(), "coherence", "protocol.spec.json")
-    return path if os.path.exists(path) else None
 
 
 def default_checkers():
-    """Checkers safe on any project, including synthetic fixtures."""
-    return [DeterminismChecker(), ProtocolChecker(),
-            TelemetryGuardChecker(), TelemetryCauseChecker(),
-            HygieneChecker()]
-
-
-def repo_checkers():
-    """Checkers for the real package: the defaults plus the extracted
-    transition-system rules diffed against the blessed golden spec."""
-    return default_checkers() + [
-        VerifyChecker(spec_path=golden_spec_path())]
+    """Every checker; each is safe on any project, fixtures included."""
+    return [DeterminismChecker(), TelemetryGuardChecker(),
+            TelemetryCauseChecker(), HygieneChecker()]
 
 
 def all_rules(checkers=None):
-    """rule name -> severity across the given (or repo) checkers."""
+    """rule name -> severity across the given (or default) checkers."""
     rules = {}
-    for checker in checkers or repo_checkers():
+    for checker in checkers or default_checkers():
         rules.update(checker.rules)
     return rules
 
@@ -114,24 +97,16 @@ def lint_project(project, checkers=None):
             for finding in checker.check_module(module):
                 if not module.suppresses(finding):
                     findings.append(finding)
-    by_path = {module.path: module for module in project.modules}
-    for checker in checkers:
-        for finding in checker.check_project(project):
-            module = by_path.get(finding.path)
-            if module is None or not module.suppresses(finding):
-                findings.append(finding)
     return sorted(findings, key=lambda finding: finding.sort_key())
 
 
-def run_lint(root=None, paths=None, baseline_path=None, checkers=None):
+def run_lint(root=None, paths=None, baseline_path=None):
     """Lint the package (or explicit paths) against an optional baseline.
 
     Returns ``(findings, suppressed_by_baseline)``.
     """
     project, findings = build_project(root=root, paths=paths)
-    if checkers is None:
-        checkers = repo_checkers()
-    findings = findings + lint_project(project, checkers=checkers)
+    findings = findings + lint_project(project)
     suppressed = 0
     if baseline_path and os.path.exists(baseline_path):
         baseline = load_baseline(baseline_path)

@@ -20,8 +20,8 @@ Three rules keep the simulated hardware honest:
 
 import ast
 
-from repro.lint.core import Checker, ImportMap, Severity, function_defs
-from repro.lint.protocol import handler_table
+from repro.lint.core import (Checker, ImportMap, Severity, function_defs,
+                             handler_table)
 
 #: prefixes whose code executes under the event scheduler
 SIM_ZONES = ("sim/", "coherence/", "interconnect/", "recovery/", "node/")

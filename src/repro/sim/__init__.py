@@ -16,7 +16,7 @@ uses to drop the R10000 into recovery code.
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.process import AllOf, AnyOf, Event, Interrupt, Process, Timeout
+from repro.sim.process import AllOf, AnyOf, Event, Interrupt, Process
 from repro.sim.channel import Channel
 
 __all__ = [
@@ -27,5 +27,4 @@ __all__ = [
     "Interrupt",
     "Process",
     "Simulator",
-    "Timeout",
 ]

@@ -65,15 +65,6 @@ class Event:
             pass
 
 
-class Timeout:
-    """Explicit timeout waitable (yielding a bare number is equivalent)."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, delay):
-        self.delay = delay
-
-
 class AllOf:
     """Wait for every event in a collection; value is the list of values."""
 
@@ -244,9 +235,6 @@ class Process:
             waiter = _Waiter(self, yielded)
             yielded.subscribe(waiter)
             self._pending_wait = waiter
-        elif isinstance(yielded, Timeout):
-            self._pending_timeout = self.sim.schedule(
-                yielded.delay, self._step, None, None)
         elif isinstance(yielded, Process):
             waiter = _Waiter(self, yielded.exit_event)
             yielded.exit_event.subscribe(waiter)

@@ -22,18 +22,37 @@ Three scenarios, mirroring the paper's containment argument:
 The uncached and scrub kinds never enter the stateful exploration (the
 model line is ordinary memory); instead :func:`static_checks` proves
 their containment shape directly on the spec — remote uncached I/O must
-have a rejection path (§3.3) and every kind must reply to somebody.
+have a rejection path (§3.3) and every kind must reply to somebody — and
+that every ``DirState``/``MessageKind`` name the spec uses is a member.
+
+:func:`check_protocol` is the whole ``repro.cli verify-protocol`` gate:
+extract, bless or diff against the golden spec, explore.
 """
 
+import os
+
+from repro.coherence.messages import MessageKind
+from repro.common.types import DirState
+from repro.verify.extract import (extract_from_source, load_spec, spec_diff,
+                                  write_spec)
 from repro.verify.model import (GRANT_KINDS, HOME, REPLY_KINDS, ModelError,
                                 Scenario, SpecMachine, enqueue, dequeue,
                                 initial_config, make_line, message)
 
-#: kinds the environment (processor side) injects.
-_REQUEST_KINDS = ("GET", "GETX")
-
 #: kinds excluded from stateful exploration (checked statically).
 STATIC_ONLY_KINDS = frozenset({"UC_READ", "UC_WRITE", "PAGE_SCRUB"})
+
+_ENUM_MEMBERS = {
+    "DirState": frozenset(state.name for state in DirState),
+    "MessageKind": frozenset(kind.name for kind in MessageKind),
+}
+
+#: item/atom tag -> (position, enum) of the bare member name it carries.
+_MEMBER_SLOTS = {
+    "state": (1, "DirState"), "unlock": (1, "DirState"),
+    "pending_kind": (1, "MessageKind"), "lock": (1, "MessageKind"),
+    "send": (2, "MessageKind"),
+}
 
 _TRACE_LIMIT = 20
 
@@ -128,11 +147,64 @@ def verify_spec(spec, scenarios=None, max_states=500000):
     return Report(results, static_checks(spec))
 
 
+# -------------------------------------------------------------------- gate
+
+_COHERENCE_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "coherence")
+PROTOCOL_SOURCE = os.path.join(_COHERENCE_DIR, "protocol.py")
+GOLDEN_SPEC = os.path.join(_COHERENCE_DIR, "protocol.spec.json")
+
+
+class ProtocolCheck:
+    """What the gate found in the shipped protocol.
+
+    ``drift`` is None when no golden spec is committed; ``report`` is
+    None when the run re-blessed the spec instead of checking it.
+    """
+
+    __slots__ = ("spec", "drift", "report")
+
+    def __init__(self, spec, drift, report):
+        self.spec = spec
+        self.drift = drift
+        self.report = report
+
+    @property
+    def ok(self):
+        return (self.report is not None and self.report.ok
+                and not self.drift)
+
+
+def check_protocol(update_spec=False, max_states=500000):
+    """The ``verify-protocol`` gate over ``coherence/protocol.py``.
+
+    Extracts the transition table, raising :class:`ExtractionError` on
+    anything outside the handler dialect.  With ``update_spec`` it
+    re-blesses the golden spec and stops; otherwise it diffs the table
+    against the golden spec and explores it.
+    """
+    with open(PROTOCOL_SOURCE) as handle:
+        model = extract_from_source(handle.read())
+    spec = model.to_spec()
+    if update_spec:
+        write_spec(GOLDEN_SPEC, model)
+        return ProtocolCheck(spec, [], None)
+    drift = (spec_diff(load_spec(GOLDEN_SPEC), spec)
+             if os.path.exists(GOLDEN_SPEC) else None)
+    return ProtocolCheck(spec, drift,
+                         verify_spec(spec, max_states=max_states))
+
+
 # ------------------------------------------------------------ static checks
 
 def static_checks(spec):
-    """Spec-shape invariants for the kinds the model does not explore."""
-    violations = []
+    """Spec-shape invariants: enum names, and the kinds the model does
+    not explore."""
+    violations = [
+        Violation("unknown-member", "static",
+                  "%s.%s is not a member of the %s enum"
+                  % (enum, member, enum))
+        for enum, member in _unknown_members(spec)]
     by_kind = {}
     for entry in spec.get("transitions", ()):
         by_kind.setdefault(entry["kind"], []).append(entry)
@@ -155,6 +227,38 @@ def static_checks(spec):
                 "%s lacks the remote-I/O rejection path (paper §3.3: "
                 "nonidempotent I/O must not cross failure units)" % kind))
     return violations
+
+
+def _unknown_members(spec):
+    """(enum, name) pairs the spec names that the enums lack.
+
+    The extractor never imports the protocol, so a typo such as
+    ``DirState.BROKEN`` extracts cleanly into a guard that never holds.
+    """
+    named = {("MessageKind", kind) for kind in spec.get("handlers", {})}
+    for entry in spec.get("transitions", ()):
+        named.add(("MessageKind", entry["kind"]))
+        _collect_members(entry["items"], named)
+    return sorted((enum, member) for enum, member in named
+                  if member not in _ENUM_MEMBERS[enum])
+
+
+def _collect_members(node, named):
+    if isinstance(node, dict):
+        for value in node.values():
+            _collect_members(value, named)
+    elif isinstance(node, list):
+        slot = (_MEMBER_SLOTS.get(node[0])
+                if node and isinstance(node[0], str) else None)
+        if slot is not None:
+            position, enum = slot
+            named.add((enum, node[position].rsplit(".", 1)[-1]))
+        for child in node:
+            _collect_members(child, named)
+    elif isinstance(node, str):
+        enum, dot, member = node.partition(".")
+        if dot and enum in _ENUM_MEMBERS:
+            named.add((enum, member))
 
 
 def _walk(items):
@@ -371,6 +475,10 @@ class _Explorer:
             elif tag == "acks-underflow":
                 self._violate("ack-underflow", config,
                               "awaiting_acks went negative on %s" % kind)
+            elif tag == "relock":
+                self._violate("lock-bookkeeping", config,
+                              "%s locked a line already LOCKED for %s"
+                              % (kind, detail))
         successor = outcome.config
         for target, sent in outcome.sends:
             sent_kind = sent[0]

@@ -39,6 +39,8 @@ Model assumptions (documented deviations from the concrete machine):
   firewall against dead cells).
 """
 
+from repro.common.types import DirState
+
 HOME = 0
 
 #: message kinds the reply harness (magic's ``_handle_reply``) absorbs at
@@ -205,17 +207,15 @@ class Scenario:
 class Outcome:
     """Result of one transition execution."""
 
-    __slots__ = ("config", "sends", "events", "transition")
+    __slots__ = ("config", "sends", "events")
 
-    def __init__(self, config, sends, events, transition):
+    def __init__(self, config, sends, events):
         self.config = config
         self.sends = sends        # [(dst, kind, fields-tuple)]
         self.events = events      # [(tag, detail)]
-        self.transition = transition
 
 
-_DIR_STATES = frozenset(
-    {"UNOWNED", "SHARED", "EXCLUSIVE", "LOCKED", "INCOHERENT"})
+_DIR_STATES = frozenset(state.name for state in DirState)
 
 
 def _may_states(atom):
@@ -291,9 +291,6 @@ class SpecMachine:
             self.by_kind.setdefault(entry["kind"], []).append(
                 (entry, _admissible_states(entry["items"])))
 
-    def kinds(self):
-        return sorted(self.by_kind)
-
     def deliver(self, config, src, dst, msg, scenario):
         """Run the handler for ``msg`` at ``dst``.
 
@@ -309,13 +306,13 @@ class SpecMachine:
                 continue
             work = _Execution(config, dst, src, dict(fields), scenario)
             if work.run(transition["items"]):
-                matched.append((transition, work))
+                matched.append(work)
         if len(matched) != 1:
             raise ModelError(
                 "%d transition path(s) of %s match at %s"
                 % (len(matched), kind, config.describe()))
-        transition, work = matched[0]
-        return Outcome(work.freeze(), work.sends, work.events, transition)
+        work = matched[0]
+        return Outcome(work.freeze(), work.sends, work.events)
 
 
 class _Execution:
@@ -438,6 +435,11 @@ class _Execution:
             if self.line["awaiting_acks"] < 0:
                 self.events.append(("acks-underflow", ""))
         elif tag == "lock":
+            if self.line["state"] == "LOCKED":
+                # The new transaction overwrites the pending one.
+                self.events.append(("relock", "%s@%s" % (
+                    self.line["pending_kind"],
+                    self.line["pending_requester"])))
             self.line["state"] = "LOCKED"
             self.line["pending_kind"] = item[1]
             self.line["pending_requester"] = self.resolve(item[2])
@@ -460,8 +462,6 @@ class _Execution:
         elif tag == "assert":
             if not self.eval_atom(item[1]):
                 self.events.append(("assert", repr(item[1])))
-        elif tag == "opaque":
-            raise ModelError("opaque extraction item: %s" % item[1])
         else:
             raise ModelError("unknown step %r" % (item,))
 
@@ -502,6 +502,8 @@ class _Execution:
 
     def _send(self, dst, kind, payload):
         target = self.resolve(dst)
+        if target is None:
+            raise ModelError("%s sent to no node (%s is None)" % (kind, dst))
         fields = {}
         for key in ("requester", "home"):
             if key in payload:

@@ -1,8 +1,8 @@
 """Flow-sensitive extraction of the coherence transition system.
 
-These tests pin the extraction contract the model checker and the
-lint rules both depend on: the real protocol module extracts cleanly
-in strict mode, the item vocabulary stays canonical, specs round-trip
+These tests pin the extraction contract the model checker depends on:
+the real protocol module extracts cleanly, anything outside the handler
+dialect raises, the item vocabulary stays canonical, specs round-trip
 through JSON, drift is detectable, and the committed golden spec
 matches a fresh extraction of the tree.
 """
@@ -12,15 +12,13 @@ import os
 
 import pytest
 
-from repro.lint.extract import (ExtractionError, ProtocolModel,
-                                extract_from_source, load_spec, spec_diff)
+from repro.verify import check_protocol
+from repro.verify.extract import (ExtractionError, ProtocolModel,
+                                  extract_from_source, spec_diff)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PROTOCOL_PATH = os.path.join(
     os.path.dirname(HERE), "src", "repro", "coherence", "protocol.py")
-GOLDEN_SPEC_PATH = os.path.join(
-    os.path.dirname(HERE), "src", "repro", "coherence",
-    "protocol.spec.json")
 
 with open(PROTOCOL_PATH) as _handle:
     SOURCE = _handle.read()
@@ -34,12 +32,11 @@ ITEM_TAGS = {
 
 @pytest.fixture(scope="module")
 def model():
-    return extract_from_source(SOURCE, strict=True)
+    return extract_from_source(SOURCE)
 
 
 class TestRealModuleExtraction:
     def test_full_handler_table_extracts_strictly(self, model):
-        assert model.issues == []
         assert len(model.handlers) == 13
         assert len(model.transitions) == 55
 
@@ -89,15 +86,16 @@ class TestDialectEnforcement:
     def test_strict_mode_raises_on_unsupported_flow(self):
         assert self.BAD != SOURCE
         with pytest.raises(ExtractionError) as excinfo:
-            extract_from_source(self.BAD, strict=True)
+            extract_from_source(self.BAD)
         assert "While" in str(excinfo.value)
 
     def test_tolerant_mode_reports_issue_and_drops_handler(self):
-        model = extract_from_source(self.BAD, strict=False)
-        assert any(issue.handler == "_home_put" for issue in model.issues)
-        assert [t for t in model.transitions if t.kind == "PUT"] == []
-        # The other handlers are unaffected.
-        assert any(t.kind == "GETX" for t in model.transitions)
+        """There is no tolerant mode: the error names every issue, and
+        only the broken handler has one."""
+        with pytest.raises(ExtractionError) as excinfo:
+            extract_from_source(self.BAD)
+        assert {issue.handler for issue in excinfo.value.issues} == {
+            "_home_put"}
 
 
 class TestSpecRoundTrip:
@@ -134,9 +132,10 @@ class TestSpecDiff:
 
 
 class TestGoldenSpec:
-    def test_committed_spec_matches_fresh_extraction(self, model):
+    def test_committed_spec_matches_fresh_extraction(self):
         """Drift gate: editing protocol.py without re-blessing the spec
-        (repro.cli verify-protocol --update-spec) must fail here and in
-        the model-drift lint rule."""
-        golden = load_spec(GOLDEN_SPEC_PATH)
-        assert spec_diff(golden, model.to_spec()) == []
+        (repro.cli verify-protocol --update-spec) must fail here, through
+        the same check_protocol the CLI runs."""
+        check = check_protocol()
+        assert check.drift == []
+        assert check.ok

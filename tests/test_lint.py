@@ -128,134 +128,6 @@ class TestDeterminismRules:
         assert findings == []
 
 
-# ---------------------------------------------------- protocol exhaustiveness
-
-MESSAGES_GOOD = """
-    import enum
-
-    class MessageKind(enum.Enum):
-        GET = "get"
-        PUT = "put"
-        NAK = "nak"
-"""
-
-TYPES_SOURCE = """
-    import enum
-
-    class DirState(enum.Enum):
-        UNOWNED = "U"
-        SHARED = "S"
-        EXCLUSIVE = "E"
-        LOCKED = "L"
-        INCOHERENT = "X"
-"""
-
-MAGIC_SOURCE = """
-    from repro.coherence.messages import MessageKind
-
-    _REPLY_KINDS = frozenset({MessageKind.NAK})
-"""
-
-PROTOCOL_GOOD = """
-    from repro.coherence.messages import MessageKind
-    from repro.common.types import DirState
-
-    class ProtocolEngine:
-        def _home_get(self, packet):
-            entry = self.entry(packet)
-            if entry.state == DirState.INCOHERENT:
-                return 10
-            if entry.state == DirState.LOCKED:
-                return 10
-            if entry.state == DirState.UNOWNED:
-                return 20
-            if entry.state == DirState.SHARED:
-                return 20
-            return 30
-
-        def _home_put(self, packet):
-            entry = self.entry(packet)
-            if entry.state == DirState.EXCLUSIVE:
-                return 20
-            return 10
-
-    _HANDLERS = {
-        MessageKind.GET: ProtocolEngine._home_get,
-        MessageKind.PUT: ProtocolEngine._home_put,
-    }
-"""
-
-
-def protocol_project(messages=MESSAGES_GOOD, protocol=PROTOCOL_GOOD,
-                     magic=MAGIC_SOURCE, types=TYPES_SOURCE):
-    return Project([
-        make_module(messages, rel="coherence/messages.py"),
-        make_module(protocol, rel="coherence/protocol.py"),
-        make_module(magic, rel="node/magic.py"),
-        make_module(types, rel="common/types.py"),
-    ])
-
-
-class TestProtocolExhaustiveness:
-    def test_complete_protocol_is_clean(self):
-        findings = lint_project(protocol_project())
-        assert findings == []
-
-    def test_unhandled_message_kind_flagged(self):
-        messages = MESSAGES_GOOD + "        MYSTERY = \"mystery\"\n"
-        findings = [f for f in lint_project(protocol_project(messages))
-                    if f.rule == "protocol-exhaustive"]
-        (finding,) = findings
-        assert "MessageKind.MYSTERY" in finding.message
-        assert "stray message" in finding.message
-        assert finding.path == "coherence/messages.py"
-
-    def test_unknown_handler_key_flagged(self):
-        protocol = PROTOCOL_GOOD.replace(
-            "MessageKind.PUT:", "MessageKind.TYPO:")
-        findings = [f for f in lint_project(protocol_project(
-            protocol=protocol)) if f.rule == "protocol-exhaustive"]
-        # TYPO is not a member, and PUT loses its handler entry.
-        assert {"MessageKind.TYPO", "MessageKind.PUT"} == {
-            message.split(" ")[0] for message in
-            (f.message for f in findings)}
-
-    def test_missing_dirstate_branch_flagged(self):
-        protocol = """
-            from repro.coherence.messages import MessageKind
-            from repro.common.types import DirState
-
-            class ProtocolEngine:
-                def _home_get(self, packet):
-                    entry = self.entry(packet)
-                    if entry.state == DirState.UNOWNED:
-                        return 20
-                    if entry.state == DirState.SHARED:
-                        return 20
-
-                def _home_put(self, packet):
-                    return 10
-
-            _HANDLERS = {
-                MessageKind.GET: ProtocolEngine._home_get,
-                MessageKind.PUT: ProtocolEngine._home_put,
-            }
-        """
-        findings = [f for f in lint_project(protocol_project(
-            protocol=protocol)) if f.rule == "protocol-exhaustive"]
-        (finding,) = findings
-        assert "_home_get" in finding.message
-        for state in ("EXCLUSIVE", "LOCKED", "INCOHERENT"):
-            assert state in finding.message
-
-    def test_unknown_dirstate_member_flagged(self):
-        protocol = PROTOCOL_GOOD.replace("DirState.INCOHERENT",
-                                         "DirState.BROKEN")
-        findings = [f for f in lint_project(protocol_project(
-            protocol=protocol)) if f.rule == "protocol-exhaustive"]
-        assert any("DirState.BROKEN" in f.message for f in findings)
-
-
 # ------------------------------------------------------------ telemetry guard
 
 class TestTelemetryGuard:
@@ -573,9 +445,8 @@ class TestRepoIsClean:
     def test_rule_registry_is_complete(self):
         assert set(all_rules()) == {
             "wall-clock", "unseeded-random", "unordered-iter",
-            "protocol-exhaustive", "telemetry-guard", "telemetry-cause",
+            "telemetry-guard", "telemetry-cause",
             "sim-blocking", "handler-cost", "broad-except",
-            "lock-leak", "escape-send", "model-drift",
         }
 
     def test_src_repro_lints_clean_with_empty_baseline(self):

@@ -188,7 +188,8 @@ class TestInjectorEvents:
 
 class TestStrayMessageTelemetry:
     """ProtocolEngine.handle's stray path is visible in traces and metrics
-    (the dynamic counterpart of the lint's protocol-exhaustiveness rule)."""
+    (the dynamic counterpart of the dispatch-coverage test in
+    test_verify_model)."""
 
     def _stray_packet(self, machine):
         from repro.coherence.messages import MessageKind, make_packet

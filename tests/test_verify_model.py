@@ -1,24 +1,22 @@
 """Small-model checker tests: clean-tree verification plus directed
 seeded-bug experiments.
 
-The seeded bugs are the point of the tentpole: each one mutates the
-*real* protocol source in a way the syntactic lint rules cannot
-distinguish from correct code (the guard is still present, the unlock
-still exists on some other path), then asserts the exhaustive
-explorer catches the resulting invariant breach with a reproduction
-trace.
+The seeded bugs mutate the *real* protocol source and assert that the
+one protocol gate -- extraction plus the exhaustive explorer -- rejects
+each of them, with a reproduction trace where the explorer is the one
+that catches it.
 """
 
 import os
 
 import pytest
 
-from repro.lint import Module, Project
-from repro.lint.extract import extract_from_source
-from repro.lint.protocol import PROTOCOL_MODULE
-from repro.lint.verifyrules import VerifyChecker
-from repro.verify import verify_spec
+from repro.coherence.messages import MessageKind
+from repro.coherence.protocol import _HANDLERS
+from repro.node.magic import _RECOVERY_KINDS, _REPLY_KINDS
+from repro.verify import ExtractionError, verify_spec
 from repro.verify.checker import static_checks
+from repro.verify.extract import extract_from_source
 from repro.verify.model import _admissible_states, _may_states, _must_states
 
 PROTOCOL_PATH = os.path.join(
@@ -36,17 +34,9 @@ def mutate(old, new):
 
 
 def model_violations(source, max_states=200000):
-    spec = extract_from_source(source, strict=True).to_spec()
+    spec = extract_from_source(source).to_spec()
     report = verify_spec(spec, max_states=max_states)
     return report, {v.invariant for v in report.violations()}
-
-
-def static_findings(source):
-    """Run only the syntactic VerifyChecker rules (no golden-spec
-    drift, which would trivially fire on any mutation)."""
-    project = Project([Module(PROTOCOL_MODULE, source)])
-    checker = VerifyChecker(spec_path=None)
-    return list(checker.check_project(project))
 
 
 class TestCleanTree:
@@ -58,9 +48,6 @@ class TestCleanTree:
             % report.total_states)
         assert report.total_transitions > report.total_states
 
-    def test_clean_protocol_has_no_static_findings(self):
-        assert static_findings(CLEAN_SOURCE) == []
-
     def test_static_checks_flag_missing_uncached_rejection(self):
         spec = extract_from_source(CLEAN_SOURCE).to_spec()
         assert static_checks(spec) == []
@@ -69,6 +56,25 @@ class TestCleanTree:
                                  if t["kind"] != "UC_WRITE"]
         invariants = {v.invariant for v in static_checks(gutted)}
         assert "missing-handler" in invariants
+
+    def test_static_checks_flag_unknown_enum_names(self):
+        spec = extract_from_source(CLEAN_SOURCE).to_spec()
+        spec["handlers"]["TYPO"] = spec["handlers"].pop("PUT")
+        spec["transitions"][0]["items"].insert(
+            0, ["guard", ["state", "BROKEN"], False])
+        unknown = {v.description.split(" ")[0] for v in static_checks(spec)
+                   if v.invariant == "unknown-member"}
+        assert unknown == {"MessageKind.TYPO", "DirState.BROKEN"}
+
+
+class TestDispatchCoverage:
+    def test_every_message_kind_has_a_dispatch_path(self):
+        """MAGIC hands a kind to the recovery inbox, the OS inbox, the
+        reply harness or the protocol table; any other kind would count
+        as a stray message at runtime."""
+        dispatched = (set(_HANDLERS) | _REPLY_KINDS | _RECOVERY_KINDS
+                      | {MessageKind.OS_MSG})
+        assert set(MessageKind) - dispatched == set()
 
 
 class TestStateAlgebra:
@@ -109,8 +115,8 @@ class TestStateAlgebra:
 
 LOCK_LEAK = (
     # _home_fwd_miss stale-memory branch: drop the unlock but keep the
-    # NAK.  Syntactically a release for pending GET/GETX still exists
-    # on other paths, so the shape-based lock-leak rule stays green.
+    # NAK.  A release for pending GET/GETX still exists on other paths,
+    # so only exploration shows the line wedging.
     "        requester = entry.pending_requester\n"
     "        entry.unlock(DirState.EXCLUSIVE)\n"
     "        self._reply_nak(requester, line)\n",
@@ -122,7 +128,7 @@ LOCK_LEAK = (
 FIREWALL_BYPASS = (
     # _home_getx: invert the membership test so *remote* writers skip
     # the firewall check.  The guard still mentions firewall_enabled,
-    # so the syntactic escape-send rule is satisfied.
+    # so every grant still looks dominated by a firewall consultation.
     "        if (magic.firewall_enabled\n"
     "                and requester not in magic.failure_unit):",
 
@@ -155,10 +161,6 @@ class TestSeededLockLeak:
                        if v.invariant == "lock-deadlock")
         assert witness.trace, "violation must carry a reproduction trace"
 
-    def test_syntactic_linter_misses_it(self):
-        findings = static_findings(mutate(*LOCK_LEAK))
-        assert [f for f in findings if f.rule == "lock-leak"] == []
-
 
 class TestSeededFirewallBypass:
     def test_model_catches_it(self):
@@ -169,10 +171,6 @@ class TestSeededFirewallBypass:
         assert witness.scenario == "failed-cell", (
             "the bypass must manifest as a grant into the failed cell")
 
-    def test_syntactic_linter_misses_it(self):
-        findings = static_findings(mutate(*FIREWALL_BYPASS))
-        assert [f for f in findings if f.rule == "escape-send"] == []
-
 
 class TestSeededWritebackRace:
     def test_model_catches_the_original_seed_bug(self):
@@ -182,3 +180,94 @@ class TestSeededWritebackRace:
         assert not report.ok
         assert invariants & {"single-owner", "lock-bookkeeping",
                              "sharer-vector"}, sorted(invariants)
+
+
+LOCKED_NAK_REMOVED = (
+    # _home_get without its LOCKED branch: a GET on a locked line falls
+    # through to the EXCLUSIVE path and locks it again.
+    "        if entry.state == DirState.LOCKED:\n"
+    "            self._reply_nak(requester, line)\n"
+    "            return self.params.short_handler_time\n"
+    "\n"
+    "        if entry.state == DirState.UNOWNED:\n"
+    "            entry.state = DirState.SHARED\n",
+
+    "        if entry.state == DirState.UNOWNED:\n"
+    "            entry.state = DirState.SHARED\n",
+)
+
+
+class TestSendToNoNode:
+    def test_is_reported_as_a_model_gap(self):
+        """Regression: a handler path that sends to a slot holding None
+        (here FWD_GET to the owner of a line locked with no owner) used
+        to crash the explorer with a TypeError while it sorted the
+        network queues."""
+        report, invariants = model_violations(mutate(*LOCKED_NAK_REMOVED))
+        gaps = [v for v in report.violations()
+                if v.invariant == "model-gap" and "to no node" in
+                v.description]
+        assert gaps, sorted(invariants)
+        assert gaps[0].trace, "violation must carry a reproduction trace"
+
+
+def _unhandled(kind, method, rejected_by):
+    """The mutation that drops one ``_HANDLERS`` entry."""
+    line = "    MessageKind.%s: ProtocolEngine.%s,\n" % (kind, method)
+    return pytest.param(line, "", rejected_by,
+                        id="%s-unhandled" % kind.lower().replace("_", "-"))
+
+
+#: One case per measured mutation: (old, new, what rejects it).
+MEASURED_MUTATIONS = [
+    pytest.param(
+        "        if (magic.firewall_enabled\n"
+        "                and requester not in magic.failure_unit):\n"
+        "            reply_delay = self.params.firewall_check_time\n"
+        "            cost += reply_delay\n"
+        "            page = page_of(line, magic.address_map.page_size)\n"
+        "            if not magic.firewall_allows(page, requester):\n"
+        "                magic.stats.firewall_rejections += 1\n"
+        "                self._reply_bus_error(requester, line,\n"
+        "                                      BusErrorKind.FIREWALL)\n"
+        "                return cost\n",
+        "", "escape-send", id="getx-firewall-removed"),
+    pytest.param(
+        "            entry.unlock(DirState.UNOWNED)\n"
+        "            magic.hooks.on_put_absorbed(magic.node_id, line)\n",
+        "            entry.unlock(DirState.UNOWNED)\n"
+        "            entry.lock(MessageKind.GET, writer)\n"
+        "            magic.hooks.on_put_absorbed(magic.node_id, line)\n",
+        "lock-deadlock", id="put-lock-after-unlock"),
+    pytest.param(
+        "        self._note_stray(packet, \"put-without-ownership\")\n"
+        "        return self.params.short_handler_time\n",
+        "", ExtractionError, id="put-default-removed"),
+    _unhandled("FWD_MISS", "_home_fwd_miss", "model-gap"),
+    _unhandled("INVAL_ACK", "_home_inval_ack", "model-gap"),
+    _unhandled("PAGE_SCRUB", "_home_page_scrub", "missing-handler"),
+    pytest.param(
+        "        if entry.state == DirState.INCOHERENT:\n"
+        "            self._reply_bus_error(requester, line,\n"
+        "                                  BusErrorKind.INCOHERENT_LINE)\n"
+        "            return self.params.handler_time\n",
+        "        if entry.state == DirState.BROKEN:\n"
+        "            self._reply_bus_error(requester, line,\n"
+        "                                  BusErrorKind.INCOHERENT_LINE)\n"
+        "            return self.params.handler_time\n",
+        "unknown-member", id="incoherent-renamed-broken"),
+    pytest.param(*LOCKED_NAK_REMOVED, "lock-bookkeeping",
+                 id="get-locked-nak-removed"),
+]
+
+
+class TestMeasuredMutations:
+    @pytest.mark.parametrize("old, new, rejected_by", MEASURED_MUTATIONS)
+    def test_is_rejected(self, old, new, rejected_by):
+        source = mutate(old, new)
+        if rejected_by is ExtractionError:
+            with pytest.raises(ExtractionError):
+                extract_from_source(source)
+            return
+        _report, invariants = model_violations(source)
+        assert rejected_by in invariants, sorted(invariants)
