@@ -374,23 +374,9 @@ def _format_github(findings):
 
 
 def cmd_lint(args):
-    from repro.lint import (all_rules, format_json, format_text, run_lint,
-                            write_baseline)
+    from repro.lint import all_rules, format_json, format_text, run_lint
 
-    if args.update_baseline:
-        if args.baseline is None:
-            raise SystemExit("--update-baseline needs --baseline PATH")
-        # Regenerate from the UNFILTERED run: writing the post-baseline
-        # view would silently drop grandfathered findings that still
-        # exist, so each regeneration would shrink the baseline while
-        # the findings live on.
-        findings, _ = run_lint(paths=args.paths or None, baseline_path=None)
-        write_baseline(args.baseline, findings)
-        print("baseline: wrote %d finding(s) to %s"
-              % (len(findings), args.baseline), file=sys.stderr)
-        return 0
-    findings, suppressed = run_lint(paths=args.paths or None,
-                                    baseline_path=args.baseline)
+    findings = run_lint(paths=args.paths or None)
     if args.rule:
         registry = all_rules()
         unknown = sorted(set(args.rule) - set(registry) - {"syntax-error"})
@@ -401,68 +387,42 @@ def cmd_lint(args):
         wanted = set(args.rule)
         findings = [f for f in findings if f.rule in wanted]
     if args.format == "json":
-        print(format_json(findings, suppressed))
+        print(format_json(findings))
     elif args.format == "github":
         print(_format_github(findings))
     else:
-        print(format_text(findings, suppressed))
+        print(format_text(findings))
     return 1 if findings else 0
 
 
 def cmd_verify_protocol(args):
-    from repro.verify import GOLDEN_SPEC, ExtractionError, check_protocol
+    from repro.verify import check_protocol
 
-    try:
-        check = check_protocol(update_spec=args.update_spec,
-                               max_states=args.max_states)
-    except ExtractionError as exc:
-        print("verify-protocol: extraction failed: %s" % exc,
-              file=sys.stderr)
-        return 2
-    if args.update_spec:
-        print("verify-protocol: wrote golden spec to %s" % GOLDEN_SPEC,
-              file=sys.stderr)
-        return 0
-    if check.drift is None:
-        print("verify-protocol: no golden spec at %s (run with "
-              "--update-spec to bless the current AST)" % GOLDEN_SPEC,
-              file=sys.stderr)
-
-    report, spec, drift = check.report, check.spec, check.drift or []
-    payload = report.to_dict()
-    payload["drift"] = drift
-    payload["spec"] = spec
-    ok = check.ok
-
+    report = check_protocol(max_states=args.max_states)
+    ok = report.ok
+    payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(payload + "\n")
 
     if args.format == "json":
-        del payload["spec"]
-        payload["ok"] = ok
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(payload)
         return 0 if ok else 1
 
-    kinds = len({t["kind"] for t in spec["transitions"]})
-    print("model: %d message kinds, %d transition paths"
-          % (kinds, len(spec["transitions"])))
+    print("model: live handlers, %d (directory state, kind) pairs "
+          "delivered" % len(report.pairs))
     for scenario in report.scenarios:
         print("  %-26s %6d states %7d transitions %3d violation(s)"
               % (scenario.name, scenario.states, scenario.transitions,
                  len(scenario.violations)))
+    print("  %-26s %3d violation(s)" % ("direct (UC, PAGE_SCRUB)",
+                                        len(report.direct_violations)))
     for violation in report.violations():
         print("VIOLATION [%s] in %s: %s"
               % (violation.invariant, violation.scenario,
                  violation.description))
         for step in violation.trace:
             print("    %s" % step)
-    if drift:
-        print("DRIFT against %s (rerun with --update-spec after "
-              "reviewing):" % GOLDEN_SPEC)
-        for line in drift:
-            print("    %s" % line)
     print("verify-protocol: %s (%d states, %d transitions explored)"
           % ("OK" if ok else "FAILED",
              report.total_states, report.total_transitions))
@@ -681,12 +641,6 @@ def build_parser():
     p_lint.add_argument("--format", choices=["text", "json", "github"],
                         default="text",
                         help="github emits workflow error annotations")
-    p_lint.add_argument("--baseline", default=None,
-                        help="JSON baseline of grandfathered findings; "
-                             "only findings not in it are reported")
-    p_lint.add_argument("--update-baseline", action="store_true",
-                        help="rewrite --baseline with the current "
-                             "findings instead of reporting them")
     p_lint.add_argument("--rule", action="append", default=None,
                         metavar="RULE",
                         help="only report findings from this rule "
@@ -695,17 +649,13 @@ def build_parser():
 
     p_verify = sub.add_parser(
         "verify-protocol",
-        help="extract the coherence transition system from the AST and "
-             "exhaustively model-check the paper invariants")
+        help="exhaustively model-check the paper invariants by running "
+             "the live protocol handlers over a small model")
     p_verify.add_argument("--format", choices=["text", "json"],
                           default="text")
     p_verify.add_argument("--out", default=None,
-                          help="also write the full JSON report (model, "
+                          help="also write the full JSON report (pairs, "
                                "scenarios, violations) to this path")
-    p_verify.add_argument("--update-spec", action="store_true",
-                          help="rewrite the committed golden spec from "
-                               "the current AST instead of checking "
-                               "for drift")
     p_verify.add_argument("--max-states", type=int, default=500000,
                           help="abort a scenario beyond this many "
                                "explored configurations")

@@ -32,10 +32,6 @@ class DirectoryEntry:
         self.awaiting_acks = 0
         self.awaiting_put = False       # FWD missed; a writeback is racing
 
-    @property
-    def is_transient(self):
-        return self.state == DirState.LOCKED
-
     def lock(self, kind, requester):
         self.state = DirState.LOCKED
         self.pending_kind = kind
@@ -91,12 +87,3 @@ class Directory:
     def total_lines(self):
         """Number of lines homed at this node (for scan-cost accounting)."""
         return self.size_bytes // self.line_size
-
-    def incoherent_lines(self):
-        from repro.common.types import DirState as _DirState
-        return [addr for addr, entry in self._entries.items()
-                if entry.state == _DirState.INCOHERENT]
-
-    def drop(self, line_address):
-        """Forget an entry (used by page scrub after marking resolution)."""
-        self._entries.pop(line_address, None)

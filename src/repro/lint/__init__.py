@@ -26,20 +26,12 @@ broad-except           fault containment of the *tooling*: model bugs
                        escalate except at crash-isolation boundaries
 =====================  ====================================================
 
-Run it as ``python -m repro.cli lint``; suppress a deliberate exception
-with ``# repro-lint: disable=<rule> — <justification>``.
+Run it as ``python -m repro.cli lint``; it exits nonzero on any finding.
+Suppress a deliberate exception with
+``# repro-lint: disable=<rule> — <justification>``.
 """
 
-from repro.lint.core import (
-    Checker,
-    Finding,
-    Module,
-    Project,
-    Severity,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
+from repro.lint.core import Checker, Finding, Module, Project, Severity
 from repro.lint.engine import (
     all_rules,
     build_project,
@@ -53,7 +45,6 @@ from repro.lint.engine import (
 
 __all__ = [
     "Checker", "Finding", "Module", "Project", "Severity",
-    "apply_baseline", "load_baseline", "write_baseline",
     "all_rules", "build_project", "default_checkers",
     "format_json", "format_text", "lint_project",
     "package_root", "run_lint",

@@ -1,4 +1,4 @@
-"""Checker framework: findings, modules, suppressions and the baseline.
+"""Checker framework: findings, modules and suppressions.
 
 The linter is the static half of the paper's firmware assertions (§4.2):
 instead of catching an invariant violation at dispatch time, each checker
@@ -13,15 +13,14 @@ ever runs.  The framework is deliberately small:
   suppresses findings on that line, and
   ``# repro-lint: disable-file=<rule>`` anywhere in a file suppresses the
   rule for the whole file — both are meant to carry a justification in
-  the rest of the comment;
-* a baseline file grandfathers pre-existing findings so CI only fails on
-  *new* ones (this repo ships an empty baseline: the tree lints clean).
+  the rest of the comment.
+
+Nothing is grandfathered: the tree lints clean and CI fails on any
+finding.
 """
 
 import ast
-import collections
 import enum
-import json
 import re
 
 
@@ -46,10 +45,6 @@ class Finding:
     def location(self):
         return "%s:%d" % (self.path, self.line)
 
-    def fingerprint(self):
-        """Baseline identity: stable across unrelated line-number drift."""
-        return (self.rule, self.path, self.message)
-
     def sort_key(self):
         return (self.path, self.line, self.rule, self.message)
 
@@ -57,13 +52,6 @@ class Finding:
         return {"rule": self.rule, "severity": self.severity.value,
                 "path": self.path, "line": self.line,
                 "message": self.message}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(rule=data["rule"],
-                   severity=Severity(data.get("severity", "error")),
-                   path=data["path"], line=data.get("line", 0),
-                   message=data["message"])
 
     def __eq__(self, other):
         return (isinstance(other, Finding)
@@ -137,40 +125,6 @@ class Checker:
 
     def check_module(self, module):
         return ()
-
-
-# ---------------------------------------------------------------- baseline
-
-def load_baseline(path):
-    """Baseline file -> multiset of finding fingerprints."""
-    with open(path) as handle:
-        data = json.load(handle)
-    counts = collections.Counter()
-    for entry in data.get("findings", ()):
-        finding = Finding.from_dict(entry)
-        counts[finding.fingerprint()] += 1
-    return counts
-
-
-def write_baseline(path, findings):
-    with open(path, "w") as handle:
-        json.dump({"version": 1,
-                   "findings": [finding.to_dict() for finding in findings]},
-                  handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def apply_baseline(findings, baseline):
-    """Drop findings covered by the baseline multiset (one entry each)."""
-    remaining = collections.Counter(baseline)
-    kept = []
-    for finding in findings:
-        key = finding.fingerprint()
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-        else:
-            kept.append(finding)
-    return kept
 
 
 # ------------------------------------------------------------- AST helpers

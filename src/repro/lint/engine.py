@@ -9,14 +9,7 @@ call :func:`lint_project` directly.
 import json
 import os
 
-from repro.lint.core import (
-    Finding,
-    Module,
-    Project,
-    Severity,
-    apply_baseline,
-    load_baseline,
-)
+from repro.lint.core import Finding, Module, Project, Severity
 from repro.lint.determinism import DeterminismChecker
 from repro.lint.hygiene import HygieneChecker
 from repro.lint.telemetry import TelemetryCauseChecker, TelemetryGuardChecker
@@ -100,25 +93,15 @@ def lint_project(project, checkers=None):
     return sorted(findings, key=lambda finding: finding.sort_key())
 
 
-def run_lint(root=None, paths=None, baseline_path=None):
-    """Lint the package (or explicit paths) against an optional baseline.
-
-    Returns ``(findings, suppressed_by_baseline)``.
-    """
+def run_lint(root=None, paths=None):
+    """Lint the package (or explicit paths); returns the findings."""
     project, findings = build_project(root=root, paths=paths)
-    findings = findings + lint_project(project)
-    suppressed = 0
-    if baseline_path and os.path.exists(baseline_path):
-        baseline = load_baseline(baseline_path)
-        kept = apply_baseline(findings, baseline)
-        suppressed = len(findings) - len(kept)
-        findings = kept
-    return findings, suppressed
+    return findings + lint_project(project)
 
 
 # ---------------------------------------------------------------- reporting
 
-def format_text(findings, suppressed=0):
+def format_text(findings):
     lines = []
     for finding in findings:
         lines.append("%s: %s [%s] %s" % (
@@ -127,16 +110,13 @@ def format_text(findings, suppressed=0):
     counts = {}
     for finding in findings:
         counts[finding.severity] = counts.get(finding.severity, 0) + 1
-    summary = ("%d finding(s): %d error(s), %d warning(s)"
-               % (len(findings), counts.get(Severity.ERROR, 0),
-                  counts.get(Severity.WARNING, 0)))
-    if suppressed:
-        summary += ", %d grandfathered by baseline" % suppressed
-    lines.append(summary)
+    lines.append("%d finding(s): %d error(s), %d warning(s)"
+                 % (len(findings), counts.get(Severity.ERROR, 0),
+                    counts.get(Severity.WARNING, 0)))
     return "\n".join(lines)
 
 
-def format_json(findings, suppressed=0):
+def format_json(findings):
     return json.dumps({
         "findings": [finding.to_dict() for finding in findings],
         "count": len(findings),
@@ -144,5 +124,4 @@ def format_json(findings, suppressed=0):
                       if finding.severity is Severity.ERROR),
         "warnings": sum(1 for finding in findings
                         if finding.severity is Severity.WARNING),
-        "baseline_suppressed": suppressed,
     }, indent=2, sort_keys=True)

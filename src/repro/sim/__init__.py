@@ -16,11 +16,10 @@ uses to drop the R10000 into recovery code.
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.process import AllOf, AnyOf, Event, Interrupt, Process
+from repro.sim.process import AnyOf, Event, Interrupt, Process
 from repro.sim.channel import Channel
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Channel",
     "Event",

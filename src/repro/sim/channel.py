@@ -56,10 +56,6 @@ class Channel:
             return self._items.popleft()
         return None
 
-    def peek(self):
-        """Return the head item without removing it, or None."""
-        return self._items[0] if self._items else None
-
     def watch(self):
         """Return an event that fires on the next put (without consuming)."""
         event = Event(self.sim, name="%s.watch" % self.name)

@@ -5,7 +5,7 @@ A process generator may yield:
 * a number — sleep that many nanoseconds;
 * an :class:`Event` — resume when it triggers (with the event's value);
 * another :class:`Process` — resume when it terminates;
-* an :class:`AllOf` / :class:`AnyOf` — composite waits;
+* an :class:`AnyOf` — resume on the first of several events;
 * a channel ``get()`` (which is an :class:`Event` under the hood).
 
 ``Process.interrupt(cause)`` throws :class:`Interrupt` into the generator at
@@ -15,9 +15,9 @@ MAGIC uses to pull the R10000 out of normal execution (paper §4.2).
 
 The single-waitable lanes (sleep, one event, one process join) are the
 simulator's hot path, so everything they allocate per wait is a
-``__slots__`` class — no closure cells, no per-wait dicts.  Composite
-waits (:class:`AllOf`/:class:`AnyOf`) are comparatively rare and share
-the same slotted machinery via per-index adapter callbacks.
+``__slots__`` class — no closure cells, no per-wait dicts.  The
+composite wait (:class:`AnyOf`) is comparatively rare and shares the
+same slotted machinery via per-index adapter callbacks.
 """
 
 
@@ -65,15 +65,6 @@ class Event:
             pass
 
 
-class AllOf:
-    """Wait for every event in a collection; value is the list of values."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, events):
-        self.events = list(events)
-
-
 class AnyOf:
     """Wait for the first event in a collection; value is (index, value)."""
 
@@ -113,30 +104,6 @@ class _Waiter:
         self.event.unsubscribe(self)
 
 
-class _AllOfWait:
-    """Join counter for an :class:`AllOf`; resumes when every slot fired."""
-
-    __slots__ = ("process", "values", "remaining", "live")
-
-    def __init__(self, process, count):
-        self.process = process
-        self.values = [None] * count
-        self.remaining = count
-        self.live = True
-
-    def fire(self, index, value):
-        if not self.live or not self.process.alive:
-            return
-        self.values[index] = value
-        self.remaining -= 1
-        if self.remaining == 0:
-            self.live = False
-            self.process._step(self.values, None)
-
-    def detach(self):
-        self.live = False
-
-
 class _AnyOfWait:
     """First-wins latch for an :class:`AnyOf`."""
 
@@ -156,7 +123,7 @@ class _AnyOfWait:
 
 
 class _IndexedCallback:
-    """Adapter subscribing one composite-wait slot to one event."""
+    """Adapter subscribing one :class:`AnyOf` slot to one event."""
 
     __slots__ = ("wait", "index")
 
@@ -239,23 +206,11 @@ class Process:
             waiter = _Waiter(self, yielded.exit_event)
             yielded.exit_event.subscribe(waiter)
             self._pending_wait = waiter
-        elif isinstance(yielded, AllOf):
-            self._arm_all_of(yielded)
         elif isinstance(yielded, AnyOf):
             self._arm_any_of(yielded)
         else:
             raise TypeError(
                 "process %s yielded unsupported %r" % (self.name, yielded))
-
-    def _arm_all_of(self, all_of):
-        events = all_of.events
-        if not events:
-            self.sim.schedule(0.0, self._step, [], None)
-            return
-        wait = _AllOfWait(self, len(events))
-        for index, event in enumerate(events):
-            event.subscribe(_IndexedCallback(wait, index))
-        self._pending_wait = wait
 
     def _arm_any_of(self, any_of):
         wait = _AnyOfWait(self)

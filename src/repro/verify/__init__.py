@@ -1,29 +1,22 @@
 """Static verification of the coherence protocol: one gate.
 
-:mod:`repro.verify.extract` (over :mod:`repro.verify.cfg`) lifts the
-transition table out of the AST of ``coherence/protocol.py`` and owns
-the golden-spec format; :mod:`repro.verify.model` executes the table
-over abstract single-line configurations; :mod:`repro.verify.checker`
-exhaustively explores the reachable space and checks the paper's
-containment invariants (single-owner, lock bookkeeping and
-drainability, sharer consistency, firewall escape) plus the spec's
-shape.  :func:`check_protocol` runs all of it as
-``repro.cli verify-protocol``.
+:mod:`repro.verify.model` runs the handlers of ``coherence/protocol.py``
+— the ``_HANDLERS`` table the simulator dispatches through — on a
+stand-in MAGIC over abstract single-line configurations;
+:mod:`repro.verify.checker` exhaustively explores the reachable space
+and checks the paper's containment invariants (single-owner, lock
+bookkeeping and drainability, sharer consistency, firewall escape), and
+delivers the uncached and scrub kinds once each (uncached-I/O
+containment, scrub acknowledgement).  :func:`check_protocol` runs all
+of it as ``repro.cli verify-protocol``.
 """
 
-from repro.verify.checker import (GOLDEN_SPEC, ProtocolCheck, Report,
-                                  ScenarioResult, Violation, check_protocol,
-                                  verify_spec)
-from repro.verify.extract import (ExtractionError, ProtocolModel,
-                                  extract_from_source, extract_protocol,
-                                  load_spec, spec_diff, write_spec)
+from repro.verify.checker import (Report, ScenarioResult, Violation,
+                                  check_protocol)
 from repro.verify.model import (HOME, Config, ModelError, Scenario,
-                                SpecMachine, initial_config)
+                                StandInMagic, initial_config)
 
 __all__ = [
-    "GOLDEN_SPEC", "HOME", "Config", "ExtractionError", "ModelError",
-    "ProtocolCheck", "ProtocolModel", "Report", "Scenario",
-    "ScenarioResult", "SpecMachine", "Violation", "check_protocol",
-    "extract_from_source", "extract_protocol", "initial_config",
-    "load_spec", "spec_diff", "verify_spec", "write_spec",
+    "HOME", "Config", "ModelError", "Report", "Scenario", "ScenarioResult",
+    "StandInMagic", "Violation", "check_protocol", "initial_config",
 ]

@@ -1,4 +1,4 @@
-"""Exhaustive small-model exploration of the extracted protocol.
+"""Exhaustive small-model exploration of the live protocol handlers.
 
 Three scenarios, mirroring the paper's containment argument:
 
@@ -19,40 +19,27 @@ Three scenarios, mirroring the paper's containment argument:
   owner legitimately wedges until recovery reconstructs the directory,
   which is the recovery subsystem's job, not the protocol's.
 
-The uncached and scrub kinds never enter the stateful exploration (the
-model line is ordinary memory); instead :func:`static_checks` proves
-their containment shape directly on the spec — remote uncached I/O must
-have a rejection path (§3.3) and every kind must reply to somebody — and
-that every ``DirState``/``MessageKind`` name the spec uses is a member.
+Every delivery calls the handler the simulator runs
+(:class:`~repro.verify.model.StandInMagic`).  The uncached and scrub
+kinds never enter the stateful exploration (the model line is ordinary
+memory); :func:`direct_checks` delivers each of them once instead — a
+remote I/O request must be rejected without touching the device
+(§3.3), and a scrub must be acknowledged.
 
-:func:`check_protocol` is the whole ``repro.cli verify-protocol`` gate:
-extract, bless or diff against the golden spec, explore.
+:func:`check_protocol` is the whole ``repro.cli verify-protocol`` gate.
 """
 
 import os
+import traceback
 
 from repro.coherence.messages import MessageKind
-from repro.common.types import DirState
-from repro.verify.extract import (extract_from_source, load_spec, spec_diff,
-                                  write_spec)
+from repro.common.types import BusErrorKind, page_of
 from repro.verify.model import (GRANT_KINDS, HOME, REPLY_KINDS, ModelError,
-                                Scenario, SpecMachine, enqueue, dequeue,
+                                Scenario, StandInMagic, enqueue, dequeue,
                                 initial_config, make_line, message)
 
-#: kinds excluded from stateful exploration (checked statically).
-STATIC_ONLY_KINDS = frozenset({"UC_READ", "UC_WRITE", "PAGE_SCRUB"})
-
-_ENUM_MEMBERS = {
-    "DirState": frozenset(state.name for state in DirState),
-    "MessageKind": frozenset(kind.name for kind in MessageKind),
-}
-
-#: item/atom tag -> (position, enum) of the bare member name it carries.
-_MEMBER_SLOTS = {
-    "state": (1, "DirState"), "unlock": (1, "DirState"),
-    "pending_kind": (1, "MessageKind"), "lock": (1, "MessageKind"),
-    "send": (2, "MessageKind"),
-}
+#: kinds delivered once by :func:`direct_checks` instead of explored.
+DIRECT_KINDS = ("UC_READ", "UC_WRITE", "PAGE_SCRUB")
 
 _TRACE_LIMIT = 20
 
@@ -78,12 +65,14 @@ class Violation:
 
 class ScenarioResult:
 
-    __slots__ = ("name", "states", "transitions", "violations")
+    __slots__ = ("name", "states", "transitions", "pairs", "violations")
 
-    def __init__(self, name, states, transitions, violations):
+    def __init__(self, name, states, transitions, pairs, violations):
         self.name = name
         self.states = states
         self.transitions = transitions
+        #: (directory state, kind) pairs delivered; REMOTE off-home
+        self.pairs = pairs
         self.violations = violations
 
     def to_dict(self):
@@ -93,18 +82,18 @@ class ScenarioResult:
 
 
 class Report:
-    """Outcome of a full verification run over one spec."""
+    """Outcome of a full verification run over one handler table."""
 
-    def __init__(self, scenarios, static_violations):
+    def __init__(self, scenarios, direct_violations):
         self.scenarios = scenarios
-        self.static_violations = static_violations
+        self.direct_violations = direct_violations
 
     @property
     def ok(self):
         return not self.violations()
 
     def violations(self):
-        found = list(self.static_violations)
+        found = list(self.direct_violations)
         for scenario in self.scenarios:
             found.extend(scenario.violations)
         return found
@@ -117,14 +106,24 @@ class Report:
     def total_transitions(self):
         return sum(scenario.transitions for scenario in self.scenarios)
 
+    @property
+    def pairs(self):
+        """Every ``(directory state, kind)`` pair any scenario delivered,
+        named as the live engine's ``protocol.cover`` counters name them."""
+        found = set()
+        for scenario in self.scenarios:
+            found |= scenario.pairs
+        return found
+
     def to_dict(self):
         return {
             "ok": self.ok,
             "total_states": self.total_states,
             "total_transitions": self.total_transitions,
+            "pairs": [list(pair) for pair in sorted(self.pairs)],
             "scenarios": [s.to_dict() for s in self.scenarios],
-            "static_violations": [v.to_dict()
-                                  for v in self.static_violations],
+            "direct_violations": [v.to_dict()
+                                  for v in self.direct_violations],
         }
 
 
@@ -137,164 +136,90 @@ def default_scenarios():
     ]
 
 
-def verify_spec(spec, scenarios=None, max_states=500000):
-    """Explore every scenario; returns a :class:`Report`."""
-    machine = SpecMachine(spec)
+def check_protocol(handlers=None, engine_class=None, scenarios=None,
+                   max_states=500000):
+    """The ``verify-protocol`` gate; returns a :class:`Report`.
+
+    ``handlers``/``engine_class`` default to the shipped ``_HANDLERS``
+    and ``ProtocolEngine`` of ``coherence/protocol.py``.
+    """
     results = []
     for scenario in (scenarios or default_scenarios()):
-        explorer = _Explorer(machine, scenario, max_states)
-        results.append(explorer.run())
-    return Report(results, static_checks(spec))
+        machine = StandInMagic(scenario, handlers, engine_class)
+        results.append(_Explorer(machine, scenario, max_states).run())
+    return Report(results, direct_checks(handlers, engine_class))
 
 
-# -------------------------------------------------------------------- gate
+# ------------------------------------------------------------ direct checks
 
-_COHERENCE_DIR = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "coherence")
-PROTOCOL_SOURCE = os.path.join(_COHERENCE_DIR, "protocol.py")
-GOLDEN_SPEC = os.path.join(_COHERENCE_DIR, "protocol.spec.json")
-
-
-class ProtocolCheck:
-    """What the gate found in the shipped protocol.
-
-    ``drift`` is None when no golden spec is committed; ``report`` is
-    None when the run re-blessed the spec instead of checking it.
-    """
-
-    __slots__ = ("spec", "drift", "report")
-
-    def __init__(self, spec, drift, report):
-        self.spec = spec
-        self.drift = drift
-        self.report = report
-
-    @property
-    def ok(self):
-        return (self.report is not None and self.report.ok
-                and not self.drift)
-
-
-def check_protocol(update_spec=False, max_states=500000):
-    """The ``verify-protocol`` gate over ``coherence/protocol.py``.
-
-    Extracts the transition table, raising :class:`ExtractionError` on
-    anything outside the handler dialect.  With ``update_spec`` it
-    re-blesses the golden spec and stops; otherwise it diffs the table
-    against the golden spec and explores it.
-    """
-    with open(PROTOCOL_SOURCE) as handle:
-        model = extract_from_source(handle.read())
-    spec = model.to_spec()
-    if update_spec:
-        write_spec(GOLDEN_SPEC, model)
-        return ProtocolCheck(spec, [], None)
-    drift = (spec_diff(load_spec(GOLDEN_SPEC), spec)
-             if os.path.exists(GOLDEN_SPEC) else None)
-    return ProtocolCheck(spec, drift,
-                         verify_spec(spec, max_states=max_states))
-
-
-# ------------------------------------------------------------ static checks
-
-def static_checks(spec):
-    """Spec-shape invariants: enum names, and the kinds the model does
-    not explore."""
-    violations = [
-        Violation("unknown-member", "static",
-                  "%s.%s is not a member of the %s enum"
-                  % (enum, member, enum))
-        for enum, member in _unknown_members(spec)]
-    by_kind = {}
-    for entry in spec.get("transitions", ()):
-        by_kind.setdefault(entry["kind"], []).append(entry)
-    for kind in sorted(STATIC_ONLY_KINDS):
-        paths = by_kind.get(kind)
-        if not paths:
+def direct_checks(handlers=None, engine_class=None):
+    """Deliver each of :data:`DIRECT_KINDS` once, from a remote requester,
+    to the home of an I/O register (uncached) or the model page (scrub)."""
+    scenario = default_scenarios()[0]
+    requester = 1
+    violations = []
+    for kind in DIRECT_KINDS:
+        machine = StandInMagic(scenario, handlers, engine_class)
+        address_map = machine.address_map
+        if MessageKind[kind] not in machine.handlers:
             violations.append(Violation(
-                "missing-handler", "static",
-                "%s has no extracted transition" % kind))
+                "missing-handler", "direct", "%s has no handler" % kind))
             continue
-        if not any(item[0] == "send"
-                   for entry in paths for item in _walk(entry["items"])):
+        if kind == "PAGE_SCRUB":
+            payload = {"page": page_of(machine.line, address_map.page_size),
+                       "requester": requester, "scrub_key": ("scrub", 1)}
+        else:
+            payload = {"address": address_map.io_region_start(HOME),
+                       "requester": requester, "uc_key": ("uc", 1),
+                       "value": 1}
+        trace = ["deliver %s %d->%d %s" % (kind, requester, HOME, payload)]
+        try:
+            outcome = machine.run(initial_config(scenario.num_nodes),
+                                  requester, HOME, kind, payload)
+        except Exception as exc:  # repro-lint: disable=broad-except — a
+            # handler bug is a finding for the report, not a checker crash
             violations.append(Violation(
-                "silent-handler", "static",
-                "%s never replies; requesters would wedge" % kind))
-    for kind in ("UC_READ", "UC_WRITE"):
-        if not _has_uc_rejection(by_kind.get(kind, ())):
+                "handler-exception", "direct", _raised(machine, kind, exc),
+                trace))
+            continue
+        replies = [(sent[0], sent_payload)
+                   for target, sent, sent_payload in outcome.sends
+                   if target == requester]
+        trace.extend("reply %s %s" % sent for sent in replies)
+        if kind == "PAGE_SCRUB":
+            if not any(reply_kind == "SCRUB_ACK"
+                       for reply_kind, _ in replies):
+                violations.append(Violation(
+                    "silent-handler", "direct",
+                    "PAGE_SCRUB was not acknowledged with SCRUB_ACK; the "
+                    "requester would wedge", trace))
+            continue
+        reply = "UC_DATA" if kind == "UC_READ" else "UC_ACK"
+        rejected = any(
+            reply_kind == reply and reply_payload.get("error_kind")
+            == BusErrorKind.REMOTE_UNCACHED_IO
+            for reply_kind, reply_payload in replies)
+        touched = machine.io_device.total_operations()
+        if not rejected or touched:
+            trace.append("device operations: %d" % touched)
             violations.append(Violation(
-                "uncached-escape", "static",
-                "%s lacks the remote-I/O rejection path (paper §3.3: "
-                "nonidempotent I/O must not cross failure units)" % kind))
+                "uncached-escape", "direct",
+                "%s of an I/O register from outside the home's failure "
+                "unit must get the REMOTE_UNCACHED_IO %s and leave the "
+                "device untouched (paper §3.3: nonidempotent I/O must not "
+                "cross failure units)" % (kind, reply), trace))
     return violations
 
 
-def _unknown_members(spec):
-    """(enum, name) pairs the spec names that the enums lack.
-
-    The extractor never imports the protocol, so a typo such as
-    ``DirState.BROKEN`` extracts cleanly into a guard that never holds.
-    """
-    named = {("MessageKind", kind) for kind in spec.get("handlers", {})}
-    for entry in spec.get("transitions", ()):
-        named.add(("MessageKind", entry["kind"]))
-        _collect_members(entry["items"], named)
-    return sorted((enum, member) for enum, member in named
-                  if member not in _ENUM_MEMBERS[enum])
-
-
-def _collect_members(node, named):
-    if isinstance(node, dict):
-        for value in node.values():
-            _collect_members(value, named)
-    elif isinstance(node, list):
-        slot = (_MEMBER_SLOTS.get(node[0])
-                if node and isinstance(node[0], str) else None)
-        if slot is not None:
-            position, enum = slot
-            named.add((enum, node[position].rsplit(".", 1)[-1]))
-        for child in node:
-            _collect_members(child, named)
-    elif isinstance(node, str):
-        enum, dot, member = node.partition(".")
-        if dot and enum in _ENUM_MEMBERS:
-            named.add((enum, member))
-
-
-def _walk(items):
-    for item in items:
-        yield item
-        if item[0] == "fanout":
-            for inner in item[3]:
-                yield inner
-
-
-def _has_uc_rejection(paths):
-    """Some path must reject I/O for requesters outside the failure
-    unit: guarded on io-region AND not-in-failure-unit, replying with an
-    error payload."""
-    for entry in paths:
-        guarded = False
-        for item in entry["items"]:
-            if item[0] == "guard" and item[2]:
-                if _mentions(item[1], "io_region") and _mentions(
-                        item[1], "in_failure_unit"):
-                    guarded = True
-            if guarded and item[0] == "send":
-                payload = item[3]
-                if "BusErrorKind" in str(payload.get("error_kind", "")):
-                    return True
-    return False
-
-
-def _mentions(atom, tag):
-    if atom[0] == tag:
-        return True
-    if atom[0] in ("and", "or"):
-        return any(_mentions(part, tag) for part in atom[1])
-    if atom[0] == "not":
-        return _mentions(atom[1], tag)
-    return False
+def _raised(machine, kind, exc):
+    """Describe an exception a delivery raised, located at the deepest
+    line of the handler's source file (the protocol line to fix)."""
+    frames = traceback.extract_tb(exc.__traceback__)
+    source = machine.handlers[MessageKind[kind]].__code__.co_filename
+    frame = ([f for f in frames if f.filename == source] or frames)[-1]
+    return "%s handler raised %s: %s (%s:%d)" % (
+        kind, type(exc).__name__, exc, os.path.basename(frame.filename),
+        frame.lineno)
 
 
 # -------------------------------------------------------------- exploration
@@ -310,6 +235,7 @@ class _Explorer:
         self.violations = []
         self.seen_violations = set()
         self.transitions = 0
+        self.pairs = set()
 
     def run(self):
         scenario = self.scenario
@@ -335,7 +261,7 @@ class _Explorer:
         if scenario.check_drain:
             self._check_drain()
         return ScenarioResult(scenario.name, len(self.parents),
-                              self.transitions, self.violations)
+                              self.transitions, self.pairs, self.violations)
 
     # ----------------------------------------------------------------- seeds
 
@@ -461,16 +387,22 @@ class _Explorer:
         if kind in REPLY_KINDS:
             return (label, self._absorb(base, dst, kind))
         self.transitions += 1
+        self.pairs.add((base.state if dst == HOME else "REMOTE", kind))
         try:
-            outcome = self.machine.deliver(base, src, dst, msg,
-                                           self.scenario)
+            outcome = self.machine.deliver(base, src, dst, msg)
         except ModelError as exc:
             self._violate("model-gap", config, str(exc))
+            return None
+        except Exception as exc:  # repro-lint: disable=broad-except — a
+            # handler bug is a finding with a trace, not a checker crash
+            self._violate("handler-exception", config,
+                          "%s at node %d"
+                          % (_raised(self.machine, kind, exc), dst))
             return None
         for tag, detail in outcome.events:
             if tag == "assert":
                 self._violate("firmware-assert", config,
-                              "firmware assertion %s tripped delivering "
+                              "firmware assertion %r tripped delivering "
                               "%s at node %d" % (detail, kind, dst))
             elif tag == "acks-underflow":
                 self._violate("ack-underflow", config,
@@ -480,7 +412,7 @@ class _Explorer:
                               "%s locked a line already LOCKED for %s"
                               % (kind, detail))
         successor = outcome.config
-        for target, sent in outcome.sends:
+        for target, sent, _payload in outcome.sends:
             sent_kind = sent[0]
             if (sent_kind in GRANT_KINDS
                     and target in self.scenario.failed):

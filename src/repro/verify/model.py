@@ -1,4 +1,4 @@
-"""Abstract single-line protocol machine driven by the extracted spec.
+"""Abstract single-line protocol model: the live handlers on a stand-in MAGIC.
 
 The machine models one cache line homed at node 0, with up to three
 remote nodes, exactly the small-model shape of the paper's protocol
@@ -18,28 +18,36 @@ A configuration is immutable (hashable) and holds:
   (e.g. an INVAL overtaking the DATA_SHARED it chases) that the
   interconnect cannot produce.
 
-:class:`SpecMachine` executes one delivery: it finds the unique
-transition path whose guards hold (executing binds and entry mutations
-in extracted order, because e.g. ``INVAL_ACK`` decrements the ack count
-*before* testing it), applies the writes, and returns the sends.  The
-guard/step vocabulary is closed — anything outside it raises
-:class:`ModelError`, which the checker reports as a model/extraction
-gap rather than guessing semantics.
+:class:`StandInMagic` executes one delivery by calling the handler the
+simulator runs — ``coherence/protocol.py``'s ``_HANDLERS`` entry, on a
+``ProtocolEngine`` — against a stand-in for the node controller: a
+one-entry directory loaded from the configuration, a cache over the
+delivering node's ``I``/``S``/``E`` letter, a ``send_message`` that
+captures what the handler sends, the scenario's firewall policy and
+``firmware_assert`` events.  There is no second copy of the protocol:
+what the explorer checks is what the simulator executes.
 
 Model assumptions (documented deviations from the concrete machine):
 
-* remotes always have caches (``has_cache`` is true off-home);
+* every node has a cache (only the remote-side handlers consult it);
 * failure units are singletons, so ``requester in failure_unit``
   means ``requester == node``;
 * the modeled line is ordinary memory (never in the MAGIC region) and
-  addresses are never I/O — the uncached and scrub kinds are validated
-  statically by the checker instead of being explored statefully;
+  never I/O — the uncached and scrub kinds are delivered once each by
+  the checker instead of being explored statefully;
 * the firewall ACL is scenario policy: open in fault-free scenarios,
   deny-failed-cell in fault scenarios (paper §4.1: recovery closes the
   firewall against dead cells).
 """
 
-from repro.common.types import DirState
+from repro.coherence import protocol as shipped_protocol
+from repro.coherence.directory import DirectoryEntry
+from repro.coherence.messages import MessageKind
+from repro.common.params import TimingParams
+from repro.common.types import CacheState, DirState
+from repro.node.iodevice import IODevice
+from repro.node.magic import MagicStats, NullHooks
+from repro.node.memory import AddressMap, NodeMemory
 
 HOME = 0
 
@@ -53,11 +61,17 @@ REPLY_KINDS = frozenset({"DATA_SHARED", "DATA_EXCL", "NAK",
 #: documented don't-care: the firewall of §4.1 is a *write* firewall).
 GRANT_KINDS = frozenset({"DATA_EXCL"})
 
-_CACHE_NAMES = {"EXCLUSIVE": "E", "SHARED": "S", "INVALID": "I"}
+_MEM_PER_NODE = 64 * 1024
+
+#: the opaque data token every cached copy and writeback carries
+_VALUE = "data"
+
+_CACHE_STATES = {"I": CacheState.INVALID, "S": CacheState.SHARED,
+                 "E": CacheState.EXCLUSIVE}
 
 
 class ModelError(Exception):
-    """The spec used vocabulary this model cannot execute."""
+    """A delivery the model cannot execute: no handler, or no target."""
 
 
 class Config(tuple):
@@ -205,363 +219,191 @@ class Scenario:
 
 
 class Outcome:
-    """Result of one transition execution."""
+    """Result of one delivery."""
 
     __slots__ = ("config", "sends", "events")
 
     def __init__(self, config, sends, events):
         self.config = config
-        self.sends = sends        # [(dst, kind, fields-tuple)]
+        self.sends = sends        # [(dst, (kind, fields), payload)]
         self.events = events      # [(tag, detail)]
 
 
-_DIR_STATES = frozenset(state.name for state in DirState)
+class _Packet:
 
+    __slots__ = ("kind", "src", "payload")
 
-def _may_states(atom):
-    """Directory states where ``atom`` could evaluate true (sound
-    over-approximation: atoms that are not purely a function of the
-    directory state contribute the full set)."""
-    if atom[0] == "state":
-        name = atom[1].rsplit(".", 1)[-1]
-        return frozenset({name}) if name in _DIR_STATES else _DIR_STATES
-    if atom[0] == "not":
-        return _DIR_STATES - _must_states(atom[1])
-    if atom[0] == "and":
-        combined = _DIR_STATES
-        for part in atom[1]:
-            combined &= _may_states(part)
-        return combined
-    if atom[0] == "or":
-        combined = frozenset()
-        for part in atom[1]:
-            combined |= _may_states(part)
-        return combined
-    return _DIR_STATES
-
-
-def _must_states(atom):
-    """Directory states where ``atom`` is certainly true regardless of
-    the rest of the configuration (sound under-approximation)."""
-    if atom[0] == "state":
-        name = atom[1].rsplit(".", 1)[-1]
-        return frozenset({name}) if name in _DIR_STATES else frozenset()
-    if atom[0] == "not":
-        return _DIR_STATES - _may_states(atom[1])
-    if atom[0] == "and":
-        combined = _DIR_STATES
-        for part in atom[1]:
-            combined &= _must_states(part)
-        return combined
-    if atom[0] == "or":
-        combined = frozenset()
-        for part in atom[1]:
-            combined |= _must_states(part)
-        return combined
-    return frozenset()
-
-
-def _state_set(atom):
-    """Directory states where ``atom`` holds, or None if the atom is not
-    purely a function of the directory state."""
-    may, must = _may_states(atom), _must_states(atom)
-    return may if may == must else None
-
-
-def _admissible_states(items):
-    """Initial directory states a path can possibly match, judging by
-    its state guards before the first state mutation (None = any)."""
-    admissible = _DIR_STATES
-    for item in items:
-        if item[0] == "guard":
-            atom = item[1] if item[2] else ["not", item[1]]
-            admissible &= _may_states(atom)
-        elif item[0] in ("lock", "unlock") or (
-                item[0] == "write" and item[1] == "state"):
-            break
-    return None if admissible == _DIR_STATES else admissible
-
-
-class SpecMachine:
-    """Executes extracted transitions against configurations."""
-
-    def __init__(self, spec):
-        self.by_kind = {}
-        for entry in spec.get("transitions", ()):
-            self.by_kind.setdefault(entry["kind"], []).append(
-                (entry, _admissible_states(entry["items"])))
-
-    def deliver(self, config, src, dst, msg, scenario):
-        """Run the handler for ``msg`` at ``dst``.
-
-        Returns an :class:`Outcome`; raises :class:`ModelError` when no
-        transition path (or more than one) matches — the paths come from
-        if/else enumeration, so the match must be unique.
-        """
-        kind, fields = msg
-        state = config.line[0]
-        matched = []
-        for transition, admissible in self.by_kind.get(kind, ()):
-            if admissible is not None and state not in admissible:
-                continue
-            work = _Execution(config, dst, src, dict(fields), scenario)
-            if work.run(transition["items"]):
-                matched.append(work)
-        if len(matched) != 1:
-            raise ModelError(
-                "%d transition path(s) of %s match at %s"
-                % (len(matched), kind, config.describe()))
-        work = matched[0]
-        return Outcome(work.freeze(), work.sends, work.events)
-
-
-class _Execution:
-    """Mutable working copy of a configuration during one delivery."""
-
-    def __init__(self, config, node, src, fields, scenario):
-        line = config.line
-        self.line = {
-            "state": line[0], "owner": line[1], "sharers": set(line[2]),
-            "memory_valid": line[3], "pending_kind": line[4],
-            "pending_requester": line[5], "awaiting_acks": line[6],
-            "awaiting_put": line[7],
-        }
-        self.caches = list(config.caches)
-        self.outstanding = config.outstanding
-        self.queues = config.queues
-        self.spent = config.spent
-        self.node = node
+    def __init__(self, kind, src, payload):
+        self.kind = kind
         self.src = src
-        self.fields = fields
+        self.payload = payload
+
+
+class _Entry(DirectoryEntry):
+    """The model line's directory entry; relocking a LOCKED line is an
+    event (the new transaction would overwrite the pending one)."""
+
+    __slots__ = ("events",)
+
+    def lock(self, kind, requester):
+        if self.state == DirState.LOCKED:
+            self.events.append(("relock", "%s@%s" % (
+                getattr(self.pending_kind, "name", None),
+                self.pending_requester)))
+        DirectoryEntry.lock(self, kind, requester)
+
+
+class _Directory:
+    """One entry, for the model line, homed at :data:`HOME`."""
+
+    def __init__(self, magic):
+        self.magic = magic
+        self.current = None
+
+    def owns(self, line_address):
+        return self.magic.node_id == HOME and line_address == self.magic.line
+
+    def entry(self, line_address):
+        if not self.owns(line_address):
+            raise KeyError("line 0x%x not homed at node %d"
+                           % (line_address, self.magic.node_id))
+        return self.current
+
+    def peek(self, line_address):
+        return self.current if self.owns(line_address) else None
+
+
+class _Cache:
+    """The delivering node's cache: its letter in the configuration."""
+
+    def __init__(self, magic):
+        self.magic = magic
+
+    def state_of(self, line_address):
+        magic = self.magic
+        return _CACHE_STATES[magic.caches[magic.node_id]]
+
+    def downgrade(self, line_address):
+        magic = self.magic
+        if magic.caches[magic.node_id] == "I":
+            return None
+        magic.caches[magic.node_id] = "S"
+        return _VALUE
+
+    def invalidate(self, line_address):
+        magic = self.magic
+        dirty = magic.caches[magic.node_id] == "E"
+        magic.caches[magic.node_id] = "I"
+        return _VALUE if dirty else None
+
+
+class StandInMagic:
+    """Just enough of :class:`~repro.node.magic.Magic` to run the handlers.
+
+    ``handlers`` and ``engine_class`` default to the shipped
+    ``_HANDLERS`` and ``ProtocolEngine``; tests pass a mutated module's.
+    """
+
+    def __init__(self, scenario, handlers=None, engine_class=None):
         self.scenario = scenario
-        self.binds = {}
-        self.locals = {}
-        self.cache_value = None
+        self.handlers = (shipped_protocol._HANDLERS if handlers is None
+                         else handlers)
+        self.params = TimingParams()
+        self.address_map = AddressMap(scenario.num_nodes, _MEM_PER_NODE)
+        #: the model line: the first general-purpose line homed at HOME
+        self.line = self.address_map.usable_range(HOME)[0]
+        self.firewall_enabled = scenario.firewall_enabled
+        self.memory = NodeMemory(HOME, self.address_map)
+        self.io_device = IODevice(HOME)
+        self.directory = _Directory(self)
+        self.cache = _Cache(self)
+        self.stats = MagicStats()
+        self.hooks = NullHooks()
+        self.trace = None
+        self.metrics = None
+        self._cause = None
+        self._units = [frozenset({node})
+                       for node in range(scenario.num_nodes)]
+        # per-delivery state, loaded by run()
+        self.node_id = HOME
+        self.failure_unit = self._units[HOME]
+        self.caches = None
+        self.sends = None
+        self.events = None
+        self.engine = (engine_class or shipped_protocol.ProtocolEngine)(self)
+
+    # ------------------------------------------------------- MAGIC surface
+
+    def firewall_allows(self, page_address, writer_node):
+        return self.scenario.firewall_allows(writer_node)
+
+    def firmware_assert(self, condition, message):
+        if not condition:
+            self.events.append(("assert", message))
+        return condition
+
+    def send_message(self, dst, kind, payload, delay=0.0):
+        if dst is None:
+            raise ModelError("%s sent to no node" % kind.name)
+        fields = tuple((key, payload[key]) for key in ("home", "requester")
+                       if key in payload)
+        self.sends.append((dst, (kind.name, fields), payload))
+
+    def scrub_page(self, page_address):
+        return 0
+
+    # ------------------------------------------------------------ delivery
+
+    def deliver(self, config, src, dst, msg):
+        """Deliver a model message about the model line at ``dst``."""
+        kind, fields = msg
+        payload = {"line": self.line, "value": _VALUE}
+        payload.update(fields)
+        return self.run(config, src, dst, kind, payload)
+
+    def run(self, config, src, dst, kind, payload):
+        """Run ``kind``'s handler at ``dst``; returns an :class:`Outcome`.
+
+        Raises :class:`ModelError` when the kind has no handler or the
+        handler sends to no node; anything else the handler raises
+        propagates to the caller.
+        """
+        member = MessageKind[kind]
+        handler = self.handlers.get(member)
+        if handler is None:
+            raise ModelError("%s has no handler" % kind)
+        self.node_id = dst
+        self.failure_unit = self._units[dst]
+        self.caches = list(config.caches)
         self.sends = []
         self.events = []
+        entry = self.directory.current = _load_entry(config.line,
+                                                     self.events)
+        handler(self.engine, _Packet(member, src, payload))
+        if entry.awaiting_acks < 0:
+            self.events.append(("acks-underflow", ""))
+        successor = config.replace(line=_freeze_entry(entry),
+                                   caches=self.caches)
+        return Outcome(successor, self.sends, self.events)
 
-    # ------------------------------------------------------------- driving
 
-    def run(self, items):
-        """Apply items in order; False when a guard does not hold."""
-        for item in items:
-            if item[0] == "guard":
-                if self.eval_atom(item[1]) != item[2]:
-                    return False
-            else:
-                self.apply(item)
-        return True
+def _load_entry(line, events):
+    entry = _Entry()
+    entry.events = events
+    entry.state = DirState[line[0]]
+    entry.owner = line[1]
+    entry.sharers = set(line[2])
+    entry.memory_valid = line[3]
+    entry.pending_kind = None if line[4] is None else MessageKind[line[4]]
+    entry.pending_requester = line[5]
+    entry.awaiting_acks = line[6]
+    entry.awaiting_put = line[7]
+    return entry
 
-    def freeze(self):
-        line = self.line
-        return Config((
-            (line["state"], line["owner"], frozenset(line["sharers"]),
-             line["memory_valid"], line["pending_kind"],
-             line["pending_requester"], line["awaiting_acks"],
-             line["awaiting_put"]),
-            tuple(self.caches),
-            self.outstanding,
-            self.queues,
-            self.spent,
-        ))
 
-    # --------------------------------------------------------------- atoms
-
-    def eval_atom(self, atom):
-        tag = atom[0]
-        if tag == "and":
-            return all(self.eval_atom(part) for part in atom[1])
-        if tag == "or":
-            return any(self.eval_atom(part) for part in atom[1])
-        if tag == "not":
-            return not self.eval_atom(atom[1])
-        if tag == "state":
-            return self.line["state"] == atom[1]
-        if tag == "pending_kind":
-            return self.line["pending_kind"] == atom[1]
-        if tag == "owner_is":
-            return self.line["owner"] == self.resolve(atom[1])
-        if tag == "entry_missing":
-            # The model always materializes the entry; a missing entry
-            # is indistinguishable from its reset (UNOWNED) state, and
-            # every extracted use disjoins this with a state test.
-            return False
-        if tag == "acks_remaining":
-            return self.line["awaiting_acks"] > 0
-        if tag == "entry_flag":
-            return bool(self.line[atom[1]])
-        if tag == "bind_truthy":
-            return bool(self.binds[atom[1]])
-        if tag == "bind_is":
-            return self.binds[atom[1]] == atom[2].split(".", 1)[1]
-        if tag == "firewall_enabled":
-            return self.scenario.firewall_enabled
-        if tag == "in_failure_unit":
-            return self.resolve(atom[1]) == self.node
-        if tag == "is_home":
-            return self.resolve(atom[1]) == self.node
-        if tag == "firewall_allows":
-            return self.scenario.firewall_allows(self.fields["requester"])
-        if tag == "magic_region":
-            return False        # the modeled line is ordinary memory
-        if tag == "owns":
-            return self.node == HOME
-        if tag == "fw_assert":
-            value = self.eval_atom(atom[1])
-            if not value:
-                self.events.append(("assert", repr(atom[1])))
-            return value
-        if tag == "has_cache":
-            return self.node != HOME
-        if tag == "cache_miss":
-            return self.cache_value is None
-        if tag == "cache_state":
-            return (self.caches[self.node]
-                    == _CACHE_NAMES.get(atom[1], atom[1]))
-        raise ModelError("unknown guard atom %r" % (atom,))
-
-    # --------------------------------------------------------------- steps
-
-    def apply(self, item):
-        tag = item[0]
-        if tag == "bind":
-            self.binds[item[1]] = self._bind_source(item[2])
-        elif tag == "write":
-            self._write(item[1], item[2])
-        elif tag == "sharers_add":
-            self.line["sharers"].add(self.resolve(item[1]))
-        elif tag == "acks_dec":
-            self.line["awaiting_acks"] -= 1
-            if self.line["awaiting_acks"] < 0:
-                self.events.append(("acks-underflow", ""))
-        elif tag == "lock":
-            if self.line["state"] == "LOCKED":
-                # The new transaction overwrites the pending one.
-                self.events.append(("relock", "%s@%s" % (
-                    self.line["pending_kind"],
-                    self.line["pending_requester"])))
-            self.line["state"] = "LOCKED"
-            self.line["pending_kind"] = item[1]
-            self.line["pending_requester"] = self.resolve(item[2])
-        elif tag == "unlock":
-            self.line["state"] = item[1]
-            self.line["pending_kind"] = None
-            self.line["pending_requester"] = None
-            self.line["awaiting_acks"] = 0
-            self.line["awaiting_put"] = False
-        elif tag == "send":
-            self._send(item[1], item[2], item[3])
-        elif tag == "fanout":
-            self._fanout(item[1], item[2], item[3])
-        elif tag == "cache":
-            self._cache_op(item[1])
-        elif tag in ("mem_write", "stat", "hook", "io", "scrub"):
-            pass
-        elif tag == "stray":
-            self.events.append(("stray", item[1]))
-        elif tag == "assert":
-            if not self.eval_atom(item[1]):
-                self.events.append(("assert", repr(item[1])))
-        else:
-            raise ModelError("unknown step %r" % (item,))
-
-    def _bind_source(self, source):
-        if source == "entry.owner":
-            return self.line["owner"]
-        if source == "entry.pending_requester":
-            return self.line["pending_requester"]
-        if source == "entry.pending_kind":
-            return self.line["pending_kind"]
-        if source == "other_sharers":
-            return frozenset(self.line["sharers"]
-                             - {self.fields["requester"]})
-        raise ModelError("unknown bind source %r" % source)
-
-    def _write(self, field, value):
-        if field == "state":
-            name = value.split(".", 1)[1] if "." in value else value
-            self.line["state"] = name
-        elif field == "sharers":
-            self.line["sharers"] = set(self._set_value(value))
-        elif field in ("owner", "pending_requester"):
-            self.line[field] = self.resolve(value)
-        elif field in ("memory_valid", "awaiting_put"):
-            self.line[field] = self.resolve(value)
-        elif field == "awaiting_acks":
-            self.line[field] = self.resolve(value)
-        else:
-            raise ModelError("write to unknown field %r" % field)
-
-    def _set_value(self, value):
-        if value == "{}":
-            return frozenset()
-        if value.startswith("{") and value.endswith("}"):
-            return frozenset(self.resolve(part.strip())
-                             for part in value[1:-1].split(","))
-        raise ModelError("unknown set value %r" % value)
-
-    def _send(self, dst, kind, payload):
-        target = self.resolve(dst)
-        if target is None:
-            raise ModelError("%s sent to no node (%s is None)" % (kind, dst))
-        fields = {}
-        for key in ("requester", "home"):
-            if key in payload:
-                fields[key] = self.resolve(payload[key])
-        self.sends.append((target, (kind, tuple(sorted(fields.items())))))
-
-    def _fanout(self, var, iterable, items):
-        members = self.binds.get(iterable)
-        if members is None:
-            raise ModelError("fanout over unknown iterable %r" % iterable)
-        for member in sorted(members):
-            self.locals[var] = member
-            for item in items:
-                self.apply(item)
-        self.locals.pop(var, None)
-
-    def _cache_op(self, op):
-        state = self.caches[self.node]
-        if op == "downgrade":
-            # Returns the value when the line is present, leaving it
-            # SHARED; a miss leaves the cache untouched.
-            if state in ("S", "E"):
-                self.cache_value = True
-                self.caches[self.node] = "S"
-            else:
-                self.cache_value = None
-        elif op == "invalidate":
-            # Returns the (dirty) value only for EXCLUSIVE; the line is
-            # dropped regardless.
-            self.cache_value = True if state == "E" else None
-            self.caches[self.node] = "I"
-        else:
-            raise ModelError("unknown cache op %r" % op)
-
-    # ------------------------------------------------------------ resolving
-
-    def resolve(self, value):
-        if value in self.locals:
-            return self.locals[value]
-        if value.startswith("$"):
-            if value not in self.binds:
-                raise ModelError("unbound slot %r" % value)
-            return self.binds[value]
-        if value == "requester":
-            return self.fields["requester"]
-        if value == "home":
-            return self.fields["home"]
-        if value == "src":
-            return self.src
-        if value == "self":
-            return self.node
-        if value == "None":
-            return None
-        if value == "True":
-            return True
-        if value == "False":
-            return False
-        if value.startswith("len(") and value.endswith(")"):
-            inner = self.resolve(value[4:-1])
-            return len(inner)
-        raise ModelError("cannot resolve value %r" % value)
+def _freeze_entry(entry):
+    pending = entry.pending_kind
+    return (entry.state.name, entry.owner, frozenset(entry.sharers),
+            entry.memory_valid, None if pending is None else pending.name,
+            entry.pending_requester, entry.awaiting_acks,
+            entry.awaiting_put)

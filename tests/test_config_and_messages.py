@@ -135,20 +135,8 @@ class TestDirectory:
     def test_lock_unlock_cycle(self):
         entry = DirectoryEntry()
         entry.lock(MessageKind.GETX, 5)
-        assert entry.is_transient
+        assert entry.state == DirState.LOCKED
         assert entry.pending_requester == 5
         entry.unlock(DirState.EXCLUSIVE)
-        assert not entry.is_transient
+        assert entry.state == DirState.EXCLUSIVE
         assert entry.pending_kind is None
-
-    def test_incoherent_lines_listing(self):
-        directory = self.make()
-        directory.entry(0x10000).unlock(DirState.INCOHERENT)
-        directory.entry(0x10080)
-        assert directory.incoherent_lines() == [0x10000]
-
-    def test_drop_forgets_entry(self):
-        directory = self.make()
-        directory.entry(0x10000)
-        directory.drop(0x10000)
-        assert directory.peek(0x10000) is None

@@ -1,9 +1,8 @@
 """Tests for repro.lint: the AST invariant linter.
 
 Each rule gets a golden "bad module" fixture asserting exact findings,
-plus suppression handling, baseline round-trips, and — the gate the CI
-job relies on — a check that the real ``src/repro`` tree lints clean
-with an empty baseline.
+plus suppression handling and — the gate the CI job relies on — a
+check that the real ``src/repro`` tree lints clean.
 """
 
 import json
@@ -16,13 +15,10 @@ from repro.lint import (
     Project,
     Severity,
     all_rules,
-    apply_baseline,
     format_json,
     format_text,
     lint_project,
-    load_baseline,
     run_lint,
-    write_baseline,
 )
 
 
@@ -400,45 +396,6 @@ class TestSuppressions:
         assert rules_of(findings) == ["unseeded-random"]
 
 
-# ------------------------------------------------------------------ baseline
-
-class TestBaseline:
-    def test_round_trip_suppresses_grandfathered(self, tmp_path):
-        source = """
-            import time
-
-            def now():
-                return time.time()
-        """
-        findings = lint_source(source)
-        assert len(findings) == 1
-        path = tmp_path / "baseline.json"
-        write_baseline(str(path), findings)
-        baseline = load_baseline(str(path))
-        assert apply_baseline(findings, baseline) == []
-        # New findings are NOT covered.
-        fresh = lint_source(source + """
-            def later():
-                return time.monotonic()
-        """)
-        remaining = apply_baseline(fresh, baseline)
-        assert len(remaining) == 1
-        assert "time.monotonic" in remaining[0].message
-
-    def test_baseline_entries_consumed_once(self, tmp_path):
-        findings = lint_source("""
-            import time
-
-            def now():
-                return time.time() + time.time()
-        """)
-        assert len(findings) == 2
-        path = tmp_path / "baseline.json"
-        write_baseline(str(path), findings[:1])
-        remaining = apply_baseline(findings, load_baseline(str(path)))
-        assert len(remaining) == 1
-
-
 # ---------------------------------------------------------------- the gate
 
 class TestRepoIsClean:
@@ -449,9 +406,8 @@ class TestRepoIsClean:
             "sim-blocking", "handler-cost", "broad-except",
         }
 
-    def test_src_repro_lints_clean_with_empty_baseline(self):
-        findings, suppressed = run_lint()
-        assert suppressed == 0
+    def test_src_repro_lints_clean(self):
+        findings = run_lint()
         assert findings == [], format_text(findings)
 
     def test_cli_lint_json_reports_clean(self, capsys):
@@ -524,6 +480,14 @@ class TestCliLintOptions:
             main(["lint", path, "--rule", "no-such-rule"])
         assert "unknown rule" in str(excinfo.value)
 
+    def test_no_baseline_options_remain(self):
+        from repro.cli import build_parser
+        parser = build_parser()
+        for argv in (["lint", "--baseline", "findings.json"],
+                     ["lint", "--update-baseline"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+
     def test_github_format_emits_annotations(self, tmp_path, capsys):
         from repro.cli import main
         path = _dirty_file(tmp_path)
@@ -533,41 +497,3 @@ class TestCliLintOptions:
         assert len(lines) == 2
         assert all("file=" in l and "line=" in l and "[broad-except]" in l
                    for l in lines)
-
-
-class TestCliBaselineRegeneration:
-    """--update-baseline must regenerate from the unfiltered run.
-
-    The original implementation wrote the post-baseline view, so every
-    regeneration silently dropped the grandfathered findings that still
-    existed -- the baseline shrank while the findings lived on, and the
-    next gated run went red.
-    """
-
-    def test_update_twice_keeps_grandfathered_findings(self, tmp_path,
-                                                       capsys):
-        from repro.cli import main
-        path = _dirty_file(tmp_path)
-        baseline = str(tmp_path / "baseline.json")
-
-        assert main(["lint", path, "--baseline", baseline,
-                     "--update-baseline"]) == 0
-        first = json.loads(open(baseline).read())
-        assert len(first["findings"]) == 2
-
-        # Gated run: everything grandfathered, exit clean.
-        assert main(["lint", path, "--baseline", baseline]) == 0
-        capsys.readouterr()
-
-        # Regenerating with the baseline in place must NOT shrink it.
-        assert main(["lint", path, "--baseline", baseline,
-                     "--update-baseline"]) == 0
-        second = json.loads(open(baseline).read())
-        assert len(second["findings"]) == 2
-        assert main(["lint", path, "--baseline", baseline]) == 0
-
-    def test_update_baseline_requires_a_path(self):
-        from repro.cli import main
-        with pytest.raises(SystemExit) as excinfo:
-            main(["lint", "--update-baseline"])
-        assert "--baseline" in str(excinfo.value)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Channel, Event, Interrupt, Simulator
+from repro.sim import AnyOf, Channel, Event, Interrupt, Simulator
 from repro.sim.process import all_finished
 
 
@@ -141,36 +141,6 @@ def test_process_joins_process():
     assert order == ["child-done", ("parent-saw", "child-result", 10.0)]
 
 
-def test_all_of_waits_for_every_event():
-    sim = Simulator()
-    events = [Event(sim) for _ in range(3)]
-    seen = []
-
-    def waiter():
-        values = yield AllOf(events)
-        seen.append((sim.now, values))
-
-    sim.spawn(waiter())
-    sim.schedule(5, events[1].trigger, "b")
-    sim.schedule(10, events[0].trigger, "a")
-    sim.schedule(15, events[2].trigger, "c")
-    sim.run()
-    assert seen == [(15.0, ["a", "b", "c"])]
-
-
-def test_all_of_empty_resumes_immediately():
-    sim = Simulator()
-    seen = []
-
-    def waiter():
-        values = yield AllOf([])
-        seen.append(values)
-
-    sim.spawn(waiter())
-    sim.run()
-    assert seen == [[]]
-
-
 def test_any_of_resumes_on_first():
     sim = Simulator()
     events = [Event(sim) for _ in range(3)]
@@ -307,14 +277,12 @@ def test_channel_get_before_put_blocks():
     assert seen == [(50.0, "x")]
 
 
-def test_channel_try_get_and_peek():
+def test_channel_try_get():
     sim = Simulator()
     channel = Channel(sim)
     assert channel.try_get() is None
-    assert channel.peek() is None
     channel.put(1)
     channel.put(2)
-    assert channel.peek() == 1
     assert channel.try_get() == 1
     assert len(channel) == 1
 

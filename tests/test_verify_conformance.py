@@ -1,13 +1,11 @@
-"""Live-engine conformance for the extracted protocol model.
+"""Live-engine conformance for the protocol model checker.
 
-Two directions, both against the committed golden spec:
-
-* every ``protocol.cover.<STATE>.<KIND>`` pair a deterministic seed-0
-  battery exercises must be admissible for some extracted transition
-  (the live engine does nothing the model cannot see), and
-* every extracted main-line transition pair must be exercised by the
-  battery (dead transitions are flagged), minus an explicit allowlist
-  of race-window pairs that only the exhaustive model checker reaches.
+The checker runs the handlers the simulator runs, so conformance is
+exact: the ``protocol.cover.<STATE>.<KIND>`` pairs a deterministic
+seed-0 battery exercises, for the kinds the explorer explores, must be
+the ``(directory state, kind)`` pairs the explorer delivered — no pair
+only one side reaches, no allowlist.  The uncached and scrub kinds stay
+outside the stateful exploration; the checker delivers each once.
 
 The battery is one 4-node machine driven through the full protocol
 walk: fill, share, upgrade, migrate, writeback, uncached ops, page
@@ -15,9 +13,6 @@ scrubs, request races against a locked directory entry, the
 writeback-vs-forward race, and a node death that leaves dirty lines
 incoherent.
 """
-
-import json
-import os
 
 import pytest
 
@@ -27,25 +22,10 @@ from repro.faults.models import FaultSpec
 from repro.node.processor import (FlushLine, Load, Store, UncachedLoad,
                                   UncachedStore)
 from repro.telemetry.trace import Telemetry
-from repro.verify.model import _admissible_states, _DIR_STATES
-
-SPEC_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "src", "repro", "coherence", "protocol.spec.json")
+from repro.verify import check_protocol
+from repro.verify.checker import DIRECT_KINDS
 
 COVER_PREFIX = "protocol.cover."
-
-#: Main-line pairs only the model checker's exhaustive interleaving
-#: reaches: the LOCKED window is a few hundred ns wide and these
-#: messages have no deterministic way to land inside it from a
-#: processor program.  The small-model explorer covers every one of
-#: them (repro.cli verify-protocol), so they are not dead code — just
-#: dead to this deterministic battery.
-KNOWN_UNEXERCISED = {
-    ("LOCKED", "PAGE_SCRUB"),
-    ("LOCKED", "UC_READ"),
-    ("LOCKED", "UC_WRITE"),
-}
 
 
 def _prog(*ops):
@@ -53,39 +33,6 @@ def _prog(*ops):
         for op in ops:
             yield op
     return gen()
-
-
-def _is_defensive(items):
-    """True for paths that only exist to fail a firmware assert."""
-    for item in items:
-        if item[0] != "guard":
-            return False
-        atom, polarity = item[1], item[2]
-        if atom[0] == "not" and atom[1][0] == "fw_assert" and polarity:
-            return True
-        if atom[0] == "fw_assert" and not polarity:
-            return True
-    return False
-
-
-def _spec_pairs(spec, include_stray):
-    """(state, kind) pairs the extracted transition table admits."""
-    pairs = set()
-    for transition in spec["transitions"]:
-        items = transition["items"]
-        if _is_defensive(items):
-            continue
-        if not include_stray and any(i[0] == "stray" for i in items):
-            continue
-        kind = transition["kind"]
-        if spec["handlers"][kind].startswith("_remote"):
-            pairs.add(("REMOTE", kind))
-            continue
-        admissible = _admissible_states(items)
-        for state in (admissible if admissible is not None
-                      else _DIR_STATES):
-            pairs.add((state, kind))
-    return pairs
 
 
 class Battery:
@@ -183,44 +130,45 @@ def battery():
 
 
 @pytest.fixture(scope="module")
-def spec():
-    with open(SPEC_PATH) as handle:
-        return json.load(handle)
+def report():
+    return check_protocol()
+
+
+def _explored(pairs):
+    return {pair for pair in pairs if pair[1] not in DIRECT_KINDS}
 
 
 class TestLiveConformance:
     def test_every_live_pair_is_admissible_in_the_model(self, battery,
-                                                        spec):
-        """Conformance direction: the engine never dispatches a
-        (directory state, message kind) pair the extraction cannot
-        account for — a live pair outside the spec means the model
-        checker is verifying a different protocol than the one
-        running."""
-        admissible = _spec_pairs(spec, include_stray=True)
-        extra = battery.covered() - admissible
+                                                        report):
+        """Conformance direction: every explored-kind pair the engine
+        dispatches is one the explorer delivered — a live pair outside
+        the explored space means the small model misses a situation the
+        machine reaches."""
+        extra = _explored(battery.covered()) - report.pairs
         assert extra == set(), (
-            "live engine exercised pairs the extracted model does not "
-            "admit: %s" % sorted(extra))
+            "live engine exercised pairs the explorer never delivered: "
+            "%s" % sorted(extra))
 
     def test_seed0_battery_exercises_every_mainline_pair(self, battery,
-                                                         spec):
-        """Liveness direction (dead-transition flag): every non-stray,
-        non-defensive transition pair must be exercised by the seed-0
-        battery or appear in KNOWN_UNEXERCISED with a justification.
-        A new protocol transition nobody drives lands in ``dead`` and
-        fails this test until it gains live coverage or an entry."""
-        mainline = _spec_pairs(spec, include_stray=False)
-        dead = mainline - battery.covered()
-        assert dead == KNOWN_UNEXERCISED, (
-            "dead transitions changed: newly dead %s, newly live %s"
-            % (sorted(dead - KNOWN_UNEXERCISED),
-               sorted(KNOWN_UNEXERCISED - dead)))
+                                                         report):
+        """Liveness direction: every pair the explorer delivered is
+        exercised by the seed-0 battery, so the two sides are equal."""
+        unexercised = report.pairs - _explored(battery.covered())
+        assert unexercised == set(), (
+            "explored pairs the battery never drives: %s"
+            % sorted(unexercised))
+        assert len(report.pairs) == 19
 
-    def test_allowlist_is_not_stale(self, battery):
-        """KNOWN_UNEXERCISED entries that the battery *does* reach must
-        be removed — a stale allowlist hides future regressions."""
-        stale = KNOWN_UNEXERCISED & battery.covered()
-        assert stale == set()
+    def test_uncached_and_scrub_pairs_are_checked_by_execution(
+            self, battery, report):
+        """The battery's remaining pairs are the uncached and scrub kinds
+        in each quiescent directory state; the checker delivers each of
+        those kinds once instead of exploring them."""
+        direct = battery.covered() - _explored(battery.covered())
+        assert {kind for _state, kind in direct} == set(DIRECT_KINDS)
+        assert len(direct) == 12
+        assert report.direct_violations == []
 
 
 class TestWritebackRaceRegression:

@@ -1,23 +1,25 @@
 """Small-model checker tests: clean-tree verification plus directed
 seeded-bug experiments.
 
-The seeded bugs mutate the *real* protocol source and assert that the
-one protocol gate -- extraction plus the exhaustive explorer -- rejects
-each of them, with a reproduction trace where the explorer is the one
-that catches it.
+The checker runs the live handlers, so a seeded bug is an edit to the
+*real* protocol source: the mutated source is executed into a fresh
+module and its ``_HANDLERS``/``ProtocolEngine`` are handed to the one
+protocol gate, which must reject each mutation — with a reproduction
+trace where the explorer is the one that catches it — and never crash.
 """
 
+import json
 import os
+import types
 
 import pytest
 
+from repro.cli import build_parser, main
 from repro.coherence.messages import MessageKind
 from repro.coherence.protocol import _HANDLERS
+from repro.lint import Module, Project, lint_project
 from repro.node.magic import _RECOVERY_KINDS, _REPLY_KINDS
-from repro.verify import ExtractionError, verify_spec
-from repro.verify.checker import static_checks
-from repro.verify.extract import extract_from_source
-from repro.verify.model import _admissible_states, _may_states, _must_states
+from repro.verify import check_protocol
 
 PROTOCOL_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -26,6 +28,13 @@ PROTOCOL_PATH = os.path.join(
 with open(PROTOCOL_PATH) as _handle:
     CLEAN_SOURCE = _handle.read()
 
+#: states/transitions per scenario on the shipped protocol
+CLEAN_COUNTS = {
+    "fault-free/firewall-on": (5071, 5454),
+    "fault-free/firewall-off": (5071, 5454),
+    "failed-cell": (6686, 7035),
+}
+
 
 def mutate(old, new):
     """Apply a single-site mutation to the real protocol source."""
@@ -33,38 +42,59 @@ def mutate(old, new):
     return CLEAN_SOURCE.replace(old, new)
 
 
-def model_violations(source, max_states=200000):
-    spec = extract_from_source(source).to_spec()
-    report = verify_spec(spec, max_states=max_states)
-    return report, {v.invariant for v in report.violations()}
+def load_protocol(source):
+    """Execute protocol source into a fresh module."""
+    module = types.ModuleType("protocol_under_test")
+    exec(compile(source, PROTOCOL_PATH, "exec"), module.__dict__)
+    return module
+
+
+def undispatched(handlers):
+    """Kinds MAGIC would hand to nobody: not the recovery inbox, the OS
+    inbox, the reply harness or the protocol table."""
+    dispatched = (set(handlers) | _REPLY_KINDS | _RECOVERY_KINDS
+                  | {MessageKind.OS_MSG})
+    return set(MessageKind) - dispatched
+
+
+def rejections(source, max_states=200000):
+    """The checker's report on ``source``, and everything that rejects
+    it: the checker's invariants, the lint rules that fire on it as
+    ``coherence/protocol.py``, and ``dispatch-coverage``."""
+    module = load_protocol(source)
+    report = check_protocol(handlers=module._HANDLERS,
+                            engine_class=module.ProtocolEngine,
+                            max_states=max_states)
+    found = {violation.invariant for violation in report.violations()}
+    lint = lint_project(Project([Module("coherence/protocol.py", source)]))
+    found |= {finding.rule for finding in lint}
+    if undispatched(module._HANDLERS):
+        found.add("dispatch-coverage")
+    return report, found
+
+
+def counts(report):
+    return {scenario.name: (scenario.states, scenario.transitions)
+            for scenario in report.scenarios}
 
 
 class TestCleanTree:
     def test_clean_protocol_verifies_exhaustively(self):
-        report, invariants = model_violations(CLEAN_SOURCE)
-        assert report.ok, "clean tree must verify: %s" % sorted(invariants)
-        assert report.total_states > 5000, (
-            "exploration suspiciously small: %d states"
-            % report.total_states)
-        assert report.total_transitions > report.total_states
+        report = check_protocol()
+        assert report.ok, [v.description for v in report.violations()]
+        assert counts(report) == CLEAN_COUNTS
+        assert (report.total_states, report.total_transitions) == (
+            16828, 17943)
+        assert len(report.pairs) == 19
 
-    def test_static_checks_flag_missing_uncached_rejection(self):
-        spec = extract_from_source(CLEAN_SOURCE).to_spec()
-        assert static_checks(spec) == []
-        gutted = dict(spec)
-        gutted["transitions"] = [t for t in spec["transitions"]
-                                 if t["kind"] != "UC_WRITE"]
-        invariants = {v.invariant for v in static_checks(gutted)}
-        assert "missing-handler" in invariants
-
-    def test_static_checks_flag_unknown_enum_names(self):
-        spec = extract_from_source(CLEAN_SOURCE).to_spec()
-        spec["handlers"]["TYPO"] = spec["handlers"].pop("PUT")
-        spec["transitions"][0]["items"].insert(
-            0, ["guard", ["state", "BROKEN"], False])
-        unknown = {v.description.split(" ")[0] for v in static_checks(spec)
-                   if v.invariant == "unknown-member"}
-        assert unknown == {"MessageKind.TYPO", "DirState.BROKEN"}
+    def test_executed_copy_matches_the_shipped_module(self):
+        """The mutation harness itself: the unmutated source, executed
+        into a fresh module, explores the same space and nothing
+        rejects it."""
+        report, found = rejections(CLEAN_SOURCE)
+        assert found == set()
+        assert counts(report) == CLEAN_COUNTS
+        assert report.pairs == check_protocol().pairs
 
 
 class TestDispatchCoverage:
@@ -72,43 +102,25 @@ class TestDispatchCoverage:
         """MAGIC hands a kind to the recovery inbox, the OS inbox, the
         reply harness or the protocol table; any other kind would count
         as a stray message at runtime."""
-        dispatched = (set(_HANDLERS) | _REPLY_KINDS | _RECOVERY_KINDS
-                      | {MessageKind.OS_MSG})
-        assert set(MessageKind) - dispatched == set()
+        assert undispatched(_HANDLERS) == set()
 
 
-class TestStateAlgebra:
-    """may/must guard interpretation feeding _admissible_states."""
+class TestCli:
+    def test_verify_protocol_json_report(self, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        assert main(["verify-protocol", "--format", "json",
+                     "--out", str(out)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == json.loads(out.read_text())
+        assert payload["ok"]
+        assert payload["total_states"] == 16828
+        assert ["LOCKED", "PUT"] in payload["pairs"]
+        assert payload["direct_violations"] == []
 
-    def test_positive_state_guard(self):
-        items = [["guard", ["state", "LOCKED"], True]]
-        assert _admissible_states(items) == frozenset({"LOCKED"})
-
-    def test_negated_or_of_states(self):
-        atom = ["not", ["or", [["state", "UNOWNED"], ["state", "SHARED"]]]]
-        assert _may_states(atom) == frozenset(
-            {"EXCLUSIVE", "LOCKED", "INCOHERENT"})
-        assert _must_states(atom) == frozenset(
-            {"EXCLUSIVE", "LOCKED", "INCOHERENT"})
-
-    def test_unknown_atoms_widen_may_and_narrow_must(self):
-        atom = ["and", [["state", "LOCKED"], ["acks_remaining"]]]
-        assert _may_states(atom) == frozenset({"LOCKED"})
-        assert _must_states(atom) == frozenset()
-
-    def test_sharing_wb_main_path_reduces_to_locked(self):
-        """The SHARING_WB main path is guarded by a negated stray
-        check (``not (state is not LOCKED or ...)``); the algebra must
-        still pin it to exactly {LOCKED}."""
-        model = extract_from_source(CLEAN_SOURCE)
-        spec = model.to_spec()
-        main = [t for t in spec["transitions"]
-                if t["kind"] == "SHARING_WB"
-                and not any(i[0] == "stray" for i in t["items"])]
-        assert main, "SHARING_WB main path missing from extraction"
-        for transition in main:
-            assert _admissible_states(transition["items"]) == frozenset(
-                {"LOCKED"}), transition["path"]
+    def test_no_spec_options_remain(self):
+        parser = build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["verify-protocol", "--update-spec"])
 
 
 # ---------------------------------------------------------- seeded bugs
@@ -155,7 +167,7 @@ WRITEBACK_RACE = (
 
 class TestSeededLockLeak:
     def test_model_catches_it(self):
-        report, invariants = model_violations(mutate(*LOCK_LEAK))
+        report, invariants = rejections(mutate(*LOCK_LEAK))
         assert "lock-deadlock" in invariants
         witness = next(v for v in report.violations()
                        if v.invariant == "lock-deadlock")
@@ -164,7 +176,7 @@ class TestSeededLockLeak:
 
 class TestSeededFirewallBypass:
     def test_model_catches_it(self):
-        report, invariants = model_violations(mutate(*FIREWALL_BYPASS))
+        report, invariants = rejections(mutate(*FIREWALL_BYPASS))
         assert "escape-send" in invariants
         witness = next(v for v in report.violations()
                        if v.invariant == "escape-send")
@@ -176,10 +188,11 @@ class TestSeededWritebackRace:
     def test_model_catches_the_original_seed_bug(self):
         """Regression: the race the checker originally found must stay
         findable if anyone reintroduces the eager completion."""
-        report, invariants = model_violations(mutate(*WRITEBACK_RACE))
-        assert not report.ok
-        assert invariants & {"single-owner", "lock-bookkeeping",
-                             "sharer-vector"}, sorted(invariants)
+        report, invariants = rejections(mutate(*WRITEBACK_RACE))
+        assert "single-owner" in invariants, sorted(invariants)
+        witness = next(v for v in report.violations()
+                       if v.invariant == "single-owner")
+        assert witness.trace
 
 
 LOCKED_NAK_REMOVED = (
@@ -196,19 +209,44 @@ LOCKED_NAK_REMOVED = (
     "            entry.state = DirState.SHARED\n",
 )
 
+INCOHERENT_RENAMED_BROKEN = (
+    "        if entry.state == DirState.INCOHERENT:\n"
+    "            self._reply_bus_error(requester, line,\n"
+    "                                  BusErrorKind.INCOHERENT_LINE)\n"
+    "            return self.params.handler_time\n",
+
+    "        if entry.state == DirState.BROKEN:\n"
+    "            self._reply_bus_error(requester, line,\n"
+    "                                  BusErrorKind.INCOHERENT_LINE)\n"
+    "            return self.params.handler_time\n",
+)
+
 
 class TestSendToNoNode:
     def test_is_reported_as_a_model_gap(self):
-        """Regression: a handler path that sends to a slot holding None
-        (here FWD_GET to the owner of a line locked with no owner) used
-        to crash the explorer with a TypeError while it sorted the
-        network queues."""
-        report, invariants = model_violations(mutate(*LOCKED_NAK_REMOVED))
+        """Regression: a handler path that sends to None (here FWD_GET
+        to the owner of a line locked with no owner) is a finding with a
+        trace, not a crash while the explorer sorts the network queues."""
+        report, invariants = rejections(mutate(*LOCKED_NAK_REMOVED))
         gaps = [v for v in report.violations()
                 if v.invariant == "model-gap" and "to no node" in
                 v.description]
         assert gaps, sorted(invariants)
         assert gaps[0].trace, "violation must carry a reproduction trace"
+
+
+class TestHandlerException:
+    def test_is_reported_with_a_trace(self):
+        """A handler that raises (a misspelt ``DirState`` member) is a
+        violation carrying the delivery that raised, not a crash."""
+        report, _ = rejections(mutate(*INCOHERENT_RENAMED_BROKEN))
+        raised = [v for v in report.violations()
+                  if v.invariant == "handler-exception"]
+        assert raised
+        assert "AttributeError" in raised[0].description
+        assert "BROKEN" in raised[0].description
+        assert "(protocol.py:" in raised[0].description
+        assert raised[0].trace
 
 
 def _unhandled(kind, method, rejected_by):
@@ -231,43 +269,49 @@ MEASURED_MUTATIONS = [
         "                self._reply_bus_error(requester, line,\n"
         "                                      BusErrorKind.FIREWALL)\n"
         "                return cost\n",
-        "", "escape-send", id="getx-firewall-removed"),
+        "", {"escape-send"}, id="getx-firewall-removed"),
     pytest.param(
         "            entry.unlock(DirState.UNOWNED)\n"
         "            magic.hooks.on_put_absorbed(magic.node_id, line)\n",
         "            entry.unlock(DirState.UNOWNED)\n"
         "            entry.lock(MessageKind.GET, writer)\n"
         "            magic.hooks.on_put_absorbed(magic.node_id, line)\n",
-        "lock-deadlock", id="put-lock-after-unlock"),
+        {"lock-deadlock"}, id="put-lock-after-unlock"),
     pytest.param(
         "        self._note_stray(packet, \"put-without-ownership\")\n"
         "        return self.params.short_handler_time\n",
-        "", ExtractionError, id="put-default-removed"),
-    _unhandled("FWD_MISS", "_home_fwd_miss", "model-gap"),
-    _unhandled("INVAL_ACK", "_home_inval_ack", "model-gap"),
-    _unhandled("PAGE_SCRUB", "_home_page_scrub", "missing-handler"),
-    pytest.param(
-        "        if entry.state == DirState.INCOHERENT:\n"
-        "            self._reply_bus_error(requester, line,\n"
-        "                                  BusErrorKind.INCOHERENT_LINE)\n"
-        "            return self.params.handler_time\n",
-        "        if entry.state == DirState.BROKEN:\n"
-        "            self._reply_bus_error(requester, line,\n"
-        "                                  BusErrorKind.INCOHERENT_LINE)\n"
-        "            return self.params.handler_time\n",
-        "unknown-member", id="incoherent-renamed-broken"),
-    pytest.param(*LOCKED_NAK_REMOVED, "lock-bookkeeping",
+        "", {"handler-cost"}, id="put-default-removed"),
+    _unhandled("FWD_MISS", "_home_fwd_miss", {"model-gap"}),
+    _unhandled("INVAL_ACK", "_home_inval_ack", {"model-gap"}),
+    _unhandled("PAGE_SCRUB", "_home_page_scrub",
+               {"dispatch-coverage", "missing-handler"}),
+    pytest.param(*INCOHERENT_RENAMED_BROKEN, {"handler-exception"},
+                 id="incoherent-renamed-broken"),
+    pytest.param(*LOCKED_NAK_REMOVED, {"lock-bookkeeping", "model-gap"},
                  id="get-locked-nak-removed"),
+    pytest.param(
+        # _home_uncached without the remote-I/O rejection (§3.3): the
+        # request falls through to the device access.
+        "        if (magic.address_map.is_io_region(address)\n"
+        "                and requester not in magic.failure_unit):\n"
+        "            # Nonidempotent I/O never crosses failure-unit boundaries\n"
+        "            # directly; it must go through the OS RPC path (§3.3).  The\n"
+        "            # error rides the uncached-reply kind so the requester's\n"
+        "            # outstanding-table lookup finds it by uc_key.\n"
+        "            magic.send_message(requester, reply_kind,\n"
+        "                               {\"uc_key\": payload[\"uc_key\"],\n"
+        "                                \"address\": address,\n"
+        "                                \"error_kind\":\n"
+        "                                    BusErrorKind.REMOTE_UNCACHED_IO,\n"
+        "                                \"detail\": \"uncached I/O across "
+        "failure unit\"})\n"
+        "            return self.params.handler_time\n",
+        "", {"uncached-escape"}, id="uc-io-rejection-removed"),
 ]
 
 
 class TestMeasuredMutations:
     @pytest.mark.parametrize("old, new, rejected_by", MEASURED_MUTATIONS)
     def test_is_rejected(self, old, new, rejected_by):
-        source = mutate(old, new)
-        if rejected_by is ExtractionError:
-            with pytest.raises(ExtractionError):
-                extract_from_source(source)
-            return
-        _report, invariants = model_violations(source)
-        assert rejected_by in invariants, sorted(invariants)
+        _report, found = rejections(mutate(old, new))
+        assert rejected_by <= found, sorted(found)
