@@ -13,9 +13,9 @@ a HUNG/CRASHED payload, never the death of the batch:
 * the pool tracks one in-flight task per worker; a watchdog kills and
   respawns the whole worker when a task exceeds its wall-clock budget, so
   one wedged schedule costs one worker restart, not the batch;
-* results arrive on a shared queue tagged with the worker id, and a result
-  is delivered only while that worker still holds that run — completion
-  stays strictly attributable even across respawns.
+* each worker has one duplex pipe that carries its tasks down and its
+  results up, so a worker killed mid-send breaks only its own pipe, and
+  the respawn discards it — completion stays strictly attributable.
 
 Determinism is untouched: a run executes the same
 :func:`~repro.core.experiment.run_schedule_experiment` with the same
@@ -29,47 +29,44 @@ records.
 # crash-isolated workers; nothing here runs under the event scheduler.
 
 import multiprocessing
-import queue as queue_module
 import time
+from multiprocessing.connection import wait
 
 from repro.campaign.records import RunStatus
-# the window of ``telemetry_mode="flight"`` workers: one number, defined
-# beside the retention policy it sizes
+# the window every pooled run records into: one number, defined beside
+# the retention policy it sizes
 from repro.telemetry.flight import DEFAULT_CAPACITY as FLIGHT_CAPACITY
 
 #: newest events a dumped flight window keeps in the run record (the full
 #: ring still feeds in-process forensics; the record stays one JSONL line)
 FLIGHT_DUMP_EVENTS = 2_000
 
-#: stray protocol messages after which a flight worker dumps its window
-#: even on a PASS verdict — a stray storm is evidence worth keeping
+#: stray protocol messages after which a run dumps its window even on a
+#: PASS verdict — a stray storm is evidence worth keeping
 STRAY_DUMP_THRESHOLD = 5
 
-#: longest the driving loop blocks on the result queue: the cadence of
+#: longest the driving loop blocks on the result pipes: the cadence of
 #: status heartbeats and of noticing a worker that died without reporting
 HEARTBEAT_S = 0.5
 
 
 def _attach_flight(payload, telemetry):
-    """Attach a keep-last recorder's tail window to a worker payload; a
-    head-capped trace (or a crash before any recorder exists) adds none."""
-    recorder = None if telemetry is None else telemetry.recorder
-    if recorder is not None and recorder.keep == "last":
-        payload["flight"] = recorder.dump(limit=FLIGHT_DUMP_EVENTS)
+    """Attach the recorder's tail window to a worker payload; a crash
+    before the recorder exists adds none."""
+    if telemetry is not None:
+        payload["flight"] = telemetry.recorder.dump(limit=FLIGHT_DUMP_EVENTS)
     return payload
 
 
 def _execute_schedule_run(schedule_dict, seed, run_limit, mem_per_node,
-                          l2_size, factory=None, coverage=False,
-                          telemetry_mode="trace"):
+                          l2_size, factory=None, coverage=False):
     """Run one (schedule, seed) to a payload dict; never raises.
 
-    With ``coverage=True`` the payload additionally carries the fuzzer's
-    per-run coverage summary (feature strings + containment times).
-    ``telemetry_mode="flight"`` swaps the recorder's retention policy from
-    the first 200 000 events to the last :data:`FLIGHT_CAPACITY` — the
-    mode for very large sweeps; a FAIL/HUNG/CRASHED verdict (or a
-    stray-message storm) then dumps the tail window into the payload.
+    The run records the last :data:`FLIGHT_CAPACITY` events; a
+    FAIL/HUNG/CRASHED verdict (or a stray-message storm) dumps the tail
+    window into the payload.  With ``coverage=True`` the payload
+    additionally carries the fuzzer's per-run coverage summary (feature
+    strings + containment times).
     """
     started = time.monotonic()
     telemetry = None
@@ -85,13 +82,9 @@ def _execute_schedule_run(schedule_dict, seed, run_limit, mem_per_node,
             num_nodes=schedule.num_nodes, topology=schedule.topology,
             mem_per_node=mem_per_node, l2_size=l2_size, seed=seed)
         # A recorder is attached to every campaign run (bit-identical to
-        # untraced by the §9 contract) so a FAIL verdict arrives with its
-        # forensic story attached instead of needing a re-run to diagnose:
-        # head-capped by default, the last-N window in flight mode.
-        if telemetry_mode == "flight":
-            telemetry = Telemetry(trace=False, flight=FLIGHT_CAPACITY)
-        else:
-            telemetry = Telemetry(max_events=200_000)
+        # untraced by the §9 contract) so a red verdict arrives with its
+        # forensic story attached instead of needing a re-run to diagnose.
+        telemetry = Telemetry(trace=False, flight=FLIGHT_CAPACITY)
         if factory is not None:
             machine = factory.build(config, telemetry=telemetry)
         else:
@@ -112,11 +105,10 @@ def _execute_schedule_run(schedule_dict, seed, run_limit, mem_per_node,
         }
         if not result.passed:
             payload["forensics"] = forensic_summary(telemetry.recorder)
-        if telemetry_mode == "flight":
-            strays = sum(node.magic.stats.stray_messages
-                         for node in machine.nodes)
-            if not result.passed or strays >= STRAY_DUMP_THRESHOLD:
-                _attach_flight(payload, telemetry)
+        strays = sum(node.magic.stats.stray_messages
+                     for node in machine.nodes)
+        if not result.passed or strays >= STRAY_DUMP_THRESHOLD:
+            _attach_flight(payload, telemetry)
         if coverage:
             from repro.fuzz.coverage import run_coverage
             payload["coverage"] = run_coverage(machine, result,
@@ -141,9 +133,9 @@ def _execute_schedule_run(schedule_dict, seed, run_limit, mem_per_node,
         }, telemetry)
 
 
-def _batch_worker(task_queue, result_queue, worker_id, run_limit,
-                  mem_per_node, l2_size, coverage, telemetry_mode):
-    """Long-lived worker loop: one task at a time until the None sentinel.
+def _batch_worker(conn, run_limit, mem_per_node, l2_size, coverage):
+    """Long-lived worker loop: one task at a time until the None sentinel
+    (or until the pool's end of ``conn`` is gone).
 
     The factory lives for the worker's whole life, which is exactly the
     machine-reuse amortization: every run in this worker with matching
@@ -154,30 +146,30 @@ def _batch_worker(task_queue, result_queue, worker_id, run_limit,
     from repro.core.machine import MachineFactory
     factory = MachineFactory()
     while True:
-        task = task_queue.get()
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
         if task is None:
             return
         run_index, schedule_dict, seed = task
         payload = _execute_schedule_run(
             schedule_dict, seed, run_limit, mem_per_node, l2_size,
-            factory=factory, coverage=coverage,
-            telemetry_mode=telemetry_mode)
-        result_queue.put((worker_id, run_index, payload))
+            factory=factory, coverage=coverage)
+        conn.send((run_index, payload))
 
 
 class _Worker:
-    """One pool slot: a subprocess plus its private task queue."""
+    """One pool slot: a subprocess plus the pipe it talks over."""
 
-    def __init__(self, worker_id, result_queue, run_limit, mem_per_node,
-                 l2_size, coverage, telemetry_mode):
-        self.worker_id = worker_id
-        self.task_queue = multiprocessing.Queue()
+    def __init__(self, run_limit, mem_per_node, l2_size, coverage):
+        self.conn, child = multiprocessing.Pipe()
         self.process = multiprocessing.Process(
             target=_batch_worker,
-            args=(self.task_queue, result_queue, worker_id, run_limit,
-                  mem_per_node, l2_size, coverage, telemetry_mode),
+            args=(child, run_limit, mem_per_node, l2_size, coverage),
             daemon=True)
         self.process.start()
+        child.close()
         self.task = None          # (run_index, schedule_dict, seed)
         self.started = None
 
@@ -189,29 +181,22 @@ class BatchWorkerPool:
     blows its wall-clock budget or kills its worker comes back as a HUNG
     or CRASHED payload and the worker slot is respawned.  ``close``
     always — the workers are daemons, but an orderly sentinel shutdown
-    keeps queue feeder threads from complaining.
+    lets each finish its loop.
     """
 
     def __init__(self, jobs=1, timeout_s=300.0, run_limit=60_000_000_000,
-                 mem_per_node=64 << 10, l2_size=8 << 10, coverage=False,
-                 telemetry_mode="trace"):
+                 mem_per_node=64 << 10, l2_size=8 << 10, coverage=False):
         self.jobs = max(1, jobs)
         self.timeout_s = timeout_s
         self.run_limit = run_limit
         self.mem_per_node = mem_per_node
         self.l2_size = l2_size
         self.coverage = coverage
-        self.telemetry_mode = telemetry_mode
-        self.result_queue = multiprocessing.Queue()
-        self._next_worker_id = 0
         self.workers = [self._spawn() for _ in range(self.jobs)]
 
     def _spawn(self):
-        worker = _Worker(self._next_worker_id, self.result_queue,
-                         self.run_limit, self.mem_per_node, self.l2_size,
-                         self.coverage, self.telemetry_mode)
-        self._next_worker_id += 1
-        return worker
+        return _Worker(self.run_limit, self.mem_per_node, self.l2_size,
+                       self.coverage)
 
     # ------------------------------------------------------------- driving
 
@@ -226,7 +211,7 @@ class BatchWorkerPool:
         after every wait with the runs still executing, as
         ``{"run_index", "elapsed_s"}`` dicts.
 
-        The loop blocks on the result queue, never sleeps: the wait is
+        The loop blocks on the result pipes, never sleeps: the wait is
         bounded by the nearest watchdog deadline and :data:`HEARTBEAT_S`.
         """
         while True:
@@ -256,30 +241,31 @@ class BatchWorkerPool:
     def _submit(worker, task):
         worker.task = task
         worker.started = time.monotonic()
-        worker.task_queue.put(task)
+        try:
+            worker.conn.send(task)
+        except OSError:
+            pass    # the worker died idle; the death check answers
 
     def _collect(self, wait_s):
         """Collect finished runs; returns a list of (run_index, payload).
 
-        Blocks up to ``wait_s`` for the first result, then drains what is
-        queued.  A result whose worker no longer holds that run (the
-        watchdog or the death check already answered for it) is dropped.
-        Then the watchdog: any worker whose task exceeded the budget (or
-        whose process died without reporting) yields a HUNG/CRASHED
-        payload and a fresh worker takes its slot.
+        Blocks up to ``wait_s`` on the busy workers' pipes, then reads
+        every one that is ready.  A pipe that breaks mid-result (its
+        worker died) yields nothing here.  Then the watchdog: any worker
+        whose task exceeded the budget (or whose process died without
+        reporting) yields a HUNG/CRASHED payload and a fresh worker,
+        with a fresh pipe, takes its slot.
         """
         finished = []
-        by_id = {worker.worker_id: worker for worker in self.workers}
-        while True:
+        busy = {worker.conn: worker for worker in self.workers
+                if worker.task is not None}
+        for conn in wait(busy, wait_s):
+            worker = busy[conn]
             try:
-                worker_id, run_index, payload = \
-                    self.result_queue.get(timeout=wait_s)
-            except queue_module.Empty:
-                break
-            wait_s = 0.0
-            worker = by_id.get(worker_id)
-            if worker is None or worker.task is None \
-                    or worker.task[0] != run_index:
+                run_index, payload = conn.recv()
+            except (EOFError, OSError):
+                # The worker is gone; reap it so the death check sees it.
+                worker.process.join(HEARTBEAT_S)
                 continue
             finished.append((run_index, payload))
             worker.task = None
@@ -290,22 +276,25 @@ class BatchWorkerPool:
                 continue
             elapsed = time.monotonic() - worker.started
             if not worker.process.is_alive():
-                finished.append((worker.task[0], {
+                payload = {
                     "status": RunStatus.CRASHED.value,
                     "error": ("batch worker died without reporting "
                               "(exitcode %s)" % worker.process.exitcode),
                     "elapsed_s": elapsed,
-                }))
-                self.workers[index] = self._spawn()
+                }
             elif elapsed >= self.timeout_s:
                 self._kill(worker)
-                finished.append((worker.task[0], {
+                payload = {
                     "status": RunStatus.HUNG.value,
                     "error": ("watchdog: run exceeded %.0fs wall clock"
                               % self.timeout_s),
                     "elapsed_s": elapsed,
-                }))
-                self.workers[index] = self._spawn()
+                }
+            else:
+                continue
+            finished.append((worker.task[0], payload))
+            worker.conn.close()     # nothing the retired worker sent is read
+            self.workers[index] = self._spawn()
         return finished
 
     @staticmethod
@@ -321,12 +310,16 @@ class BatchWorkerPool:
     def close(self):
         for worker in self.workers:
             if worker.process.is_alive():
-                worker.task_queue.put(None)
+                try:
+                    worker.conn.send(None)
+                except OSError:
+                    pass    # died since; the join below reaps it
         deadline = time.monotonic() + 5.0
         for worker in self.workers:
             worker.process.join(max(0.0, deadline - time.monotonic()))
             if worker.process.is_alive():
                 self._kill(worker)
+            worker.conn.close()
 
     def __enter__(self):
         return self

@@ -118,7 +118,9 @@ class CampaignRunner:
     ``wall_clock_s`` budgets the campaign by time instead of ``runs``.
     ``status_path`` overrides the sidecar's place beside ``out_path``.
     ``reuse_machines`` is accepted for old callers and ignored: every
-    campaign runs on the persistent worker pool.
+    campaign runs on the persistent worker pool.  ``telemetry_mode`` is
+    accepted for old callers and ignored: every pooled run records the
+    same way (:func:`~repro.campaign.pool._execute_schedule_run`).
     """
 
     def __init__(self, kind="random-multi", runs=50, campaign_seed=0,
@@ -143,10 +145,6 @@ class CampaignRunner:
         self.mem_per_node = mem_per_node
         self.l2_size = l2_size
         self.progress = progress
-        #: "trace" (full head-capped trace per run) or "flight" (tracing
-        #: off, always-on last-N flight ring dumped on failures) — the
-        #: cheap mode for very large sweeps.
-        self.telemetry_mode = telemetry_mode
         self.planner = planner
         self.wall_clock_s = wall_clock_s
         self.status_path = status_path
@@ -249,8 +247,7 @@ class CampaignRunner:
                              run_limit=self.run_limit,
                              mem_per_node=self.mem_per_node,
                              l2_size=self.l2_size,
-                             coverage=planner is not None,
-                             telemetry_mode=self.telemetry_mode) as pool:
+                             coverage=planner is not None) as pool:
             pool.drive(next_task, on_result,
                        lambda in_flight: beat(in_flight=in_flight))
         beat(finished=True, force=True)

@@ -126,7 +126,7 @@ def cmd_campaign(args):
         out_path = "campaign_%s_seed%d.jsonl" % (label, args.seed)
 
     runner = _pool_runner(args, kind=args.schedule, schedule=fixed_schedule,
-                          out_path=out_path, telemetry_mode=args.telemetry)
+                          out_path=out_path)
     summary = runner.run()
     forensics_path = report_evidence(out_path, summary.records)
     failures = summary.failures()
@@ -509,12 +509,6 @@ def build_parser():
     p_camp.add_argument("--shrink", action="store_true",
                         help="minimize the first failing schedule and "
                              "print its repro command")
-    p_camp.add_argument("--telemetry", default="trace",
-                        choices=["trace", "flight"],
-                        help="'flight': tracing off, an always-on "
-                             "last-N flight ring per run, dumped into "
-                             "the record on failures and stray-message "
-                             "storms (the cheap mode for large sweeps)")
     p_camp.set_defaults(func=cmd_campaign)
 
     p_fuzz = sub.add_parser(

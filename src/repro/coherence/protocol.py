@@ -24,6 +24,9 @@ class ProtocolEngine:
     def __init__(self, magic):
         self.magic = magic
         self.params = magic.params
+        #: (directory state name, message kind name) pairs a handler ran
+        #: for; filled only on traced runs (the fuzzer's ``dk|`` features)
+        self.covered = set()
 
     # ------------------------------------------------------------------ entry
 
@@ -33,19 +36,19 @@ class ProtocolEngine:
         if handler is None:
             self._note_stray(packet, "no-handler")
             return self.params.short_handler_time
-        if self.magic.metrics is not None:
+        if self.magic.trace is not None:
             self._note_cover(packet, kind)
         return handler(self, packet)
 
     def _note_cover(self, packet, kind):
-        """Live directory-state x message-kind coverage counter.
+        """Note the directory-state x message-kind pair in ``covered``.
 
-        Only run with a metrics registry attached (campaign/fuzz runs —
-        the dispatch loop guards the call, so untraced runs pay one
-        attribute load and identity check): the fuzzer's coverage map
-        treats each (state, kind) pair the dispatch loop exercised as one
-        feature.  ``peek`` is used so the observation never materializes
-        directory entries.
+        Only run with a recorder attached (campaign/fuzz runs — the
+        dispatch loop guards the call, so untraced runs pay one attribute
+        load and identity check): the fuzzer's coverage map treats each
+        (state, kind) pair the dispatch loop exercised as one feature.
+        ``peek`` is used so the observation never materializes directory
+        entries.
         """
         payload = packet.payload
         line = None
@@ -61,18 +64,15 @@ class ProtocolEngine:
         else:
             entry = directory.peek(line)
             state = "UNOWNED" if entry is None else entry.state.name
-        metrics = self.magic.metrics
-        if metrics is not None:
-            metrics.counter("protocol.cover.%s.%s"
-                            % (state, kind.name)).inc()
+        self.covered.add((state, kind.name))
 
     def _note_stray(self, packet, reason):
         """Record a message the protocol cannot act on.
 
         Beyond the MagicStats counter, the stray is made visible in
-        timelines (trace event) and in live metrics, so an unhandled kind
-        shows up in a Chrome trace instead of only in post-run stats —
-        the dynamic mirror of the tier-1 dispatch-coverage test.
+        timelines (trace event), so an unhandled kind shows up in a Chrome
+        trace instead of only in post-run stats — the dynamic mirror of
+        the tier-1 dispatch-coverage test.
         """
         magic = self.magic
         magic.stats.stray_messages += 1
@@ -81,10 +81,6 @@ class ProtocolEngine:
             tr.emit("protocol", "stray", node=magic.node_id,
                     cause=magic._cause, kind=str(packet.kind),
                     src=packet.src, reason=reason)
-        metrics = magic.metrics
-        if metrics is not None:
-            metrics.counter("protocol.stray_messages",
-                            node=magic.node_id).inc()
 
     # -------------------------------------------------------------- home: GET
 

@@ -67,7 +67,6 @@ class FlashMachine:
         if telemetry is not None:
             telemetry.bind(self.sim)
             self.attach_recorder(telemetry.recorder)
-            self.attach_metrics(telemetry.metrics)
 
     def attach_recorder(self, recorder):
         """Point every instrumented component at ``recorder``."""
@@ -80,17 +79,6 @@ class FlashMachine:
         self.recovery_manager.trace = recorder
         self.injector.trace = recorder
         return recorder
-
-    def attach_metrics(self, registry):
-        """Point live-instrumented components at a metrics registry.
-
-        Unlike post-run harvesting this feeds counters *during* the run
-        (e.g. ``protocol.stray_messages``); components guard every access
-        with the same ``is not None`` idiom as tracing.
-        """
-        for node in self.nodes:
-            node.magic.metrics = registry
-        return registry
 
     # ------------------------------------------------------------------ running
 

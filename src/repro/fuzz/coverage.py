@@ -1,18 +1,18 @@
 """Coverage features from one run's already-emitted signals.
 
 Nothing here adds instrumentation to the model: every feature is distilled
-from telemetry the machine produces anyway — live metrics counters, the
-trace recorder's event stream, and the forensic audit.  A feature is a
-short ``|``-separated string; the fuzzer only ever compares and counts
-them, so the exact spelling is the contract (changing it resets corpus
-coverage, which is safe but wasteful).
+from telemetry the machine produces anyway — the protocol engines'
+``covered`` sets, the trace recorder's event stream, and the forensic
+audit.  A feature is a short ``|``-separated string; the fuzzer only ever
+compares and counts them, so the exact spelling is the contract (changing
+it resets corpus coverage, which is safe but wasteful).
 
 Feature families:
 
 ``dk|STATE|KIND``
     A coherence handler ran for message KIND while the home directory
-    held the line in STATE (``protocol.cover.*`` live counters) — the
-    directory-state x message-kind product the protocol walks.
+    held the line in STATE (``ProtocolEngine.covered``, filled on traced
+    runs) — the directory-state x message-kind product the protocol walks.
 ``pe|A>B`` / ``pe|A>B|x``
     A recovery agent entered phase B directly after phase A; ``|x`` marks
     the edge crossing a restart (epoch change).
@@ -55,15 +55,6 @@ def feature_hash(feature):
 
 
 # ------------------------------------------------------------- extraction
-
-def _protocol_features(metrics):
-    features = set()
-    for name, _node, value in metrics.counter_items("protocol.cover."):
-        if value:
-            state, kind = name[len("protocol.cover."):].split(".", 1)
-            features.add("dk|%s|%s" % (state, kind))
-    return features
-
 
 def _phase_features(recorder):
     features = set()
@@ -140,14 +131,14 @@ def run_coverage(machine, result, recorder):
     everything is read-only over state the run already produced.
     """
     features = set()
-    telemetry = machine.telemetry
-    if telemetry is not None and telemetry.metrics is not None:
-        features |= _protocol_features(telemetry.metrics)
-        stray = telemetry.metrics.counter_total("protocol.stray_messages")
-        if stray:
-            features.add("st|%d" % bucket(stray))
     escape = False
     if recorder is not None:
+        for node in machine.nodes:
+            features.update("dk|%s|%s" % pair
+                            for pair in node.magic.protocol.covered)
+        stray = recorder.count("protocol", "stray")
+        if stray:
+            features.add("st|%d" % bucket(stray))
         features |= _phase_features(recorder)
         forensic, verdict = _forensic_features(recorder)
         features |= forensic

@@ -148,7 +148,6 @@ class Magic:
         self.recovery_trigger = None
         self.stats = MagicStats()
         self.trace = None           # telemetry recorder (None: disabled)
-        self.metrics = None         # live metrics registry (None: disabled)
         self._proc = None
 
         # Causal context (forensics, DESIGN.md §11).  ``_cause``/

@@ -9,10 +9,10 @@ Everything is disabled by default (zero-cost when off):
   attached; every emission site is guarded by a single ``is None`` check,
   which is the whole overhead contract (see DESIGN.md §9).  The recorder
   takes a retention policy: unbounded, the first N events, or the last N.
-* :mod:`repro.telemetry.metrics` — the live counter registry (per-node
-  labels, machine-wide totals) and :func:`summarize_run`, the one
-  post-run sweep of the hardware stats (RouterStats, MagicStats,
-  RecoveryReports) that the model maintains anyway.
+* :mod:`repro.telemetry.metrics` — the power-of-two histogram and
+  :func:`summarize_run`, the one post-run sweep of the hardware stats
+  (RouterStats, MagicStats, RecoveryReports) that the model maintains
+  anyway.
 * :mod:`repro.telemetry.timeline` — reconstruction of per-episode recovery
   timelines (P1..P4 spans per node, critical path) from a trace.
 * :mod:`repro.telemetry.chrome` — Chrome ``trace_event`` JSON export for
@@ -53,7 +53,7 @@ from repro.telemetry.forensics import (
     forensic_summary,
     format_forensics,
 )
-from repro.telemetry.metrics import MetricsRegistry, summarize_run
+from repro.telemetry.metrics import summarize_run
 from repro.telemetry.profiler import SimProfiler
 from repro.telemetry.report import aggregate, render_html, write_report
 from repro.telemetry.scalability import (
@@ -79,7 +79,6 @@ __all__ = [
     "EpisodeTimeline",
     "FlightRecorder",
     "ForensicsReport",
-    "MetricsRegistry",
     "SimProfiler",
     "StatusWriter",
     "Telemetry",

@@ -5,9 +5,9 @@ work, where the fault roots and the episode structure live at the front,
 and the wrong shape for a fleet: in a 100k-schedule sweep a failure
 surfaces at the *end* of a run, exactly the window a head cap has already
 dropped.  ``keep="last"`` inverts the cap, like an aircraft flight
-recorder.  Campaign and fuzz workers run with it when full tracing is off
-(``--telemetry flight``), so an oracle violation, a worker crash or a
-stray message storm arrives with its tail window of evidence.
+recorder.  Every campaign and fuzz run records with it, so an oracle
+violation, a hung or crashed run or a stray message storm arrives with
+its tail window of evidence.
 
 It is a policy of :class:`~repro.telemetry.trace.TraceRecorder`, not a
 second recorder: the §9 guard idiom, the no-perturbation rule, global
@@ -25,10 +25,10 @@ This module also owns the dump side of the window:
 
 from repro.telemetry.trace import TraceEvent, TraceRecorder
 
-#: default window for campaign/fuzz workers — deep enough to hold a whole
-#: recovery episode tail, small enough to be always-on.  Above an 8-node
-#: campaign run's 9-14k events, so such a run loses nothing to it.
-DEFAULT_CAPACITY = 20_000
+#: the window every campaign/fuzz run records into.  Above the ~64k events
+#: a 32-node campaign run emits at most, so such a run loses nothing to it
+#: and its forensics see the whole run.
+DEFAULT_CAPACITY = 200_000
 
 
 class FlightRecorder(TraceRecorder):

@@ -1,24 +1,12 @@
-"""Metrics: live counters, the histogram, and the per-run summary.
+"""Metrics: the histogram and the per-run summary.
 
-* :class:`MetricsRegistry` holds the counters components bump while a run
-  executes (``registry.counter("x", node=3).inc()``) — today the
-  ``protocol.cover.*`` transition counters and ``protocol.stray_messages``
-  that :mod:`repro.fuzz.coverage` reads;
+* :class:`Histogram` is the power-of-two bucketed distribution the
+  summary, the availability table and the fuzz report share;
 * :func:`summarize_run` is the one post-run sweep of the statistics the
   hardware model keeps anyway (RouterStats, MagicStats, RecoveryReports,
   the simulator's executed-event counter) — zero cost during the run —
   into the compact JSON-friendly summary that campaign records carry.
 """
-
-
-class Counter:
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0
-
-    def inc(self, amount=1):
-        self.value += amount
 
 
 class Histogram:
@@ -75,38 +63,6 @@ class Histogram:
                 "buckets": dict(sorted(self.buckets.items()))}
         snap.update(self.percentiles())
         return snap
-
-
-#: label used for machine-wide (not per-node) instruments
-MACHINE = "_machine"
-
-
-class MetricsRegistry:
-    """Named counters, each optionally labelled with a node id."""
-
-    def __init__(self):
-        self._counters = {}
-
-    def counter(self, name, node=None):
-        key = (name, MACHINE if node is None else node)
-        counter = self._counters.get(key)
-        if counter is None:
-            counter = self._counters[key] = Counter()
-        return counter
-
-    def counter_total(self, name):
-        """Machine-wide sum of a counter across all nodes."""
-        return sum(counter.value for (n, _), counter in
-                   self._counters.items() if n == name)
-
-    def counter_items(self, prefix=""):
-        """Sorted ``(name, node, value)`` triples, optionally filtered by
-        a name prefix (e.g. ``"protocol.cover."`` for the fuzzer)."""
-        return sorted(
-            ((name, node, counter.value)
-             for (name, node), counter in self._counters.items()
-             if name.startswith(prefix)),
-            key=lambda item: (item[0], str(item[1])))
 
 
 # ------------------------------------------------------------ run summary

@@ -185,12 +185,11 @@ class TraceRecorder:
 class Telemetry:
     """The bundle a :class:`~repro.core.machine.FlashMachine` accepts.
 
-    ``Telemetry()`` enables both the event bus and the counter registry;
+    ``Telemetry()`` records every event;
     ``Telemetry(max_events=N)`` keeps the *first* N events;
-    ``Telemetry(trace=False)`` keeps only the registry;
-    ``Telemetry(trace=False, flight=N)`` keeps the *last* N events (the
-    campaign/fuzz fleet mode, :mod:`repro.telemetry.flight`: a failure
-    arrives with its tail window).
+    ``Telemetry(trace=False, flight=N)`` keeps the *last* N events (what
+    every campaign/fuzz run records, :mod:`repro.telemetry.flight`: a
+    failure arrives with its tail window).
     """
 
     def __init__(self, trace=True, max_events=None, flight=None):
@@ -201,8 +200,6 @@ class Telemetry:
             self.recorder = TraceRecorder(max_events=max_events)
         else:
             self.recorder = None
-        from repro.telemetry.metrics import MetricsRegistry
-        self.metrics = MetricsRegistry()
 
     def bind(self, sim):
         if self.recorder is not None:

@@ -109,7 +109,7 @@ class Report:
     @property
     def pairs(self):
         """Every ``(directory state, kind)`` pair any scenario delivered,
-        named as the live engine's ``protocol.cover`` counters name them."""
+        named as the live engine's ``ProtocolEngine.covered`` names them."""
         found = set()
         for scenario in self.scenarios:
             found |= scenario.pairs

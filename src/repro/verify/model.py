@@ -320,7 +320,6 @@ class StandInMagic:
         self.stats = MagicStats()
         self.hooks = NullHooks()
         self.trace = None
-        self.metrics = None
         self._cause = None
         self._units = [frozenset({node})
                        for node in range(scenario.num_nodes)]

@@ -159,26 +159,25 @@ class TestRunDeterminism:
 class TestPinnedCampaignFile:
     def test_campaign_jsonl_matches_pinned_digest(self, tmp_path):
         """Byte identity of the file a campaign writes: ``fault-during-
-        recovery``, seed 7, 6 runs, both telemetry modes, every line minus
-        ``elapsed_s``, pinned at a109e33 (the last commit before fuzz
-        sessions wrote the same record type) and re-pinned when P3's
-        tables became up*/down* over every surviving link (simulated
-        times, event and packet counts moved; every status, restart count
-        and episode count stayed).  A change that moves it changed what
-        campaigns put on disk — a key that should have been left out when
-        empty, say."""
+        recovery``, seed 7, 6 runs, every line minus ``elapsed_s``, pinned
+        at a109e33 (the last commit before fuzz sessions wrote the same
+        record type), re-pinned when P3's tables became up*/down* over
+        every surviving link (simulated times, event and packet counts
+        moved; every status, restart count and episode count stayed), and
+        re-pinned to the parent's keep-last output when that became the
+        only pooled policy (one pass instead of one per mode).  A change
+        that moves it changed what campaigns put on disk — a key that
+        should have been left out when empty, say."""
         digest = hashlib.sha256()
-        for mode in ("trace", "flight"):
-            path = tmp_path / ("%s.jsonl" % mode)
-            CampaignRunner(kind="fault-during-recovery", runs=6,
-                           campaign_seed=7, jobs=1, telemetry_mode=mode,
-                           out_path=str(path)).run()
-            lines = path.read_text().splitlines()
-            assert len(lines) == 6
-            for line in lines:
-                row = json.loads(line)
-                assert line == json.dumps(row, sort_keys=True)
-                del row["elapsed_s"]
-                digest.update(json.dumps(row, sort_keys=True).encode())
+        path = tmp_path / "runs.jsonl"
+        CampaignRunner(kind="fault-during-recovery", runs=6,
+                       campaign_seed=7, jobs=1, out_path=str(path)).run()
+        lines = path.read_text().splitlines()
+        assert len(lines) == 6
+        for line in lines:
+            row = json.loads(line)
+            assert line == json.dumps(row, sort_keys=True)
+            del row["elapsed_s"]
+            digest.update(json.dumps(row, sort_keys=True).encode())
         assert digest.hexdigest() == (
-            "2d044abe55e6f4b6df6da22e5c727983c98965d70230cf8f207127817e1b3512")
+            "cc95e20907e19ae753e5e5cf9f12b4798c97beac544ce53d43baf208406616e3")

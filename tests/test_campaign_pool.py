@@ -12,10 +12,12 @@ result, a watchdog kill and a SIGKILLed worker must each cost exactly
 the run they hit.
 """
 
+import json
 import os
 import random
 import signal
 
+from repro.campaign import pool as pool_module
 from repro.campaign.pool import BatchWorkerPool, _execute_schedule_run
 from repro.campaign.records import RunStatus, load_records
 from repro.campaign.runner import CampaignRunner
@@ -24,8 +26,17 @@ from repro.core.machine import MachineFactory
 
 
 def _strip_wall_clock(payload):
-    data = dict(payload)
+    """The payload minus wall time, with a flight dump's packet uids
+    rebased to its smallest: uids come from a process-wide counter, so
+    they depend on what else ran in that process (ROADMAP item 3)."""
+    data = json.loads(json.dumps(payload))
     data.pop("elapsed_s", None)
+    packets = [event["data"] for event in data.get("flight", {})
+               .get("events", ()) if "uid" in event["data"]]
+    if packets:
+        base = min(packet["uid"] for packet in packets)
+        for packet in packets:
+            packet["uid"] -= base
     return data
 
 
@@ -148,29 +159,45 @@ class TestBatchWorkerPool:
             assert all(set(entry) == {"run_index", "elapsed_s"}
                        for entry in in_flight)
 
-    def test_result_from_retired_worker_is_dropped(self):
+    def test_result_from_retired_worker_is_dropped(self, monkeypatch):
         """A worker that posts just before the watchdog kills it must not
         complete the run a second time (regression: the duplicate used to
-        reach the caller and KeyError the batch)."""
+        reach the caller and KeyError the batch).  Its result sits unread
+        in its pipe when the deadline passes; the retired pipe goes with
+        the worker."""
+        schedules = _schedules(2)
+        real_wait = pool_module.wait
+
+        def late(conns, timeout):
+            for conn in conns:
+                conn.poll(None)       # the result has arrived ...
+            pool.timeout_s = 0.0      # ... and the deadline passes first
+            monkeypatch.setattr(pool_module, "wait", real_wait)
+            return []
+
+        def relax(run_index, payload):
+            pool.timeout_s = 120.0
+
+        monkeypatch.setattr(pool_module, "wait", late)
         with BatchWorkerPool(jobs=1, timeout_s=120.0) as pool:
-            pool.result_queue.put((999, 0, {"status": "pass", "stale": 1}))
-            pool.result_queue.put(
-                (pool.workers[0].worker_id, 7, {"status": "pass"}))
-            got = _drive(pool, [(0, _schedules(1)[0], 5)])
-        assert list(got) == [0]
-        assert "stale" not in got[0]
+            retired = pool.workers[0]
+            got = _drive(pool, [(0, schedules[0], 5), (1, schedules[1], 6)],
+                         on_result=relax)
+        assert retired.conn.closed
+        assert got[0]["status"] == RunStatus.HUNG.value
+        assert got[1]["status"] != RunStatus.HUNG.value
 
     def test_hung_run_then_normal_run_on_respawned_slot(self):
         schedules = _schedules(2)
         with BatchWorkerPool(jobs=1, timeout_s=0.05) as pool:
-            first_worker = pool.workers[0].worker_id
+            first_worker = pool.workers[0]
 
             def relax(run_index, payload):
                 pool.timeout_s = 120.0
 
             got = _drive(pool, [(0, schedules[0], 1), (1, schedules[1], 2)],
                          on_result=relax)
-            assert pool.workers[0].worker_id != first_worker
+            assert pool.workers[0] is not first_worker
         assert got[0]["status"] == RunStatus.HUNG.value
         assert "watchdog" in got[0]["error"]
         assert _strip_wall_clock(got[1]) == _strip_wall_clock(
@@ -213,7 +240,7 @@ class TestCampaignRunnerOnPool:
         def submit_and_kill(worker, task):
             submit(worker, task)
             if task[0] == 2:
-                killed.append(worker.worker_id)
+                killed.append(worker.process.pid)
                 os.kill(worker.process.pid, signal.SIGKILL)
 
         monkeypatch.setattr(BatchWorkerPool, "_submit",

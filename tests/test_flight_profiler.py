@@ -11,6 +11,7 @@ Two contracts anchor this file:
   audit the window with the truncation caveat intact.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -40,14 +41,14 @@ def small_schedule(num_nodes=4, seed=17):
     return make_schedule("random-multi", rng, num_nodes=num_nodes)
 
 
-def campaign_payload(kind, run_index, mode, run_limit=60_000_000_000):
+def campaign_payload(kind, run_index, run_limit=60_000_000_000):
     """What a worker hands back for run ``run_index`` of the 8-node
     campaign (seed 7) of ``kind``, minus its wall time."""
     seed, schedule = CampaignRunner(
         kind=kind, campaign_seed=7).plan_run(run_index)
     payload = _execute_schedule_run(
         schedule.to_dict(), seed, run_limit, mem_per_node=64 << 10,
-        l2_size=8 << 10, telemetry_mode=mode)
+        l2_size=8 << 10)
     del payload["elapsed_s"]
     return payload
 
@@ -287,51 +288,58 @@ class TestSimProfiler:
 
 class TestWorkerFlightMode:
     def test_trace_mode_payload_has_no_flight_key(self):
+        """A clean PASS carries no window: only red runs and stray
+        storms pay for a dump.  Every generator's payload carries its
+        metrics."""
         payload = _execute_schedule_run(
             small_schedule().to_dict(), seed=4, run_limit=60_000_000_000,
             mem_per_node=64 << 10, l2_size=8 << 10)
+        assert payload["status"] == "pass"
         assert "flight" not in payload
-
-    def test_flight_mode_matches_trace_mode_verdict(self):
-        """Both caps are above an 8-node run's event count, so the two
-        retention policies hold the same events and the whole payload —
-        verdict, metrics, forensics — is equal, for every generator."""
         for kind in sorted(SCHEDULE_GENERATORS):
-            trace = campaign_payload(kind, 0, "trace")
-            flight = campaign_payload(kind, 0, "flight")
-            flight.pop("flight", None)
-            assert trace == flight, kind
-            assert trace["metrics"], kind
+            assert campaign_payload(kind, 0)["metrics"], kind
 
-    def test_hung_run_dumps_tail_window(self):
-        """A run that blows its event budget aborts with the flight dump
-        attached — the always-on crash-evidence contract."""
+    @pytest.mark.parametrize("status", ["hung", "crashed", "fail"])
+    def test_red_run_dumps_tail_window(self, status, monkeypatch):
+        """Every red verdict arrives with the recorder's tail window —
+        the always-on evidence contract.  HUNG: the run blows a tiny
+        event budget.  CRASHED: the harness raises after the recorder
+        exists.  FAIL: the oracle is forced to object."""
+        import repro.core.experiment as experiment
+        run_limit = 50_000 if status == "hung" else 60_000_000_000
+        if status == "crashed":
+            def explode(machine):
+                raise ZeroDivisionError("injected after the recorder")
+            monkeypatch.setattr("repro.telemetry.metrics.summarize_run",
+                                explode)
+        elif status == "fail":
+            real = experiment.run_schedule_experiment
+
+            def failing(*args, **kwargs):
+                return dataclasses.replace(
+                    real(*args, **kwargs), passed=False,
+                    problems=["forced oracle failure"])
+            monkeypatch.setattr(experiment, "run_schedule_experiment",
+                                failing)
         payload = _execute_schedule_run(
-            small_schedule().to_dict(), seed=4, run_limit=50_000,
-            mem_per_node=64 << 10, l2_size=8 << 10,
-            telemetry_mode="flight")
-        assert payload["status"] in ("hung", "crashed")
+            small_schedule().to_dict(), seed=4, run_limit=run_limit,
+            mem_per_node=64 << 10, l2_size=8 << 10)
+        assert payload["status"] == status
         dump = payload["flight"]
         assert dump["events"], "tail window must not be empty"
-        assert dump["capacity"] == 20_000
+        assert dump["capacity"] == DEFAULT_CAPACITY
         # The dump is line-JSON-safe and forensics-readable.
         json.dumps(dump)
         analyze_dump(dump)
 
-    def test_hung_trace_mode_has_no_dump(self):
-        payload = _execute_schedule_run(
-            small_schedule().to_dict(), seed=4, run_limit=50_000,
-            mem_per_node=64 << 10, l2_size=8 << 10)
-        assert payload["status"] in ("hung", "crashed")
-        assert "flight" not in payload
-
-
     def test_worker_payloads_match_pinned_digest(self):
         """Byte identity of what a worker hands back — summaries, metrics
-        and HUNG flight dumps — across both retention policies, pinned at
-        0013436 (the last commit with two recorder classes) and re-pinned
-        when P3's tables became up*/down* over every surviving link (every
-        status, restart count and dump presence stayed).  A change that
+        and HUNG flight dumps — pinned at 0013436 (the last commit with
+        two recorder classes), re-pinned when P3's tables became
+        up*/down* over every surviving link (every status, restart count
+        and dump presence stayed), and re-pinned to the parent's
+        keep-last output when that became the only pooled policy (only
+        the dumps' ``capacity`` moved, 20 000 -> 200 000).  A change that
         moves it changed the records campaigns write.  Packet uids
         come from a process-wide counter, so each dump's are rebased to
         its smallest: the digest must not depend on which tests ran
@@ -340,23 +348,21 @@ class TestWorkerFlightMode:
         hung_dumps = 0
         for kind in ("fault-during-recovery", "random-multi", "flaky-links"):
             for run_index in range(4):
-                for mode in ("trace", "flight"):
-                    for run_limit in (60_000_000_000, 3_000_000):
-                        payload = campaign_payload(kind, run_index, mode,
-                                                   run_limit)
-                        if "flight" in payload:
-                            hung_dumps += 1
-                            packets = [event["data"] for event
-                                       in payload["flight"]["events"]
-                                       if "uid" in event["data"]]
-                            base = min(data["uid"] for data in packets)
-                            for data in packets:
-                                data["uid"] -= base
-                        digest.update(json.dumps(
-                            payload, sort_keys=True).encode())
-        assert hung_dumps == 12     # every 3 ms flight-mode run, no other
+                for run_limit in (60_000_000_000, 3_000_000):
+                    payload = campaign_payload(kind, run_index, run_limit)
+                    if "flight" in payload:
+                        hung_dumps += 1
+                        packets = [event["data"] for event
+                                   in payload["flight"]["events"]
+                                   if "uid" in event["data"]]
+                        base = min(data["uid"] for data in packets)
+                        for data in packets:
+                            data["uid"] -= base
+                    digest.update(json.dumps(
+                        payload, sort_keys=True).encode())
+        assert hung_dumps == 12     # every 3 ms run, no other
         assert digest.hexdigest() == (
-            "d1f6c3ab5ee3bec2ac4d429b32e68473ea3b495200d6aeea56cc798293097ca4")
+            "8612cd413f5fe1cae2c2a5a47d63f09574682046491684561f36fd07fb305ddd")
 
 
 class TestFlightForensics:

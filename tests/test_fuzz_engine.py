@@ -268,7 +268,9 @@ class TestPinnedTrajectory:
             [],
             [],
         ]
-        # The same sequence with every feature list spelled out.
+        # The same sequence with every feature list spelled out: a run
+        # that swaps one feature for another keeps its count and fails
+        # here.
         full = [[r["run_index"], r["fuzz"]["lineage"], r["fuzz"]["op"],
                  r["seed"], r["status"], r["fuzz"]["features"],
                  r["fuzz"]["new_features"]] for r in records]

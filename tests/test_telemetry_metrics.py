@@ -1,5 +1,5 @@
-"""Tests for the counter registry, the histogram and the per-run summary
-the campaign engine records."""
+"""Tests for the histogram and the per-run summary the campaign engine
+records."""
 
 import pytest
 
@@ -8,22 +8,11 @@ from repro.campaign.schedule import FaultSchedule, TimedFault
 from repro.core.config import MachineConfig
 from repro.core.experiment import run_schedule_experiment
 from repro.faults.models import FaultSpec
-from repro.telemetry.metrics import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    summarize_run,
-)
+from repro.telemetry.metrics import Histogram, summarize_run
 from repro.telemetry.scalability import run_scalability_point
 
 
 class TestInstruments:
-    def test_counter(self):
-        counter = Counter()
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-
     def test_histogram_stats(self):
         histogram = Histogram()
         for value in (1, 3, 100):
@@ -68,26 +57,6 @@ class TestInstruments:
         histogram.observe(3)
         snapshot = histogram.snapshot()
         assert snapshot["p50"] == 3 and snapshot["p99"] == 3
-
-
-class TestRegistry:
-    def test_same_key_returns_same_instrument(self):
-        registry = MetricsRegistry()
-        assert registry.counter("x", node=1) is registry.counter("x", node=1)
-        assert registry.counter("x", node=1) is not registry.counter(
-            "x", node=2)
-
-    def test_machine_wide_label(self):
-        registry = MetricsRegistry()
-        registry.counter("x").inc()
-        assert registry.counter_total("x") == 1
-
-    def test_aggregation_across_nodes(self):
-        registry = MetricsRegistry()
-        registry.counter("drops", node=0).inc(2)
-        registry.counter("drops", node=1).inc(3)
-        registry.counter("other", node=0).inc(100)
-        assert registry.counter_total("drops") == 5
 
 
 class TestHarvestAndSummary:

@@ -187,8 +187,8 @@ class TestInjectorEvents:
 
 
 class TestStrayMessageTelemetry:
-    """ProtocolEngine.handle's stray path is visible in traces and metrics
-    (the dynamic counterpart of the dispatch-coverage test in
+    """ProtocolEngine.handle's stray path is visible in traces and in
+    MagicStats (the dynamic counterpart of the dispatch-coverage test in
     test_verify_model)."""
 
     def _stray_packet(self, machine):
@@ -209,11 +209,11 @@ class TestStrayMessageTelemetry:
         assert event.node == 1
         assert event.data["reason"] == "no-handler"
         assert "NAK" in event.data["kind"]
-        assert telemetry.metrics.counter_total("protocol.stray_messages") == 1
+        assert telemetry.recorder.count("protocol", "stray") == 1
 
     def test_stray_path_is_inert_without_telemetry(self):
         machine = FlashMachine(small_config())
         magic = machine.nodes[1].magic
-        assert magic.trace is None and magic.metrics is None
+        assert magic.trace is None
         magic.protocol.handle(self._stray_packet(machine))
         assert magic.stats.stray_messages == 1

@@ -1,7 +1,7 @@
 """Live-engine conformance for the protocol model checker.
 
 The checker runs the handlers the simulator runs, so conformance is
-exact: the ``protocol.cover.<STATE>.<KIND>`` pairs a deterministic
+exact: the ``ProtocolEngine.covered`` pairs a deterministic
 seed-0 battery exercises, for the kinds the explorer explores, must be
 the ``(directory state, kind)`` pairs the explorer delivered — no pair
 only one side reaches, no allowlist.  The uncached and scrub kinds stay
@@ -25,8 +25,6 @@ from repro.telemetry.trace import Telemetry
 from repro.verify import check_protocol
 from repro.verify.checker import DIRECT_KINDS
 
-COVER_PREFIX = "protocol.cover."
-
 
 def _prog(*ops):
     def gen():
@@ -37,16 +35,14 @@ def _prog(*ops):
 
 class Battery:
     def __init__(self):
-        self.telemetry = Telemetry(trace=False)
+        # a recorder switches on the engines' ``covered`` sets
         self.machine = FlashMachine(MachineConfig(num_nodes=4, seed=0),
-                                    telemetry=self.telemetry)
+                                    telemetry=Telemetry())
         self.machine.start()
 
     def covered(self):
-        return {tuple(name[len(COVER_PREFIX):].split(".", 1))
-                for name, _node, value
-                in self.telemetry.metrics.counter_items(COVER_PREFIX)
-                if value}
+        return set().union(*(node.magic.protocol.covered
+                             for node in self.machine.nodes))
 
     def run(self, node, *ops):
         self.machine.run_programs([(node, _prog(*ops))])
