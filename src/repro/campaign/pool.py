@@ -6,10 +6,8 @@ executes in a :class:`BatchWorkerPool` worker, and
 collects results and runs the watchdog.  A wedged or crashing run becomes
 a HUNG/CRASHED payload, never the death of the batch:
 
-* each worker is a long-lived subprocess holding a
-  :class:`~repro.core.machine.MachineFactory`, so consecutive runs whose
-  shape parameters match share topology construction and no run pays
-  process startup or module imports;
+* each worker is a long-lived subprocess, so no run pays process
+  startup or module imports;
 * the pool tracks one in-flight task per worker; a watchdog kills and
   respawns the whole worker when a task exceeds its wall-clock budget, so
   one wedged schedule costs one worker restart, not the batch;
@@ -17,11 +15,12 @@ a HUNG/CRASHED payload, never the death of the batch:
   results up, so a worker killed mid-send breaks only its own pipe, and
   the respawn discards it — completion stays strictly attributable.
 
-Determinism is untouched: a run executes the same
-:func:`~repro.core.experiment.run_schedule_experiment` with the same
-(schedule, seed) regardless of which worker picks it up, and a directed
-test proves factory-reused and fresh machines produce bit-identical
-records.
+A worker keeps nothing from one run to the next: every run builds a
+fresh machine, and the machine owns every id its run hands out.  So a
+payload is a function of its (schedule, seed) alone, whichever worker
+runs it and whatever that worker ran before; directed tests compare
+forward against reversed run order in one worker, and ``jobs=1``
+against ``jobs=3``.
 """
 
 # repro-lint: disable-file=wall-clock — this module is the real-time
@@ -59,7 +58,7 @@ def _attach_flight(payload, telemetry):
 
 
 def _execute_schedule_run(schedule_dict, seed, run_limit, mem_per_node,
-                          l2_size, factory=None, coverage=False):
+                          l2_size, coverage=False):
     """Run one (schedule, seed) to a payload dict; never raises.
 
     The run records the last :data:`FLIGHT_CAPACITY` events; a
@@ -85,10 +84,7 @@ def _execute_schedule_run(schedule_dict, seed, run_limit, mem_per_node,
         # untraced by the §9 contract) so a red verdict arrives with its
         # forensic story attached instead of needing a re-run to diagnose.
         telemetry = Telemetry(trace=False, flight=FLIGHT_CAPACITY)
-        if factory is not None:
-            machine = factory.build(config, telemetry=telemetry)
-        else:
-            machine = FlashMachine(config, telemetry=telemetry)
+        machine = FlashMachine(config, telemetry=telemetry)
         result = run_schedule_experiment(schedule, seed=seed,
                                          run_limit=run_limit,
                                          telemetry=telemetry,
@@ -135,16 +131,9 @@ def _execute_schedule_run(schedule_dict, seed, run_limit, mem_per_node,
 
 def _batch_worker(conn, run_limit, mem_per_node, l2_size, coverage):
     """Long-lived worker loop: one task at a time until the None sentinel
-    (or until the pool's end of ``conn`` is gone).
-
-    The factory lives for the worker's whole life, which is exactly the
-    machine-reuse amortization: every run in this worker with matching
-    shape parameters shares topology construction.
-    """
+    (or until the pool's end of ``conn`` is gone)."""
     import warnings
     warnings.simplefilter("ignore")   # skipped-injection warnings are data
-    from repro.core.machine import MachineFactory
-    factory = MachineFactory()
     while True:
         try:
             task = conn.recv()
@@ -155,7 +144,7 @@ def _batch_worker(conn, run_limit, mem_per_node, l2_size, coverage):
         run_index, schedule_dict, seed = task
         payload = _execute_schedule_run(
             schedule_dict, seed, run_limit, mem_per_node, l2_size,
-            factory=factory, coverage=coverage)
+            coverage=coverage)
         conn.send((run_index, payload))
 
 

@@ -15,12 +15,28 @@ import os
 
 
 class RunStatus(enum.Enum):
-    """Terminal state of one campaign run."""
+    """Terminal state of one campaign run.
 
-    PASS = "pass"          # recovery contained the schedule, oracle clean
-    FAIL = "fail"          # run completed but the §5.2 oracle found problems
-    CRASHED = "crashed"    # the worker raised (or died); traceback recorded
-    HUNG = "hung"          # watchdog expired / simulation deadlocked
+    The one list of outcomes: every count, summary key, report column and
+    printed tally iterates this enum in definition order.  Each member is
+    its record value plus the key its count goes under in a campaign's
+    ``--summary-json``.
+    """
+
+    #: recovery contained the schedule, oracle clean
+    PASS = "pass", "passed"
+    #: run completed but the §5.2 oracle found problems
+    FAIL = "fail", "failed"
+    #: the worker raised (or died); traceback recorded
+    CRASHED = "crashed", "crashed"
+    #: watchdog expired / simulation deadlocked
+    HUNG = "hung", "hung"
+
+    def __new__(cls, value, summary_key):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.summary_key = summary_key
+        return member
 
     @property
     def is_abort(self):
@@ -149,3 +165,10 @@ def completed_indices(records):
 def status_counts(records):
     """Runs per outcome, keyed by status value; an absent outcome reads 0."""
     return collections.Counter(record.status.value for record in records)
+
+
+def format_counts(counts):
+    """``"13 pass, 7 fail, 0 crashed, 0 hung"`` from runs per
+    :class:`RunStatus`, in the enum's order."""
+    return ", ".join("%d %s" % (counts[status], status.value)
+                     for status in RunStatus)

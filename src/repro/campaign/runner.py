@@ -38,6 +38,7 @@ from repro.campaign.records import (
     RunRecord,
     RunStatus,
     append_record,
+    format_counts,
     load_records,
     status_counts,
 )
@@ -59,26 +60,23 @@ class CampaignSummary:
     """Aggregate of a finished (or resumed-and-finished) campaign."""
 
     total: int
-    passed: int
-    failed: int
-    crashed: int
-    hung: int
+    #: runs per :class:`RunStatus`, every status present
+    counts: dict
     records: list
 
     @classmethod
     def from_records(cls, records):
         counts = status_counts(records)
         return cls(total=len(records),
-                   passed=counts[RunStatus.PASS.value],
-                   failed=counts[RunStatus.FAIL.value],
-                   crashed=counts[RunStatus.CRASHED.value],
-                   hung=counts[RunStatus.HUNG.value],
+                   counts={status: counts[status.value]
+                           for status in RunStatus},
                    records=list(records))
 
     @property
     def ok(self):
         """True when every run reached a verdict (no batch-level aborts)."""
-        return self.crashed == 0 and self.hung == 0
+        return not any(self.counts[status] for status in RunStatus
+                       if status.is_abort)
 
     def failures(self):
         return [record for record in self.records
@@ -86,14 +84,15 @@ class CampaignSummary:
 
     def to_dict(self):
         """The counts and the verdict, without the records."""
-        return {"total": self.total, "passed": self.passed,
-                "failed": self.failed, "crashed": self.crashed,
-                "hung": self.hung, "ok": self.ok}
+        data = {"total": self.total}
+        data.update((status.summary_key, self.counts[status])
+                    for status in RunStatus)
+        data["ok"] = self.ok
+        return data
 
     def __str__(self):
-        return ("campaign: %d runs — %d pass, %d fail, %d crashed, %d hung"
-                % (self.total, self.passed, self.failed,
-                   self.crashed, self.hung))
+        return "campaign: %d runs — %s" % (self.total,
+                                            format_counts(self.counts))
 
 
 class CampaignRunner:

@@ -155,9 +155,12 @@ def run_schedule_experiment(schedule, config=None, fill_fraction=0.6,
     full-memory check judges every line against the accumulated oracle
     state.
 
-    ``machine`` may be a not-yet-started :class:`FlashMachine` (e.g. from
-    a :class:`~repro.core.machine.MachineFactory`); the caller keeps the
-    reference, which is how the fuzz worker extracts coverage afterwards.
+    ``machine`` may be a not-yet-started :class:`FlashMachine` built for
+    this run (a pooled worker builds one with a recorder attached); the
+    caller keeps the reference, which is how the worker extracts coverage
+    afterwards.  The result depends on ``(schedule, seed)`` and the
+    machine's config alone: every id the run hands out comes from the
+    machine, never from the process.
     """
     if machine is None:
         config = config or MachineConfig(

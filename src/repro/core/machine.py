@@ -9,6 +9,11 @@ This is the main entry point of the library::
     ... run workloads ...
     machine.injector.inject(FaultSpec.node_failure(3))
     report = machine.run_until_recovered()
+
+A machine is self-contained: its :class:`~repro.sim.Simulator` owns the
+clock, the RNG and every id the run hands out, so two machines built from
+one config and driven the same way behave identically, whatever else ran
+in the process before them.
 """
 
 from repro.core.config import MachineConfig
@@ -27,16 +32,12 @@ class FlashMachine:
     """A simulated FLASH multiprocessor with fault containment."""
 
     def __init__(self, config=None, hooks=None, os_recovery_callback=None,
-                 telemetry=None, topology=None):
+                 telemetry=None):
         self.config = config or MachineConfig()
         self.params = self.config.params
         self.sim = Simulator(seed=self.config.seed)
-        # A prebuilt topology may be shared across machines (it is pure
-        # shape: adjacency and routing ports, no run state) — the batch
-        # worker pool reuses one per (kind, num_nodes) to amortize
-        # construction over many small campaign runs.
-        self.topology = topology if topology is not None else make_topology(
-            self.config.topology, self.config.num_nodes)
+        self.topology = make_topology(self.config.topology,
+                                      self.config.num_nodes)
         self.network = Network(self.sim, self.params, self.topology)
         self.address_map = AddressMap(
             self.config.num_nodes, self.config.mem_per_node,
@@ -161,25 +162,11 @@ class FlashMachine:
 
 
 class MachineFactory:
-    """Builds machines, reusing seed-independent artifacts across builds.
+    """Accepted for old callers: ``build`` is ``FlashMachine(config, ...)``.
 
-    A campaign worker that executes many small schedules back to back
-    (the fuzz loop's typical burst) pays ``FlashMachine`` construction per
-    run.  The only construction input that is both shareable and
-    immutable is the topology — pure shape, no run state — so the factory
-    memoizes one per ``(kind, num_nodes)`` and threads it into every
-    build whose parameters match.  A directed test proves a reused-vs-
-    fresh machine produces bit-identical run records.
+    Every run builds its machine from scratch, so a run's record depends
+    on its ``(seed, schedule)`` alone; there is nothing to share.
     """
 
-    def __init__(self):
-        self._topologies = {}
-
     def build(self, config, telemetry=None, hooks=None):
-        key = (config.topology, config.num_nodes)
-        topology = self._topologies.get(key)
-        if topology is None:
-            topology = make_topology(config.topology, config.num_nodes)
-            self._topologies[key] = topology
-        return FlashMachine(config, hooks=hooks, telemetry=telemetry,
-                            topology=topology)
+        return FlashMachine(config, hooks=hooks, telemetry=telemetry)

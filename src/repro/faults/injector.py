@@ -190,10 +190,6 @@ class FaultInjector:
 
     # -------------------------------------------------------------- scheduling
 
-    def inject_at(self, spec, time):
-        """Schedule an injection at an absolute simulation time."""
-        self.machine.sim.schedule_at(time, self.inject, spec)
-
     def inject_after(self, spec, delay):
         self.machine.sim.schedule(delay, self.inject, spec)
 

@@ -27,6 +27,7 @@ determinism contract is per-schedule via lineage, not per-session.  With
 ``jobs=1`` the whole session is deterministic.
 """
 
+from repro.campaign.records import RunStatus, format_counts
 from repro.campaign.schedule import (
     SCHEDULE_GENERATORS,
     FaultSchedule,
@@ -172,9 +173,9 @@ class FuzzEngine:
         engine learned."""
         percentiles = (self.containment.percentiles()
                        if self.containment.count else {})
-        stats = {"runs": summary.total, "pass": summary.passed,
-                 "fail": summary.failed, "crashed": summary.crashed,
-                 "hung": summary.hung}
+        stats = {"runs": summary.total}
+        stats.update((status.value, count)
+                     for status, count in summary.counts.items())
         stats.update(self.stats)
         return {
             "campaign_seed": campaign.campaign_seed,
@@ -204,10 +205,10 @@ def format_report(report):
     lines.append("fuzz session: seed=%d %d nodes %s, strategy=%s"
                  % (report["campaign_seed"], report["num_nodes"],
                     report["topology"], report["strategy"]))
-    lines.append("  %d runs in %.1fs — %d pass, %d fail, %d crashed, "
-                 "%d hung" % (stats["runs"], report["elapsed_s"],
-                              stats["pass"], stats["fail"],
-                              stats["crashed"], stats["hung"]))
+    lines.append("  %d runs in %.1fs — %s" % (
+        stats["runs"], report["elapsed_s"],
+        format_counts({status: stats[status.value]
+                       for status in RunStatus})))
     lines.append("  coverage: %d features, corpus %d schedules "
                  "(%d runs hit new coverage, %d fresh roots)"
                  % (report["coverage_features"], report["corpus_size"],

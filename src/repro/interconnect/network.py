@@ -156,6 +156,3 @@ class Network:
 
     def total_buffered_packets(self):
         return sum(r.buffered_packet_count() for r in self.routers)
-
-    def in_flight_packets(self):
-        return sum(len(l.in_flight) for l in self.links)

@@ -7,8 +7,6 @@ paper §4.1).  Router probes are source-routed packets whose route ends *at*
 a router rather than at a node; a live router answers them in hardware.
 """
 
-import itertools
-
 from repro.common.types import Lane
 
 #: Packet kinds handled by the routers themselves.
@@ -17,8 +15,6 @@ ROUTER_PROBE_REPLY = "router_probe_reply"
 ROUTER_SET_DISCARD = "router_set_discard"
 ROUTER_SET_TABLE = "router_set_table"
 ROUTER_CTRL_ACK = "router_ctrl_ack"
-
-_uid_counter = itertools.count()
 
 
 def merge_causes(a, b):
@@ -77,7 +73,10 @@ class Packet:
         self.route_index = 0
         self.truncated = False
         self.hops = 0
-        self.uid = next(_uid_counter)
+        #: stamped from the machine's ``sim.packet_uids`` when the packet
+        #: enters the fabric; None for a packet that never does (a
+        #: controller's message to itself)
+        self.uid = None
         self.inject_time = None
         # Causal lineage (forensics, DESIGN.md §11): the fault root id this
         # packet descends from (if any) and the eid of the most recent trace
@@ -94,10 +93,6 @@ class Packet:
     def is_source_routed(self):
         return self.source_route is not None
 
-    @property
-    def is_recovery(self):
-        return self.lane in (Lane.RECOVERY_A, Lane.RECOVERY_B)
-
     def truncate(self):
         """Mark the packet truncated and discard its data payload (§3.1)."""
         self.truncated = True
@@ -108,6 +103,6 @@ class Packet:
         if self.source_route is not None:
             route = " route=%s@%d" % (self.source_route, self.route_index)
         flags = " TRUNC" if self.truncated else ""
-        return "<Packet #%d %s %d->%s lane=%s%s%s>" % (
+        return "<Packet #%s %s %d->%s lane=%s%s%s>" % (
             self.uid, self.kind, self.src, self.dst, self.lane.name,
             route, flags)

@@ -152,6 +152,7 @@ class NodeInterface:
 
     def send(self, packet):
         """Queue an outbound packet; the pump injects it when space allows."""
+        packet.uid = next(self.sim.packet_uids)
         packet.inject_time = self.sim.now
         tr = self.trace
         if tr is not None:
@@ -542,6 +543,7 @@ class Router:
 
     def _inject_reply(self, reply):
         """Queue a router-generated reply as if it came from the local port."""
+        reply.uid = next(self.sim.packet_uids)
         key = (LOCAL_PORT, reply.lane)
         if (len(self._buffers[key]) + self._reserved[key]
                 < self._lane_capacity[reply.lane]):

@@ -39,10 +39,6 @@ class Cache:
     def __len__(self):
         return len(self._lines)
 
-    @property
-    def fill_ratio(self):
-        return len(self._lines) / self.capacity_lines
-
     def lookup(self, line_address, for_write=False):
         """Return the line if the access hits, else None.
 
@@ -111,14 +107,6 @@ class Cache:
                  if line.state == CacheState.EXCLUSIVE]
         self._lines.clear()
         return dirty
-
-    def dirty_lines(self):
-        return [(address, line.value)
-                for address, line in self._lines.items()
-                if line.state == CacheState.EXCLUSIVE]
-
-    def resident_lines(self):
-        return list(self._lines.keys())
 
     def drop_all(self):
         """Lose all contents without writebacks (node failure)."""

@@ -30,7 +30,7 @@ Fault-containment features implemented here (paper Table 6.1):
 """
 
 from repro.common.errors import BusError
-from repro.common.types import AccessKind, BusErrorKind, DirState, Lane
+from repro.common.types import AccessKind, BusErrorKind, DirState
 from repro.coherence.directory import Directory
 from repro.coherence.messages import MessageKind, make_packet
 from repro.coherence.protocol import ProtocolEngine
@@ -733,12 +733,6 @@ class Magic:
                              lane=lane, source_route=source_route)
         packet.root_cause, packet.cause_eid = lineage
         self.ni.send(packet)
-
-    def send_recovery(self, dst, kind, payload, source_route,
-                      lane=Lane.RECOVERY_A):
-        """Send a source-routed packet on a dedicated recovery lane (§4.1)."""
-        self.send_message(dst, kind, payload, lane=lane,
-                          source_route=source_route)
 
     # -------------------------------------------------------- failure detection
 

@@ -126,7 +126,3 @@ class NodeMemory:
         """Read from this node's replica of the exception-vector range."""
         line = self.address_map.line_address(address)
         return self._vector_values.get(line, ("vector", self.node_id, line))
-
-    @property
-    def resident_line_count(self):
-        return self.address_map.mem_per_node // self.address_map.line_size

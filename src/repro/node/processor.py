@@ -18,13 +18,9 @@ runs) occasionally issues a write reference to an arbitrary address before
 an op, modeling the R10000 speculating down a mispredicted branch (§3.3).
 """
 
-import itertools
-
 from repro.common.errors import BusError
 from repro.common.types import AccessKind
 from repro.sim import Event, Interrupt
-
-_store_tokens = itertools.count(1)
 
 
 class Load:
@@ -45,8 +41,9 @@ class Store:
 
     def __init__(self, address, value=None):
         self.address = address
-        self.value = value if value is not None else (
-            "st", next(_store_tokens))
+        #: None until the executing processor stamps a value unique in
+        #: its machine (``sim.store_tokens``)
+        self.value = value
 
     def __repr__(self):
         return "Store(0x%x, %r)" % (self.address, self.value)
@@ -227,6 +224,8 @@ class Processor:
         if op.kind == AccessKind.LOAD:
             return (yield from self._cacheable(op, for_write=False))
         if op.kind == AccessKind.STORE:
+            if op.value is None:
+                op.value = ("st", next(self.sim.store_tokens))
             return (yield from self._cacheable(op, for_write=True))
         if op.kind in (AccessKind.UNCACHED_LOAD, AccessKind.UNCACHED_STORE):
             self.stats.uncached_ops += 1

@@ -16,8 +16,6 @@ A timeout on any of these surfaces as :class:`RecoveryCommError`, which the
 agent treats as a new fault: the recovery algorithm restarts (§4.1).
 """
 
-import itertools
-
 from repro.common.errors import ReproError
 from repro.common.types import Lane
 from repro.coherence.messages import MessageKind
@@ -29,8 +27,6 @@ from repro.interconnect.packet import (
     ROUTER_SET_DISCARD,
     ROUTER_SET_TABLE,
 )
-
-_ctrl_keys = itertools.count(1)
 
 
 class RecoveryCommError(ReproError):
@@ -148,9 +144,9 @@ class RecoveryComm:
                 src=self.node_id, dst=None, lane=Lane.RECOVERY_A,
                 kind=ROUTER_PROBE, payload={"epoch": self.epoch},
                 flits=2, source_route=list(source_route))
-            uid = probe.uid
             probe.root_cause, probe.cause_eid = self.magic.current_lineage()
             self.magic.ni.send(probe)
+            uid = probe.uid
             deadline = self.sim.now + self.params.probe_timeout
 
             def match(packet, uid=uid):
@@ -203,7 +199,9 @@ class RecoveryComm:
         Raises :class:`RecoveryCommError` when the router never answers.
         """
         assert command in (ROUTER_SET_DISCARD, ROUTER_SET_TABLE)
-        key = next(_ctrl_keys)
+        # Unique per machine, not per agent: an ack carries no epoch, so a
+        # key reused by a later episode's agent could match a stale ack.
+        key = next(self.sim.ctrl_keys)
         body = dict(payload)
         body["ctrl_key"] = key
         body["epoch"] = self.epoch

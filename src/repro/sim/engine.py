@@ -83,6 +83,13 @@ class Simulator:
                              else compact_min_cancelled)
         self._seq = itertools.count()
         self.rng = random.Random(seed)
+        #: the machine's id streams: packet uids (stamped as a packet
+        #: enters the fabric), default store values and router-control
+        #: keys.  They live here, not in their modules, so a run's ids
+        #: depend on that run alone, never on what its process ran before
+        self.packet_uids = itertools.count()
+        self.store_tokens = itertools.count(1)
+        self.ctrl_keys = itertools.count(1)
         #: executed (non-cancelled) events — the telemetry bench divides
         #: this by wall time for its events/sec throughput figure
         self.events_executed = 0

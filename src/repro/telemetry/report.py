@@ -27,14 +27,14 @@ The same aggregate is available as JSON (``--json``) for dashboards.
 import html
 import os
 
-from repro.campaign.records import load_json_lines
+from repro.campaign.records import RunStatus, load_json_lines
 from repro.telemetry.availability import merge_availability
 from repro.telemetry.metrics import Histogram
 
-_STATUSES = ("pass", "fail", "crashed", "hung")
+_STATUSES = tuple(status.value for status in RunStatus)
 
-_STATUS_COLORS = {"pass": "#2e7d32", "fail": "#c62828",
-                  "crashed": "#6a1b9a", "hung": "#ef6c00"}
+_STATUS_COLORS = {RunStatus.PASS: "#2e7d32", RunStatus.FAIL: "#c62828",
+                  RunStatus.CRASHED: "#6a1b9a", RunStatus.HUNG: "#ef6c00"}
 
 
 # ------------------------------------------------------------- collection
@@ -72,7 +72,7 @@ def aggregate(sources):
     for source in sources:
         counts = {status: 0 for status in _STATUSES}
         for record in source["records"]:
-            status = record.get("status", "crashed")
+            status = record.get("status", RunStatus.CRASHED.value)
             counts[status] = counts.get(status, 0) + 1
             outcomes[status] = outcomes.get(status, 0) + 1
             section = (record.get("metrics") or {}).get("availability")
@@ -181,7 +181,7 @@ def _outcome_section(agg):
              for status in _STATUSES]
     bars = "".join(
         "<div class='chip' style='background:%s'>%s&nbsp;%d</div>"
-        % (_STATUS_COLORS[status], status, count)
+        % (_STATUS_COLORS[RunStatus(status)], status, count)
         for status, count in pairs)
     rows = "".join(
         "<tr><td>%s</td><td>%s</td><td>%d</td>%s</tr>"
@@ -191,9 +191,10 @@ def _outcome_section(agg):
         for source in agg["sources"])
     return (
         "<h2>Outcome mix — %d runs</h2><div class='chips'>%s</div>"
-        "<table><tr><th>source</th><th>kind</th><th>runs</th>"
-        "<th>pass</th><th>fail</th><th>crashed</th><th>hung</th></tr>"
-        "%s</table>" % (agg["runs"], bars, rows))
+        "<table><tr><th>source</th><th>kind</th><th>runs</th>%s</tr>"
+        "%s</table>" % (agg["runs"], bars,
+                        "".join("<th>%s</th>" % status
+                                for status in _STATUSES), rows))
 
 
 def _containment_section(agg):

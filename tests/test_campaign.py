@@ -130,7 +130,7 @@ class TestRunner:
             out_path=str(path), timeout_s=120.0)
         summary = runner.run()
         assert summary.total == 2
-        assert summary.passed == 2
+        assert summary.counts[RunStatus.PASS] == 2
         assert summary.ok
         assert len(load_records(path)) == 2
 
@@ -149,7 +149,7 @@ class TestRunner:
         # Runs 0 and 1 came from the file; only run 2 actually executed.
         assert executed == [2]
         assert summary.total == 3
-        assert summary.passed == 3
+        assert summary.counts[RunStatus.PASS] == 3
 
     def test_resume_after_torn_tail_keeps_every_record(self, tmp_path):
         """Killed mid-append: the re-run record must start a fresh line
@@ -181,7 +181,7 @@ class TestRunner:
         runner = CampaignRunner(schedule=bad, runs=1, campaign_seed=1,
                                 out_path=str(path), timeout_s=120.0)
         summary = runner.run()
-        assert summary.crashed == 1
+        assert summary.counts[RunStatus.CRASHED] == 1
         assert not summary.ok
         (record,) = summary.records
         assert record.status is RunStatus.CRASHED

@@ -1,10 +1,12 @@
-"""The batch worker pool and its machine-reuse determinism contract.
+"""The batch worker pool and its record-purity contract.
 
-A pooled worker holds one :class:`~repro.core.machine.MachineFactory`
-for its lifetime and builds every run's machine through it.  That is
-only sound if a machine built from a reused factory behaves
-bit-identically to a fresh one — the directed test here — and if the
-pool's records match inline fresh-machine execution byte for byte.
+A run's payload is a function of its ``(schedule, seed)`` alone.  A
+pooled worker runs many schedules back to back, so that holds only if
+nothing survives a run: every run builds a fresh machine, and the
+machine owns every id its run hands out (packet uids, store values,
+router-control keys).  The directed tests here run the same red plans
+forward and reversed through one worker, compare ``jobs=1`` against
+``jobs=3``, and watch the heap of a process that runs many schedules.
 
 The pool's ``drive`` is the one loop every campaign, fuzz session and
 replay runs on, so the harness itself is fault-injected here: a stale
@@ -12,31 +14,25 @@ result, a watchdog kill and a SIGKILLed worker must each cost exactly
 the run they hit.
 """
 
+import gc
 import json
 import os
 import random
 import signal
+import tracemalloc
 
 from repro.campaign import pool as pool_module
 from repro.campaign.pool import BatchWorkerPool, _execute_schedule_run
 from repro.campaign.records import RunStatus, load_records
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.schedule import make_schedule
-from repro.core.machine import MachineFactory
 
 
 def _strip_wall_clock(payload):
-    """The payload minus wall time, with a flight dump's packet uids
-    rebased to its smallest: uids come from a process-wide counter, so
-    they depend on what else ran in that process (ROADMAP item 3)."""
+    """The payload minus wall time, the one field two runs of one
+    ``(schedule, seed)`` may disagree on."""
     data = json.loads(json.dumps(payload))
     data.pop("elapsed_s", None)
-    packets = [event["data"] for event in data.get("flight", {})
-               .get("events", ()) if "uid" in event["data"]]
-    if packets:
-        base = min(packet["uid"] for packet in packets)
-        for packet in packets:
-            packet["uid"] -= base
     return data
 
 
@@ -46,45 +42,64 @@ def _schedules(count, num_nodes=4):
             for _ in range(count)]
 
 
-class TestMachineReuseDeterminism:
-    def test_reused_factory_matches_fresh_machines(self):
-        """The directed test: one factory across back-to-back runs vs a
-        fresh machine per run — identical payloads (minus wall clock)."""
-        schedules = _schedules(3)
-        factory = MachineFactory()
-        reused = [_execute_schedule_run(
-            schedule.to_dict(), seed=100 + index,
-            run_limit=60_000_000_000, mem_per_node=64 << 10,
-            l2_size=8 << 10, factory=factory)
-            for index, schedule in enumerate(schedules)]
-        fresh = [_execute_schedule_run(
-            schedule.to_dict(), seed=100 + index,
-            run_limit=60_000_000_000, mem_per_node=64 << 10,
-            l2_size=8 << 10)
-            for index, schedule in enumerate(schedules)]
-        for left, right in zip(reused, fresh):
-            assert _strip_wall_clock(left) == _strip_wall_clock(right)
+def _red_plans(count, num_nodes=8):
+    """Run indices and plans of ``correlated-link-router`` seed 0: most
+    of its runs partition the machine and FAIL with a flight dump."""
+    runner = CampaignRunner(kind="correlated-link-router", campaign_seed=0,
+                            num_nodes=num_nodes)
+    return [(index,) + runner.plan_run(index) for index in range(count)]
 
-    def test_reuse_holds_with_coverage_extraction(self):
-        schedule = _schedules(1)[0]
-        factory = MachineFactory()
-        reused = _execute_schedule_run(
-            schedule.to_dict(), seed=7, run_limit=60_000_000_000,
-            mem_per_node=64 << 10, l2_size=8 << 10, factory=factory,
-            coverage=True)
-        fresh = _execute_schedule_run(
-            schedule.to_dict(), seed=7, run_limit=60_000_000_000,
-            mem_per_node=64 << 10, l2_size=8 << 10, coverage=True)
-        assert _strip_wall_clock(reused) == _strip_wall_clock(fresh)
 
-    def test_factory_memoizes_topology(self):
-        factory = MachineFactory()
-        from repro.core.config import MachineConfig
-        config = MachineConfig(num_nodes=4, mem_per_node=64 << 10,
-                               l2_size=8 << 10, seed=1)
-        machine_a = factory.build(config)
-        machine_b = factory.build(config)
-        assert machine_a.topology is machine_b.topology
+class TestRecordPurity:
+    def test_run_order_in_one_worker_does_not_change_payloads(self):
+        """The same plans forward, then reversed, through one worker with
+        coverage extraction on: equal payloads, flight dumps included."""
+        plans = _red_plans(4)
+        again = len(plans)
+        with BatchWorkerPool(jobs=1, timeout_s=120.0, coverage=True) as pool:
+            got = _drive(pool, [(index, schedule, seed)
+                                for index, seed, schedule in plans]
+                         + [(again + index, schedule, seed)
+                            for index, seed, schedule in plans[::-1]])
+        forward = [got[index] for index in range(again)]
+        reversed_ = [got[again + index] for index in range(again)]
+        assert sum(payload["status"] == RunStatus.FAIL.value
+                   and "flight" in payload for payload in forward) >= 2
+        assert all(payload["coverage"] for payload in forward)
+        assert ([_strip_wall_clock(payload) for payload in forward]
+                == [_strip_wall_clock(payload) for payload in reversed_])
+
+    def test_jobs_do_not_change_records(self, tmp_path):
+        records = {}
+        for jobs in (1, 3):
+            path = tmp_path / ("jobs%d.jsonl" % jobs)
+            CampaignRunner(kind="correlated-link-router", runs=6,
+                           campaign_seed=0, jobs=jobs, timeout_s=120.0,
+                           out_path=str(path)).run()
+            rows = [json.loads(line)
+                    for line in path.read_text().splitlines()]
+            for row in rows:
+                del row["elapsed_s"]
+            records[jobs] = sorted(rows, key=lambda row: row["run_index"])
+        assert [row["run_index"] for row in records[1]] == list(range(6))
+        assert any(row["flight"] for row in records[1])
+        assert records[1] == records[3]
+
+    def test_no_state_survives_a_run(self):
+        """Retaining one run's machine or recorder costs megabytes; the
+        traced heap after the last run stays within 1 MB of run 3's."""
+        heaps = []
+        tracemalloc.start()
+        try:
+            for _, seed, schedule in _red_plans(6, num_nodes=4):
+                _execute_schedule_run(
+                    schedule.to_dict(), seed, run_limit=60_000_000_000,
+                    mem_per_node=64 << 10, l2_size=8 << 10)
+                gc.collect()
+                heaps.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert heaps[-1] - heaps[2] < 1 << 20, heaps
 
 
 def _drive(pool, tasks, on_result=None):

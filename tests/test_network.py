@@ -506,8 +506,8 @@ def fabric_burst():
                     packet = Packet(
                         src=src, dst=dst, kind="burst",
                         lane=Lane.REPLY if index % 2 else Lane.REQUEST)
-                    index_of[packet.uid] = index
                     network.interface(src).send(packet)
+                    index_of[packet.uid] = index     # stamped by send
     sim.schedule(400.0, network.fail_link, 1, 2)
     sim.run()
     return sim, network, deliveries

@@ -89,8 +89,24 @@ class TestExecution:
         assert len(seen) == 2
 
     def test_store_default_values_are_unique(self):
-        a, b = Store(0x100), Store(0x100)
-        assert a.value != b.value
+        """A store without a value gets one unique in its machine, stamped
+        when it executes; a second machine's values start over."""
+        def written():
+            machine = RawMachine()
+            line = remote_line(machine, 1)
+            values = []
+
+            def program():
+                for _ in range(2):
+                    values.append((yield Store(line)))
+                assert (yield Load(line)) == values[-1]
+
+            machine.run_programs([(0, program())])
+            return values
+
+        first = written()
+        assert first[0] != first[1]
+        assert written() == first
 
     def test_flush_line_op(self):
         machine = RawMachine()
