@@ -120,6 +120,8 @@ def cmd_campaign(args):
         raise SystemExit(
             "unknown schedule %r (have: %s)"
             % (args.schedule, ", ".join(sorted(SCHEDULE_GENERATORS))))
+    if args.runs is None:
+        args.runs = 1 if fixed_schedule is not None else 50
     out_path = args.out
     if out_path is None:
         label = "replay" if fixed_schedule is not None else args.schedule
@@ -343,13 +345,6 @@ def cmd_report(args):
             print("  containment: %d episode(s)  p50=%s p95=%s p99=%s ms"
                   % (containment["count"], containment["p50"],
                      containment["p95"], containment["p99"]))
-        avail = agg["availability"]
-        if avail.get("runs"):
-            mttr = avail.get("mttr_ms") or {}
-            print("  availability: mean=%s min=%s  MTTR p50=%s p95=%s ms"
-                  % (avail.get("availability_mean"),
-                     avail.get("availability_min"),
-                     mttr.get("p50"), mttr.get("p95")))
     if not agg["runs"]:
         print("report: no records found in: %s" % " ".join(args.paths),
               file=sys.stderr)
@@ -495,13 +490,14 @@ def build_parser():
     p_camp = sub.add_parser(
         "campaign",
         help="multi-fault campaign: crash-isolated runs, JSONL records")
-    add_pool_run(p_camp, runs=50, timeout=300.0)
+    add_pool_run(p_camp, runs=None, timeout=300.0)   # 50; a replay is 1
     p_camp.add_argument("--schedule", default="random-multi",
                         help="schedule generator name (see "
                              "repro.campaign.SCHEDULE_GENERATORS)")
     p_camp.add_argument("--replay", default=None, metavar="JSON",
                         help="replay one exact schedule (JSON, as printed "
-                             "by a failure's repro command)")
+                             "by a failure's repro command); one run "
+                             "unless --runs is given")
     p_camp.add_argument("--out", default=None,
                         help="JSONL results file (default: "
                              "campaign_<schedule>_seed<N>.jsonl); "
@@ -611,9 +607,8 @@ def build_parser():
     p_report = sub.add_parser(
         "report",
         help="aggregate campaign records and fuzz sessions into one "
-             "self-contained HTML fleet report (outcome mix, containment "
-             "and availability/MTTR percentiles, blast radius, coverage "
-             "growth)")
+             "self-contained HTML fleet report (outcome mix, containment-"
+             "time percentiles, blast radius, coverage growth)")
     p_report.add_argument("paths", nargs="+",
                           help="campaign JSONL file(s) and/or fuzz "
                                "session directorie(s)")

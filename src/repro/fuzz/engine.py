@@ -41,7 +41,7 @@ from repro.fuzz.mutate import (
     rng_for,
     root_schedule,
 )
-from repro.telemetry.metrics import Histogram
+from repro.telemetry.metrics import Histogram, containment_times_ms
 
 #: mutation attempts per planned run before falling back to a fresh root
 _MUTATE_ATTEMPTS = 8
@@ -150,8 +150,7 @@ class FuzzEngine:
         self.accounted += 1
         self.stats["injector_skips"] += fuzz["injector_skips"]
         self.seen_fingerprints.add(fuzz["fingerprint"])
-        availability = record.metrics.get("availability") or {}
-        for duration_ms in availability.get("episode_durations_ms", ()):
+        for duration_ms in containment_times_ms(record.metrics):
             self.containment.observe(round(duration_ms * 1e6))
         new = fuzz["new_features"] = self.coverage.add(fuzz["features"])
         if new:

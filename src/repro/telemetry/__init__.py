@@ -12,7 +12,8 @@ Everything is disabled by default (zero-cost when off):
 * :mod:`repro.telemetry.metrics` — the power-of-two histogram and
   :func:`summarize_run`, the one post-run sweep of the hardware stats
   (RouterStats, MagicStats, RecoveryReports) that the model maintains
-  anyway.
+  anyway; its ``recovery.timeline`` is the one per-episode account of
+  recovery time (trigger, each §4.1 restart, total).
 * :mod:`repro.telemetry.timeline` — reconstruction of per-episode recovery
   timelines (P1..P4 spans per node, critical path) from a trace.
 * :mod:`repro.telemetry.chrome` — Chrome ``trace_event`` JSON export for
@@ -26,8 +27,6 @@ The observability layer (DESIGN.md §15) builds on the same contract:
   keep-the-*last*-N policy, and the readers of a dumped window;
 * :mod:`repro.telemetry.profiler` — per-handler sim-time profiling over
   the event-loop dispatch (attach-only, same ``is not None`` guard);
-* :mod:`repro.telemetry.availability` — per-cell up/degraded/down
-  timelines and MTTR percentiles from recovery reports;
 * :mod:`repro.telemetry.status` / :mod:`repro.telemetry.report` — fleet
   heartbeat sidecars and the aggregated HTML report.
 
@@ -35,11 +34,6 @@ The observability layer (DESIGN.md §15) builds on the same contract:
 recovery-latency-vs-machine-size sweep on top (``repro.cli bench``).
 """
 
-from repro.telemetry.availability import (
-    availability_from_reports,
-    format_availability,
-    merge_availability,
-)
 from repro.telemetry.chrome import to_chrome_trace, write_chrome_trace
 from repro.telemetry.flight import (
     FlightRecorder,
@@ -88,16 +82,13 @@ __all__ = [
     "analyze",
     "analyze_dump",
     "append_bench_history",
-    "availability_from_reports",
     "bench_meta",
     "build_dag",
     "build_timelines",
     "events_from_dump",
     "forensic_summary",
-    "format_availability",
     "format_forensics",
     "format_status",
-    "merge_availability",
     "read_status",
     "render_html",
     "run_scalability_sweep",

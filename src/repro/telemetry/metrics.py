@@ -1,16 +1,20 @@
 """Metrics: the histogram and the per-run summary.
 
 * :class:`Histogram` is the power-of-two bucketed distribution the
-  summary, the availability table and the fuzz report share;
+  fleet report's containment times and the fuzz report share;
 * :func:`summarize_run` is the one post-run sweep of the statistics the
   hardware model keeps anyway (RouterStats, MagicStats, RecoveryReports,
   the simulator's executed-event counter) — zero cost during the run —
   into the compact JSON-friendly summary that campaign records carry.
+  Its ``recovery.timeline`` is the one per-episode account of where
+  recovery time went; :func:`containment_times_ms` reads it back.
 """
 
 
 class Histogram:
-    """Power-of-two bucketed histogram plus count/sum/min/max."""
+    """Power-of-two bucketed histogram plus count/sum/min/max: the
+    containment-time distribution of the fleet report and the fuzz
+    session report, fed from ``recovery.timeline``."""
 
     __slots__ = ("count", "total", "min", "max", "buckets")
 
@@ -102,32 +106,25 @@ def summarize_run(machine):
         naks["received"] += stats.naks_received
 
     manager = machine.recovery_manager
+    episodes = list(manager.reports)
+    if manager.in_progress:
+        episodes.append(manager.report)
     recovery = {
         "episodes": len(manager.reports),
         "restarts": sum(report.restarts for report in manager.reports),
         "marked_incoherent": sum(report.marked_incoherent
                                  for report in manager.reports),
+        "timeline": [_episode_entry(report) for report in episodes],
     }
     if manager.reports:
         last = manager.reports[-1]
         recovery["phase_ms"] = {
-            phase: round(duration / 1e6, 6)
+            phase: _ms(duration)
             for phase, duration in sorted(last.phase_durations.items())
         }
         if last.total_duration is not None:
-            recovery["total_ms"] = round(last.total_duration / 1e6, 6)
+            recovery["total_ms"] = _ms(last.total_duration)
         recovery["available_nodes"] = len(last.available_nodes)
-        latencies = Histogram()
-        for report in manager.reports:
-            if report.total_duration is not None:
-                latencies.observe(report.total_duration)
-        if latencies.count:
-            recovery["total_ms_percentiles"] = {
-                key: round(value / 1e6, 6)
-                for key, value in latencies.percentiles().items()
-            }
-
-    from repro.telemetry.availability import availability_from_reports
 
     return {
         "sim_ns": machine.sim.now,
@@ -136,6 +133,32 @@ def summarize_run(machine):
         "detectors": detectors,
         "naks": naks,
         "recovery": recovery,
-        "availability": availability_from_reports(
-            manager.reports, machine.sim.now, len(machine.nodes)),
     }
+
+
+def _ms(ns):
+    return round(ns / 1e6, 6)
+
+
+def _episode_entry(report):
+    """One episode of ``recovery.timeline``: its trigger, each §4.1
+    restart, and — if it completed — its total, which ends with the pass
+    ``phase_ms`` describes.  Times are simulated ms on the machine's
+    clock."""
+    total = report.total_duration
+    return {
+        "trigger_ms": _ms(report.trigger_time),
+        "total_ms": None if total is None else _ms(total),
+        "shutdown_nodes": sorted(report.shutdown_nodes),
+        "restarts": [{"at_ms": _ms(at), "node": node, "reason": reason}
+                     for at, node, reason in report.restart_log],
+    }
+
+
+def containment_times_ms(metrics):
+    """Durations (ms) of the completed episodes in one run's summary —
+    the one reading of containment time, for the fleet report and the
+    fuzzer alike."""
+    timeline = ((metrics or {}).get("recovery") or {}).get("timeline", ())
+    return [episode["total_ms"] for episode in timeline
+            if episode["total_ms"] is not None]

@@ -6,14 +6,12 @@ produces a single self-contained HTML report (inline CSS + SVG, no
 external assets, no dependencies) with the paper-facing statistics:
 
 * outcome mix per source and overall (pass / fail / crashed / hung);
-* **containment-time percentiles** — p50/p95/p99 over every recovery
-  episode observed across all sources, the headline distribution
-  (PAPERS.md: containment-time distributions for self-stabilizing
-  systems) plus its bucket histogram;
-* **availability / MTTR** — fleet-level aggregation of the per-run
-  availability sections (:mod:`repro.telemetry.availability`), with MTTR
-  percentiles recomputed over raw episode durations, never averaged over
-  per-run percentiles;
+* **containment-time percentiles** — p50/p95/p99 over every completed
+  recovery episode observed across all sources (each record's
+  ``recovery.timeline``), recomputed over the raw durations rather than
+  averaged over per-run figures — the headline distribution (PAPERS.md:
+  containment-time distributions for self-stabilizing systems) plus its
+  bucket histogram;
 * **blast-radius distribution** — how many nodes each injected fault
   actually reached (forensic summaries), the observational containment
   evidence;
@@ -28,8 +26,7 @@ import html
 import os
 
 from repro.campaign.records import RunStatus, load_json_lines
-from repro.telemetry.availability import merge_availability
-from repro.telemetry.metrics import Histogram
+from repro.telemetry.metrics import Histogram, containment_times_ms
 
 _STATUSES = tuple(status.value for status in RunStatus)
 
@@ -63,7 +60,6 @@ def aggregate(sources):
     """Fold sources into the report aggregate (JSON-friendly)."""
     outcomes = {status: 0 for status in _STATUSES}
     containment = Histogram()
-    availability_sections = []
     blast = {}
     growth = []
     per_source = []
@@ -75,11 +71,8 @@ def aggregate(sources):
             status = record.get("status", RunStatus.CRASHED.value)
             counts[status] = counts.get(status, 0) + 1
             outcomes[status] = outcomes.get(status, 0) + 1
-            section = (record.get("metrics") or {}).get("availability")
-            if section:
-                availability_sections.append(section)
-                for duration_ms in section.get("episode_durations_ms", ()):
-                    containment.observe(duration_ms)
+            for duration_ms in containment_times_ms(record.get("metrics")):
+                containment.observe(duration_ms)
             for fault in (record.get("forensics") or {}).get("faults", ()):
                 radius = len(fault.get("blast_nodes", ()))
                 blast[radius] = blast.get(radius, 0) + 1
@@ -112,7 +105,6 @@ def aggregate(sources):
             "buckets": {str(bound): count for bound, count
                         in sorted(containment.buckets.items())},
         },
-        "availability": merge_availability(availability_sections),
         "blast_radius": {str(radius): count for radius, count
                          in sorted(blast.items())},
         "coverage_growth": growth,
@@ -218,27 +210,6 @@ def _bucket_label(bound):
     return ("<=%g" % value) if value < 1024 else "<=%gk" % (value / 1024)
 
 
-def _availability_section(agg):
-    avail = agg["availability"]
-    if not avail.get("runs"):
-        return "<h2>Availability</h2><p class='empty'>no availability " \
-               "sections in these records (no run reached a verdict)</p>"
-    mttr = avail.get("mttr_ms") or {}
-    mttr_html = ""
-    if mttr:
-        mttr_html = ("<p>MTTR: p50=<b>%s ms</b> p95=<b>%s ms</b> "
-                     "p99=<b>%s ms</b> mean=%s ms over %d repair(s)</p>"
-                     % (mttr.get("p50"), mttr.get("p95"), mttr.get("p99"),
-                        mttr.get("mean"), mttr.get("count")))
-    return (
-        "<h2>Availability — %d runs</h2>"
-        "<p>mean availability=<b>%s</b> min=%s, %d episode(s), "
-        "%d cell(s) ended down</p>%s"
-        % (avail["runs"], avail.get("availability_mean"),
-           avail.get("availability_min"), avail.get("episodes", 0),
-           avail.get("down_nodes", 0), mttr_html))
-
-
 def _blast_section(agg):
     blast = agg["blast_radius"]
     if not blast:
@@ -293,7 +264,6 @@ def render_html(agg, title="Fault-containment fleet report"):
     sections = "\n".join([
         _outcome_section(agg),
         _containment_section(agg),
-        _availability_section(agg),
         _blast_section(agg),
         _coverage_section(agg),
     ])

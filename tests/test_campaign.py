@@ -269,6 +269,15 @@ class TestCampaignCli:
         assert len(records) == 2
         assert all(r.status is RunStatus.PASS for r in records)
 
+    def test_replay_without_runs_is_one_run(self, tmp_path):
+        from repro.cli import main
+        out = tmp_path / "replay.jsonl"
+        replay = json.dumps(false_alarm_schedule().to_dict())
+        code = main(["campaign", "--replay", replay, "--seed", "3",
+                     "--out", str(out), "--timeout", "120"])
+        assert code == 0
+        assert [r.run_index for r in load_records(out)] == [0]
+
     def test_campaign_generator_subcommand(self, tmp_path):
         from repro.cli import main
         out = tmp_path / "gen.jsonl"

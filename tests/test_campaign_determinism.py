@@ -165,9 +165,12 @@ class TestPinnedCampaignFile:
         every surviving link (simulated times, event and packet counts
         moved; every status, restart count and episode count stayed), and
         re-pinned to the parent's keep-last output when that became the
-        only pooled policy (one pass instead of one per mode).  A change
-        that moves it changed what campaigns put on disk — a key that
-        should have been left out when empty, say."""
+        only pooled policy (one pass instead of one per mode), and
+        re-pinned when ``recovery.timeline`` replaced
+        ``metrics.availability`` and ``recovery.total_ms_percentiles``
+        (no other field moved).  A change that moves it changed what
+        campaigns put on disk — a key that should have been left out when
+        empty, say."""
         digest = hashlib.sha256()
         path = tmp_path / "runs.jsonl"
         CampaignRunner(kind="fault-during-recovery", runs=6,
@@ -180,4 +183,4 @@ class TestPinnedCampaignFile:
             del row["elapsed_s"]
             digest.update(json.dumps(row, sort_keys=True).encode())
         assert digest.hexdigest() == (
-            "cc95e20907e19ae753e5e5cf9f12b4798c97beac544ce53d43baf208406616e3")
+            "69fd316e24ffd87ac17bfbae5491a69c5b0864f37ea7832da5116c51ed507fe0")

@@ -341,8 +341,10 @@ class TestWorkerFlightMode:
         keep-last output when that became the only pooled policy (only
         the dumps' ``capacity`` moved, 20 000 -> 200 000), and re-pinned
         when packet uids became per machine (only the dumps' uids moved:
-        every status, restart count and HUNG dump stayed).  A change that
-        moves it changed the records campaigns write.  The dumps are
+        every status, restart count and HUNG dump stayed), and re-pinned
+        when ``recovery.timeline`` replaced ``metrics.availability`` and
+        ``recovery.total_ms_percentiles`` (no other field moved).  A change
+        that moves it changed the records campaigns write.  The dumps are
         hashed as they are: a run's uids start at 0 in its own machine,
         so the digest cannot depend on which tests ran before."""
         digest = hashlib.sha256()
@@ -356,7 +358,7 @@ class TestWorkerFlightMode:
                         payload, sort_keys=True).encode())
         assert hung_dumps == 12     # every 3 ms run, no other
         assert digest.hexdigest() == (
-            "a6bb87213891d0369a5a2866ee9ad0d315c23c48d18d201bc2591cced2139cb7")
+            "1e65b8125708ff4a10a98af7aac014528a4a6b2c91990c5fb590b8045f063a28")
 
 
 class TestFlightForensics:

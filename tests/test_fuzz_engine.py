@@ -115,7 +115,11 @@ class TestFuzzSession:
                 "escape", "injector_skips"}
             assert "containment_ns" not in record
             if record["status"] in ("pass", "fail"):
-                assert record["metrics"]["availability"]["episodes"] \
+                assert "availability" not in record["metrics"]
+                recovery = record["metrics"]["recovery"]
+                assert recovery["episodes"] == record["episodes"]
+                assert sum(episode["total_ms"] is not None
+                           for episode in recovery["timeline"]) \
                     == record["episodes"]
 
     def test_coverage_grows_past_the_seed_corpus(self):

@@ -1,19 +1,13 @@
-"""Fleet observability read/write sides: status sidecars, availability
-accounting, the aggregated report, and bench provenance stamps."""
+"""Fleet observability read/write sides: status sidecars, the aggregated
+report, and bench provenance stamps."""
 
 import json
 import os
 import re
 import subprocess
-import types
 
 import pytest
 
-from repro.telemetry.availability import (
-    availability_from_reports,
-    format_availability,
-    merge_availability,
-)
 from repro.telemetry.report import (
     aggregate,
     collect_sources,
@@ -107,74 +101,6 @@ class TestSidecarResolution:
         assert read_status(str(tmp_path / "torn.jsonl")) is None
 
 
-# ---------------------------------------------------------- availability
-
-
-def _report(trigger, complete, shutdown=(), restarts=0):
-    return types.SimpleNamespace(trigger_time=trigger,
-                                 complete_time=complete,
-                                 shutdown_nodes=list(shutdown),
-                                 restarts=restarts)
-
-
-class TestAvailability:
-    def test_single_episode_accounting(self):
-        # 4 nodes, 100ms window; one episode 10ms->30ms kills node 3.
-        summary = availability_from_reports(
-            [_report(10e6, 30e6, shutdown=[3])], window_ns=100e6,
-            num_nodes=4)
-        assert summary["episodes"] == 1
-        assert summary["downtime_ms"] == 20.0
-        per_node = summary["per_node"]
-        assert per_node["3"]["state"] == "down"
-        assert per_node["3"]["down_ms"] == 90.0     # from trigger onward
-        assert per_node["0"]["state"] == "up"
-        assert per_node["0"]["degraded_ms"] == 20.0
-        assert per_node["0"]["availability"] == 0.8
-        # Mean availability averages the three *surviving* nodes.
-        assert summary["availability"] == 0.8
-        assert summary["nodes"] == {"total": 4, "up": 3, "down": 1}
-        assert summary["mttr_ms"]["count"] == 1
-        assert summary["mttr_ms"]["mean"] == 20.0
-        assert summary["episode_durations_ms"] == [20.0]
-
-    def test_incomplete_episode_extends_to_window_end(self):
-        summary = availability_from_reports(
-            [_report(40e6, None)], window_ns=100e6, num_nodes=2)
-        assert summary["downtime_ms"] == 60.0
-        assert summary["episode_durations_ms"] == []   # never completed
-        assert "mttr_ms" not in summary
-        assert not summary["timeline"][0]["completed"]
-
-    def test_format_availability_renders(self):
-        summary = availability_from_reports(
-            [_report(10e6, 30e6)], window_ns=100e6, num_nodes=2)
-        text = format_availability(summary)
-        assert "availability: 0.8000" in text
-        assert "MTTR" in text and "2 up, 0 down of 2" in text
-
-    def test_merge_recomputes_percentiles_over_episodes(self):
-        runs = [
-            availability_from_reports([_report(0, 10e6)], 100e6, 2),
-            availability_from_reports([_report(0, 30e6),
-                                       _report(50e6, 90e6)], 100e6, 2),
-        ]
-        merged = merge_availability(runs)
-        assert merged["runs"] == 2
-        assert merged["episodes"] == 3
-        # Percentiles come from the raw durations {10, 30, 40} ms, not
-        # from averaging the two runs' own percentiles.
-        assert merged["mttr_ms"]["count"] == 3
-        assert merged["mttr_ms"]["p50"] <= merged["mttr_ms"]["p99"]
-        assert merged["availability_min"] <= merged["availability_mean"]
-
-    def test_merge_skips_empty_sections(self):
-        merged = merge_availability([None, {}, availability_from_reports(
-            [], 100e6, 2)])
-        assert merged["runs"] == 1
-        assert merged["episodes"] == 0
-
-
 # --------------------------------------------------------------- report
 
 
@@ -183,11 +109,11 @@ def _campaign_record(status="pass", durations=(20.0,), blast=None):
         "run_index": 0,
         "status": status,
         "metrics": {
-            "availability": {
+            "recovery": {
                 "episodes": len(durations),
-                "availability": 0.9,
-                "nodes": {"total": 4, "up": 4, "down": 0},
-                "episode_durations_ms": list(durations),
+                "timeline": [{"trigger_ms": 1.0, "total_ms": duration,
+                              "shutdown_nodes": [], "restarts": []}
+                             for duration in durations],
             },
         },
     }
@@ -267,16 +193,16 @@ class TestAggregate:
         assert agg["containment_ms"]["count"] == 4
         assert agg["containment_ms"]["p50"] is not None
         assert agg["containment_ms"]["p50"] <= agg["containment_ms"]["p99"]
-        assert agg["availability"]["runs"] == 3
-        assert agg["availability"]["mttr_ms"]["count"] == 4
+        assert "availability" not in agg
         assert agg["blast_radius"] == {"1": 1, "2": 1}
         assert agg["coverage_growth"] == [(1, 2), (2, 3)]
 
-    def test_fuzz_runs_count_in_the_availability_table(self, tmp_path):
-        """A fuzz record is a campaign record: its episodes are in the
-        fleet's MTTR distribution and its run in the availability mean."""
+    def test_fuzz_runs_count_in_the_containment_histogram(self, tmp_path):
+        """A fuzz record is a campaign record: its completed episodes are
+        in the fleet's containment distribution; an episode that never
+        completed is in none."""
         campaign = tmp_path / "records.jsonl"
-        _write_jsonl(campaign, [_campaign_record(durations=(20.0,))])
+        _write_jsonl(campaign, [_campaign_record(durations=(20.0, None))])
         session = tmp_path / "session"
         session.mkdir()
         _write_jsonl(session / "records.jsonl", [
@@ -286,13 +212,10 @@ class TestAggregate:
         ])
         alone = aggregate(collect_sources([str(campaign)]))
         mixed = aggregate(collect_sources([str(campaign), str(session)]))
-        assert alone["availability"]["runs"] == 1
-        assert alone["availability"]["mttr_ms"]["count"] == 1
-        assert mixed["availability"]["runs"] == 3
-        assert mixed["availability"]["episodes"] == 4
-        assert mixed["availability"]["mttr_ms"]["count"] == 4
-        assert mixed["availability"]["mttr_ms"]["mean"] == 35.0
+        assert alone["containment_ms"]["count"] == 1
         assert mixed["containment_ms"]["count"] == 4
+        assert mixed["containment_ms"]["mean"] == 35.0
+        assert mixed["containment_ms"]["max"] == 50.0
 
 
 class TestRenderHtml:
@@ -311,7 +234,7 @@ class TestRenderHtml:
         assert "smoke &lt;report&gt;" in text          # titles escaped
         assert "Outcome mix" in text
         assert "Containment time" in text
-        assert "Availability" in text
+        assert "Availability" not in text
         assert "Blast-radius distribution" in text
         assert "Coverage growth" in text
         assert "<svg" in text

@@ -8,7 +8,11 @@ from repro.campaign.schedule import FaultSchedule, TimedFault
 from repro.core.config import MachineConfig
 from repro.core.experiment import run_schedule_experiment
 from repro.faults.models import FaultSpec
-from repro.telemetry.metrics import Histogram, summarize_run
+from repro.telemetry.metrics import (
+    Histogram,
+    containment_times_ms,
+    summarize_run,
+)
 from repro.telemetry.scalability import run_scalability_point
 
 
@@ -71,14 +75,22 @@ class TestHarvestAndSummary:
             "P1", "P2", "P3", "P4"}
         assert summary["sim_events"] > 0
 
-    def test_summary_reports_recovery_percentiles(self, recovered_point):
+    def test_summary_reports_recovery_timeline(self, recovered_point):
         summary = summarize_run(recovered_point)
-        percentiles = summary["recovery"]["total_ms_percentiles"]
-        assert set(percentiles) == {"p50", "p95", "p99"}
-        # One episode: every percentile is that episode's (bucketed,
-        # max-clipped) latency — the exact total in ms.
-        assert percentiles["p50"] == summary["recovery"]["total_ms"]
-        assert percentiles["p50"] <= percentiles["p95"] <= percentiles["p99"]
+        recovery = summary["recovery"]
+        assert "total_ms_percentiles" not in recovery
+        assert "availability" not in summary
+        (episode,) = recovery["timeline"]
+        assert set(episode) == {"trigger_ms", "total_ms", "shutdown_nodes",
+                                "restarts"}
+        # One episode: its total is the run's, and no restart means the
+        # completing pass is the whole episode.
+        assert episode["total_ms"] == recovery["total_ms"]
+        assert episode["restarts"] == []
+        # Node 3 died; recovery shut nothing down, it left 3 out.
+        assert episode["shutdown_nodes"] == []
+        assert recovery["available_nodes"] == 3
+        assert containment_times_ms(summary) == [recovery["total_ms"]]
 
     def test_summary_is_json_friendly(self, recovered_point):
         import json
