@@ -19,8 +19,7 @@ import json
 from repro.common.errors import ConfigurationError
 from repro.faults.models import FaultSpec, FaultType
 from repro.interconnect.topology import make_topology
-
-RECOVERY_PHASES = ("P1", "P2", "P3", "P4")
+from repro.recovery.manager import RECOVERY_PHASES
 
 
 @dataclasses.dataclass(frozen=True)

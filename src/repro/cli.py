@@ -211,38 +211,49 @@ def cmd_fuzz(args):
     return 0
 
 
+def _format_episode(index, report):
+    """Critical-path summary of one completed recovery episode."""
+    lines = ["episode %d: trigger %s on node %s at %.3f ms, total %.3f ms"
+             % (index, report.trigger_reason, report.trigger_node,
+                report.trigger_time / 1e6, report.total_duration / 1e6)]
+    if report.restarts:
+        lines.append("  restarts: %d" % report.restarts)
+    for phase, (node, latency) in report.critical_path().items():
+        lines.append("  %s done at +%.3f ms (critical node %s)"
+                     % (phase, latency / 1e6, node))
+    return "\n".join(lines)
+
+
 def cmd_trace(args):
-    from repro.telemetry import Telemetry, build_timelines, write_chrome_trace
-    from repro.telemetry.timeline import format_timeline
+    from repro.telemetry import Telemetry, write_chrome_trace
 
     telemetry = Telemetry(max_events=args.max_events)
     result = _run_validation(args, telemetry=telemetry)
     print(result)
     recorder = telemetry.recorder
     events = recorder.events
-    timelines = build_timelines(events)
+    episodes = list(enumerate(result.reports))
     if args.episode is not None:
-        if not 0 <= args.episode < len(timelines):
-            raise SystemExit("--episode %d out of range (trace has %d "
-                             "episode(s))" % (args.episode, len(timelines)))
-        timeline = timelines[args.episode]
-        end = (timeline.end_time if timeline.end_time is not None
-               else float("inf"))
+        if not 0 <= args.episode < len(episodes):
+            raise SystemExit("--episode %d out of range (run has %d "
+                             "episode(s))" % (args.episode, len(episodes)))
+        index, report = episodes[args.episode]
         events = [event for event in events
-                  if timeline.trigger_time <= event.time <= end]
-        timelines = [timeline]
+                  if report.trigger_time <= event.time
+                  <= report.complete_time]
+        episodes = [(index, report)]
     write_chrome_trace(
         events, args.out,
         label="repro %d nodes, %s" % (args.nodes_count, args.fault),
         dropped_events=recorder.dropped_events)
-    for timeline in timelines:
-        print(format_timeline(timeline))
+    for index, report in episodes:
+        print(_format_episode(index, report))
     print("%d events (%d dropped) -> %s"
           % (len(events), recorder.dropped_events, args.out))
     if recorder.dropped_events:
         print("WARNING: trace truncated — %d event(s) past the "
-              "--max-events cap were dropped; timelines and the Chrome "
-              "export miss the run's tail" % recorder.dropped_events,
+              "--max-events cap were dropped; the Chrome export misses "
+              "the run's tail" % recorder.dropped_events,
               file=sys.stderr)
     return 0 if result.passed else 1
 
@@ -544,7 +555,7 @@ def build_parser():
                          help="cap on recorded events (memory bound)")
     p_trace.add_argument("--episode", type=int, default=None, metavar="N",
                          help="export only recovery episode N's events "
-                              "(0-based; uses the episode timeline window)")
+                              "(0-based; from its trigger to its end)")
     p_trace.set_defaults(func=cmd_trace)
 
     p_forensics = sub.add_parser(

@@ -3,7 +3,6 @@
 from repro.common.errors import (
     BusError,
     ConfigurationError,
-    FirmwareAssertionError,
     ReproError,
 )
 from repro.common.params import TimingParams
@@ -24,7 +23,6 @@ __all__ = [
     "CacheState",
     "ConfigurationError",
     "DirState",
-    "FirmwareAssertionError",
     "Lane",
     "LineAddress",
     "NodeId",

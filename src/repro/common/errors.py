@@ -16,14 +16,6 @@ class ConfigurationError(ReproError):
     """An invalid machine or experiment configuration."""
 
 
-class FirmwareAssertionError(ReproError):
-    """A MAGIC firmware assertion tripped (triggers recovery, §4.2)."""
-
-    def __init__(self, node_id, message):
-        super().__init__("MAGIC assertion on node %d: %s" % (node_id, message))
-        self.node_id = node_id
-
-
 class BusError(ReproError):
     """A memory reference terminated with a bus error by MAGIC.
 

@@ -1,6 +1,7 @@
 """Fault-injection experiment harnesses (paper §5).
 
-Three experiment families:
+Two experiment families (Table 5.4's Hive harness is
+:mod:`repro.hive.endtoend`):
 
 * :func:`run_schedule_experiment` — the §5.2 methodology behind Table 5.3
   and the campaign engine: fill caches with a random sharing pattern,
@@ -10,8 +11,6 @@ Three experiment families:
   run; :func:`run_validation_experiment` wraps a single
   :class:`~repro.faults.models.FaultSpec` in a one-entry schedule and
   calls it.
-* :func:`run_end_to_end_experiment` — thin wrapper over the Hive harness
-  behind Table 5.4 (defined in :mod:`repro.hive.endtoend`).
 * :func:`run_recovery_scalability` — phase-resolved recovery timing behind
   Figures 5.5-5.7 (no oracle, no memory check: only the report).  It and
   :func:`repro.telemetry.scalability.run_scalability_point` are the same
@@ -330,30 +329,6 @@ def _start_schedule_prober(machine, spec, procs, retries=100):
     proc = machine.nodes[prober].processor.run_program(
         _probe_program(machine, victim), name="prober%d" % prober)
     procs.append(proc)
-
-
-# --------------------------------------------------------------------- table 5.4
-
-def run_end_to_end_experiment(*args, **kwargs):
-    """Table 5.4 end-to-end (Hive + parallel make) experiment."""
-    from repro.hive.endtoend import run_end_to_end_experiment as run
-    return run(*args, **kwargs)
-
-
-@dataclasses.dataclass
-class EndToEndResult:
-    """Outcome of one Table 5.4 run (defined here for the public API; the
-    Hive harness populates it)."""
-
-    fault: FaultSpec
-    recovered: bool
-    os_recovered: bool
-    compiles_expected: int
-    compiles_correct: int
-    failed: bool                       # run counts in the "failed" column
-    failure_reason: str
-    hw_recovery_ns: float
-    os_recovery_ns: float
 
 
 # ------------------------------------------------------------------ figures 5.5-5.7

@@ -6,15 +6,31 @@ for the surviving compiles, then check that every compile *not affected by
 the fault* finished correctly — the 91.6% criterion of the paper.
 """
 
+import dataclasses
+
 from repro.common.types import DirState
-from repro.core.experiment import EndToEndResult
-from repro.faults.models import NODE_LOSS_FAULT_TYPES
+from repro.faults.models import NODE_LOSS_FAULT_TYPES, FaultSpec
 from repro.hive.os import HiveConfig, HiveOS
 from repro.workloads.pmake import (
     compile_job,
     create_build_tree,
     expected_object_lines,
 )
+
+
+@dataclasses.dataclass
+class EndToEndResult:
+    """Outcome of one Table 5.4 run."""
+
+    fault: FaultSpec
+    recovered: bool
+    os_recovered: bool
+    compiles_expected: int
+    compiles_correct: int
+    failed: bool                       # run counts in the "failed" column
+    failure_reason: str
+    hw_recovery_ns: float
+    os_recovery_ns: float
 
 
 def expected_dead_cells(hive, fault):

@@ -41,7 +41,8 @@ class RecoveryAgent:
         self.comm = RecoveryComm(self.sim, self.params, self.magic, epoch)
         self.view = SystemView()
         self.cwn_routes = {}     # alive neighbor -> source route (from P1)
-        self.phase_marks = {}    # phase name -> (start, end)
+        self.wb_mark = None      # (start, end) of P4's flush (Figure 5.6)
+        self.marked_incoherent = 0
         self.shutdown = False
         self.finished = False
         self.rounds_executed = 0
@@ -60,12 +61,9 @@ class RecoveryAgent:
         return self.params.recovery_work(instructions)
 
     def _begin_phase(self, phase):
-        self.phase_marks[phase] = (self.sim.now, None)
         self.manager.note_phase_entry(phase, self.node_id)
 
     def _end_phase(self, phase):
-        begin, _ = self.phase_marks[phase]
-        self.phase_marks[phase] = (begin, self.sim.now)
         self.manager.note_phase_exit(phase, self.node_id, self.epoch)
 
     # ------------------------------------------------------------------- main
@@ -367,7 +365,7 @@ class RecoveryAgent:
             # can have been lost, so the flush is unnecessary — only the
             # directories are scanned and updated for the lines cached in
             # the failed portion of the machine.
-            self.phase_marks["WB"] = (self.sim.now, self.sim.now)
+            self.wb_mark = (self.sim.now, self.sim.now)
             scanned, marked = self.magic.scan_directory_reliable(
                 self.view.dead_nodes())
             yield scanned * self.params.dir_scan_line_time
@@ -378,7 +376,7 @@ class RecoveryAgent:
             flush_start = self.sim.now
             capacity, writebacks = self.magic.flush_caches_home()
             yield capacity * self.params.flush_line_time
-            self.phase_marks["WB"] = (flush_start, self.sim.now)
+            self.wb_mark = (flush_start, self.sim.now)
 
             # Step 2: all-to-all barrier riding behind the writebacks on
             # the normal request lane (§4.5).

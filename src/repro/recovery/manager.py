@@ -21,6 +21,8 @@ failure-unit rule (§3.3): a unit with any failed component loses all of its
 nodes.
 """
 
+import dataclasses
+
 from repro.interconnect.routing import (
     bfs_tree,
     bft_height,
@@ -32,8 +34,32 @@ from repro.recovery.view import surviving_adjacency_from_view
 from repro.sim import Event
 
 
+RECOVERY_PHASES = ("P1", "P2", "P3", "P4")
+
+
+@dataclasses.dataclass
+class PhaseSpan:
+    """One node's execution of one recovery phase, in one epoch."""
+
+    node: int
+    phase: str
+    epoch: int
+    start: float
+    end: float = None         # None: cut short by a restart
+    enter_eid: int = None     # the trace's phase.enter event, if traced
+
+    @property
+    def duration(self):
+        return None if self.end is None else self.end - self.start
+
+
 class RecoveryReport:
-    """What one recovery episode did, for experiments and figures."""
+    """What one recovery episode did, for experiments and figures.
+
+    ``spans`` holds every node's phase spans in every epoch; the per-phase
+    aggregates and the critical path are those of the final epoch, the
+    pass that completed.
+    """
 
     def __init__(self, trigger_time, trigger_node, trigger_reason):
         self.trigger_time = trigger_time
@@ -42,7 +68,9 @@ class RecoveryReport:
         self.complete_time = None
         #: one ``(time, node, reason)`` per §4.1 restart, in order
         self.restart_log = []
-        self.phase_ends = {}          # "P1"|"P2"|"P3"|"P4" -> absolute time
+        self.spans = []               # PhaseSpans, every epoch, in order
+        self.final_epoch = None
+        self.phase_ends = {}          # "P1".."P4", "WB" -> absolute time
         self.phase_durations = {}     # per-phase max duration across nodes
         self.wb_duration = 0.0        # cache-flush part of P4 (Figure 5.6)
         self.shutdown_nodes = set()
@@ -64,6 +92,39 @@ class RecoveryReport:
         """Time from trigger until the last node finished ``phase``."""
         end = self.phase_ends.get(phase)
         return None if end is None else end - self.trigger_time
+
+    def final_spans(self, phase):
+        """The closed spans of ``phase`` in the final epoch."""
+        return [span for span in self.spans
+                if span.epoch == self.final_epoch and span.phase == phase
+                and span.end is not None]
+
+    def critical_node(self, phase):
+        """The node whose completion gated ``phase`` machine-wide."""
+        spans = self.final_spans(phase)
+        if not spans:
+            return None
+        return max(spans, key=lambda span: (span.end, span.node)).node
+
+    def critical_path(self):
+        """phase -> (gating node, latency from trigger) for P1..P4."""
+        return {phase: (self.critical_node(phase),
+                        self.phase_duration_from_trigger(phase))
+                for phase in RECOVERY_PHASES if phase in self.phase_ends}
+
+    def finish(self, time, epoch):
+        """The episode completed at ``time`` with ``epoch``'s pass: derive
+        the per-phase aggregates from that pass's spans."""
+        self.complete_time = time
+        self.final_epoch = epoch
+        for phase in RECOVERY_PHASES:
+            spans = self.final_spans(phase)
+            if not spans:
+                continue
+            self.phase_ends[phase] = max(span.end for span in spans)
+            longest = max(span.duration for span in spans)
+            if longest > 0:   # a phase every node passed in zero time has none
+                self.phase_durations[phase] = longest
 
     def __repr__(self):
         return ("<RecoveryReport trigger=%s@%.0f total=%s restarts=%d "
@@ -107,7 +168,7 @@ class RecoveryManager:
         #: restart, shutdown and end events hang off it, and recovery
         #: traffic every participating MAGIC sends is stamped with it
         self.episode_cause = None
-        self._phase_enter_eids = {}  # (node, phase, epoch) -> enter eid
+        self._open_spans = {}        # (node, phase, epoch) -> PhaseSpan
         self.agents = {}             # node_id -> RecoveryAgent (this epoch)
         self.report = None
         self.reports = []
@@ -142,6 +203,7 @@ class RecoveryManager:
             self.epoch += 1
             self._phase4_hook_fired = False
             self.report = RecoveryReport(self.sim.now, node_id, reason)
+            self._open_spans = {}
             self.episode_done = Event(self.sim, name="recovery.episode")
             tr = self.trace
             if tr is not None:
@@ -154,26 +216,32 @@ class RecoveryManager:
         self._begin_node(node_id)
 
     def note_phase_entry(self, phase, node_id):
-        """An agent began ``phase``; inform registered observers."""
-        tr = self.trace
-        if tr is not None:
-            eid = tr.emit("phase", "enter", node=node_id,
-                          cause=self.episode_cause, phase=phase,
-                          epoch=self.epoch)
-            self._phase_enter_eids[(node_id, phase, self.epoch)] = eid
+        """An agent began ``phase``: open its span and inform registered
+        observers."""
+        if self.in_progress:
+            span = PhaseSpan(node_id, phase, self.epoch, self.sim.now)
+            tr = self.trace
+            if tr is not None:
+                span.enter_eid = tr.emit(
+                    "phase", "enter", node=node_id, cause=self.episode_cause,
+                    phase=phase, epoch=self.epoch)
+            self.report.spans.append(span)
+            self._open_spans[(node_id, phase, self.epoch)] = span
         for listener in list(self.phase_entry_listeners):
             listener(phase, node_id)
 
     def note_phase_exit(self, phase, node_id, epoch):
-        """An agent finished ``phase`` (telemetry only)."""
+        """An agent finished ``phase``: close its span."""
+        span = self._open_spans.pop((node_id, phase, epoch), None)
+        cause = self.episode_cause
+        if span is not None:
+            span.end = self.sim.now
+            if span.enter_eid is not None:
+                cause = span.enter_eid
         tr = self.trace
         if tr is not None:
-            enter_eid = self._phase_enter_eids.pop(
-                (node_id, phase, epoch), None)
-            tr.emit("phase", "exit", node=node_id,
-                    cause=enter_eid if enter_eid is not None
-                    else self.episode_cause,
-                    phase=phase, epoch=epoch)
+            tr.emit("phase", "exit", node=node_id, cause=cause, phase=phase,
+                    epoch=epoch)
 
     def notify_phase4_entry(self):
         """First agent reached P4 (post-drain): fire the episode hook."""
@@ -271,19 +339,14 @@ class RecoveryManager:
 
     def _merge_report(self, agent):
         report = self.report
-        for phase, (begin, end) in agent.phase_marks.items():
-            if end is None:
-                continue
-            current = report.phase_ends.get(phase)
-            if current is None or end > current:
-                report.phase_ends[phase] = end
-            duration = end - begin
-            if duration > report.phase_durations.get(phase, 0.0):
-                report.phase_durations[phase] = duration
-        wb = agent.phase_marks.get("WB")
-        if wb and wb[1] is not None:
-            report.wb_duration = max(report.wb_duration, wb[1] - wb[0])
-        report.marked_incoherent += getattr(agent, "marked_incoherent", 0)
+        if agent.wb_mark is not None:
+            begin, end = agent.wb_mark
+            ends = report.phase_ends
+            ends["WB"] = max(end, ends.get("WB", end))
+            if end - begin > report.wb_duration:
+                report.wb_duration = report.phase_durations["WB"] = (
+                    end - begin)
+        report.marked_incoherent += agent.marked_incoherent
         report.agent_rounds[agent.node_id] = agent.rounds_executed
 
     def _check_episode_done(self):
@@ -294,7 +357,7 @@ class RecoveryManager:
         # Episode complete.
         self.in_progress = False
         report = self.report
-        report.complete_time = self.sim.now
+        report.finish(self.sim.now, self.epoch)
         survivors = [nid for nid, agent in self.agents.items()
                      if not agent.shutdown]
         report.available_nodes = set(survivors)

@@ -1,4 +1,4 @@
-"""Telemetry: event tracing, metrics, timelines, and the scalability bench.
+"""Telemetry: event tracing, metrics, and the scalability bench.
 
 Everything is disabled by default (zero-cost when off):
 
@@ -13,9 +13,10 @@ Everything is disabled by default (zero-cost when off):
   :func:`summarize_run`, the one post-run sweep of the hardware stats
   (RouterStats, MagicStats, RecoveryReports) that the model maintains
   anyway; its ``recovery.timeline`` is the one per-episode account of
-  recovery time (trigger, each §4.1 restart, total).
-* :mod:`repro.telemetry.timeline` — reconstruction of per-episode recovery
-  timelines (P1..P4 spans per node, critical path) from a trace.
+  recovery time (trigger, each §4.1 restart, total).  Per-node phase
+  spans and the critical path are not reconstructed here: every
+  :class:`~repro.recovery.manager.RecoveryReport` records them, traced
+  or not.
 * :mod:`repro.telemetry.chrome` — Chrome ``trace_event`` JSON export for
   chrome://tracing / Perfetto, with flow arrows along causal edges.
 * :mod:`repro.telemetry.forensics` — causal DAG reconstruction, per-fault
@@ -65,12 +66,10 @@ from repro.telemetry.status import (
     read_status,
     status_sidecar_path,
 )
-from repro.telemetry.timeline import EpisodeTimeline, build_timelines
 from repro.telemetry.trace import Telemetry, TraceEvent, TraceRecorder
 
 __all__ = [
     "DEFAULT_SIZES",
-    "EpisodeTimeline",
     "FlightRecorder",
     "ForensicsReport",
     "SimProfiler",
@@ -84,7 +83,6 @@ __all__ = [
     "append_bench_history",
     "bench_meta",
     "build_dag",
-    "build_timelines",
     "events_from_dump",
     "forensic_summary",
     "format_forensics",

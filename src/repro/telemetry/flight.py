@@ -44,7 +44,7 @@ def events_from_dump(dump):
     """Rebuild :class:`TraceEvent` objects from a :meth:`TraceRecorder
     .dump` payload, ready for :func:`repro.telemetry.forensics.analyze`
     (pass ``dropped_events=dump["evicted"]`` to keep the truncation
-    caveat) or :func:`repro.telemetry.timeline.build_timelines`."""
+    caveat) or :func:`repro.telemetry.chrome.to_chrome_trace`."""
     events = []
     for entry in dump.get("events", ()):
         cause = entry.get("cause")

@@ -1,24 +1,14 @@
-"""Workloads: the stand-alone validation filler (§5.2), the parallel-make
-model (§5.1), and synthetic sharing-pattern generators."""
+"""Workloads: the stand-alone validation filler (§5.2) and the
+parallel-make model (§5.1)."""
 
 from repro.workloads.standalone import (
     cache_fill_program,
     memory_check_program,
     partition_lines,
 )
-from repro.workloads.synthetic import (
-    hot_line_program,
-    migratory_program,
-    producer_consumer_program,
-    uniform_traffic_program,
-)
 
 __all__ = [
     "cache_fill_program",
-    "hot_line_program",
     "memory_check_program",
-    "migratory_program",
     "partition_lines",
-    "producer_consumer_program",
-    "uniform_traffic_program",
 ]

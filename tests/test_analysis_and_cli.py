@@ -79,7 +79,9 @@ class TestTraceCli:
         assert code == 0
         printed = capsys.readouterr().out
         assert "PASS" in printed
-        assert "episode 0" in printed       # timeline summary
+        assert "episode 0" in printed       # critical-path summary
+        for phase in ("P1", "P2", "P3", "P4"):
+            assert "  %s done at +" % phase in printed
         payload = json.loads(out.read_text())
         assert payload["traceEvents"]
         assert any(e["ph"] == "X" for e in payload["traceEvents"])
@@ -100,7 +102,7 @@ class TestTraceCli:
                      "--episode", "0", "--out", str(out)])
         assert code == 0
         printed = capsys.readouterr().out
-        # Only the selected episode's timeline is printed, and the trace
+        # Only the selected episode's summary is printed, and the trace
         # starts no earlier than its trigger.
         assert printed.count("episode ") == 1
         payload = json.loads(out.read_text())

@@ -109,8 +109,8 @@ class TestFlightRing:
         assert dangling == 1   # the evicted root's edge dangles, no crash
 
     def test_recorder_api_compatibility(self):
-        """Consumers written against TraceRecorder (timelines, chrome
-        export, forensics) read .events/.events_of/.count unchanged."""
+        """Consumers written against TraceRecorder (chrome export,
+        forensics) read .events/.events_of/.count unchanged."""
         recorder = FlightRecorder(capacity=8)
         recorder.emit("pkt", "send")
         recorder.emit("pkt", "recv")

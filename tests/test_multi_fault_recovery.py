@@ -4,6 +4,7 @@ the transient fault models."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import FlashMachine, MachineConfig
 from repro.campaign.schedule import FaultSchedule, TimedFault
@@ -138,6 +139,34 @@ class TestDroppedPutMutant:
 
         monkeypatch.setattr(Magic, "_handle_drained", drop_puts)
         assert not all(self._battery())
+
+
+class TestLinkFailureDuringRecovery:
+    """Property form of the reproducer above: a first fault at t=0, then
+    any link of the 8-node mesh dies as the first agent enters P2, P3 or
+    P4.  Every such run recovers and passes the memory check."""
+
+    MESH8_LINKS = [(a, b) for a, _, b, _ in make_topology("mesh", 8).links()]
+
+    @given(first=st.sampled_from([FaultSpec.node_failure(2),
+                                  FaultSpec.false_alarm(0),
+                                  FaultSpec.infinite_loop(6)]),
+           link=st.sampled_from(MESH8_LINKS),
+           phase=st.sampled_from(["P2", "P3", "P4"]))
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    def test_link_failure_on_phase_entry_is_contained(self, first, link,
+                                                      phase):
+        schedule = FaultSchedule(
+            entries=(
+                TimedFault(first, time=0.0),
+                TimedFault(FaultSpec.link_failure(*link), phase=phase),
+            ),
+            num_nodes=8, topology="mesh")
+        result = run_schedule_experiment(
+            schedule, config=MachineConfig(
+                num_nodes=8, topology="mesh", mem_per_node=1 << 16,
+                l2_size=1 << 13, seed=0), seed=0)
+        assert result.passed, result.problems
 
 
 # ------------------------------------------------------ injector hardening

@@ -1,23 +1,26 @@
-"""Tests for recovery-timeline reconstruction (repro.telemetry.timeline).
+"""Recovery phase spans: the RecoveryReport's account of when each node's
+agent entered and left each phase, in every epoch.
 
-The timeline must agree with the RecoveryReport the manager builds from
-the agents' own phase marks — same trigger, same per-phase latencies, same
-completion time — while adding the per-node structure only a trace has.
+Every run records the spans, traced or not.  The per-phase aggregates
+(``phase_ends``, ``phase_durations``) and the critical path are those of
+the final epoch, the pass that completed.  A trace carries the same
+story as events; these tests check that the two agree and that a real
+§4.1 restart (a false alarm on node 0 of the 8-node mesh, then link 5-7
+dies as the first agent enters P4) leaves the spans the restart rule
+implies.
 """
+
+from collections import Counter
 
 import pytest
 
+from repro.campaign.schedule import FaultSchedule, TimedFault
 from repro.core.config import MachineConfig
-from repro.core.experiment import inject_and_probe
+from repro.core.experiment import inject_and_probe, run_schedule_experiment
 from repro.core.machine import FlashMachine
 from repro.faults.models import FaultSpec
-from repro.telemetry import Telemetry, build_timelines
-from repro.telemetry.timeline import (
-    PHASE_ORDER,
-    EpisodeTimeline,
-    format_timeline,
-)
-from repro.telemetry.trace import TraceEvent
+from repro.recovery.manager import RECOVERY_PHASES, RecoveryReport
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -33,119 +36,156 @@ def traced_recovery():
     return telemetry, report
 
 
+@pytest.fixture(scope="module")
+def restarted():
+    """The untraced mesh-8 P4 link-failure reproducer's one report."""
+    schedule = FaultSchedule(
+        entries=(
+            TimedFault(FaultSpec.false_alarm(0), time=0.0),
+            TimedFault(FaultSpec.link_failure(5, 7), phase="P4"),
+        ),
+        num_nodes=8, topology="mesh")
+    result = run_schedule_experiment(
+        schedule, config=MachineConfig(
+            num_nodes=8, topology="mesh", mem_per_node=1 << 16,
+            l2_size=1 << 13, seed=0), seed=0)
+    assert result.passed, result.problems
+    (report,) = result.reports
+    return report
+
+
 class TestAgainstRecoveryReport:
+    """The trace's episode and phase events agree with the report."""
+
     def test_one_timeline_per_episode(self, traced_recovery):
         telemetry, _ = traced_recovery
-        timelines = build_timelines(telemetry.events)
-        assert len(timelines) == 1
+        assert [event.key for event in telemetry.events
+                if event.category == "episode"] == ["episode.begin",
+                                                    "episode.end"]
 
     def test_trigger_matches_report(self, traced_recovery):
         telemetry, report = traced_recovery
-        (timeline,) = build_timelines(telemetry.events)
-        assert timeline.trigger_time == report.trigger_time
-        assert timeline.trigger_node == report.trigger_node
-        assert timeline.trigger_reason == report.trigger_reason
-
-    def test_phase_latencies_match_report(self, traced_recovery):
-        telemetry, report = traced_recovery
-        (timeline,) = build_timelines(telemetry.events)
-        for phase in PHASE_ORDER:
-            assert (timeline.phase_latency(phase)
-                    == report.phase_duration_from_trigger(phase)), phase
+        (begin,) = [event for event in telemetry.events
+                    if event.key == "episode.begin"]
+        assert begin.time == report.trigger_time
+        assert begin.data["trigger_node"] == report.trigger_node
+        assert begin.data["reason"] == report.trigger_reason
 
     def test_total_duration_matches_report(self, traced_recovery):
         telemetry, report = traced_recovery
-        (timeline,) = build_timelines(telemetry.events)
-        assert timeline.total_duration == report.total_duration
-        assert timeline.restarts == report.restarts == 0
+        (end,) = [event for event in telemetry.events
+                  if event.key == "episode.end"]
+        assert end.time == report.complete_time
+        assert end.data["restarts"] == report.restarts == 0
+
+    def test_phase_exits_hang_off_their_span_enter(self, traced_recovery):
+        """Each span holds its ``phase.enter`` eid, and each
+        ``phase.exit`` names its span's enter as its cause."""
+        telemetry, report = traced_recovery
+        enters = {span.enter_eid: span for span in report.spans}
+        exits = [event for event in telemetry.events
+                 if event.key == "phase.exit"]
+        assert len(exits) == len(report.spans) == 7 * len(RECOVERY_PHASES)
+        for event in exits:
+            span = enters[event.cause]
+            assert (span.node, span.phase, span.end) == (
+                event.node, event.data["phase"], event.time)
 
     def test_participants_are_the_survivors(self, traced_recovery):
-        telemetry, report = traced_recovery
-        (timeline,) = build_timelines(telemetry.events)
-        assert timeline.participating_nodes() == sorted(
-            report.available_nodes)
+        _, report = traced_recovery
+        nodes = {span.node for phase in RECOVERY_PHASES
+                 for span in report.final_spans(phase)}
+        assert nodes == report.available_nodes
 
     def test_critical_path_covers_all_phases(self, traced_recovery):
-        telemetry, _ = traced_recovery
-        (timeline,) = build_timelines(telemetry.events)
-        path = timeline.critical_path()
-        assert set(path) == set(PHASE_ORDER)
+        _, report = traced_recovery
+        path = report.critical_path()
+        assert list(path) == list(RECOVERY_PHASES)
         # Latencies from the trigger are cumulative across phases.
-        latencies = [path[phase][1] for phase in PHASE_ORDER]
+        latencies = [latency for _, latency in path.values()]
         assert latencies == sorted(latencies)
 
     def test_per_node_spans_nest_inside_windows(self, traced_recovery):
-        telemetry, _ = traced_recovery
-        (timeline,) = build_timelines(telemetry.events)
-        for phase in PHASE_ORDER:
-            lo, hi = timeline.phase_window(phase)
-            for node in timeline.participating_nodes():
-                start, end = timeline.per_node(node)[phase]
-                assert lo <= start <= end <= hi
-
-    def test_breakdown_is_json_friendly(self, traced_recovery):
-        import json
-        telemetry, _ = traced_recovery
-        (timeline,) = build_timelines(telemetry.events)
-        breakdown = json.loads(json.dumps(timeline.breakdown()))
-        assert breakdown["phases"]["P1"]["critical_node"] is not None
-
-    def test_format_timeline_mentions_phases(self, traced_recovery):
-        telemetry, _ = traced_recovery
-        (timeline,) = build_timelines(telemetry.events)
-        text = format_timeline(timeline)
-        for phase in PHASE_ORDER:
-            assert phase in text
-
-
-def _ev(time, category, name, node=None, **data):
-    return TraceEvent(time, category, name, node, data)
+        _, report = traced_recovery
+        for phase in RECOVERY_PHASES:
+            for span in report.final_spans(phase):
+                assert (report.trigger_time <= span.start <= span.end
+                        <= report.phase_ends[phase]
+                        <= report.complete_time)
 
 
 class TestRestartHandling:
-    def synthetic_restart_events(self):
-        return [
-            _ev(100.0, "episode", "begin", node=0,
-                trigger_node=0, reason="test", epoch=1),
-            _ev(110.0, "phase", "enter", node=0, phase="P1", epoch=1),
-            _ev(120.0, "phase", "exit", node=0, phase="P1", epoch=1),
-            _ev(130.0, "phase", "enter", node=0, phase="P2", epoch=1),
-            # New fault mid-P2: restart with a higher epoch; the open P2
-            # span never closes.
-            _ev(140.0, "episode", "restart", node=0, epoch=2),
-            _ev(150.0, "phase", "enter", node=0, phase="P1", epoch=2),
-            _ev(160.0, "phase", "exit", node=0, phase="P1", epoch=2),
-            _ev(200.0, "episode", "end", epoch=2, available=1),
-        ]
+    def test_restart_counted_and_final_epoch_selected(self, restarted):
+        assert restarted.restarts == 1
+        assert restarted.final_epoch == 2
+        assert {span.epoch for span in restarted.spans} == {1, 2}
+        # Only the final epoch's spans define the aggregates.
+        for phase in RECOVERY_PHASES:
+            final = restarted.final_spans(phase)
+            assert restarted.phase_ends[phase] == max(
+                span.end for span in final)
+            assert restarted.phase_durations[phase] == max(
+                span.duration for span in final)
 
-    def test_restart_counted_and_final_epoch_selected(self):
-        (timeline,) = build_timelines(self.synthetic_restart_events())
-        assert timeline.restarts == 1
-        assert timeline.final_epoch == 2
-        # Only the final epoch's spans define the breakdown.
-        assert timeline.phase_latency("P1") == 160.0 - 100.0
-        assert timeline.phase_latency("P2") is None
+    def test_cut_short_span_keeps_open_end(self, restarted):
+        cut = [span for span in restarted.spans if span.end is None]
+        assert all(span.epoch == 1 and span.duration is None
+                   for span in cut)
+        assert Counter(span.phase for span in cut) == {"P4": 7, "P3": 1}
 
-    def test_cut_short_span_keeps_open_end(self):
-        (timeline,) = build_timelines(self.synthetic_restart_events())
-        p2_spans = [s for s in timeline.spans if s.phase == "P2"]
-        assert len(p2_spans) == 1
-        assert p2_spans[0].end is None and p2_spans[0].duration is None
+    def test_final_epoch_runs_every_phase_once_per_survivor(self,
+                                                            restarted):
+        final = [span for span in restarted.spans if span.epoch == 2]
+        assert len(final) == 32
+        assert all(span.end is not None for span in final)
+        assert Counter((span.node, span.phase) for span in final) == {
+            (node, phase): 1 for node in restarted.available_nodes
+            for phase in RECOVERY_PHASES}
+
+    def test_critical_path_after_restart(self, restarted):
+        path = restarted.critical_path()
+        assert {phase: node for phase, (node, _) in path.items()} == {
+            "P1": 5, "P2": 6, "P3": 7, "P4": 7}
+        # The last P4 exit completes the episode.
+        assert path["P4"][1] == restarted.total_duration
+
+    def test_each_node_runs_its_phases_in_order(self, restarted):
+        for node in restarted.available_nodes:
+            spans = [span for span in restarted.spans
+                     if span.epoch == 2 and span.node == node]
+            assert [span.phase for span in spans] == list(RECOVERY_PHASES)
+            for before, after in zip(spans, spans[1:]):
+                assert before.end <= after.start
 
     def test_events_before_any_episode_are_ignored(self):
-        events = [_ev(5.0, "phase", "enter", node=0, phase="P1", epoch=1),
-                  _ev(6.0, "episode", "restart", node=0, epoch=2)]
-        assert build_timelines(events) == []
+        """A phase entry outside an episode opens no span."""
+        machine = FlashMachine(MachineConfig(
+            num_nodes=4, mem_per_node=1 << 16, l2_size=1 << 13,
+            seed=0)).start()
+        manager = machine.recovery_manager
+        manager.note_phase_entry("P1", 2)
+        manager.note_phase_exit("P1", 2, manager.epoch)
+        assert manager.report is None and manager.reports == []
 
     def test_unfinished_episode_not_emitted(self):
-        events = [_ev(1.0, "episode", "begin", node=0,
-                      trigger_node=0, reason="r", epoch=1)]
-        assert build_timelines(events) == []
+        """An episode still in progress has open spans but no aggregates,
+        and is not among the manager's reports."""
+        machine = FlashMachine(MachineConfig(
+            num_nodes=4, mem_per_node=1 << 16, l2_size=1 << 13,
+            seed=0)).start()
+        manager = machine.recovery_manager
+        manager.trigger(0, "test")
+        machine.sim.run(until=machine.sim.now + 100_000.0)
+        report = manager.report
+        assert manager.in_progress and manager.reports == []
+        assert report.spans
+        assert all(span.end is None for span in report.spans)
+        assert report.phase_ends == {} and report.critical_path() == {}
 
     def test_empty_timeline_queries_return_none(self):
-        timeline = EpisodeTimeline(0, 10.0, 0, "r")
-        assert timeline.total_duration is None
-        assert timeline.phase_latency("P1") is None
-        assert timeline.phase_window("P1") is None
-        assert timeline.critical_node("P1") is None
-        assert timeline.critical_path() == {}
+        report = RecoveryReport(10.0, 0, "r")
+        assert report.total_duration is None
+        assert report.phase_duration_from_trigger("P1") is None
+        assert report.final_spans("P1") == []
+        assert report.critical_node("P1") is None
+        assert report.critical_path() == {}
