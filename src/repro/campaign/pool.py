@@ -23,10 +23,6 @@ forward against reversed run order in one worker, and ``jobs=1``
 against ``jobs=3``.
 """
 
-# repro-lint: disable-file=wall-clock — this module is the real-time
-# boundary: watchdogs and elapsed_s measure wall clock around
-# crash-isolated workers; nothing here runs under the event scheduler.
-
 import multiprocessing
 import time
 from multiprocessing.connection import wait

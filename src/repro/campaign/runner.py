@@ -22,10 +22,6 @@ Determinism and resume:
   existing results file skips the already-recorded run indices.
 """
 
-# repro-lint: disable-file=wall-clock — the runner is a real-time
-# boundary like the pool: the wall-clock budget is measured here, around
-# crash-isolated workers; nothing here runs under the event scheduler.
-
 import dataclasses
 import hashlib
 import json

@@ -367,31 +367,20 @@ def _format_github(findings):
     """GitHub Actions workflow-command annotations, one per finding."""
     lines = []
     for finding in findings:
-        level = ("error" if finding.severity.value == "error"
-                 else "warning")
         message = "[%s] %s" % (finding.rule, finding.message)
         # Workflow commands eat newlines/percent unless URL-escaped.
         message = (message.replace("%", "%25").replace("\r", "%0D")
                    .replace("\n", "%0A"))
-        lines.append("::%s file=%s,line=%d::%s"
-                     % (level, finding.path, finding.line, message))
+        lines.append("::error file=%s,line=%d::%s"
+                     % (finding.path, finding.line, message))
     lines.append("%d finding(s)" % len(findings))
     return "\n".join(lines)
 
 
 def cmd_lint(args):
-    from repro.lint import all_rules, format_json, format_text, run_lint
+    from repro.lint import format_json, format_text, run_lint
 
     findings = run_lint(paths=args.paths or None)
-    if args.rule:
-        registry = all_rules()
-        unknown = sorted(set(args.rule) - set(registry) - {"syntax-error"})
-        if unknown:
-            raise SystemExit(
-                "unknown rule(s): %s (known: %s)"
-                % (", ".join(unknown), ", ".join(sorted(registry))))
-        wanted = set(args.rule)
-        findings = [f for f in findings if f.rule in wanted]
     if args.format == "json":
         print(format_json(findings))
     elif args.format == "github":
@@ -633,18 +622,14 @@ def build_parser():
 
     p_lint = sub.add_parser(
         "lint",
-        help="AST code-hygiene linter: determinism, telemetry zero-cost "
-             "guards, sim-process hygiene")
+        help="AST code-hygiene linter: causal telemetry, sim-process "
+             "hygiene")
     p_lint.add_argument("paths", nargs="*",
                         help="files or directories to lint (default: the "
                              "installed repro package)")
     p_lint.add_argument("--format", choices=["text", "json", "github"],
                         default="text",
                         help="github emits workflow error annotations")
-    p_lint.add_argument("--rule", action="append", default=None,
-                        metavar="RULE",
-                        help="only report findings from this rule "
-                             "(repeatable)")
     p_lint.set_defaults(func=cmd_lint)
 
     p_verify = sub.add_parser(

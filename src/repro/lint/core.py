@@ -5,38 +5,29 @@ instead of catching an invariant violation at dispatch time, each checker
 proves a class of violation absent from the source before the simulator
 ever runs.  The framework is deliberately small:
 
-* a :class:`Finding` is one violation at ``path:line`` with a rule name
-  and severity;
+* a :class:`Finding` is one violation at ``path:line`` with a rule name;
+  every rule is an error;
 * a :class:`Module` is one parsed source file; a :class:`Project` is the
   sorted set of modules one run lints;
 * ``# repro-lint: disable=<rule>[,<rule>...]`` on the offending line
-  suppresses findings on that line, and
-  ``# repro-lint: disable-file=<rule>`` anywhere in a file suppresses the
-  rule for the whole file — both are meant to carry a justification in
-  the rest of the comment.
+  suppresses findings on that line, and is meant to carry a
+  justification in the rest of the comment.
 
 Nothing is grandfathered: the tree lints clean and CI fails on any
 finding.
 """
 
 import ast
-import enum
 import re
-
-
-class Severity(enum.Enum):
-    WARNING = "warning"
-    ERROR = "error"
 
 
 class Finding:
     """One rule violation at a source location."""
 
-    __slots__ = ("rule", "severity", "path", "line", "message")
+    __slots__ = ("rule", "path", "line", "message")
 
-    def __init__(self, rule, severity, path, line, message):
+    def __init__(self, rule, path, line, message):
         self.rule = rule
-        self.severity = severity
         self.path = path
         self.line = line
         self.message = message
@@ -49,8 +40,7 @@ class Finding:
         return (self.path, self.line, self.rule, self.message)
 
     def to_dict(self):
-        return {"rule": self.rule, "severity": self.severity.value,
-                "path": self.path, "line": self.line,
+        return {"rule": self.rule, "path": self.path, "line": self.line,
                 "message": self.message}
 
     def __eq__(self, other):
@@ -62,8 +52,7 @@ class Finding:
                                        self.message)
 
 
-_PRAGMA = re.compile(
-    r"#\s*repro-lint:\s*(disable|disable-file)=([A-Za-z0-9_,-]+)")
+_PRAGMA = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,-]+)")
 
 
 class Module:
@@ -80,24 +69,17 @@ class Module:
         self.source = source
         self.tree = ast.parse(source)
         self.line_disables = {}    # line number -> set of rule names
-        self.file_disables = set()
         for number, text in enumerate(source.splitlines(), start=1):
             match = _PRAGMA.search(text)
-            if match is None:
-                continue
-            rules = {rule.strip() for rule in match.group(2).split(",")
-                     if rule.strip()}
-            if match.group(1) == "disable-file":
-                self.file_disables |= rules
-            else:
-                self.line_disables.setdefault(number, set()).update(rules)
+            if match is not None:
+                self.line_disables[number] = {
+                    rule.strip() for rule in match.group(1).split(",")
+                    if rule.strip()}
 
     def in_zone(self, zones):
         return any(self.rel.startswith(zone) for zone in zones)
 
     def suppresses(self, finding):
-        if {"all", finding.rule} & self.file_disables:
-            return True
         rules = self.line_disables.get(finding.line, ())
         return "all" in rules or finding.rule in rules
 
@@ -112,16 +94,16 @@ class Project:
 class Checker:
     """Base class: one visitor run over every module.
 
-    ``rules`` maps each rule name the checker may report to its severity;
-    subclasses build findings through :meth:`finding` so severities stay
-    consistent with the registry the CLI prints.
+    ``rules`` names every rule the checker may report: the registry
+    ``repro.lint.all_rules()`` is their union.
     """
 
-    rules = {}
+    rules = ()
 
     def finding(self, rule, module, line, message):
-        return Finding(rule=rule, severity=self.rules[rule],
-                       path=module.path, line=line, message=message)
+        assert rule in self.rules, rule
+        return Finding(rule=rule, path=module.path, line=line,
+                       message=message)
 
     def check_module(self, module):
         return ()
@@ -132,9 +114,9 @@ class Checker:
 class ImportMap:
     """Resolves names through a module's imports to dotted origins.
 
-    ``import time`` makes ``time.monotonic`` resolve to itself;
-    ``from datetime import datetime`` makes ``datetime.now`` resolve to
-    ``datetime.datetime.now``; unimported bases resolve to their literal
+    ``import time`` makes ``time.sleep`` resolve to itself;
+    ``from subprocess import run`` makes ``run`` resolve to
+    ``subprocess.run``; unimported bases resolve to their literal
     attribute chain (so ``self.trace.emit`` stays ``self.trace.emit``).
     """
 
@@ -165,10 +147,6 @@ class ImportMap:
             return None
         parts.append(self.names.get(node.id, node.id))
         return ".".join(reversed(parts))
-
-    def imports_module(self, name):
-        return any(origin == name or origin.startswith(name + ".")
-                   for origin in self.names.values())
 
 
 def attr_chain(node):

@@ -9,24 +9,19 @@ call :func:`lint_project` directly.
 import json
 import os
 
-from repro.lint.core import Finding, Module, Project, Severity
-from repro.lint.determinism import DeterminismChecker
-from repro.lint.hygiene import HygieneChecker
-from repro.lint.telemetry import TelemetryCauseChecker, TelemetryGuardChecker
+from repro.lint.core import Finding, Module, Project
+from repro.lint.hygiene import HygieneChecker, TelemetryCauseChecker
 
 
 def default_checkers():
     """Every checker; each is safe on any project, fixtures included."""
-    return [DeterminismChecker(), TelemetryGuardChecker(),
-            TelemetryCauseChecker(), HygieneChecker()]
+    return [TelemetryCauseChecker(), HygieneChecker()]
 
 
 def all_rules(checkers=None):
-    """rule name -> severity across the given (or default) checkers."""
-    rules = {}
-    for checker in checkers or default_checkers():
-        rules.update(checker.rules)
-    return rules
+    """The rule names of the given (or default) checkers."""
+    return {rule for checker in checkers or default_checkers()
+            for rule in checker.rules}
 
 
 def package_root():
@@ -75,8 +70,8 @@ def build_project(root=None, paths=None):
             modules.append(Module(rel, source, path=_display_path(path)))
         except SyntaxError as error:
             findings.append(Finding(
-                rule="syntax-error", severity=Severity.ERROR,
-                path=_display_path(path), line=error.lineno or 0,
+                rule="syntax-error", path=_display_path(path),
+                line=error.lineno or 0,
                 message="file does not parse: %s" % error.msg))
     return Project(modules), findings
 
@@ -102,17 +97,9 @@ def run_lint(root=None, paths=None):
 # ---------------------------------------------------------------- reporting
 
 def format_text(findings):
-    lines = []
-    for finding in findings:
-        lines.append("%s: %s [%s] %s" % (
-            finding.location, finding.severity.value, finding.rule,
-            finding.message))
-    counts = {}
-    for finding in findings:
-        counts[finding.severity] = counts.get(finding.severity, 0) + 1
-    lines.append("%d finding(s): %d error(s), %d warning(s)"
-                 % (len(findings), counts.get(Severity.ERROR, 0),
-                    counts.get(Severity.WARNING, 0)))
+    lines = ["%s: [%s] %s" % (finding.location, finding.rule,
+                              finding.message) for finding in findings]
+    lines.append("%d finding(s)" % len(findings))
     return "\n".join(lines)
 
 
@@ -120,8 +107,4 @@ def format_json(findings):
     return json.dumps({
         "findings": [finding.to_dict() for finding in findings],
         "count": len(findings),
-        "errors": sum(1 for finding in findings
-                      if finding.severity is Severity.ERROR),
-        "warnings": sum(1 for finding in findings
-                        if finding.severity is Severity.WARNING),
     }, indent=2, sort_keys=True)

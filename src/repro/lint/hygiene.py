@@ -1,12 +1,12 @@
 """Sim-process hygiene: the event loop stays virtual-time and total.
 
-Three rules keep the simulated hardware honest:
+Four rules keep the simulated hardware and its evidence honest:
 
 * ``sim-blocking`` — code that runs under the event scheduler (the sim
   kernel and the hardware models it drives) must never block on the real
   world: no ``time.sleep``, file/socket/subprocess I/O, or console input.
-  A blocking call freezes virtual time for every node at once — a failure
-  mode the paper's hardware cannot exhibit;
+  A blocking call costs wall time, not virtual time, so no simulated
+  outcome shows it: only the lint can;
 * ``handler-cost`` — every protocol/dispatch handler returns its cost in
   nanoseconds (the dispatch loop ``yield``\\ s it back to the scheduler);
   a bare ``return`` or a fall-through ``None`` would make MAGIC occupancy
@@ -15,12 +15,14 @@ Three rules keep the simulated hardware honest:
   ``except`` may exist only at crash-isolation boundaries (the campaign
   worker, the Hive process shell), where a simulator bug must become
   *data*.  Anywhere else it converts a model bug into silent control
-  flow; catch the specific expected types instead.
+  flow; catch the specific expected types instead;
+* ``telemetry-cause`` — packet-handling trace emissions name their causal
+  parent (:class:`TelemetryCauseChecker`).
 """
 
 import ast
 
-from repro.lint.core import (Checker, ImportMap, Severity, function_defs,
+from repro.lint.core import (Checker, ImportMap, attr_chain, function_defs,
                              handler_table)
 
 #: prefixes whose code executes under the event scheduler
@@ -42,11 +44,7 @@ _BLOCKING_PREFIXES = ("subprocess.", "requests.", "urllib.", "http.")
 
 class HygieneChecker(Checker):
 
-    rules = {
-        "sim-blocking": Severity.ERROR,
-        "handler-cost": Severity.ERROR,
-        "broad-except": Severity.ERROR,
-    }
+    rules = ("sim-blocking", "handler-cost", "broad-except")
 
     sim_zones = SIM_ZONES
     handler_modules = HANDLER_MODULES
@@ -171,3 +169,43 @@ def _terminates(statements):
             isinstance(last.test, ast.Constant) and last.test.value):
         return True   # while True loops exit only via return/raise
     return False
+
+
+#: packet-handling zones whose emissions must carry causal provenance
+CAUSE_ZONES = ("interconnect/", "coherence/", "node/magic.py")
+
+
+class TelemetryCauseChecker(Checker):
+    """Causal-provenance rule (DESIGN.md §11): packet-handling emissions
+    must pass ``cause=``.
+
+    Forensics reconstructs the blast-radius DAG from ``cause`` edges.  An
+    emission without one in the interconnect, the coherence protocol or the
+    MAGIC handler code is an invisible hop: the DAG silently loses the
+    propagation path through it, and a containment audit can then report
+    "contained" on a trace that merely went dark.  ``cause=None`` is fine —
+    it states "this event has no causal parent" explicitly; *omitting* the
+    keyword is what the rule rejects.
+    """
+
+    rules = ("telemetry-cause",)
+
+    zones = CAUSE_ZONES
+
+    def check_module(self, module):
+        if not module.in_zone(self.zones):
+            return
+        for node in ast.walk(module.tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "emit"):
+                continue
+            chain = attr_chain(node.func.value)
+            if chain is None or any(keyword.arg == "cause"
+                                    for keyword in node.keywords):
+                continue
+            yield self.finding(
+                "telemetry-cause", module, node.lineno,
+                "trace emission on %r in packet-handling code does not "
+                "pass 'cause=': the forensic DAG (DESIGN.md §11) loses the "
+                "causal path through this hop" % chain)

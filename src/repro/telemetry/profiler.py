@@ -18,7 +18,7 @@ Contract (mirrors the trace guard, DESIGN.md §9/§15):
           call.callback(*call.args)
 
   so a detached run pays one attribute load and one identity test per
-  event, and the lint ``telemetry-guard`` rule covers the site;
+  event;
 * attached, the profiler only *reads* the wall clock around the callback
   — it draws no randomness and schedules nothing, so a profiled run is
   bit-identical to an unprofiled one (directed test in

@@ -13,7 +13,6 @@ import pytest
 from repro.lint import (
     Module,
     Project,
-    Severity,
     all_rules,
     format_json,
     format_text,
@@ -32,189 +31,6 @@ def lint_source(source, rel="sim/bad.py"):
 
 def rules_of(findings):
     return [finding.rule for finding in findings]
-
-
-# --------------------------------------------------------------- determinism
-
-class TestDeterminismRules:
-    def test_wall_clock_flagged_in_sim_zone(self):
-        findings = lint_source("""
-            import time
-
-            def now():
-                return time.time()
-        """)
-        (finding,) = findings
-        assert finding.rule == "wall-clock"
-        assert finding.severity is Severity.ERROR
-        assert finding.line == 5
-        assert "time.time" in finding.message
-
-    def test_wall_clock_via_from_import_and_alias(self):
-        findings = lint_source("""
-            import time as t
-            from datetime import datetime
-
-            def stamp():
-                return t.monotonic(), datetime.now()
-        """)
-        assert rules_of(findings) == ["wall-clock", "wall-clock"]
-
-    def test_wall_clock_ignored_outside_zones(self):
-        findings = lint_source("""
-            import time
-
-            def now():
-                return time.time()
-        """, rel="workloads/bench.py")
-        assert findings == []
-
-    def test_unseeded_random_flagged(self):
-        findings = lint_source("""
-            import random
-
-            def pick(items):
-                return items[random.randrange(len(items))]
-        """)
-        (finding,) = findings
-        assert finding.rule == "unseeded-random"
-        assert "random.Random" in finding.message
-
-    def test_seeded_random_instances_allowed(self):
-        findings = lint_source("""
-            import random
-
-            def make_rng(seed):
-                rng = random.Random(seed)
-                return rng.random() + rng.randint(0, 3)
-        """)
-        assert findings == []
-
-    def test_sim_rng_draws_allowed(self):
-        findings = lint_source("""
-            def jitter(sim):
-                return sim.rng.uniform(0.0, 5.0)
-        """)
-        assert findings == []
-
-    def test_unordered_iteration_over_set_flagged(self):
-        findings = lint_source("""
-            def fan_out(sharers):
-                for node in set(sharers):
-                    yield node
-                return [n for n in {1, 2} | set(sharers)]
-        """)
-        assert rules_of(findings) == ["unordered-iter", "unordered-iter"]
-        assert all(f.severity is Severity.WARNING for f in findings)
-
-    def test_dict_keys_iteration_flagged(self):
-        findings = lint_source("""
-            def drain(table):
-                for line in table.keys():
-                    yield line
-        """)
-        assert rules_of(findings) == ["unordered-iter"]
-
-    def test_sorted_iteration_allowed(self):
-        findings = lint_source("""
-            def fan_out(sharers):
-                for node in sorted(set(sharers)):
-                    yield node
-        """)
-        assert findings == []
-
-
-# ------------------------------------------------------------ telemetry guard
-
-class TestTelemetryGuard:
-    def test_unguarded_emit_flagged(self):
-        findings = lint_source("""
-            class Router:
-                def drop(self, packet):
-                    self.trace.emit("pkt", "drop", node=self.router_id,
-                                    cause=None)
-        """, rel="interconnect/router.py")
-        (finding,) = findings
-        assert finding.rule == "telemetry-guard"
-        assert "self.trace" in finding.message
-
-    def test_guarded_emit_allowed(self):
-        findings = lint_source("""
-            class Router:
-                def drop(self, packet):
-                    tr = self.trace
-                    if tr is not None:
-                        tr.emit("pkt", "drop", node=self.router_id,
-                                cause=None)
-        """, rel="interconnect/router.py")
-        assert findings == []
-
-    def test_guard_must_cover_same_receiver(self):
-        findings = lint_source("""
-            class Router:
-                def drop(self, packet, other):
-                    tr = self.trace
-                    if other is not None:
-                        tr.emit("pkt", "drop", node=self.router_id,
-                                cause=None)
-        """, rel="interconnect/router.py")
-        assert rules_of(findings) == ["telemetry-guard"]
-
-    def test_unguarded_metrics_instrument_flagged(self):
-        findings = lint_source("""
-            class Engine:
-                def note(self):
-                    self.metrics.counter("protocol.stray").inc()
-        """, rel="coherence/protocol.py")
-        assert rules_of(findings) == ["telemetry-guard"]
-
-    def test_guarded_metrics_allowed(self):
-        findings = lint_source("""
-            class Engine:
-                def note(self):
-                    metrics = self.metrics
-                    if metrics is not None:
-                        metrics.counter("protocol.stray").inc()
-        """, rel="coherence/protocol.py")
-        assert findings == []
-
-    def test_unguarded_profiler_dispatch_flagged(self):
-        findings = lint_source("""
-            class Simulator:
-                def step(self, call):
-                    prof = self.profiler
-                    prof.dispatch(call.callback, call.args)
-        """, rel="sim/engine.py")
-        assert rules_of(findings) == ["telemetry-guard"]
-        assert "prof" in findings[0].message
-
-    def test_guarded_profiler_dispatch_allowed(self):
-        findings = lint_source("""
-            class Simulator:
-                def step(self, call):
-                    prof = self.profiler
-                    if prof is not None:
-                        prof.dispatch(call.callback, call.args)
-                    else:
-                        call.callback(*call.args)
-        """, rel="sim/engine.py")
-        assert findings == []
-
-    def test_unrelated_dispatch_receivers_ignored(self):
-        findings = lint_source("""
-            class Magic:
-                def handle(self, message):
-                    self.table.dispatch(message)
-        """, rel="node/magic.py")
-        assert findings == []
-
-    def test_telemetry_package_is_exempt(self):
-        findings = lint_source("""
-            def replay(recorder, events):
-                for event in events:
-                    recorder.emit(event.category, event.name)
-        """, rel="telemetry/replay.py")
-        assert findings == []
 
 
 # ------------------------------------------------------------ telemetry cause
@@ -363,47 +179,32 @@ class TestSuppressions:
         findings = lint_source("""
             import time
 
-            def now():
-                return time.time()   # repro-lint: disable=wall-clock — ok
+            def pause():
+                time.sleep(0)   # repro-lint: disable=sim-blocking — ok
 
             def later():
-                return time.time()
+                time.sleep(0)
         """)
         (finding,) = findings
         assert finding.line == 8
 
-    def test_file_pragma_suppresses_whole_file(self):
-        findings = lint_source("""
-            # repro-lint: disable-file=wall-clock — harness-side module
-            import time
-
-            def now():
-                return time.time()
-
-            def later():
-                return time.time()
-        """)
-        assert findings == []
-
     def test_pragma_only_covers_named_rules(self):
         findings = lint_source("""
             import time
-            import random
 
-            def now():
-                return time.time() + random.random()   # repro-lint: disable=wall-clock
-        """)
-        assert rules_of(findings) == ["unseeded-random"]
+            def drop(tr):
+                tr.emit("pkt", "drop") or time.sleep(0)   # repro-lint: disable=sim-blocking
+        """, rel="interconnect/router.py")
+        assert rules_of(findings) == ["telemetry-cause"]
 
 
 # ---------------------------------------------------------------- the gate
 
 class TestRepoIsClean:
     def test_rule_registry_is_complete(self):
-        assert set(all_rules()) == {
-            "wall-clock", "unseeded-random", "unordered-iter",
-            "telemetry-guard", "telemetry-cause",
-            "sim-blocking", "handler-cost", "broad-except",
+        assert all_rules() == {
+            "telemetry-cause", "sim-blocking", "handler-cost",
+            "broad-except",
         }
 
     def test_src_repro_lints_clean(self):
@@ -421,14 +222,14 @@ class TestRepoIsClean:
         findings = lint_source("""
             import time
 
-            def now():
-                return time.time()
+            def pause():
+                time.sleep(0)
         """)
         payload = json.loads(format_json(findings))
         assert payload["count"] == 1
-        assert payload["errors"] == 1
         (entry,) = payload["findings"]
-        assert entry["rule"] == "wall-clock"
+        assert entry == findings[0].to_dict()
+        assert entry["rule"] == "sim-blocking"
         assert entry["path"] == "sim/bad.py"
 
 
@@ -456,30 +257,6 @@ def _dirty_file(tmp_path):
 
 
 class TestCliLintOptions:
-    def test_rule_filter_keeps_only_named_rules(self, tmp_path, capsys):
-        from repro.cli import main
-        path = _dirty_file(tmp_path)
-        assert main(["lint", path, "--format", "json",
-                     "--rule", "broad-except"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["count"] == 2
-        assert {f["rule"] for f in payload["findings"]} == {"broad-except"}
-
-    def test_rule_filter_can_silence_everything(self, tmp_path, capsys):
-        from repro.cli import main
-        path = _dirty_file(tmp_path)
-        assert main(["lint", path, "--format", "json",
-                     "--rule", "wall-clock"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["count"] == 0
-
-    def test_unknown_rule_is_an_error(self, tmp_path):
-        from repro.cli import main
-        path = _dirty_file(tmp_path)
-        with pytest.raises(SystemExit) as excinfo:
-            main(["lint", path, "--rule", "no-such-rule"])
-        assert "unknown rule" in str(excinfo.value)
-
     def test_no_baseline_options_remain(self):
         from repro.cli import build_parser
         parser = build_parser()

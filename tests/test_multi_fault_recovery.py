@@ -169,6 +169,48 @@ class TestLinkFailureDuringRecovery:
         assert result.passed, result.problems
 
 
+class TestPartitionedSurvivors:
+    """A router failure plus one link failure cuts the 8-node mesh in two
+    (ROADMAP: "partitioned survivors").  Runs 0 and 3 of ``campaign
+    --schedule correlated-link-router --seed 0``, on a campaign worker's
+    machine.  Both fail today; each docstring records how."""
+
+    def _run(self, seed, router, link, link_time):
+        schedule = FaultSchedule(
+            entries=(
+                TimedFault(FaultSpec.router_failure(router), time=0.0),
+                TimedFault(FaultSpec.link_failure(*link), time=link_time),
+            ),
+            num_nodes=8, topology="mesh", name="correlated-link-router")
+        config = MachineConfig(num_nodes=8, topology="mesh",
+                               mem_per_node=64 << 10, l2_size=8 << 10,
+                               seed=seed)
+        return run_schedule_experiment(schedule, config=config, seed=seed)
+
+    @pytest.mark.xfail(strict=True,
+                       reason="split-brain exit loses the machine")
+    def test_cut_off_pair_does_not_lose_the_machine(self):
+        """Router 3 fails at t=0, then link 0-2 at 135 994.4 ns, which cuts
+        {0,1} off from {2,4,5,6,7}.  Today {0,1} take the split-brain
+        exit: the one report has ``shutdown_nodes={0,1}`` and no
+        ``available_nodes``, nodes 2-7 never enter recovery, and the run
+        fails with "no surviving checker completed"."""
+        result = self._run(7689419447139100721, 3, (0, 2),
+                           135994.39555278243)
+        assert result.passed, result.problems
+
+    @pytest.mark.xfail(strict=True,
+                       reason="oracle ignores the cut-off nodes")
+    def test_lines_lost_with_a_cut_off_pair_are_allowed(self):
+        """Router 5 fails at t=0, then link 4-6 at 372 256.8 ns, which cuts
+        {6,7} off.  Today no node shuts down, ``available_nodes`` is
+        [0..4], and 36 lines are marked against 16 allowed: the oracle's
+        failed set holds only the injected targets, so the run fails with
+        "over-marked 26 lines"."""
+        result = self._run(259822417500629978, 5, (4, 6), 372256.838835771)
+        assert result.passed, result.problems
+
+
 # ------------------------------------------------------ injector hardening
 
 class TestInjectorHardening:
