@@ -104,7 +104,7 @@ class Cell:
             timer = self.sim.schedule(
                 watchdog_interval, _poke, watchdog)
             index, result = yield AnyOf([event, watchdog])
-            timer.cancel()
+            self.sim.cancel(timer)
             if index == 1:
                 # Watchdog: recovery (or congestion) swallowed the request;
                 # wait for the machine to settle and retry.

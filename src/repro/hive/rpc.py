@@ -110,7 +110,7 @@ class RpcEndpoint:
             timer = self.sim.schedule(
                 self.params.rpc_retry_interval, _poke, event)
             status, value = yield event
-            timer.cancel()
+            self.sim.cancel(timer)
             self._waiting.pop(key, None)
             if status == "reply":
                 return value

@@ -228,6 +228,8 @@ class Router:
             for lane in Lane}
         self._buffers = {}           # (port, lane) -> deque of packets
         self._scan_order = ()        # (key, port, lane, deque, recovery?)
+        self._bits = {}              # (port, lane) -> its scan-order bit
+        self._occupied = 0           # bits of the non-empty buffers
         self._head_since = {}        # (port, lane) -> time current head stalled
         self._reserved = {}          # (port, lane) -> credits handed upstream
         self._output_busy_until = {} # port -> time
@@ -256,12 +258,13 @@ class Router:
 
     def _rebuild_scan_order(self):
         """Buffers only appear at wiring time, so the deterministic scan
-        order is computed here instead of re-sorting on every wakeup."""
+        order, and each buffer's bit in the occupancy mask, are computed
+        here instead of re-sorting on every wakeup."""
+        keys = sorted(self._buffers, key=lambda k: (k[0], int(k[1])))
+        self._bits = {key: 1 << pos for pos, key in enumerate(keys)}
         self._scan_order = tuple(
             (key, key[0], key[1], self._buffers[key],
-             key[1] in _RECOVERY_LANES)
-            for key in sorted(self._buffers,
-                              key=lambda k: (k[0], int(k[1]))))
+             key[1] in _RECOVERY_LANES) for key in keys)
 
     def start(self):
         """Schedule the first forwarding scan."""
@@ -296,10 +299,15 @@ class Router:
         if packet.source_route is not None:
             packet.trace_ports.append(port)
         packet.hops += 1
+        self._enqueue(key, packet)
+
+    def _enqueue(self, key, packet):
+        """Queue ``packet`` at input buffer ``key`` and wake the scan."""
         buffer = self._buffers[key]
         if not buffer:
             self._head_since[key] = self.sim.now
         buffer.append(packet)
+        self._occupied |= self._bits[key]
         self.notify()
 
     # -- local injection ----------------------------------------------------------
@@ -314,10 +322,7 @@ class Router:
         if (len(self._buffers[key]) + self._reserved[key]
                 >= self._lane_capacity[packet.lane]):
             return False
-        if not self._buffers[key]:
-            self._head_since[key] = self.sim.now
-        self._buffers[key].append(packet)
-        self.notify()
+        self._enqueue(key, packet)
         return True
 
     # -- forwarding engine -----------------------------------------------------------
@@ -344,20 +349,33 @@ class Router:
     _run.profile_label = "routerN"
 
     def _scan_once(self):
-        """One pass over all input buffers, forwarding whatever can move."""
+        """One pass over the input buffers in scan order, forwarding
+        whatever can move.  Only occupied buffers are visited: the mask is
+        re-read after each one, so a buffer that fills mid-scan at a later
+        position is still reached, as a walk over every buffer would."""
         now = self.sim.now
         try_forward = self._try_forward
-        for key, port, lane, buffer, recovery in self._scan_order:
+        order = self._scan_order
+        pos = 0
+        while True:
+            pending = self._occupied >> pos
+            if not pending:
+                return
+            pos += (pending & -pending).bit_length() - 1
+            key, port, lane, buffer, recovery = order[pos]
             while buffer:
                 if try_forward(buffer[0], port, lane, now):
                     buffer.popleft()
                     if buffer:
                         self._head_since[key] = now
+                    else:
+                        self._occupied &= ~(1 << pos)
                     self._credit_upstream(port)
                     continue
                 if recovery:
                     self._maybe_stall_discard(key, buffer, port, now)
                 break
+            pos += 1
 
     def _maybe_stall_discard(self, key, buffer, port, now):
         """Discard a long-stalled recovery-lane head packet (paper §4.1)."""
@@ -369,6 +387,8 @@ class Router:
             self._note_drop("stall", packet)
             if buffer:
                 self._head_since[key] = now
+            else:
+                self._occupied &= ~self._bits[key]
             self._credit_upstream(port)
             self.notify()
         else:
@@ -547,10 +567,7 @@ class Router:
         key = (LOCAL_PORT, reply.lane)
         if (len(self._buffers[key]) + self._reserved[key]
                 < self._lane_capacity[reply.lane]):
-            if not self._buffers[key]:
-                self._head_since[key] = self.sim.now
-            self._buffers[key].append(reply)
-            self.notify()
+            self._enqueue(key, reply)
         # else: reply lost under extreme congestion; the sender will retry.
 
     # -- failure & reconfiguration ------------------------------------------------------
@@ -567,6 +584,7 @@ class Router:
             self.stats.dropped_failed += len(buffer)
             lost += len(buffer)
             buffer.clear()
+        self._occupied = 0
         tr = self.trace
         if tr is not None:
             tr.emit("pkt", "drop", node=self.router_id,

@@ -543,7 +543,7 @@ class Magic:
         if pending is not None and pending.timer is not None:
             # Dropping the handle lets the engine's lazy-deletion pass
             # reclaim the dead heap entry without anyone re-cancelling it.
-            pending.timer.cancel()
+            self.sim.cancel(pending.timer)
             pending.timer = None
         return pending
 
@@ -786,7 +786,7 @@ class Magic:
             # buffer; cacheable ops are NAKed and reissued — either way
             # the per-op timeout timer dies here.
             if pending.timer is not None:
-                pending.timer.cancel()
+                self.sim.cancel(pending.timer)
                 pending.timer = None
         self.outstanding.clear()
 
@@ -899,7 +899,7 @@ class Magic:
         self.ni.fail()
         for pending in self.outstanding.values():
             if pending.timer is not None:
-                pending.timer.cancel()
+                self.sim.cancel(pending.timer)
                 pending.timer = None
         self.outstanding.clear()
         if self.cache is not None:

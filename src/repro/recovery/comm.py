@@ -95,7 +95,7 @@ class RecoveryComm:
                 watch = inbox.watch()
                 timer = self.sim.schedule(remaining, _poke, watch)
                 yield watch
-                timer.cancel()
+                self.sim.cancel(timer)
                 continue
             if not self._matches_epoch(packet):
                 continue   # stale traffic from a restarted recovery

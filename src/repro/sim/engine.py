@@ -1,59 +1,28 @@
-"""The simulator core: a time-ordered event heap and a virtual clock.
+"""The simulator core: one FIFO per due time, and a virtual clock.
 
-Times are floats in nanoseconds.  Determinism is guaranteed by breaking time
-ties with a monotonically increasing sequence number, and by routing all
-randomness through the simulator-owned :class:`random.Random` instance.
+Times are floats in nanoseconds.  Pending calls live in a dict mapping
+each distinct due time to a deque of ``[callback, args]`` entries; a heap
+orders the distinct times only (a calendar queue with one bucket per
+exact time).  A FIFO's insertion order is its schedule order, so calls
+run in (time, schedule order), the order of a ``(time, seq)`` heap,
+without a sequence counter, and a zero-delay call never touches the
+heap.  All randomness goes through the simulator-owned
+:class:`random.Random` instance.
 
-Cancellation uses *lazy deletion with amortized compaction*: a cancelled
-entry stays in the heap (removal from the middle of a binary heap is
-O(n)), but the simulator counts dead entries and rebuilds the heap once
-they outnumber the live ones.  The rebuild is O(live + dead) and is paid
-at most once per O(heap) cancellations, so cancels stay amortized O(1)
-while the heap the hot ``heappush``/``heappop`` path sees stays within 2x
-of the live event count.  This matters because the MAGIC model arms a
-long-deadline timeout for *every* outstanding memory operation and
-cancels it a few hundred simulated nanoseconds later — without
-compaction the heap is dominated by dead timers.
-
-Compaction preserves event order exactly: entries are totally ordered by
-``(time, seq)`` and ``heapify`` over any subset replays them identically,
-so runs are bit-identical with compaction on or off (the determinism
-directed test in ``tests/test_sim_kernel.py`` asserts this).
+The entry is the caller's handle for :meth:`Simulator.cancel`.
+Cancellation is *lazy deletion with amortized compaction*: a dead entry
+stays queued until the dead outnumber the live, then every FIFO is
+filtered in place.  That keeps the queue within 2x of the live count at
+amortized O(1) per cancel — MAGIC arms and soon cancels a long-deadline
+timeout for *every* memory operation — and, as filtering never reorders,
+runs are bit-identical with compaction on or off (DESIGN.md §12;
+``tests/test_sim_kernel.py`` and ``tests/test_sim_differential.py``).
 """
 
 import itertools
 import random
+from collections import deque
 from heapq import heapify, heappop, heappush
-
-
-class ScheduledCall:
-    """Handle for a scheduled callback; allows cancellation."""
-
-    __slots__ = ("time", "callback", "args", "cancelled", "_sim")
-
-    def __init__(self, sim, time, callback, args):
-        self.time = time
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self._sim = sim
-
-    def cancel(self):
-        """Prevent the callback from running when its time arrives.
-
-        Idempotent, and a no-op on a call that already ran (the engine
-        marks consumed entries), so wakers and their cancellers can race
-        without skewing the simulator's dead-entry accounting.  The
-        compaction trigger is inlined here because MAGIC cancels several
-        watchdogs per completed memory op — this is a hot path.
-        """
-        if self.cancelled:
-            return
-        self.cancelled = True
-        sim = self._sim
-        sim._cancelled = cancelled = sim._cancelled + 1
-        if cancelled >= sim._compact_min and cancelled * 2 > len(sim._heap):
-            sim._compact()
 
 
 class Simulator:
@@ -65,23 +34,25 @@ class Simulator:
         Seed for the simulator-owned RNG.  All stochastic model decisions
         must draw from :attr:`rng` so that runs are reproducible.
     compact_min_cancelled:
-        Dead-entry floor below which the heap is never compacted
+        Dead-entry floor below which the queue is never compacted
         (defaults to :attr:`COMPACT_MIN_CANCELLED`; tests override it to
         force or forbid compaction).
     """
 
     #: default floor on dead entries before a compaction can trigger —
-    #: keeps tiny heaps from churning through pointless rebuilds
+    #: keeps tiny queues from churning through pointless rebuilds
     COMPACT_MIN_CANCELLED = 64
 
     def __init__(self, seed=0, compact_min_cancelled=None):
         self._now = 0.0
-        self._heap = []
-        self._cancelled = 0       # dead entries still sitting in the heap
+        self._fifos = {}          # due time -> deque of [callback, args]
+        self._times = []          # heap of the keys of _fifos
+        self._cancelled = 0       # dead entries still sitting in a FIFO
+        self._scheduled = 0       # see heap_size
+        self._kills = 0           # cancels that killed a queued entry
         self._compact_min = (self.COMPACT_MIN_CANCELLED
                              if compact_min_cancelled is None
                              else compact_min_cancelled)
-        self._seq = itertools.count()
         self.rng = random.Random(seed)
         #: the machine's id streams: packet uids (stamped as a packet
         #: enters the fabric), default store values and router-control
@@ -93,7 +64,7 @@ class Simulator:
         #: executed (non-cancelled) events — the telemetry bench divides
         #: this by wall time for its events/sec throughput figure
         self.events_executed = 0
-        #: heap rebuilds performed (compaction effectiveness telemetry)
+        #: queue rebuilds performed (compaction effectiveness telemetry)
         self.compactions = 0
         #: optional :class:`~repro.telemetry.profiler.SimProfiler`; the
         #: dispatch site below uses the §9 zero-cost guard idiom, so a
@@ -107,12 +78,19 @@ class Simulator:
         return self._now
 
     def schedule(self, delay, callback, *args):
-        """Run ``callback(*args)`` after ``delay`` ns; returns a handle."""
-        if delay < 0:
+        """Run ``callback(*args)`` after ``delay`` ns; returns a handle
+        for :meth:`cancel`."""
+        if not delay >= 0.0:      # also rejects NaN
             raise ValueError("cannot schedule in the past (delay=%r)" % delay)
-        call = ScheduledCall(self, self._now + delay, callback, args)
-        heappush(self._heap, (call.time, next(self._seq), call))
-        return call
+        time = self._now + delay
+        entry = [callback, args]
+        fifo = self._fifos.get(time)
+        if fifo is None:
+            self._fifos[time] = fifo = deque()
+            heappush(self._times, time)
+        fifo.append(entry)
+        self._scheduled += 1
+        return entry
 
     def schedule_at(self, time, callback, *args):
         """Run ``callback(*args)`` at absolute time ``time``.
@@ -127,6 +105,21 @@ class Simulator:
             delay = 0.0
         return self.schedule(delay, callback, *args)
 
+    def cancel(self, handle):
+        """Prevent a scheduled call from running when its time arrives.
+
+        Idempotent, and a no-op on a call that already ran (the loop
+        empties the entry it takes), so wakers and their cancellers can
+        race without skewing the dead-entry count that drives compaction.
+        """
+        if handle[0] is None:
+            return
+        handle[0] = None
+        self._kills += 1
+        self._cancelled = cancelled = self._cancelled + 1
+        if cancelled >= self._compact_min and cancelled * 2 > self.heap_size:
+            self._compact()
+
     def spawn(self, generator, name=None):
         """Create a :class:`Process` driving ``generator``; starts at now."""
         from repro.sim.process import Process
@@ -134,17 +127,19 @@ class Simulator:
         return Process(self, generator, name=name)
 
     def _loop(self, until=None, predicate=None, limit=None, once=False):
-        """The event loop: pop, skip dead entries, advance the clock,
+        """The event loop: take the next live entry, advance the clock,
         dispatch.  :meth:`step`, :meth:`run` and :meth:`run_until` are
         this one body with different stop conditions.
 
         Returns True when stopped by ``once`` or a true ``predicate``,
-        False when the heap drained or its next live event lies past
-        ``until`` (that event stays in the heap).  The alias ``heap``
-        stays valid across callbacks because :meth:`_compact` rebuilds
-        the list in place.
+        False when the queue drained or its next live event lies past
+        ``until`` (that event stays queued).  Only leaving the current
+        instant consults the heap and ``until``; once the held ``fifo``
+        is empty the heap is re-read, as compaction may have unkeyed it.
         """
-        heap = self._heap
+        fifos = self._fifos
+        times = self._times
+        fifo = None
         while True:
             if predicate is not None:
                 if predicate():
@@ -152,23 +147,38 @@ class Simulator:
                 if limit is not None and self._now > limit:
                     raise TimeoutError(
                         "run_until exceeded limit of %r ns" % limit)
-            while heap and heap[0][2].cancelled:
-                heappop(heap)
+            while fifo:
+                entry = fifo.popleft()
+                if entry[0] is not None:
+                    break
                 self._cancelled -= 1
-            if not heap or (until is not None and heap[0][0] > until):
-                return False
-            time, _seq, call = heappop(heap)
-            # Mark the entry consumed so a later cancel() (the common
-            # case: a process cancelling the very timeout that woke it)
-            # is a no-op instead of a dead-entry miscount.
-            call.cancelled = True
-            self._now = time
+            else:
+                # The held FIFO is spent (or none is held): drop spent
+                # FIFOs and dead heads *before* the ``until`` test, then
+                # advance the clock to the first live entry's time.
+                while times:
+                    time = times[0]
+                    fifo = fifos[time]
+                    while fifo and fifo[0][0] is None:
+                        fifo.popleft()
+                        self._cancelled -= 1
+                    if fifo:
+                        break
+                    del fifos[heappop(times)]
+                else:
+                    return False
+                if until is not None and time > until:
+                    return False
+                self._now = time
+                entry = fifo.popleft()
+            callback, args = entry
+            entry[0] = None       # consumed: a later cancel is a no-op
             self.events_executed += 1
             prof = self.profiler
             if prof is not None:
-                prof.dispatch(call.callback, call.args)
+                prof.dispatch(callback, args)
             else:
-                call.callback(*call.args)
+                callback(*args)
             if once:
                 return True
 
@@ -177,7 +187,7 @@ class Simulator:
         return self._loop(once=True)
 
     def run(self, until=None):
-        """Run until the heap is empty or the clock passes ``until``."""
+        """Run until the queue is empty or the clock passes ``until``."""
         self._loop(until=until)
         if until is not None and until > self._now:
             self._now = until
@@ -198,24 +208,30 @@ class Simulator:
     # -- lazy-deletion bookkeeping -----------------------------------------
 
     def _compact(self):
-        """Rebuild the heap without its dead entries.
-
-        ``heapify`` over ``(time, seq, call)`` tuples reproduces exactly
-        the pop order of the unfiltered heap minus the dead entries, so
-        compaction is invisible to the simulation.
-        """
-        heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
-        heapify(heap)
+        """Drop every dead entry, and every due time left without a live
+        one.  FIFOs are filtered in place (the loop may hold one) and keep
+        their order, so compaction is invisible to the simulation."""
+        fifos = self._fifos
+        for time, fifo in list(fifos.items()):
+            live = [entry for entry in fifo if entry[0] is not None]
+            if len(live) != len(fifo):
+                fifo.clear()
+                fifo.extend(live)
+            if not live:
+                del fifos[time]
+        self._times[:] = fifos
+        heapify(self._times)
         self._cancelled = 0
         self.compactions += 1
 
     @property
     def pending_events(self):
         """Number of live (non-cancelled) scheduled events."""
-        return len(self._heap) - self._cancelled
+        return self.heap_size - self._cancelled
 
     @property
     def heap_size(self):
-        """Raw heap length including not-yet-reclaimed cancelled entries."""
-        return len(self._heap)
+        """Queued entries, including not-yet-reclaimed cancelled ones:
+        every scheduled entry ran, was reclaimed dead, or is queued."""
+        return (self._scheduled - self.events_executed - self._kills
+                + self._cancelled)

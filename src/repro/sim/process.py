@@ -150,7 +150,7 @@ class Process:
         self.result = None
         self.exception = None
         self.exit_event = Event(sim, name="%s.exit" % self.name)
-        self._pending_timeout = None       # ScheduledCall handle
+        self._pending_timeout = None       # Simulator.schedule handle
         self._pending_wait = None          # object with .detach()
         self._executing = False            # generator currently running
         self._kill_requested = False       # self-kill during execution
@@ -221,7 +221,7 @@ class Process:
     def _cancel_pending_wait(self):
         timeout = self._pending_timeout
         if timeout is not None:
-            timeout.cancel()
+            self.sim.cancel(timeout)
             self._pending_timeout = None
         wait = self._pending_wait
         if wait is not None:

@@ -4,11 +4,30 @@ from tests.helpers import RawMachine
 from repro.common.errors import BusError
 from repro.common.types import DirState
 from repro.node.processor import Load, Store, UncachedLoad
+from repro.telemetry.trace import TraceRecorder
 
 
 def remote_line(machine, home_node, index=0):
     start, _ = machine.address_map.usable_range(home_node)
     return start + index * machine.params.line_size
+
+
+def traced(machine):
+    """Attach one recorder to every router, interface and controller."""
+    recorder = TraceRecorder(machine.sim)
+    for router in machine.network.routers:
+        router.trace = recorder
+    for node in machine.nodes:
+        node.magic.trace = node.magic.ni.trace = recorder
+    return recorder
+
+
+def injected(machine, recorder, packet, node_id):
+    """Put ``packet`` straight into ``node_id``'s inbox, its causal chain
+    rooted at a fresh event so a detector's ``cause=`` edge is checkable."""
+    packet.cause_eid = recorder.emit("test", "origin")
+    machine.node(node_id).magic.ni.inbox.put(packet)
+    return packet.cause_eid
 
 
 class TestFailureDetectors:
@@ -45,10 +64,18 @@ class TestFailureDetectors:
         def program():
             yield Load(line)
 
+        recorder = traced(machine)
         machine.node(0).processor.run_program(program())
         machine.run(until=5_000_000)
         assert "nak_overflow" in triggers
         assert machine.node(0).magic.stats.nak_overflows >= 1
+        # The overflow descends from the NAK whose handling tripped it:
+        # the last NAK node 0 received before the detection.
+        detect = recorder.events_of("detect", "nak_overflow")[0]
+        nak_recvs = [event.eid for event in recorder.events_of("pkt", "recv")
+                     if event.node == 0 and event.eid < detect.eid
+                     and event.data["kind"] == str(MessageKind.NAK)]
+        assert detect.cause == nak_recvs[-1]
 
     def test_truncated_packet_triggers_recovery(self):
         triggers = []
@@ -61,10 +88,28 @@ class TestFailureDetectors:
                              {"line": remote_line(machine, 1),
                               "value": "x"})
         packet.truncate()
-        magic.ni.inbox.put(packet)
+        recorder = traced(machine)
+        cause = injected(machine, recorder, packet, 1)
         machine.run(until=100_000)
         assert "truncated_packet" in triggers
         assert magic.stats.truncated_received == 1
+        (detect,) = recorder.events_of("detect", "truncated")
+        assert detect.cause == cause
+
+    def test_stray_message_descends_from_its_packet(self):
+        # A writeback from a node that never owned the line is a stray at
+        # the home; its trace event hangs off the packet that caused it.
+        machine = RawMachine()
+        from repro.coherence.messages import MessageKind, make_packet
+        packet = make_packet(machine.params, 0, 1, MessageKind.PUT,
+                             {"line": remote_line(machine, 1),
+                              "value": "x"})
+        recorder = traced(machine)
+        cause = injected(machine, recorder, packet, 1)
+        machine.run(until=100_000)
+        (stray,) = recorder.events_of("protocol", "stray")
+        assert stray.data["reason"] == "put-without-ownership"
+        assert stray.cause == cause
 
     def test_firmware_assertion_triggers_recovery(self):
         triggers = []

@@ -481,11 +481,26 @@ class TestCoalescedWakeups:
         assert [p.kind for _, p in received] == ["early"]
 
 
-def fabric_burst():
+class AfterEvent:
+    """A ``Simulator.profiler`` stand-in that runs ``check()`` after every
+    event: dispatch is the one hook every event passes through."""
+
+    def __init__(self, check):
+        self.check = check
+
+    def dispatch(self, callback, args):
+        callback(*args)
+        self.check()
+
+
+def fabric_burst(after_event=None):
     """8-node mesh, input buffers of 2: every node sends 6 packets to
-    every other, alternating REQUEST/REPLY; link 1-2 fails mid-burst."""
+    every other, alternating REQUEST/REPLY; link 1-2 fails mid-burst.
+    ``after_event(network)``, when given, runs after every event."""
     sim = Simulator(seed=1)
     network = Network(sim, TimingParams(buffer_capacity=2), Mesh2D(4, 2))
+    if after_event is not None:
+        sim.profiler = AfterEvent(lambda: after_event(network))
     network.start()
     deliveries = []
     index_of = {}                    # uid -> per-source index
@@ -601,3 +616,55 @@ def test_fabric_burst_matches_pinned_event_stream():
         34, 34, 36, 36, 33, 32, 34, 34]
     assert [s.dropped_link for s in stats] == [0, 28, 35, 0, 0, 0, 0, 0]
     assert tuple(deliveries) == PINNED_BURST_DELIVERIES
+
+
+def assert_occupancy_masks_match(network):
+    """Each router's scan mask names exactly its non-empty buffers."""
+    for router in network.routers:
+        occupied = sum(router._bits[key]
+                       for key, buffer in router._buffers.items() if buffer)
+        assert router._occupied == occupied, router
+
+
+class TestOccupancyMask:
+    def test_mask_tracks_buffers_through_burst(self):
+        checked = []
+
+        def check(network):
+            assert_occupancy_masks_match(network)
+            checked.append(network.sim.now)
+
+        sim, _, deliveries = fabric_burst(after_event=check)
+        assert len(checked) == sim.events_executed == 4017
+        assert tuple(deliveries) == PINNED_BURST_DELIVERIES
+
+    def test_mask_tracks_buffers_through_router_failure(self):
+        sim, _, network = build(3, 1, magic_inbox_capacity=1,
+                                buffer_capacity=1)
+        sim.profiler = AfterEvent(
+            lambda: assert_occupancy_masks_match(network))
+        network.wedge_node_interface(2)
+        for _ in range(6):
+            network.interface(0).send(
+                Packet(src=0, dst=2, lane=Lane.REQUEST, kind="through"))
+        sim.run(until=100_000)
+        assert network.router(1)._occupied != 0
+        network.fail_router(1)
+        assert_occupancy_masks_match(network)
+        sim.run(until=1_000_000)
+        assert network.router(1)._occupied == 0
+
+    def test_mask_tracks_buffers_through_stall_discards(self):
+        sim, _, network = build(3, 1, recovery_stall_discard=1_000.0,
+                                recovery_buffer_capacity=2,
+                                magic_inbox_capacity=2)
+        sim.profiler = AfterEvent(
+            lambda: assert_occupancy_masks_match(network))
+        network.wedge_node_interface(1)
+        for _ in range(10):
+            network.interface(0).send(
+                Packet(src=0, dst=1, lane=Lane.RECOVERY_A, kind="rec",
+                       source_route=[Mesh2D.EAST]))
+        sim.run(until=10_000_000)
+        assert network.router(1).stats.dropped_stall >= 1
+        assert network.total_buffered_packets() == 0

@@ -37,11 +37,26 @@ def test_schedule_negative_delay_rejected():
         sim.schedule(-1, lambda: None)
 
 
+def test_schedule_rejects_nan():
+    # ``nan < 0`` is False, so a NaN delay once slipped past the check:
+    # the call ran out of time order and the clock passed through NaN.
+    sim = Simulator()
+    log = []
+    sim.schedule(1, log.append, "one")
+    sim.schedule(5, log.append, "five")
+    with pytest.raises(ValueError):
+        sim.schedule(float("nan"), log.append, "nan")
+    with pytest.raises(ValueError):
+        sim.schedule_at(float("nan"), log.append, "nan")
+    sim.run()
+    assert (log, sim.now, sim.pending_events) == (["one", "five"], 5.0, 0)
+
+
 def test_cancelled_call_does_not_run():
     sim = Simulator()
     log = []
     handle = sim.schedule(10, log.append, "x")
-    handle.cancel()
+    sim.cancel(handle)
     sim.run()
     assert log == []
 
@@ -372,7 +387,7 @@ def test_pending_events_excludes_cancelled():
     sim = Simulator(compact_min_cancelled=10**9)   # compaction off
     handles = [sim.schedule(10 + i, lambda: None) for i in range(8)]
     for handle in handles[:5]:
-        handle.cancel()
+        sim.cancel(handle)
     assert sim.pending_events == 3
     assert sim.heap_size == 8
 
@@ -390,7 +405,7 @@ def test_cancel_storm_keeps_heap_bounded():
         for _ in range(ops):
             timer = sim.schedule(1_000_000.0, pytest.fail)
             yield 10.0
-            timer.cancel()
+            sim.cancel(timer)
             peak["heap"] = max(peak["heap"], sim.heap_size)
 
     sim.spawn(stream())
@@ -406,8 +421,8 @@ def test_cancel_after_fire_does_not_corrupt_accounting():
     sim = Simulator()
     handle = sim.schedule(5, lambda: None)
     sim.run()
-    handle.cancel()
-    handle.cancel()
+    sim.cancel(handle)
+    sim.cancel(handle)
     assert sim._cancelled == 0
     assert sim.pending_events == 0
 
@@ -424,7 +439,7 @@ def _compaction_workload(sim, log):
                     50_000.0 + step_no, log.append,
                     ("fired", worker_id, step_no)))
             elif armed and roll < 0.85:
-                armed.pop(0).cancel()
+                sim.cancel(armed.pop(0))
             yield 1.0 + (roll * 5.0)
             log.append(("tick", worker_id, step_no, sim.now))
 
@@ -557,7 +572,7 @@ def test_run_until_limit_and_drained_heap():
 def test_step_on_empty_or_dead_heap_returns_false():
     sim = Simulator()
     assert sim.step() is False
-    sim.schedule(5, lambda: None).cancel()
+    sim.cancel(sim.schedule(5, lambda: None))
     assert sim.step() is False
     assert sim.heap_size == 0
     fired = []
