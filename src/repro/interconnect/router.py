@@ -100,7 +100,7 @@ class NodeInterface:
         self._reserved += 1
 
     def complete_delivery(self, packet):
-        self._reserved = max(0, self._reserved - 1)
+        self._reserved -= 1
         if self.failed:
             tr = self.trace
             if tr is not None:
@@ -213,7 +213,6 @@ class Router:
         self.params = params
         self.router_id = router_id
         self.links = {}              # port -> Link
-        self._ports = {}             # port -> (link, downstream, its port)
         self.node_interface = None   # NodeInterface on LOCAL_PORT
         self.table = {}              # dst node -> port (normal lanes)
         self.discard_ports = set()   # isolation during interconnect recovery
@@ -222,49 +221,51 @@ class Router:
         self.trace = None            # telemetry recorder (None: disabled)
         self.fault_lineage = None    # (root id, inject eid) when failed
 
-        self._lane_capacity = {
-            lane: (params.recovery_buffer_capacity
-                   if lane in _RECOVERY_LANES else params.buffer_capacity)
-            for lane in Lane}
-        self._buffers = {}           # (port, lane) -> deque of packets
-        self._scan_order = ()        # (key, port, lane, deque, recovery?)
-        self._bits = {}              # (port, lane) -> its scan-order bit
+        self._inputs = {}            # port -> its _Buffers, indexed by lane
+        self._outputs = {}           # link port -> _Output
+        self._local_busy_until = 0.0 # the local port's output (the NI)
+        self._scan_order = ()        # every _Buffer, in scan order
         self._occupied = 0           # bits of the non-empty buffers
-        self._head_since = {}        # (port, lane) -> time current head stalled
-        self._reserved = {}          # (port, lane) -> credits handed upstream
-        self._output_busy_until = {} # port -> time
         self._idle = False           # started and no scan on the heap
         self._dirty = False
 
     # -- wiring ---------------------------------------------------------------
 
+    def _add_inputs(self, port, feeder):
+        """One buffer per lane on ``port``; ``feeder`` is woken whenever
+        one of them frees a slot."""
+        buffers = tuple(_Buffer(port, lane, self.params, feeder)
+                        for lane in sorted(Lane))
+        self._inputs[port] = buffers
+        self._rebuild_scan_order()
+        return buffers
+
     def attach_link(self, port, link):
         self.links[port] = link
-        self._ports[port] = (link,) + link.other_side(self.router_id)
-        for lane in Lane:
-            self._buffers[(port, lane)] = deque()
-            self._reserved[(port, lane)] = 0
-        self._output_busy_until[port] = 0.0
-        self._rebuild_scan_order()
+        downstream, downstream_port = link.other_side(self.router_id)
+        inputs = self._add_inputs(port, downstream.notify)
+        output = self._outputs[port] = _Output(link, downstream)
+        # Each end's output feeds the other end's input buffers, so both
+        # directions are resolved when the second end is wired.
+        far = downstream._outputs.get(downstream_port)
+        if far is not None:
+            output.targets = downstream._inputs[downstream_port]
+            far.targets = inputs
 
     def attach_node(self, node_interface):
         self.node_interface = node_interface
         node_interface.router = self
-        for lane in Lane:
-            self._buffers[(LOCAL_PORT, lane)] = deque()
-            self._reserved[(LOCAL_PORT, lane)] = 0
-        self._output_busy_until[LOCAL_PORT] = 0.0
-        self._rebuild_scan_order()
+        self._add_inputs(LOCAL_PORT, node_interface.notify_space)
 
     def _rebuild_scan_order(self):
         """Buffers only appear at wiring time, so the deterministic scan
         order, and each buffer's bit in the occupancy mask, are computed
         here instead of re-sorting on every wakeup."""
-        keys = sorted(self._buffers, key=lambda k: (k[0], int(k[1])))
-        self._bits = {key: 1 << pos for pos, key in enumerate(keys)}
         self._scan_order = tuple(
-            (key, key[0], key[1], self._buffers[key],
-             key[1] in _RECOVERY_LANES) for key in keys)
+            buffer for port in sorted(self._inputs)
+            for buffer in self._inputs[port])
+        for pos, buffer in enumerate(self._scan_order):
+            buffer.bit = 1 << pos
 
     def start(self):
         """Schedule the first forwarding scan."""
@@ -288,26 +289,27 @@ class Router:
                     dst=packet.dst, lane=packet.lane.name, uid=packet.uid,
                     root=root, line=_payload_line(packet))
 
-    def receive(self, packet, port, lane):
-        """A transfer completed: enqueue the packet at an input buffer."""
-        key = (port, lane)
-        self._reserved[key] = max(0, self._reserved[key] - 1)
+    def receive(self, packet, buffer):
+        """A transfer completed: enqueue the packet at input ``buffer``,
+        returning the credit its sender reserved.  A failed router sinks
+        the packet; its credits are never read again."""
         if self.failed:
             self.stats.dropped_failed += 1
             self._note_drop("failed_router", packet, self.fault_lineage)
             return
+        buffer.reserved -= 1
         if packet.source_route is not None:
-            packet.trace_ports.append(port)
+            packet.trace_ports.append(buffer.port)
         packet.hops += 1
-        self._enqueue(key, packet)
+        self._enqueue(buffer, packet)
 
-    def _enqueue(self, key, packet):
-        """Queue ``packet`` at input buffer ``key`` and wake the scan."""
-        buffer = self._buffers[key]
-        if not buffer:
-            self._head_since[key] = self.sim.now
-        buffer.append(packet)
-        self._occupied |= self._bits[key]
+    def _enqueue(self, buffer, packet):
+        """Queue ``packet`` at ``buffer`` and wake the scan."""
+        queue = buffer.queue
+        if not queue:
+            buffer.head_since = self.sim.now
+        queue.append(packet)
+        self._occupied |= buffer.bit
         self.notify()
 
     # -- local injection ----------------------------------------------------------
@@ -318,11 +320,10 @@ class Router:
             self.stats.dropped_failed += 1
             self._note_drop("failed_router", packet, self.fault_lineage)
             return True
-        key = (LOCAL_PORT, packet.lane)
-        if (len(self._buffers[key]) + self._reserved[key]
-                >= self._lane_capacity[packet.lane]):
+        buffer = self._inputs[LOCAL_PORT][packet.lane]
+        if len(buffer.queue) + buffer.reserved >= buffer.capacity:
             return False
-        self._enqueue(key, packet)
+        self._enqueue(buffer, packet)
         return True
 
     # -- forwarding engine -----------------------------------------------------------
@@ -362,51 +363,43 @@ class Router:
             if not pending:
                 return
             pos += (pending & -pending).bit_length() - 1
-            key, port, lane, buffer, recovery = order[pos]
-            while buffer:
-                if try_forward(buffer[0], port, lane, now):
-                    buffer.popleft()
-                    if buffer:
-                        self._head_since[key] = now
+            buffer = order[pos]
+            queue = buffer.queue
+            while queue:
+                if try_forward(queue[0], buffer, now):
+                    queue.popleft()
+                    if queue:
+                        buffer.head_since = now
                     else:
-                        self._occupied &= ~(1 << pos)
-                    self._credit_upstream(port)
+                        self._occupied &= ~buffer.bit
+                    buffer.wake_feeder()
                     continue
-                if recovery:
-                    self._maybe_stall_discard(key, buffer, port, now)
+                if buffer.recovery:
+                    self._maybe_stall_discard(buffer, now)
                 break
             pos += 1
 
-    def _maybe_stall_discard(self, key, buffer, port, now):
+    def _maybe_stall_discard(self, buffer, now):
         """Discard a long-stalled recovery-lane head packet (paper §4.1)."""
-        stalled_for = now - self._head_since.get(key, now)
+        stalled_for = now - buffer.head_since
         threshold = self.params.recovery_stall_discard
         if stalled_for >= threshold:
-            packet = buffer.popleft()
+            queue = buffer.queue
+            packet = queue.popleft()
             self.stats.dropped_stall += 1
             self._note_drop("stall", packet)
-            if buffer:
-                self._head_since[key] = now
+            if queue:
+                buffer.head_since = now
             else:
-                self._occupied &= ~self._bits[key]
-            self._credit_upstream(port)
+                self._occupied &= ~buffer.bit
+            buffer.wake_feeder()
             self.notify()
         else:
             # Re-check when the threshold would be crossed.
             self.sim.schedule(threshold - stalled_for, self.notify)
 
-    def _credit_upstream(self, port):
-        """A slot freed on ``port``: wake whoever feeds that buffer."""
-        if port == LOCAL_PORT:
-            if self.node_interface is not None:
-                self.node_interface.notify_space()
-            return
-        wired = self._ports.get(port)
-        if wired is not None:
-            wired[1].notify()
-
-    def _try_forward(self, packet, in_port, lane, now):
-        """Move the head packet of an input buffer one step.
+    def _try_forward(self, packet, buffer, now):
+        """Move the head packet of input ``buffer`` one step.
 
         Returns True when it left the buffer (forwarded, delivered, handled
         by the router or dropped) and False when it is blocked.  The checks
@@ -445,25 +438,25 @@ class Router:
         if out_port == LOCAL_PORT:
             return self._deliver_local(packet, now)
 
-        if out_port == in_port and route is None:
+        if out_port == buffer.port and route is None:
             # Table inconsistency during reconfiguration: drop rather than
             # bounce forever.
             self.stats.dropped_unroutable += 1
             self._note_drop("bounce", packet)
             return True
 
-        wired = self._ports.get(out_port)
-        if wired is None:
+        output = self._outputs.get(out_port)
+        if output is None:
             self.stats.dropped_unroutable += 1
             self._note_drop("no_link", packet)
             return True
-        link, downstream, downstream_port = wired
 
-        busy_until = self._output_busy_until[out_port]
+        busy_until = output.busy_until
         if busy_until > now:
             self.sim.schedule(busy_until - now, self.notify)
             return False
 
+        link = output.link
         if link.failed:
             # Black hole: the packet is sunk (paper §4.1).
             self.stats.dropped_link += 1
@@ -478,20 +471,19 @@ class Router:
 
         # Credit: reserve a downstream slot (a failed router sinks anything
         # sent at it, so it always has room).
+        downstream = output.downstream
+        target = output.targets[buffer.lane]
         if not downstream.failed:
-            key = (downstream_port, lane)
-            reserved = downstream._reserved
-            if (len(downstream._buffers[key]) + reserved[key]
-                    >= downstream._lane_capacity[lane]):
+            if len(target.queue) + target.reserved >= target.capacity:
                 return False
-            reserved[key] += 1
+            target.reserved += 1
 
         if route is not None:
             packet.route_index += 1
         params = self.params
         serialization = packet.flits * params.flit_time
-        self._output_busy_until[out_port] = now + serialization
-        record = _Transfer(packet, link, downstream, downstream_port)
+        output.busy_until = now + serialization
+        record = _Transfer(packet, link, downstream, target)
         link.in_flight.append(record)
         self.sim.schedule(params.hop_latency + serialization,
                           self._complete_transfer, record)
@@ -499,10 +491,8 @@ class Router:
         return True
 
     def _complete_transfer(self, record):
-        if record in record.link.in_flight:
-            record.link.in_flight.remove(record)
-        record.downstream.receive(
-            record.packet, record.downstream_port, record.packet.lane)
+        record.link.in_flight.remove(record)
+        record.downstream.receive(record.packet, record.buffer)
 
     # -- local delivery -------------------------------------------------------------
 
@@ -514,14 +504,14 @@ class Router:
             return True
         if not interface.can_accept():
             return False
-        busy_until = self._output_busy_until[LOCAL_PORT]
+        busy_until = self._local_busy_until
         if busy_until > now:
             self.sim.schedule(busy_until - now, self.notify)
             return False
         interface.reserve()
         params = self.params
         serialization = packet.flits * params.flit_time
-        self._output_busy_until[LOCAL_PORT] = now + serialization
+        self._local_busy_until = now + serialization
         self.sim.schedule(params.hop_latency + serialization,
                           interface.complete_delivery, packet)
         self.stats.delivered_local += 1
@@ -564,10 +554,9 @@ class Router:
     def _inject_reply(self, reply):
         """Queue a router-generated reply as if it came from the local port."""
         reply.uid = next(self.sim.packet_uids)
-        key = (LOCAL_PORT, reply.lane)
-        if (len(self._buffers[key]) + self._reserved[key]
-                < self._lane_capacity[reply.lane]):
-            self._enqueue(key, reply)
+        buffer = self._inputs[LOCAL_PORT][reply.lane]
+        if len(buffer.queue) + buffer.reserved < buffer.capacity:
+            self._enqueue(buffer, reply)
         # else: reply lost under extreme congestion; the sender will retry.
 
     # -- failure & reconfiguration ------------------------------------------------------
@@ -580,10 +569,11 @@ class Router:
         if lineage is not None:
             self.fault_lineage = lineage
         lost = 0
-        for buffer in self._buffers.values():
-            self.stats.dropped_failed += len(buffer)
-            lost += len(buffer)
-            buffer.clear()
+        for buffer in self._scan_order:
+            queue = buffer.queue
+            self.stats.dropped_failed += len(queue)
+            lost += len(queue)
+            queue.clear()
         self._occupied = 0
         tr = self.trace
         if tr is not None:
@@ -601,7 +591,7 @@ class Router:
         self.notify()
 
     def buffered_packet_count(self):
-        return sum(len(b) for b in self._buffers.values())
+        return sum(len(b.queue) for b in self._scan_order)
 
     def __repr__(self):
         state = "FAILED" if self.failed else "up"
@@ -609,13 +599,48 @@ class Router:
             self.router_id, state, self.buffered_packet_count())
 
 
+class _Buffer:
+    """One ``(port, lane)`` input buffer: its packets, the credits handed
+    to its feeder, and its place in the scan."""
+
+    __slots__ = ("port", "lane", "queue", "capacity", "reserved",
+                 "head_since", "bit", "recovery", "wake_feeder")
+
+    def __init__(self, port, lane, params, wake_feeder):
+        self.port = port
+        self.lane = lane
+        self.queue = deque()
+        self.recovery = lane in _RECOVERY_LANES
+        self.capacity = (params.recovery_buffer_capacity if self.recovery
+                         else params.buffer_capacity)
+        self.reserved = 0            # credits handed upstream, in flight
+        self.head_since = 0.0        # when the head packet got to the front
+        self.bit = 0                 # its bit in Router._occupied
+        #: whoever feeds this buffer, woken when a slot frees: the router
+        #: across the link, or the node interface's pump
+        self.wake_feeder = wake_feeder
+
+
+class _Output:
+    """One link port's output side."""
+
+    __slots__ = ("link", "downstream", "busy_until", "targets")
+
+    def __init__(self, link, downstream):
+        self.link = link
+        self.downstream = downstream
+        self.busy_until = 0.0
+        #: the downstream router's input buffers on this link, by lane
+        self.targets = ()
+
+
 class _Transfer:
-    """A packet in flight across a link."""
+    """A packet in flight across a link, toward its input buffer."""
 
-    __slots__ = ("packet", "link", "downstream", "downstream_port")
+    __slots__ = ("packet", "link", "downstream", "buffer")
 
-    def __init__(self, packet, link, downstream, downstream_port):
+    def __init__(self, packet, link, downstream, buffer):
         self.packet = packet
         self.link = link
         self.downstream = downstream
-        self.downstream_port = downstream_port
+        self.buffer = buffer

@@ -47,6 +47,7 @@ class RecoveryComm:
         #: (used to answer pings at any time and to echo dissemination
         #: rounds after this node's own rounds have finished)
         self.auto_handlers = {}
+        self._swept_kinds = frozenset()   # auto_handlers' kinds at last sweep
 
     # ------------------------------------------------------------ raw send
 
@@ -113,8 +114,15 @@ class RecoveryComm:
         return True
 
     def _run_auto_on_pending(self):
-        if not self.auto_handlers:
+        """Offer every buffered packet to the auto-handlers again, but only
+        if the set of handled kinds changed since the last sweep: a packet
+        is buffered only when no handler took it, and handlers are only
+        ever added, so with the same kinds a sweep finds nothing to hand
+        over."""
+        kinds = self.auto_handlers.keys()
+        if kinds == self._swept_kinds:
             return
+        self._swept_kinds = frozenset(kinds)
         remaining = []
         for packet in self._pending:
             if not self._run_auto(packet):

@@ -18,6 +18,8 @@ class Channel:
     def __init__(self, sim, name=None):
         self.sim = sim
         self.name = name or "channel"
+        self._get_name = self.name + ".get"
+        self._watch_name = self.name + ".watch"
         self._items = deque()
         self._getters = deque()
         self._watchers = []
@@ -43,7 +45,7 @@ class Channel:
 
     def get(self):
         """Return an event that fires with the next item (FIFO order)."""
-        event = Event(self.sim, name="%s.get" % self.name)
+        event = Event(self.sim, name=self._get_name)
         if self._items:
             event.trigger(self._items.popleft())
         else:
@@ -58,7 +60,7 @@ class Channel:
 
     def watch(self):
         """Return an event that fires on the next put (without consuming)."""
-        event = Event(self.sim, name="%s.watch" % self.name)
+        event = Event(self.sim, name=self._watch_name)
         self._watchers.append(event)
         return event
 

@@ -205,3 +205,37 @@ class TestRecoveryComm:
         m.run(until=100_000)
         assert seen == [1]
         assert results == [None]   # the ping was consumed, not matched
+
+    def test_handler_registered_later_takes_buffered_packet_once(self):
+        m = machine(num_nodes=4)
+        comm = self.make_comm(m)
+        magic = m.nodes[0].magic
+        from repro.interconnect.packet import Packet
+        from repro.common.types import Lane
+        for kind in (MessageKind.DISSEMINATE, MessageKind.BARRIER_UP):
+            magic.recovery_inbox.put(
+                Packet(1, 0, Lane.RECOVERY_A, kind, payload={"epoch": 1}))
+        calls = []                   # sim time of each handler call
+        marks = {}
+
+        def never(packet):
+            return False
+
+        def proc():
+            # No handler for either kind yet: both are buffered.
+            yield from comm.receive(never, deadline=m.sim.now + 1_000)
+            assert len(comm._pending) == 2
+            comm.auto_handlers[MessageKind.DISSEMINATE] = (
+                lambda packet: calls.append(m.sim.now))
+            marks["registered"] = m.sim.now
+            yield 5_000.0
+            marks["receive"] = m.sim.now
+            yield from comm.receive(never, deadline=m.sim.now + 1_000)
+            for _ in range(3):
+                yield from comm.receive(never, deadline=m.sim.now + 1_000)
+
+        m.sim.spawn(proc())
+        m.run(until=100_000)
+        assert marks["receive"] > marks["registered"]
+        assert calls == [marks["receive"]]
+        assert [p.kind for p in comm._pending] == [MessageKind.BARRIER_UP]

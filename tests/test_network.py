@@ -1,11 +1,14 @@
 """Functional tests for the assembled interconnect fabric."""
 
+from collections import Counter
+
 import pytest
 
 from repro.coherence.messages import MessageKind, make_packet
 from repro.common.params import TimingParams
 from repro.common.types import Lane
 from repro.interconnect.network import Network
+from repro.interconnect.router import NodeInterface, Router
 from repro.interconnect.packet import Packet, ROUTER_PROBE, ROUTER_PROBE_REPLY
 from repro.interconnect.routing import compute_source_route
 from repro.interconnect.topology import Mesh2D
@@ -621,9 +624,84 @@ def test_fabric_burst_matches_pinned_event_stream():
 def assert_occupancy_masks_match(network):
     """Each router's scan mask names exactly its non-empty buffers."""
     for router in network.routers:
-        occupied = sum(router._bits[key]
-                       for key, buffer in router._buffers.items() if buffer)
+        occupied = sum(buffer.bit for buffer in router._scan_order
+                       if buffer.queue)
         assert router._occupied == occupied, router
+
+
+def assert_credits_conserved(network):
+    """Every credit a live router's buffer or any node interface has
+    handed out is owed to a transfer or delivery still on the heap.
+    Returns the number of credits outstanding."""
+    transfers, deliveries = Counter(), Counter()
+    for fifo in network.sim._fifos.values():
+        for callback, args in fifo:
+            function = getattr(callback, "__func__", None)
+            if function is Router._complete_transfer:
+                transfers[id(args[0].buffer)] += 1
+            elif function is NodeInterface.complete_delivery:
+                deliveries[id(callback.__self__)] += 1
+    outstanding = 0
+    for router in network.routers:
+        if router.failed:
+            continue                 # sinks every arrival; never reads them
+        for buffer in router._scan_order:
+            assert buffer.reserved == transfers[id(buffer)], (
+                router, buffer.port, buffer.lane)
+            outstanding += buffer.reserved
+    for interface in network.interfaces:
+        assert interface._reserved == deliveries[id(interface)], interface
+        outstanding += interface._reserved
+    return outstanding
+
+
+class TestCreditConservation:
+    """The credit counts in ``Router.receive`` and
+    ``NodeInterface.complete_delivery`` are plain decrements: these runs
+    show no arrival ever finds its credit missing."""
+
+    def checked_run(self, network, until=None):
+        outstanding = []
+        network.sim.profiler = AfterEvent(
+            lambda: outstanding.append(assert_credits_conserved(network)))
+        network.sim.run(until=until)
+        return outstanding
+
+    def test_credits_conserved_through_burst(self):
+        outstanding = []
+        sim, _, deliveries = fabric_burst(
+            after_event=lambda network: outstanding.append(
+                assert_credits_conserved(network)))
+        assert len(outstanding) == sim.events_executed == 4017
+        assert max(outstanding) > 0 and outstanding[-1] == 0
+        assert tuple(deliveries) == PINNED_BURST_DELIVERIES
+
+    def test_credits_conserved_through_router_failure(self):
+        sim, _, network = build(3, 1, magic_inbox_capacity=1,
+                                buffer_capacity=1)
+        for src, dst in ((0, 2), (2, 0)):
+            drain_all(sim, network, dst, [])
+            for _ in range(6):
+                network.interface(src).send(
+                    Packet(src=src, dst=dst, lane=Lane.REQUEST, kind="x"))
+        sim.schedule(150.0, network.fail_router, 1)
+        outstanding = self.checked_run(network, until=1_000_000)
+        assert network.router(1).failed and max(outstanding) > 0
+        assert network.router(1).stats.dropped_failed > 0
+        assert outstanding[-1] == 0
+
+    def test_credits_conserved_through_link_failure(self):
+        sim, _, network = build(3, 1, buffer_capacity=1)
+        for src, dst in ((0, 2), (2, 0)):
+            drain_all(sim, network, dst, [])
+            for _ in range(6):
+                network.interface(src).send(
+                    Packet(src=src, dst=dst, lane=Lane.REQUEST, kind="x"))
+        sim.schedule(150.0, network.fail_link, 0, 1)
+        outstanding = self.checked_run(network, until=1_000_000)
+        assert network.link_between(0, 1).failed and max(outstanding) > 0
+        assert sum(r.stats.dropped_link for r in network.routers) > 0
+        assert outstanding[-1] == 0
 
 
 class TestOccupancyMask:
