@@ -1,8 +1,12 @@
 """Command-line interface: run paper experiments without writing code.
 
+Each ``cmd_*`` wires its arguments to the subsystem that does the work.
+
 Usage::
 
     python -m repro.cli validate --fault node_failure --target 3
+    python -m repro.cli validate --fault node_failure --target 3 \\
+        --trace trace.json
     python -m repro.cli endtoend --fault infinite_loop --target 5
     python -m repro.cli bench --sizes 4 8 16 32 --topology mesh
     python -m repro.cli campaign --runs 50 --seed 7 \\
@@ -12,10 +16,8 @@ Usage::
 import argparse
 import json
 import os
-import sys
 import time
 
-from repro.analysis.tables import format_table
 from repro.core.config import MachineConfig
 from repro.core.experiment import run_validation_experiment
 from repro.faults.models import LINK_FAULT_TYPES, FaultSpec, FaultType
@@ -35,58 +37,44 @@ def _fault_from_args(args):
                      dwell=getattr(args, "dwell", None))
 
 
-def _run_validation(args, telemetry=None):
-    """The one §5.2 run behind ``validate``, ``trace`` and ``forensics``:
-    the machine and fault the arguments describe; returns the
-    ScheduleResult."""
+def cmd_validate(args):
+    from repro.telemetry import Telemetry
+    from repro.telemetry.forensics import write_run_evidence
+
+    telemetry = Telemetry(max_events=args.max_events) if args.trace else None
     config = MachineConfig(
         num_nodes=args.nodes_count, mem_per_node=args.mem_kb << 10,
-        l2_size=args.l2_kb << 10, seed=args.seed,
-        firewall_enabled=not getattr(args, "no_firewall", False))
-    return run_validation_experiment(
+        l2_size=args.l2_kb << 10, seed=args.seed)
+    result = run_validation_experiment(
         _fault_from_args(args), config=config, seed=args.seed,
         telemetry=telemetry)
-
-
-def cmd_validate(args):
-    result = _run_validation(args)
-    print(result)
-    for problem in result.problems:
-        print("  !", problem)
-    if not result.reports:
-        # A transient fault can heal before any detector fires.
-        print("recovery: never triggered (fault healed undetected)")
-    for index, report in enumerate(result.reports):
-        print("recovery episode %d: %.2f ms, %d restart(s), survivors %s, "
-              "%d lines marked incoherent"
-              % (index, report.total_duration / 1e6, report.restarts,
-                 sorted(report.available_nodes), report.marked_incoherent))
-    return 0 if result.passed else 1
+    episodes = len(result.reports)
+    if args.episode is not None and not 0 <= args.episode < episodes:
+        raise SystemExit("--episode %d out of range (run has %d "
+                         "episode(s))" % (args.episode, episodes))
+    print(result.describe(args.episode))
+    if telemetry is None:
+        return 0 if result.passed else 1
+    audit = write_run_evidence(
+        telemetry.recorder, args.trace,
+        label="repro %d nodes, %s" % (args.nodes_count, args.fault),
+        episode=None if args.episode is None
+        else result.reports[args.episode])
+    return 0 if result.passed and audit.verdict != "escape" else 1
 
 
 def cmd_endtoend(args):
     from repro.hive.endtoend import run_end_to_end_experiment
     from repro.hive.os import HiveConfig
+
     config = HiveConfig(
         cells=args.nodes_count, seed=args.seed,
         mem_per_node=args.mem_kb << 10, l2_size=args.l2_kb << 10,
         os_incoherent_bug_rate=args.bug_rate)
     result = run_end_to_end_experiment(
         _fault_from_args(args), hive_config=config)
-    print(format_table(
-        "End-to-end run: %s" % _fault_from_args(args),
-        ["metric", "value"],
-        [
-            ("hardware recovered", result.recovered),
-            ("OS recovered", result.os_recovered),
-            ("compiles expected to survive", result.compiles_expected),
-            ("compiles correct", result.compiles_correct),
-            ("run failed", result.failed),
-            ("failure reason", result.failure_reason or "-"),
-            ("HW recovery [ms]", "%.2f" % (result.hw_recovery_ns / 1e6)),
-            ("OS recovery [ms]", "%.2f" % (result.os_recovery_ns / 1e6)),
-        ]))
-    return 0 if not result.failed else 1
+    print(result.table())
+    return 1 if result.failed else 0
 
 
 def _pool_runner(args, **kwargs):
@@ -154,33 +142,16 @@ def cmd_campaign(args):
 
 
 def cmd_fuzz(args):
-    from repro.campaign.records import RunStatus
-    from repro.campaign.runner import print_failure, run_schedule_isolated
     from repro.campaign.shrink import shrink_failures
-    from repro.fuzz.engine import SHRINK_CHECKS, FuzzEngine, format_report
-    from repro.fuzz.mutate import derive_mutant_seed, rebuild_from_lineage
+    from repro.fuzz.engine import (SHRINK_CHECKS, FuzzEngine,
+                                   format_report, replay_lineage)
 
     if args.replay:
-        try:
-            schedule = rebuild_from_lineage(
-                args.seed, args.replay, num_nodes=args.nodes_count,
-                topology=args.topology)
-        except ValueError as exc:
-            raise SystemExit("bad --replay lineage: %s" % exc)
-        seed = derive_mutant_seed(args.seed, args.replay)
-        record = run_schedule_isolated(
-            schedule, seed, timeout_s=args.timeout,
+        passed = replay_lineage(
+            args.seed, args.replay, args.nodes_count, args.topology,
+            as_json=args.summary_json, timeout_s=args.timeout,
             mem_per_node=args.mem_kb << 10, l2_size=args.l2_kb << 10)
-        if args.summary_json:
-            print(json.dumps(record.to_dict(), sort_keys=True))
-        else:
-            print("replay %s" % args.replay)
-            print("  schedule: %s" % schedule)
-            print("  machine seed: %d" % seed)
-            print("  -> [%s]" % record.status.value)
-            if record.status is not RunStatus.PASS:
-                print_failure(record)
-        return 0 if record.status is RunStatus.PASS else 1
+        return 0 if passed else 1
 
     out_dir = args.out or "fuzz_seed%d" % args.seed
     records_path = os.path.join(out_dir, "records.jsonl")
@@ -211,182 +182,38 @@ def cmd_fuzz(args):
     return 0
 
 
-def _format_episode(index, report):
-    """Critical-path summary of one completed recovery episode."""
-    lines = ["episode %d: trigger %s on node %s at %.3f ms, total %.3f ms"
-             % (index, report.trigger_reason, report.trigger_node,
-                report.trigger_time / 1e6, report.total_duration / 1e6)]
-    if report.restarts:
-        lines.append("  restarts: %d" % report.restarts)
-    for phase, (node, latency) in report.critical_path().items():
-        lines.append("  %s done at +%.3f ms (critical node %s)"
-                     % (phase, latency / 1e6, node))
-    return "\n".join(lines)
-
-
-def cmd_trace(args):
-    from repro.telemetry import Telemetry, write_chrome_trace
-
-    telemetry = Telemetry(max_events=args.max_events)
-    result = _run_validation(args, telemetry=telemetry)
-    print(result)
-    recorder = telemetry.recorder
-    events = recorder.events
-    episodes = list(enumerate(result.reports))
-    if args.episode is not None:
-        if not 0 <= args.episode < len(episodes):
-            raise SystemExit("--episode %d out of range (run has %d "
-                             "episode(s))" % (args.episode, len(episodes)))
-        index, report = episodes[args.episode]
-        events = [event for event in events
-                  if report.trigger_time <= event.time
-                  <= report.complete_time]
-        episodes = [(index, report)]
-    write_chrome_trace(
-        events, args.out,
-        label="repro %d nodes, %s" % (args.nodes_count, args.fault),
-        dropped_events=recorder.dropped_events)
-    for index, report in episodes:
-        print(_format_episode(index, report))
-    print("%d events (%d dropped) -> %s"
-          % (len(events), recorder.dropped_events, args.out))
-    if recorder.dropped_events:
-        print("WARNING: trace truncated — %d event(s) past the "
-              "--max-events cap were dropped; the Chrome export misses "
-              "the run's tail" % recorder.dropped_events,
-              file=sys.stderr)
-    return 0 if result.passed else 1
-
-
-def cmd_forensics(args):
-    from repro.telemetry import Telemetry
-    from repro.telemetry.forensics import analyze, format_forensics
-
-    telemetry = Telemetry(max_events=args.max_events)
-    result = _run_validation(args, telemetry=telemetry)
-    report = analyze(telemetry.recorder)
-    if args.format == "json":
-        payload = report.to_dict()
-        payload["run_passed"] = result.passed
-        payload["problems"] = list(result.problems)
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(result)
-        for problem in result.problems:
-            print("  !", problem)
-        print(format_forensics(report))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print("forensic report: %s" % args.out, file=sys.stderr)
-    return 0 if result.passed and report.verdict != "escape" else 1
-
-
 def cmd_bench(args):
-    from repro.telemetry.scalability import (
-        append_bench_history,
-        run_scalability_sweep,
-        scalability_table,
-        sweep_ok,
-        write_bench_json,
-    )
+    from repro.telemetry.scalability import run_bench
 
-    sizes = args.sizes
-    if sizes is None:
-        sizes = [n for n in DEFAULT_SIZES if n <= args.max_nodes]
-    if not sizes:
-        raise SystemExit("no sweep sizes (check --max-nodes/--sizes)")
-
-    def progress(result):
-        recovery = result.get("recovery") or {}
-        print("  %3d nodes %-22s total=%s ms wall=%.1fs"
-              % (result["nodes"], result["fault"],
-                 recovery.get("total_ms", "-"),
-                 result["sim"]["wall_s"]), file=sys.stderr)
-
-    out = args.out or "BENCH_scalability.json"
-    payload = run_scalability_sweep(
-        sizes=sizes, fault_classes=args.faults, topology=args.topology,
-        mem_per_node=args.mem_kb << 10, l2_size=args.l2_kb << 10,
-        seed=args.seed, progress=progress)
-    write_bench_json(payload, out)
-    if args.history:
-        append_bench_history(payload, args.history)
-    print(scalability_table(payload))
-    print("wrote %s" % out)
-    return 0 if sweep_ok(payload) else 1
+    ok = run_bench(
+        sizes=args.sizes, max_nodes=args.max_nodes, out=args.out,
+        history=args.history, fault_classes=args.faults,
+        topology=args.topology, mem_per_node=args.mem_kb << 10,
+        l2_size=args.l2_kb << 10, seed=args.seed)
+    return 0 if ok else 1
 
 
 def cmd_status(args):
-    from repro.telemetry.status import (
-        format_status,
-        read_status,
-        status_sidecar_path,
-    )
+    from repro.telemetry.status import watch_status
 
-    sidecar = status_sidecar_path(args.path)
-    while True:
-        payload = read_status(sidecar)
-        if payload is None:
-            raise SystemExit("no status sidecar at %s (is the sweep "
-                             "running with an output path?)" % sidecar)
-        if args.json:
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            print(format_status(payload))
-        if args.watch is None or payload.get("finished"):
-            return 0
-        time.sleep(args.watch)
-
-
-def cmd_report(args):
-    from repro.telemetry.report import write_report
-
-    agg = write_report(args.paths, args.out, title=args.title)
-    if args.json:
-        payload = dict(agg)
-        payload["out"] = args.out
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print("report: %d run(s) from %d source(s) -> %s"
-              % (agg["runs"], len(agg["sources"]), args.out))
-        containment = agg["containment_ms"]
-        if containment["count"]:
-            print("  containment: %d episode(s)  p50=%s p95=%s p99=%s ms"
-                  % (containment["count"], containment["p50"],
-                     containment["p95"], containment["p99"]))
-    if not agg["runs"]:
-        print("report: no records found in: %s" % " ".join(args.paths),
-              file=sys.stderr)
-        return 1
+    watch_status(args.path, as_json=args.json, interval=args.watch)
     return 0
 
 
-def _format_github(findings):
-    """GitHub Actions workflow-command annotations, one per finding."""
-    lines = []
-    for finding in findings:
-        message = "[%s] %s" % (finding.rule, finding.message)
-        # Workflow commands eat newlines/percent unless URL-escaped.
-        message = (message.replace("%", "%25").replace("\r", "%0D")
-                   .replace("\n", "%0A"))
-        lines.append("::error file=%s,line=%d::%s"
-                     % (finding.path, finding.line, message))
-    lines.append("%d finding(s)" % len(findings))
-    return "\n".join(lines)
+def cmd_report(args):
+    from repro.telemetry.report import print_report
+
+    runs = print_report(args.paths, args.out, args.title, as_json=args.json)
+    return 0 if runs else 1
 
 
 def cmd_lint(args):
-    from repro.lint import format_json, format_text, run_lint
+    from repro.lint import format_github, format_json, format_text, run_lint
 
     findings = run_lint(paths=args.paths or None)
-    if args.format == "json":
-        print(format_json(findings))
-    elif args.format == "github":
-        print(_format_github(findings))
-    else:
-        print(format_text(findings))
+    formatter = {"json": format_json, "github": format_github,
+                 "text": format_text}[args.format]
+    print(formatter(findings))
     return 1 if findings else 0
 
 
@@ -394,34 +221,13 @@ def cmd_verify_protocol(args):
     from repro.verify import check_protocol
 
     report = check_protocol(max_states=args.max_states)
-    ok = report.ok
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(payload + "\n")
 
-    if args.format == "json":
-        print(payload)
-        return 0 if ok else 1
-
-    print("model: live handlers, %d (directory state, kind) pairs "
-          "delivered" % len(report.pairs))
-    for scenario in report.scenarios:
-        print("  %-26s %6d states %7d transitions %3d violation(s)"
-              % (scenario.name, scenario.states, scenario.transitions,
-                 len(scenario.violations)))
-    print("  %-26s %3d violation(s)" % ("direct (UC, PAGE_SCRUB)",
-                                        len(report.direct_violations)))
-    for violation in report.violations():
-        print("VIOLATION [%s] in %s: %s"
-              % (violation.invariant, violation.scenario,
-                 violation.description))
-        for step in violation.trace:
-            print("    %s" % step)
-    print("verify-protocol: %s (%d states, %d transitions explored)"
-          % ("OK" if ok else "FAILED",
-             report.total_states, report.total_transitions))
-    return 0 if ok else 1
+    print(payload if args.format == "json" else report.to_text())
+    return 0 if report.ok else 1
 
 
 def build_parser():
@@ -452,37 +258,45 @@ def build_parser():
                        help="print one machine-readable JSON summary "
                             "line instead of the human report")
 
-    def add_validation_run(p):
-        """What ``_run_validation`` reads: machine size and one fault."""
+    def add_fault(p, target):
+        """What ``_fault_from_args`` reads, and the machine size."""
         add_common(p)
         p.add_argument("--nodes-count", type=int, default=8)
         p.add_argument(
             "--fault", default="node_failure",
             choices=[t.value for t in FaultType])
-        p.add_argument("--target", type=int, default=7)
+        p.add_argument("--target", type=int, default=target)
         p.add_argument("--target2", type=int, default=None)
-        p.add_argument("--dwell", type=float, default=None,
-                       help="heal/manifestation delay in ns "
-                            "(transient link, delayed wedge)")
-        p.add_argument("--drop-rate", type=float, default=None,
-                       help="per-packet drop probability "
-                            "(intermittent link)")
 
     p_validate = sub.add_parser(
-        "validate", help="one Table 5.3-style validation run")
-    add_validation_run(p_validate)
+        "validate",
+        help="one Table 5.3-style validation run; with --trace, also the "
+             "Chrome trace and the containment audit")
+    add_fault(p_validate, target=7)
+    p_validate.add_argument("--dwell", type=float, default=None,
+                            help="heal/manifestation delay in ns "
+                                 "(transient link, delayed wedge)")
+    p_validate.add_argument("--drop-rate", type=float, default=None,
+                            help="per-packet drop probability "
+                                 "(intermittent link)")
+    p_validate.add_argument(
+        "--trace", default=None, metavar="PATH",
+        help="record the run: write a Chrome trace (chrome://tracing / "
+             "Perfetto) to PATH and the audit JSON to PATH.forensics.json")
+    p_validate.add_argument("--max-events", type=int, default=None,
+                            help="with --trace: cap on recorded events "
+                                 "(memory bound)")
+    p_validate.add_argument("--episode", type=int, default=None,
+                            metavar="N",
+                            help="print, and export, only recovery episode "
+                                 "N (0-based; from its trigger to its end)")
     p_validate.set_defaults(func=cmd_validate)
 
     p_e2e = sub.add_parser(
-        "endtoend", help="one Table 5.4-style Hive parallel-make run")
-    add_common(p_e2e)
-    p_e2e.add_argument("--nodes-count", type=int, default=8,
-                       help="number of Hive cells (1 node each)")
-    p_e2e.add_argument(
-        "--fault", default="node_failure",
-        choices=[t.value for t in FaultType])
-    p_e2e.add_argument("--target", type=int, default=3)
-    p_e2e.add_argument("--target2", type=int, default=None)
+        "endtoend",
+        help="one Table 5.4-style Hive parallel-make run (one cell per "
+             "node)")
+    add_fault(p_e2e, target=3)
     p_e2e.add_argument("--bug-rate", type=float, default=0.0,
                        help="Hive incoherent-line bug emulation rate")
     p_e2e.set_defaults(func=cmd_endtoend)
@@ -532,43 +346,11 @@ def build_parser():
                         help="distinct failures to minimize at session end")
     p_fuzz.set_defaults(func=cmd_fuzz)
 
-    p_trace = sub.add_parser(
-        "trace",
-        help="run one validation experiment with event tracing; write a "
-             "Chrome trace (chrome://tracing / Perfetto) and print the "
-             "per-phase recovery timeline")
-    add_validation_run(p_trace)
-    p_trace.add_argument("--out", default="trace.json",
-                         help="Chrome trace_event JSON output path")
-    p_trace.add_argument("--max-events", type=int, default=None,
-                         help="cap on recorded events (memory bound)")
-    p_trace.add_argument("--episode", type=int, default=None, metavar="N",
-                         help="export only recovery episode N's events "
-                              "(0-based; from its trigger to its end)")
-    p_trace.set_defaults(func=cmd_trace)
-
-    p_forensics = sub.add_parser(
-        "forensics",
-        help="run one traced validation experiment, reconstruct the causal "
-             "DAG and print the blast-radius / containment-audit report")
-    add_validation_run(p_forensics)
-    p_forensics.add_argument("--max-events", type=int, default=None,
-                             help="cap on recorded events (memory bound)")
-    p_forensics.add_argument("--no-firewall", action="store_true",
-                             help="disable the §3.3 firewall: the audit "
-                                  "should then observe the escape the "
-                                  "oracle detects")
-    p_forensics.add_argument("--format", choices=["text", "json"],
-                             default="text")
-    p_forensics.add_argument("--out", default=None,
-                             help="also write the full JSON report here")
-    p_forensics.set_defaults(func=cmd_forensics)
-
     p_bench = sub.add_parser(
         "bench",
         help="Figure 5.5 recovery-time sweep (nodes x fault classes, "
              "writes BENCH_scalability.json)")
-    p_bench.add_argument("--seed", type=int, default=0)
+    add_common(p_bench)
     p_bench.add_argument("--sizes", type=int, nargs="+", default=None,
                          help="explicit machine sizes (default: %s)"
                               % (DEFAULT_SIZES,))
@@ -579,11 +361,8 @@ def build_parser():
                          help="fault classes to sweep")
     p_bench.add_argument("--topology", default="mesh",
                          choices=["mesh", "hypercube"])
-    p_bench.add_argument("--mem-kb", type=int, default=64)
-    p_bench.add_argument("--l2-kb", type=int, default=8)
-    p_bench.add_argument("--out", default=None,
-                         help="output JSON (default: "
-                              "BENCH_scalability.json)")
+    p_bench.add_argument("--out", default="BENCH_scalability.json",
+                         help="output JSON")
     p_bench.add_argument("--history", default=None, metavar="PATH",
                          help="append this run's headline figures as one "
                               "JSONL line (BENCH_history.jsonl)")

@@ -27,7 +27,6 @@ class MachineConfig:
     failure_units: tuple = ()
 
     firewall_enabled: bool = True
-    speculation_rate: float = 0.0       # R4000 model: no speculation (§5.1)
 
     # recovery-algorithm options (ablations, §4.2/§4.3/§6.3)
     speculative_pings: bool = True

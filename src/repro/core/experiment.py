@@ -33,22 +33,6 @@ from repro.workloads.standalone import (
 )
 
 
-def expected_failed_nodes(machine, fault):
-    """Nodes whose state the fault destroys (ground truth for the oracle).
-
-    A wedged (infinite-loop) node is included: the recovery algorithm stops
-    it, so its cache contents are lost — a delayed wedge the same, just
-    later.  A router failure strands its node, which the split-brain rule
-    then shuts down.  Transient/intermittent link faults destroy no node
-    state (only in-flight messages, which the snapshot logic covers).
-    """
-    fault_type = fault.fault_type
-    if fault_type in (FaultType.NODE_FAILURE, FaultType.ROUTER_FAILURE,
-                      FaultType.INFINITE_LOOP, FaultType.DELAYED_WEDGE):
-        return {fault.target}
-    return set()
-
-
 def fill_caches(machine, fill_fraction, seed, run_limit):
     """§5.2 step one: every node fills ``l2_lines * fill_fraction`` lines
     of its cache with a random shared/exclusive pattern, then the machine
@@ -139,11 +123,25 @@ class ScheduleResult:
                    self.lines_allowed_incoherent, self.episodes,
                    self.restarts, len(self.problems)))
 
+    def describe(self, episode=None):
+        """The verdict line, each problem, then one block per recovery
+        episode (only episode ``episode`` when given)."""
+        lines = [str(self)]
+        lines.extend("  ! %s" % problem for problem in self.problems)
+        if not self.reports:
+            # A transient fault can heal before any detector fires.
+            lines.append("recovery: never triggered (fault healed "
+                         "undetected)")
+        lines.extend(report.describe(index)
+                     for index, report in enumerate(self.reports)
+                     if episode in (None, index))
+        return "\n".join(lines)
+
 
 def run_schedule_experiment(schedule, config=None, fill_fraction=0.6,
                             seed=0, run_limit=60_000_000_000,
-                            settle_time=2_000_000.0, telemetry=None,
-                            collect_metrics=False, machine=None):
+                            telemetry=None, collect_metrics=False,
+                            machine=None):
     """One §5.2 validation run of a whole fault schedule.
 
     Fill the caches, inject, recover, read all of memory, judge every
@@ -178,7 +176,7 @@ def run_schedule_experiment(schedule, config=None, fill_fraction=0.6,
     # entry), always against the union of nodes lost so far.
     def on_inject(spec):
         failed = oracle.note_failed_nodes(
-            expected_failed_nodes(machine, spec))
+            {spec.target} if spec.destroys_node_state else set())
         oracle.snapshot_at_injection(machine, failed)
 
     machine.injector.pre_inject_hook = on_inject
@@ -213,7 +211,7 @@ def run_schedule_experiment(schedule, config=None, fill_fraction=0.6,
     for _ in range(64):
         if manager.in_progress:
             machine.run_until_recovered(limit=run_limit)
-        machine.quiesce(settle_time)
+        machine.quiesce(2_000_000.0)
         if not manager.in_progress:
             break
     else:

@@ -48,8 +48,7 @@ class FlashMachine:
             Node(self.sim, self.params, node_id, self.address_map,
                  self.network, l2_capacity_lines=self.config.l2_lines,
                  hooks=self.oracle,
-                 firewall_enabled=self.config.firewall_enabled,
-                 speculation_rate=self.config.speculation_rate)
+                 firewall_enabled=self.config.firewall_enabled)
             for node_id in range(self.config.num_nodes)
         ]
         self.recovery_manager = RecoveryManager(

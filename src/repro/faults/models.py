@@ -117,7 +117,10 @@ class FaultSpec:
 
     @property
     def destroys_node_state(self):
-        """Will the target node's caches/memory be lost (ground truth)."""
+        """Will the target node's caches/memory be lost (ground truth)?
+        Recovery stops a wedged node, and the split-brain rule shuts down
+        the node a dead router strands; a link fault loses only messages
+        in flight, which the oracle's snapshots cover."""
         return self.fault_type in NODE_LOSS_FAULT_TYPES
 
     def excluded_targets(self, topology=None):

@@ -85,39 +85,14 @@ def _phase_features(recorder):
     return features
 
 
-def _dag_depths(recorder):
-    """Max causal-DAG depth below each fault.inject event, by eid."""
-    from repro.telemetry.forensics import build_dag
-    children, _dangling = build_dag(recorder.events)
-    depths = {}
-    for event in recorder.events:
-        if event.category != "fault" or event.name != "inject":
-            continue
-        if event.eid is None:
-            continue
-        deepest = 0
-        frontier = [(event.eid, 0)]
-        seen = set()
-        while frontier:
-            eid, depth = frontier.pop()
-            deepest = max(deepest, depth)
-            for child in children.get(eid, ()):
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append((child, depth + 1))
-        depths[event.eid] = deepest
-    return depths
-
-
 def _forensic_features(recorder):
     from repro.telemetry.forensics import analyze
     report = analyze(recorder)
     features = set()
-    depths = _dag_depths(recorder)
     for fault in report.faults:
         features.add("bl|%s|%d|%d" % (
             fault.verdict, bucket(len(fault.blast_nodes)),
-            bucket(depths.get(fault.inject_eid, 0))))
+            bucket(fault.depth)))
         for violation in fault.violations:
             reason = violation.get("reason", "")
             features.add("esc|%s" % reason.split(" ", 1)[0].rstrip(":"))

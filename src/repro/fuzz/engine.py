@@ -27,6 +27,8 @@ determinism contract is per-schedule via lineage, not per-session.  With
 ``jobs=1`` the whole session is deterministic.
 """
 
+import json
+
 from repro.campaign.records import RunStatus, format_counts
 from repro.campaign.schedule import (
     SCHEDULE_GENERATORS,
@@ -38,6 +40,7 @@ from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.mutate import (
     derive_mutant_seed,
     mutate,
+    rebuild_from_lineage,
     rng_for,
     root_schedule,
 )
@@ -237,6 +240,32 @@ def format_report(report):
         lines.append("      repro:  %s" % entry["repro"])
         lines.append("      replay: %s" % entry["replay"])
     return "\n".join(lines)
+
+
+def replay_lineage(campaign_seed, lineage, num_nodes, topology,
+                   as_json=False, **run_kwargs):
+    """``repro.cli fuzz --replay``: rebuild one schedule from its lineage,
+    run it once, bit-identically, in a crash-isolated worker and print
+    the record (as JSON with ``as_json``); returns whether it passed."""
+    from repro.campaign.runner import print_failure, run_schedule_isolated
+    try:
+        schedule = rebuild_from_lineage(
+            campaign_seed, lineage, num_nodes=num_nodes, topology=topology)
+    except ValueError as exc:
+        raise SystemExit("bad --replay lineage: %s" % exc)
+    seed = derive_mutant_seed(campaign_seed, lineage)
+    record = run_schedule_isolated(schedule, seed, **run_kwargs)
+    passed = record.status is RunStatus.PASS
+    if as_json:
+        print(json.dumps(record.to_dict(), sort_keys=True))
+    else:
+        print("replay %s" % lineage)
+        print("  schedule: %s" % schedule)
+        print("  machine seed: %d" % seed)
+        print("  -> [%s]" % record.status.value)
+        if not passed:
+            print_failure(record)
+    return passed
 
 
 def _thin(points, limit):

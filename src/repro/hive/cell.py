@@ -19,6 +19,7 @@ from repro.common.errors import BusError, ReproError
 from repro.common.types import page_of
 from repro.hive.rpc import RpcEndpoint
 from repro.sim import AnyOf, Event
+from repro.sim.process import poke
 
 
 class KernelMemoryError(ReproError):
@@ -102,7 +103,7 @@ class Cell:
             event = self.magic.pi_request(op)
             watchdog = Event(self.sim)
             timer = self.sim.schedule(
-                watchdog_interval, _poke, watchdog)
+                watchdog_interval, poke, watchdog)
             index, result = yield AnyOf([event, watchdog])
             self.sim.cancel(timer)
             if index == 1:
@@ -227,8 +228,3 @@ class UserProcess:
         self.termination_reason = reason
         if self.proc is not None:
             self.proc.kill()
-
-
-def _poke(event):
-    if not event.triggered:
-        event.trigger(None)

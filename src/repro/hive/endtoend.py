@@ -8,6 +8,7 @@ the fault* finished correctly — the 91.6% criterion of the paper.
 
 import dataclasses
 
+from repro.analysis.tables import format_table
 from repro.common.types import DirState
 from repro.faults.models import NODE_LOSS_FAULT_TYPES, FaultSpec
 from repro.hive.os import HiveConfig, HiveOS
@@ -31,6 +32,20 @@ class EndToEndResult:
     failure_reason: str
     hw_recovery_ns: float
     os_recovery_ns: float
+
+    def table(self):
+        """The run as a metric/value table (``repro.cli endtoend``)."""
+        return format_table(
+            "End-to-end run: %s" % self.fault, ["metric", "value"], [
+                ("hardware recovered", self.recovered),
+                ("OS recovered", self.os_recovered),
+                ("compiles expected to survive", self.compiles_expected),
+                ("compiles correct", self.compiles_correct),
+                ("run failed", self.failed),
+                ("failure reason", self.failure_reason or "-"),
+                ("HW recovery [ms]", "%.2f" % (self.hw_recovery_ns / 1e6)),
+                ("OS recovery [ms]", "%.2f" % (self.os_recovery_ns / 1e6)),
+            ])
 
 
 def expected_dead_cells(hive, fault):

@@ -32,7 +32,6 @@ class HiveConfig:
     #: fixed OS; ~0.5 reproduces Table 5.4's ≈8% failed-run rate (only a
     #: minority of runs create incoherent file lines at all).
     os_incoherent_bug_rate: float = 0.0
-    machine_overrides: dict = dataclasses.field(default_factory=dict)
 
     @property
     def num_nodes(self):
@@ -56,8 +55,7 @@ class HiveOS:
             mem_per_node=self.config.mem_per_node,
             l2_size=self.config.l2_size,
             seed=self.config.seed,
-            failure_units=tuple(units),
-            **self.config.machine_overrides)
+            failure_units=tuple(units))
         self.machine = FlashMachine(
             machine_config, os_recovery_callback=self._on_hw_recovery)
         self.sim = self.machine.sim

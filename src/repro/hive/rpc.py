@@ -15,6 +15,7 @@ import itertools
 from repro.coherence.messages import MessageKind
 from repro.common.errors import ReproError
 from repro.sim import Event
+from repro.sim.process import poke
 
 
 class RpcError(ReproError):
@@ -107,8 +108,8 @@ class RpcEndpoint:
             event = Event(self.sim)
             self._waiting[key] = event
             self._send(dst_cell, dict(body))
-            timer = self.sim.schedule(
-                self.params.rpc_retry_interval, _poke, event)
+            timer = self.sim.schedule(self.params.rpc_retry_interval,
+                                      poke, event, ("retry", None))
             status, value = yield event
             self.sim.cancel(timer)
             self._waiting.pop(key, None)
@@ -163,8 +164,3 @@ class RpcEndpoint:
         event = self._waiting.pop(key, None)
         if event is not None and not event.triggered:
             event.trigger(("reply", body["reply"]))
-
-
-def _poke(event):
-    if not event.triggered:
-        event.trigger(("retry", None))

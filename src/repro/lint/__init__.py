@@ -31,6 +31,7 @@ from repro.lint.engine import (
     all_rules,
     build_project,
     default_checkers,
+    format_github,
     format_json,
     format_text,
     lint_project,
@@ -41,6 +42,6 @@ from repro.lint.engine import (
 __all__ = [
     "Checker", "Finding", "Module", "Project",
     "all_rules", "build_project", "default_checkers",
-    "format_json", "format_text", "lint_project",
+    "format_github", "format_json", "format_text", "lint_project",
     "package_root", "run_lint",
 ]

@@ -103,6 +103,20 @@ def format_text(findings):
     return "\n".join(lines)
 
 
+def format_github(findings):
+    """GitHub Actions workflow-command annotations, one per finding."""
+    lines = []
+    for finding in findings:
+        message = "[%s] %s" % (finding.rule, finding.message)
+        # Workflow commands eat newlines/percent unless URL-escaped.
+        message = (message.replace("%", "%25").replace("\r", "%0D")
+                   .replace("\n", "%0A"))
+        lines.append("::error file=%s,line=%d::%s"
+                     % (finding.path, finding.line, message))
+    lines.append("%d finding(s)" % len(findings))
+    return "\n".join(lines)
+
+
 def format_json(findings):
     return json.dumps({
         "findings": [finding.to_dict() for finding in findings],

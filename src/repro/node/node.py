@@ -9,16 +9,14 @@ class Node:
     """One node of the machine."""
 
     def __init__(self, sim, params, node_id, address_map, network,
-                 l2_capacity_lines, hooks=None, firewall_enabled=True,
-                 speculation_rate=0.0):
+                 l2_capacity_lines, hooks=None, firewall_enabled=True):
         self.sim = sim
         self.node_id = node_id
         self.cache = Cache(node_id, l2_capacity_lines)
         self.magic = Magic(sim, params, node_id, address_map, network,
                            hooks=hooks, firewall_enabled=firewall_enabled)
         self.processor = Processor(sim, params, node_id, self.magic,
-                                   self.cache,
-                                   speculation_rate=speculation_rate)
+                                   self.cache)
         self.failed = False
 
     def start(self):

@@ -13,9 +13,9 @@ then resumes and reissues the interrupted cacheable reference.  A pending
 uncached read is *not* reissued — its result is consumed from MAGIC's saved
 buffer to preserve exactly-once semantics (§4.2).
 
-An optional speculation model (off by default, matching the paper's R4000
-runs) occasionally issues a write reference to an arbitrary address before
-an op, modeling the R10000 speculating down a mispredicted branch (§3.3).
+The paper's runs use the R4000, which does not speculate (§5.1); a program
+models the R10000's mispredicted-branch write (§3.3) by yielding a
+:class:`SpeculativeStore` explicitly.
 """
 
 from repro.common.errors import BusError
@@ -114,21 +114,18 @@ class ProcessorStats:
         self.uncached_ops = 0
         self.bus_errors = 0
         self.recoveries_survived = 0
-        self.speculative_references = 0
 
 
 class Processor:
     """One R4000/R10000-style processor driving a workload program."""
 
-    def __init__(self, sim, params, node_id, magic, cache,
-                 speculation_rate=0.0):
+    def __init__(self, sim, params, node_id, magic, cache):
         self.sim = sim
         self.params = params
         self.node_id = node_id
         self.magic = magic
         self.cache = cache
         magic.cache = cache
-        self.speculation_rate = speculation_rate
         self.stats = ProcessorStats()
         self.done = Event(sim, name="cpu%d.done" % node_id)
         self.program_result = None
@@ -218,9 +215,6 @@ class Processor:
             yield op.duration
             return ("ok", None)
 
-        if self.speculation_rate and self.sim.rng.random() < self.speculation_rate:
-            yield from self._speculate()
-
         if op.kind == AccessKind.LOAD:
             return (yield from self._cacheable(op, for_write=False))
         if op.kind == AccessKind.STORE:
@@ -253,20 +247,6 @@ class Processor:
                 return ("ok", hit.value)
         result = yield self.magic.pi_request(op)
         return result
-
-    def _speculate(self):
-        """Issue a stray *exclusive* fetch, as a mispredicted R10000 store
-        would (§3.3); any bus error is discarded along with the result —
-        mis-speculated references never raise architectural exceptions."""
-        self.stats.speculative_references += 1
-        address_map = self.magic.address_map
-        address = self.sim.rng.randrange(
-            0, address_map.total_memory, address_map.line_size)
-        if address_map.is_vector_range(address):
-            return
-        spec_op = SpeculativeStore(address)
-        yield self.magic.pi_request(spec_op)
-        return
 
     def _park_for_recovery(self, op):
         """Wait out a recovery episode, then decide how to resume ``op``.

@@ -27,6 +27,7 @@ from repro.interconnect.packet import (
     ROUTER_SET_DISCARD,
     ROUTER_SET_TABLE,
 )
+from repro.sim.process import poke
 
 
 class RecoveryCommError(ReproError):
@@ -94,7 +95,7 @@ class RecoveryComm:
                 # watch() is non-consuming, so poking it on timeout cannot
                 # steal a packet from a later receive.
                 watch = inbox.watch()
-                timer = self.sim.schedule(remaining, _poke, watch)
+                timer = self.sim.schedule(remaining, poke, watch)
                 yield watch
                 self.sim.cancel(timer)
                 continue
@@ -290,16 +291,3 @@ class RecoveryComm:
                     cause=None if rc is None else rc[1], barrier=name,
                     epoch=self.epoch, value=reduced)
         return reduced
-
-
-class _Timeout:
-    pass
-
-
-_TIMEOUT = _Timeout()
-
-
-def _poke(event):
-    """Fire a channel-get event with the timeout sentinel."""
-    if not event.triggered:
-        event.trigger(_TIMEOUT)

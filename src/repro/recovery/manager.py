@@ -112,6 +112,21 @@ class RecoveryReport:
                         self.phase_duration_from_trigger(phase))
                 for phase in RECOVERY_PHASES if phase in self.phase_ends}
 
+    def describe(self, index):
+        """Episode ``index`` as a line block: trigger, total, restarts,
+        survivors, marked lines, and each phase's critical node."""
+        lines = ["episode %d: trigger %s on node %s at %.3f ms, total "
+                 "%.3f ms" % (index, self.trigger_reason, self.trigger_node,
+                              self.trigger_time / 1e6,
+                              self.total_duration / 1e6),
+                 "  %d restart(s), survivors %s, %d lines marked incoherent"
+                 % (self.restarts, sorted(self.available_nodes),
+                    self.marked_incoherent)]
+        for phase, (node, latency) in self.critical_path().items():
+            lines.append("  %s done at +%.3f ms (critical node %s)"
+                         % (phase, latency / 1e6, node))
+        return "\n".join(lines)
+
     def finish(self, time, epoch):
         """The episode completed at ``time`` with ``epoch``'s pass: derive
         the per-phase aggregates from that pass's spans."""

@@ -65,6 +65,13 @@ class Event:
             pass
 
 
+def poke(event, value=None):
+    """Timer callback for a bounded wait: trigger ``event`` with ``value``
+    unless the awaited outcome already has."""
+    if not event.triggered:
+        event.trigger(value)
+
+
 class AnyOf:
     """Wait for the first event in a collection; value is (index, value)."""
 

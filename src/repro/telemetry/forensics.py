@@ -38,6 +38,9 @@ so its cause edge uses :meth:`Network.fault_lineage_of` — exact for single
 faults, best-effort ("latest injection") for overlapping ones.
 """
 
+import json
+import sys
+
 #: lanes on which fault-descendant traffic is sanctioned (§4.1)
 RECOVERY_LANES = frozenset({"RECOVERY_A", "RECOVERY_B"})
 
@@ -94,16 +97,20 @@ def build_dag(events):
 
 
 def _descendants(children, roots):
-    """All eids reachable from ``roots`` (roots excluded)."""
+    """All eids reachable from ``roots`` (roots excluded), and the
+    deepest depth the walk reaches them at (0 when there are none)."""
     seen = set()
-    frontier = list(roots)
+    deepest = 0
+    frontier = [(eid, 0) for eid in roots]
     while frontier:
-        eid = frontier.pop()
+        eid, depth = frontier.pop()
+        if depth > deepest:
+            deepest = depth
         for child in children.get(eid, ()):
             if child not in seen:
                 seen.add(child)
-                frontier.append(child)
-    return seen
+                frontier.append((child, depth + 1))
+    return seen, deepest
 
 
 def _classify(event):
@@ -156,6 +163,7 @@ class FaultForensics:
         self.blast_events = 0
         self.repair_events = 0
         self.boundary_events = 0     # descendants destroyed/terminated
+        self.depth = 0               # causal-DAG depth below the inject
         self.crossings = []          # informational out-of-cell arrivals
         self.violations = []
 
@@ -239,7 +247,7 @@ def analyze(source, dropped_events=None):
     episode_roots = [event.eid for event in events
                      if event.category == "episode"
                      and event.name == "begin" and event.eid is not None]
-    repair = _descendants(children, episode_roots) | set(episode_roots)
+    repair = _descendants(children, episode_roots)[0] | set(episode_roots)
 
     faults = []
     for event in events:
@@ -251,7 +259,8 @@ def analyze(source, dropped_events=None):
         cell = set(fault.cell)
         nodes, lines, packets = set(), set(), set()
 
-        for eid in sorted(_descendants(children, [event.eid])):
+        descendants, fault.depth = _descendants(children, [event.eid])
+        for eid in sorted(descendants):
             desc = by_eid[eid]
             cls = _classify(desc)
             if cls == "machinery":
@@ -348,3 +357,32 @@ def format_forensics(report):
                             "0x%x" % violation["line"]
                             if violation["line"] is not None else None))
     return "\n".join(lines)
+
+
+def write_run_evidence(recorder, path, label, episode=None):
+    """``repro.cli validate --trace``: write the Chrome trace to ``path``
+    (only ``episode``'s events, a RecoveryReport, when given) and the
+    whole run's audit to ``<path>.forensics.json`` as a campaign names
+    its own; print the audit; returns the :class:`ForensicsReport`."""
+    from repro.telemetry.chrome import write_chrome_trace
+    events = recorder.events
+    if episode is not None:
+        events = [event for event in events
+                  if episode.trigger_time <= event.time
+                  <= episode.complete_time]
+    write_chrome_trace(events, path, label=label,
+                       dropped_events=recorder.dropped_events)
+    report = analyze(recorder)
+    audit_path = path + ".forensics.json"
+    with open(audit_path, "w", encoding="utf-8") as handle:
+        json.dump(report.to_dict(), handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print("%d events (%d dropped) -> %s; audit -> %s"
+          % (len(events), recorder.dropped_events, path, audit_path))
+    print(format_forensics(report))
+    if recorder.dropped_events:
+        print("WARNING: trace truncated — %d event(s) past the "
+              "--max-events cap were dropped; the Chrome export and the "
+              "audit miss the run's tail" % recorder.dropped_events,
+              file=sys.stderr)
+    return report

@@ -23,7 +23,9 @@ The same aggregate is available as JSON (``--json``) for dashboards.
 """
 
 import html
+import json
 import os
+import sys
 
 from repro.campaign.records import RunStatus, load_json_lines
 from repro.telemetry.metrics import Histogram, containment_times_ms
@@ -277,3 +279,24 @@ def write_report(paths, out_path, title="Fault-containment fleet report"):
     with open(out_path, "w", encoding="utf-8") as handle:
         handle.write(render_html(agg, title=title))
     return agg
+
+
+def print_report(paths, out_path, title, as_json=False):
+    """``repro.cli report``: write the HTML report and print its headline
+    (the whole aggregate as JSON with ``as_json``); returns the number of
+    runs found, after a stderr note when there are none."""
+    agg = write_report(paths, out_path, title=title)
+    if as_json:
+        print(json.dumps(dict(agg, out=out_path), sort_keys=True))
+    else:
+        print("report: %d run(s) from %d source(s) -> %s"
+              % (agg["runs"], len(agg["sources"]), out_path))
+        containment = agg["containment_ms"]
+        if containment["count"]:
+            print("  containment: %d episode(s)  p50=%s p95=%s p99=%s ms"
+                  % (containment["count"], containment["p50"],
+                     containment["p95"], containment["p99"]))
+    if not agg["runs"]:
+        print("report: no records found in: %s" % " ".join(paths),
+              file=sys.stderr)
+    return agg["runs"]

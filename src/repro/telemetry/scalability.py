@@ -17,6 +17,7 @@ structure — what the sweep measures — is unaffected (P4 simply shrinks
 with the cache, exactly as in the paper's own scaled-down figures).
 """
 
+import sys
 import time
 
 from repro.analysis.tables import format_series
@@ -169,6 +170,33 @@ def run_scalability_sweep(sizes=DEFAULT_SIZES,
             for fault_class in fault_classes
         },
     }
+
+
+def run_bench(sizes=None, max_nodes=128, out="BENCH_scalability.json",
+              history=None, **sweep):
+    """``repro.cli bench``: run the sweep over ``sizes`` (the default
+    sizes up to ``max_nodes`` when None) with one progress line per point
+    on stderr, write ``out`` (and one ``history`` line), print the table;
+    returns :func:`sweep_ok`."""
+    if sizes is None:
+        sizes = [n for n in DEFAULT_SIZES if n <= max_nodes]
+    if not sizes:
+        raise SystemExit("no sweep sizes (check --max-nodes/--sizes)")
+
+    def progress(result):
+        recovery = result.get("recovery") or {}
+        print("  %3d nodes %-22s total=%s ms wall=%.1fs"
+              % (result["nodes"], result["fault"],
+                 recovery.get("total_ms", "-"),
+                 result["sim"]["wall_s"]), file=sys.stderr)
+
+    payload = run_scalability_sweep(sizes=sizes, progress=progress, **sweep)
+    write_bench_json(payload, out)
+    if history:
+        append_bench_history(payload, history)
+    print(scalability_table(payload))
+    print("wrote %s" % out)
+    return sweep_ok(payload)
 
 
 def sweep_ok(payload):

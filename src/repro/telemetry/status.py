@@ -142,3 +142,20 @@ def format_status(payload):
         lines.append("  " + "  ".join(
             "%s=%s" % (key, extras[key]) for key in sorted(extras)))
     return "\n".join(lines)
+
+
+def watch_status(path, as_json=False, interval=None):
+    """``repro.cli status``: print the sidecar ``path`` implies (raw JSON
+    with ``as_json``), re-reading every ``interval`` seconds until the
+    sweep reports finished; once when ``interval`` is None."""
+    sidecar = status_sidecar_path(path)
+    while True:
+        payload = read_status(sidecar)
+        if payload is None:
+            raise SystemExit("no status sidecar at %s (is the sweep "
+                             "running with an output path?)" % sidecar)
+        print(json.dumps(payload, sort_keys=True) if as_json
+              else format_status(payload))
+        if interval is None or payload.get("finished"):
+            return
+        time.sleep(interval)

@@ -100,7 +100,6 @@ class TraceRecorder:
         self._sim = sim
         self.max_events = max_events
         self.keep = keep
-        self.enabled = True
         self.clear()
 
     def bind(self, sim):
@@ -120,8 +119,6 @@ class TraceRecorder:
         DAG from these edges.  Events a full ``keep="first"`` recorder
         turns away return None, so downstream edges simply dangle.
         """
-        if not self.enabled:
-            return None
         eid = self.total_emitted
         self.total_emitted = eid + 1
         events = self._events

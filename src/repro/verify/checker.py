@@ -126,6 +126,29 @@ class Report:
                                   for v in self.direct_violations],
         }
 
+    def to_text(self):
+        """The human report: one line per scenario, each violation with
+        its trace, and the verdict."""
+        lines = ["model: live handlers, %d (directory state, kind) pairs "
+                 "delivered" % len(self.pairs)]
+        for scenario in self.scenarios:
+            lines.append("  %-26s %6d states %7d transitions %3d "
+                         "violation(s)" % (scenario.name, scenario.states,
+                                           scenario.transitions,
+                                           len(scenario.violations)))
+        lines.append("  %-26s %3d violation(s)" % (
+            "direct (UC, PAGE_SCRUB)", len(self.direct_violations)))
+        for violation in self.violations():
+            lines.append("VIOLATION [%s] in %s: %s"
+                         % (violation.invariant, violation.scenario,
+                            violation.description))
+            lines.extend("    %s" % step for step in violation.trace)
+        lines.append("verify-protocol: %s (%d states, %d transitions "
+                     "explored)" % ("OK" if self.ok else "FAILED",
+                                    self.total_states,
+                                    self.total_transitions))
+        return "\n".join(lines)
+
 
 def default_scenarios():
     return [

@@ -49,33 +49,55 @@ class TestCli:
         code = main(["validate", "--fault", "false_alarm", "--target", "0",
                      "--nodes-count", "4", "--mem-kb", "64", "--l2-kb", "8"])
         assert code == 0
-        assert "PASS" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "PASS" in printed
+        # One block per episode, from RecoveryReport.describe; no audit
+        # without --trace.
+        assert "episode 0: trigger" in printed
+        assert "survivors [0, 1, 2, 3]" in printed
+        assert "  P4 done at +" in printed
+        assert "containment audit" not in printed
 
     def test_removed_entry_points_are_rejected(self):
         """``bench`` is the one Figure 5.5 command and takes only the
-        sweep's options; host speed is ``benchmarks/e2e``'s job."""
+        sweep's options; host speed is ``benchmarks/e2e``'s job.
+        ``validate`` is the one single-fault command: ``trace`` and
+        ``forensics`` are its ``--trace``."""
         parser = build_parser()
         for argv in (["scale", "--nodes", "4"], ["bench", "--micro"],
-                     ["bench", "--flight-overhead"]):
+                     ["bench", "--flight-overhead"], ["trace"],
+                     ["forensics"], ["validate", "--no-firewall"],
+                     ["validate", "--format", "json"]):
             with pytest.raises(SystemExit):
                 parser.parse_args(argv)
         subcommands, = (action for action in parser._actions
                         if action.dest == "command")
-        assert len(subcommands.choices) == 11
-        options = {flag for action in subcommands.choices["bench"]._actions
-                   for flag in action.option_strings} - {"-h", "--help"}
-        assert options == {"--seed", "--sizes", "--max-nodes", "--faults",
-                           "--topology", "--mem-kb", "--l2-kb", "--out",
-                           "--history"}
+        assert len(subcommands.choices) == 9
+
+        def options(command):
+            return {flag for action in subcommands.choices[command]._actions
+                    for flag in action.option_strings} - {"-h", "--help"}
+
+        assert options("bench") == {
+            "--seed", "--sizes", "--max-nodes", "--faults", "--topology",
+            "--mem-kb", "--l2-kb", "--out", "--history"}
+        assert options("validate") == {
+            "--seed", "--mem-kb", "--l2-kb", "--nodes-count", "--fault",
+            "--target", "--target2", "--dwell", "--drop-rate", "--trace",
+            "--max-events", "--episode"}
+
+
+NODE_FAILURE_3 = ["validate", "--fault", "node_failure", "--target", "3",
+                  "--nodes-count", "4", "--mem-kb", "64", "--l2-kb", "8"]
 
 
 class TestTraceCli:
+    """``validate --trace``: the Chrome trace and the episode blocks."""
+
     def test_trace_command_writes_chrome_trace(self, capsys, tmp_path):
         import json
         out = tmp_path / "trace.json"
-        code = main(["trace", "--fault", "node_failure", "--target", "3",
-                     "--nodes-count", "4", "--mem-kb", "64", "--l2-kb", "8",
-                     "--out", str(out)])
+        code = main(NODE_FAILURE_3 + ["--trace", str(out)])
         assert code == 0
         printed = capsys.readouterr().out
         assert "PASS" in printed
@@ -88,18 +110,19 @@ class TestTraceCli:
 
     def test_trace_max_events_cap(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
-        code = main(["trace", "--fault", "false_alarm", "--target", "0",
+        code = main(["validate", "--fault", "false_alarm", "--target", "0",
                      "--nodes-count", "4", "--mem-kb", "64", "--l2-kb", "8",
-                     "--max-events", "10", "--out", str(out)])
+                     "--max-events", "10", "--trace", str(out)])
         assert code == 0
-        assert "dropped" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "dropped" in captured.out
+        assert "TRUNCATED TRACE" in captured.out
+        assert "WARNING: trace truncated" in captured.err
 
     def test_trace_single_episode_export(self, capsys, tmp_path):
         import json
         out = tmp_path / "episode.json"
-        code = main(["trace", "--fault", "node_failure", "--target", "3",
-                     "--nodes-count", "4", "--mem-kb", "64", "--l2-kb", "8",
-                     "--episode", "0", "--out", str(out)])
+        code = main(NODE_FAILURE_3 + ["--episode", "0", "--trace", str(out)])
         assert code == 0
         printed = capsys.readouterr().out
         # Only the selected episode's summary is printed, and the trace
@@ -109,36 +132,44 @@ class TestTraceCli:
         assert payload["traceEvents"]
 
     def test_trace_episode_out_of_range(self, tmp_path):
-        import pytest as _pytest
-        with _pytest.raises(SystemExit, match="out of range"):
-            main(["trace", "--fault", "false_alarm", "--target", "0",
+        with pytest.raises(SystemExit, match="out of range"):
+            main(["validate", "--fault", "false_alarm", "--target", "0",
                   "--nodes-count", "4", "--mem-kb", "64", "--l2-kb", "8",
-                  "--episode", "5", "--out", str(tmp_path / "t.json")])
+                  "--episode", "5", "--trace", str(tmp_path / "t.json")])
 
 
 class TestForensicsCli:
+    """``validate --trace``: the containment audit, printed and written
+    to ``<trace>.forensics.json``."""
+
     def test_forensics_text_report(self, capsys, tmp_path):
-        out = tmp_path / "forensics.json"
-        code = main(["forensics", "--fault", "node_failure", "--target", "3",
-                     "--nodes-count", "4", "--mem-kb", "64", "--l2-kb", "8",
-                     "--out", str(out)])
+        out = tmp_path / "trace.json"
+        code = main(NODE_FAILURE_3 + ["--trace", str(out)])
         assert code == 0
         printed = capsys.readouterr().out
         assert "containment audit: contained" in printed
         assert "fault F0" in printed and "blast radius" in printed
-        assert out.exists()
+        assert (tmp_path / "trace.json.forensics.json").exists()
 
-    def test_forensics_json_format(self, capsys):
+    def test_forensics_json_format(self, capsys, tmp_path):
         import json
-        code = main(["forensics", "--fault", "node_failure", "--target", "3",
-                     "--nodes-count", "4", "--mem-kb", "64", "--l2-kb", "8",
-                     "--format", "json"])
+        out = tmp_path / "trace.json"
+        code = main(NODE_FAILURE_3 + ["--trace", str(out)])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = json.loads(
+            (tmp_path / "trace.json.forensics.json").read_text())
         assert payload["verdict"] == "contained"
-        assert payload["run_passed"] is True
         (fault,) = payload["faults"]
         assert fault["root"] == "F0" and fault["blast"]["nodes"]
+
+    def test_escape_verdict_exits_nonzero(self, capsys, tmp_path,
+                                          monkeypatch):
+        from repro.telemetry.forensics import ForensicsReport
+        monkeypatch.setattr(ForensicsReport, "verdict",
+                            property(lambda self: "escape"))
+        code = main(NODE_FAILURE_3 + ["--trace", str(tmp_path / "t.json")])
+        assert code == 1
+        assert "[PASS]" in capsys.readouterr().out
 
 
 class TestBenchCli:

@@ -80,12 +80,6 @@ class TestFlightRing:
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)
 
-    def test_disabled_ring_records_nothing(self):
-        recorder = FlightRecorder(capacity=4)
-        recorder.enabled = False
-        assert recorder.emit("a", "b") is None
-        assert len(recorder) == 0
-
     def test_clear_resets_ring_and_counters(self):
         recorder = FlightRecorder(capacity=2)
         for _ in range(5):

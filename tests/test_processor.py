@@ -1,5 +1,4 @@
-"""Processor model tests: op execution, bus errors, recovery parking,
-speculation."""
+"""Processor model tests: op execution, bus errors, recovery parking."""
 
 from tests.helpers import RawMachine
 from repro.common.errors import BusError
@@ -135,32 +134,6 @@ class TestExecution:
             pass
         else:
             raise AssertionError("expected RuntimeError")
-
-
-class TestSpeculation:
-    def test_speculation_disabled_by_default(self):
-        machine = RawMachine()
-        line = remote_line(machine, 1)
-
-        def program():
-            for _ in range(20):
-                yield Load(line)
-
-        machine.run_programs([(0, program())])
-        assert machine.node(0).processor.stats.speculative_references == 0
-
-    def test_speculation_issues_extra_references(self):
-        machine = RawMachine()
-        processor = machine.node(0).processor
-        processor.speculation_rate = 1.0
-        line = remote_line(machine, 1)
-
-        def program():
-            for index in range(5):
-                yield Load(remote_line(machine, 1, index))
-
-        machine.run_programs([(0, program())])
-        assert processor.stats.speculative_references == 5
 
 
 class TestUncachedExactlyOnce:

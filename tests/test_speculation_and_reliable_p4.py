@@ -99,10 +99,6 @@ class TestSpeculativeStores:
         # The line's only valid copy died with the speculating node.
         assert errors and errors[-1] == "incoherent_line"
 
-    def test_speculation_rate_config_flows_to_processor(self):
-        machine = FlashMachine(small_config(speculation_rate=0.25)).start()
-        assert machine.nodes[0].processor.speculation_rate == 0.25
-
 
 class TestReliableInterconnectP4:
     def run_recovery(self, reliable):

@@ -44,12 +44,6 @@ class TestTraceRecorder:
         recorder.emit("a", "b")
         assert recorder.events[0].time == 0.0
 
-    def test_disabled_recorder_records_nothing(self):
-        recorder = TraceRecorder()
-        recorder.enabled = False
-        recorder.emit("a", "b")
-        assert len(recorder) == 0
-
     def test_max_events_cap_counts_drops(self):
         recorder = TraceRecorder(max_events=2)
         for _ in range(5):

@@ -12,7 +12,6 @@ from repro import MachineConfig
 from repro.campaign.schedule import FaultSchedule, TimedFault
 from repro.core.experiment import (
     ScheduleResult,
-    expected_failed_nodes,
     run_recovery_scalability,
     run_schedule_experiment,
     run_validation_experiment,
@@ -74,19 +73,12 @@ def test_eight_node_machine():
     assert result.passed, result.problems[:5]
 
 
-def test_expected_failed_nodes_mapping():
-    from repro import FlashMachine
-    machine = FlashMachine(config(seed=1))
-    assert expected_failed_nodes(
-        machine, FaultSpec.node_failure(2)) == {2}
-    assert expected_failed_nodes(
-        machine, FaultSpec.router_failure(1)) == {1}
-    assert expected_failed_nodes(
-        machine, FaultSpec.infinite_loop(0)) == {0}
-    assert expected_failed_nodes(
-        machine, FaultSpec.link_failure(0, 1)) == set()
-    assert expected_failed_nodes(
-        machine, FaultSpec.false_alarm(0)) == set()
+def test_destroys_node_state_mapping():
+    assert FaultSpec.node_failure(2).destroys_node_state
+    assert FaultSpec.router_failure(1).destroys_node_state
+    assert FaultSpec.infinite_loop(0).destroys_node_state
+    assert not FaultSpec.link_failure(0, 1).destroys_node_state
+    assert not FaultSpec.false_alarm(0).destroys_node_state
 
 
 def test_validation_result_string_form():
