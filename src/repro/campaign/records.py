@@ -158,10 +158,6 @@ def load_records(path):
     return records
 
 
-def completed_indices(records):
-    return {record.run_index for record in records}
-
-
 def status_counts(records):
     """Runs per outcome, keyed by status value; an absent outcome reads 0."""
     return collections.Counter(record.status.value for record in records)

@@ -15,8 +15,6 @@ class MessageKind(enum.Enum):
     PUT = "put"                      # writeback of the dirty (only) copy
     UC_READ = "uc_read"              # uncached read (memory or I/O register)
     UC_WRITE = "uc_write"            # uncached write
-    PAGE_SCRUB = "page_scrub"        # Hive: reset incoherent lines of a page
-                                     # before page reuse (paper §4.6)
 
     # -- forwarded interventions (REQUEST lane) -------------------------------
     FWD_GET = "fwd_get"              # home asks owner to share with requester
@@ -35,7 +33,6 @@ class MessageKind(enum.Enum):
     FWD_MISS = "fwd_miss"            # intervention missed: writeback is racing
     UC_DATA = "uc_data"              # uncached read reply
     UC_ACK = "uc_ack"                # uncached write acknowledgment
-    SCRUB_ACK = "scrub_ack"          # page scrub completed
 
     # -- recovery traffic (RECOVERY lanes, source-routed) ----------------------
     PING = "ping"                    # drop target into recovery; reply proves
@@ -44,7 +41,6 @@ class MessageKind(enum.Enum):
     DISSEMINATE = "disseminate"      # LState/NState exchange round (§4.3)
     BARRIER_UP = "barrier_up"        # fault-tolerant tree barrier: reduce
     BARRIER_DOWN = "barrier_down"    # fault-tolerant tree barrier: release
-    RESTART = "restart"              # recovery restarted: new fault detected
     # FLUSH_DONE rides the *normal* request lane so that in-order delivery
     # puts it behind the sender's writebacks (the all-to-all barrier of §4.5).
     FLUSH_DONE = "flush_done"
@@ -65,21 +61,11 @@ DATA_KINDS = frozenset({
     MessageKind.SHARING_WB,
 })
 
-#: Coherence request kinds that are answered by the home node.
-HOME_REQUEST_KINDS = frozenset({
-    MessageKind.GET,
-    MessageKind.GETX,
-    MessageKind.PUT,
-    MessageKind.UC_READ,
-    MessageKind.UC_WRITE,
-    MessageKind.PAGE_SCRUB,
-})
-
 _REQUEST_KINDS = frozenset({
     MessageKind.GET, MessageKind.GETX, MessageKind.PUT,
     MessageKind.UC_READ, MessageKind.UC_WRITE,
     MessageKind.FWD_GET, MessageKind.FWD_GETX, MessageKind.INVAL,
-    MessageKind.PAGE_SCRUB, MessageKind.FLUSH_DONE,
+    MessageKind.FLUSH_DONE,
 })
 
 

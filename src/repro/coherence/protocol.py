@@ -53,11 +53,10 @@ class ProtocolEngine:
         payload = packet.payload
         line = None
         if isinstance(payload, dict):
-            # uncached and scrub requests address memory by "address" /
-            # "page" rather than a coherence line; any of them names the
-            # directory entry whose state the handler will consult
-            line = (payload.get("line") or payload.get("address")
-                    or payload.get("page"))
+            # uncached requests address memory by "address" rather than a
+            # coherence line; either names the directory entry whose state
+            # the handler will consult
+            line = payload.get("line") or payload.get("address")
         directory = self.magic.directory
         if line is None or not directory.owns(line):
             state = "REMOTE"
@@ -162,7 +161,6 @@ class ProtocolEngine:
         if (magic.address_map.is_magic_region(line)
                 and requester != magic.node_id):
             # Range check: nobody writes the node controller's state (§3.3).
-            magic.stats.range_check_rejections += 1
             self._reply_bus_error(requester, line, BusErrorKind.RANGE_CHECK)
             return cost
 
@@ -452,17 +450,6 @@ class ProtocolEngine:
                             "address": address, "error_kind": None})
         return self.params.handler_time
 
-    # ------------------------------------------------------------- home: scrub
-
-    def _home_page_scrub(self, packet):
-        magic = self.magic
-        payload = packet.payload
-        reset = magic.scrub_page(payload["page"])
-        magic.send_message(payload["requester"], MessageKind.SCRUB_ACK,
-                           {"page": payload["page"], "reset": reset,
-                            "scrub_key": payload.get("scrub_key")})
-        return self.params.long_handler_time
-
     # ----------------------------------------------------------------- replies
 
     def _reply_data(self, requester, line, value, exclusive,
@@ -497,5 +484,4 @@ _HANDLERS = {
     MessageKind.INVAL: ProtocolEngine._remote_inval,
     MessageKind.UC_READ: ProtocolEngine._home_uc_read,
     MessageKind.UC_WRITE: ProtocolEngine._home_uc_write,
-    MessageKind.PAGE_SCRUB: ProtocolEngine._home_page_scrub,
 }

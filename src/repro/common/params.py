@@ -99,11 +99,6 @@ class TimingParams:
     cpu_cycle: float = 5.0          # 200 MHz R4000 (§5.1, Table 5.1)
     l1_hit_time: float = 10.0       # cache hit service time seen by the model
 
-    @property
-    def recovery_mips(self):
-        """Effective recovery-mode execution rate (paper: under 2.5 MIPS)."""
-        return 1_000.0 / self.uncached_instruction_time
-
     def recovery_work(self, instructions):
         """Time (ns) to execute ``instructions`` in uncached recovery mode."""
         return instructions * self.uncached_instruction_time
@@ -111,10 +106,3 @@ class TimingParams:
     def data_packet_flits(self):
         """Flits in a packet carrying one full cache line (plus header)."""
         return 1 + self.line_size // self.flit_bytes
-
-    def packet_transfer_time(self, flits):
-        """Time for a packet of ``flits`` flits to cross one hop."""
-        return self.hop_latency + flits * self.flit_time
-
-
-DEFAULT_PARAMS = TimingParams()

@@ -190,9 +190,6 @@ class FaultInjector:
 
     # -------------------------------------------------------------- scheduling
 
-    def inject_after(self, spec, delay):
-        self.machine.sim.schedule(delay, self.inject, spec)
-
     def inject_on_phase(self, spec, phase, node_id=None):
         """Inject when a recovery agent enters ``phase`` ("P1".."P4").
 

@@ -28,7 +28,6 @@ import random
 
 from repro.campaign.schedule import (
     RECOVERY_PHASES,
-    FaultSchedule,
     TimedFault,
     make_schedule,
     redundant_entries,

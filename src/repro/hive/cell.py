@@ -44,7 +44,6 @@ class Cell:
         self.alive = True
         self.panic_reason = None
         self.processes = []            # UserProcess instances
-        self.suspended = False
 
         # Kernel data pages: allocated at the base of the lead node's
         # usable memory, firewall-restricted to the cell's own nodes.

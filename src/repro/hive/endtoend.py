@@ -10,7 +10,7 @@ import dataclasses
 
 from repro.analysis.tables import format_table
 from repro.common.types import DirState
-from repro.faults.models import NODE_LOSS_FAULT_TYPES, FaultSpec
+from repro.faults.models import FaultSpec
 from repro.hive.os import HiveConfig, HiveOS
 from repro.workloads.pmake import (
     compile_job,
@@ -46,14 +46,6 @@ class EndToEndResult:
                 ("HW recovery [ms]", "%.2f" % (self.hw_recovery_ns / 1e6)),
                 ("OS recovery [ms]", "%.2f" % (self.os_recovery_ns / 1e6)),
             ])
-
-
-def expected_dead_cells(hive, fault):
-    """Cells ``fault`` (one :class:`~repro.faults.models.FaultSpec`) is
-    *expected* to take down — its failure unit."""
-    if fault.fault_type in NODE_LOSS_FAULT_TYPES:
-        return {hive.cell_of_node(fault.target).cell_id}
-    return set()
 
 
 def run_end_to_end_experiment(fault, hive_config=None, inject_delay=2_000_000.0,
@@ -105,7 +97,9 @@ def run_end_to_end_experiment(fault, hive_config=None, inject_delay=2_000_000.0,
     os_recovered = bool(hive.os_recovery_reports)
     report = manager.reports[-1] if recovered else None
 
-    dead_expected = expected_dead_cells(hive, fault)
+    # The cells the fault is expected to take down: its failure unit.
+    dead_expected = ({hive.cell_of_node(fault.target).cell_id}
+                     if fault.destroys_node_state else set())
     survivors_expected = [
         job for job in jobs
         if not ({job % config.cells, server} & dead_expected)

@@ -198,14 +198,3 @@ class HiveOS:
         self.os_recovery_reports.append((hw_report, start, end))
         self.os_recovery_done_event.trigger((start, end))
         self.machine.recovery_manager.release_processors()
-
-    # ------------------------------------------------------------------ helpers
-
-    def run_until_processes_settle(self, processes=None, limit=None):
-        """Run the simulation until the given processes stop running."""
-        processes = processes if processes is not None else self.processes
-
-        def settled():
-            return all(p.state != "running" for p in processes)
-
-        self.sim.run_until(settled, limit=limit)

@@ -45,8 +45,6 @@ class RpcEndpoint:
         self._waiting = {}          # (dst_cell, seq) -> Event
         self._executed = {}         # (src_cell, seq) -> cached reply
         self._proc = None
-        self.stats_calls = 0
-        self.stats_retransmits = 0
         self.stats_duplicates_dropped = 0
         self.stopped = False
 
@@ -84,13 +82,11 @@ class RpcEndpoint:
         """
         if dst_cell in self.dead_cells:
             raise CellDownError(dst_cell)
-        self.stats_calls += 1
         seq = next(self._seq)
         key = (dst_cell, seq)
         give_up_at = self.sim.now + self.params.rpc_timeout
         body = {"rpc": "req", "service": service, "payload": payload,
                 "seq": seq, "caller": self.cell_id}
-        first = True
         while True:
             # The kernel cannot run while the processor executes recovery
             # code: hold off (and stop retransmitting into the drain).
@@ -102,9 +98,6 @@ class RpcEndpoint:
             if self.sim.now >= give_up_at:
                 self.dead_cells.add(dst_cell)
                 raise CellDownError(dst_cell)
-            if not first:
-                self.stats_retransmits += 1
-            first = False
             event = Event(self.sim)
             self._waiting[key] = event
             self._send(dst_cell, dict(body))

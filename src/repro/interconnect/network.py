@@ -6,7 +6,8 @@ per node, and programs the baseline (dimension-ordered / e-cube) routing
 tables.  Also exposes the fault-injection and reconfiguration operations the
 rest of the system needs:
 
-* ``fail_link`` / ``fail_router`` / ``fail_node_interface``;
+* ``fail_link`` / ``fail_router`` / ``heal_link`` / ``set_link_drop`` (a
+  node's own interface is failed by its MAGIC, :meth:`Magic.fail`);
 * per-router ``set_discard_ports`` and ``program_table`` (via the routers);
 * helpers to query the *true* surviving graph (used by the fault oracle and
   by tests — the recovery algorithm itself never peeks; it discovers the
@@ -113,14 +114,6 @@ class Network:
         self.routers[rid_a].notify()
         self.routers[rid_b].notify()
 
-    def fail_node_interface(self, node_id):
-        self.interfaces[node_id].fail()
-        self.routers[node_id].notify()
-
-    def wedge_node_interface(self, node_id):
-        """Infinite-loop fault: the controller stops draining its inbox."""
-        self.interfaces[node_id].stop_consuming()
-
     def fault_lineage_of(self, node_id):
         """Best-effort causal attribution for a silent non-response.
 
@@ -153,6 +146,3 @@ class Network:
             self.topology,
             dead_nodes=self.failed_router_ids(),
             dead_links=self.failed_link_pairs())
-
-    def total_buffered_packets(self):
-        return sum(r.buffered_packet_count() for r in self.routers)

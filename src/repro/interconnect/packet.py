@@ -58,7 +58,7 @@ class Packet:
     __slots__ = (
         "src", "dst", "lane", "kind", "payload", "flits",
         "source_route", "route_index", "truncated", "hops", "uid",
-        "inject_time", "trace_ports", "root_cause", "cause_eid",
+        "trace_ports", "root_cause", "cause_eid",
     )
 
     def __init__(self, src, dst, lane, kind, payload=None, flits=2,
@@ -77,7 +77,6 @@ class Packet:
         #: enters the fabric; None for a packet that never does (a
         #: controller's message to itself)
         self.uid = None
-        self.inject_time = None
         # Causal lineage (forensics, DESIGN.md §11): the fault root id this
         # packet descends from (if any) and the eid of the most recent trace
         # event on its provenance chain.  Pure data — nothing in the
@@ -88,10 +87,6 @@ class Packet:
         # reversing this list yields the source route for a reply (used by
         # router probes and recovery pings).
         self.trace_ports = []
-
-    @property
-    def is_source_routed(self):
-        return self.source_route is not None
 
     def truncate(self):
         """Mark the packet truncated and discard its data payload (§3.1)."""

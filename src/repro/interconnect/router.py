@@ -83,7 +83,6 @@ class NodeInterface:
         self.inbox = Channel(sim, name="ni%d.inbox" % node_id)
         self._reserved = 0
         self.failed = False          # node failure: arrivals silently dropped
-        self.consuming = True        # infinite-loop fault clears this
         self.trace = None            # telemetry recorder (None: disabled)
         self.fault_lineage = None    # (root id, inject eid) when failed
         self._outbox = deque()
@@ -153,7 +152,6 @@ class NodeInterface:
     def send(self, packet):
         """Queue an outbound packet; the pump injects it when space allows."""
         packet.uid = next(self.sim.packet_uids)
-        packet.inject_time = self.sim.now
         tr = self.trace
         if tr is not None:
             eid = tr.emit("pkt", "send", node=self.node_id,
@@ -165,10 +163,6 @@ class NodeInterface:
                 packet.cause_eid = eid
         self._outbox.append(packet)
         self._kick_pump()
-
-    @property
-    def outbox_depth(self):
-        return len(self._outbox)
 
     def start(self):
         """Schedule the first outbound pump run (called by the network)."""
@@ -199,10 +193,6 @@ class NodeInterface:
         self.failed = True
         self.inbox.clear()
         self._outbox.clear()
-
-    def stop_consuming(self):
-        """Model a MAGIC firmware infinite loop: inbox is never drained."""
-        self.consuming = False
 
 
 class Router:

@@ -58,10 +58,6 @@ class Topology:
             table[dst] = self.routing_port(router_id, dst)
         return table
 
-    def diameter(self):
-        """Hop diameter of the healthy topology."""
-        raise NotImplementedError
-
 
 class Mesh2D(Topology):
     """W x H mesh with dimension-ordered (X then Y) routing.
@@ -122,9 +118,6 @@ class Mesh2D(Topology):
             return self.SOUTH
         raise ConfigurationError("routing to self")
 
-    def diameter(self):
-        return (self.width - 1) + (self.height - 1)
-
 
 class FatHypercube(Topology):
     """Binary hypercube with e-cube routing (port k flips bit k).
@@ -160,9 +153,6 @@ class FatHypercube(Topology):
         if diff == 0:
             raise ConfigurationError("routing to self")
         return (diff & -diff).bit_length() - 1   # lowest set bit
-
-    def diameter(self):
-        return self.dimension
 
 
 def make_topology(kind, num_nodes):

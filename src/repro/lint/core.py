@@ -66,7 +66,6 @@ class Module:
     def __init__(self, rel, source, path=None):
         self.rel = rel
         self.path = path or rel
-        self.source = source
         self.tree = ast.parse(source)
         self.line_disables = {}    # line number -> set of rule names
         for number, text in enumerate(source.splitlines(), start=1):

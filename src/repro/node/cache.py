@@ -62,10 +62,6 @@ class Cache:
         line = self._lines.get(line_address)
         return line.state if line else CacheState.INVALID
 
-    def value_of(self, line_address):
-        line = self._lines.get(line_address)
-        return line.value if line else None
-
     def fill(self, line_address, value, state):
         """Insert a line; returns an eviction victim (address, line) or None."""
         victim = None

@@ -69,17 +69,14 @@ class NullHooks:
 class MagicStats:
     def __init__(self):
         self.handlers_run = 0
-        self.pi_requests = 0
         self.naks_sent = 0
         self.naks_received = 0
         self.bus_errors = 0
         self.timeouts = 0
         self.nak_overflows = 0
-        self.assertion_failures = 0
         self.truncated_received = 0
         self.stray_messages = 0
         self.firewall_rejections = 0
-        self.range_check_rejections = 0
         self.drained_messages = 0
 
 
@@ -208,9 +205,7 @@ class Magic:
                 continue
             request = self.pi_queue.try_get()
             if request is not None:
-                cost = self._handle_pi(request)
-                self.stats.pi_requests += 1
-                yield cost
+                yield self._handle_pi(request)
                 continue
             yield AnyOf([self.ni.inbox.watch(), self.pi_queue.watch()])
 
@@ -312,8 +307,6 @@ class Magic:
         payload = packet.payload or {}
         if kind in (MessageKind.UC_DATA, MessageKind.UC_ACK):
             return self._complete_uncached(packet)
-        if kind == MessageKind.SCRUB_ACK:
-            return self._complete_scrub(packet)
 
         line = payload.get("line")
         pending = self.outstanding.get(line)
@@ -480,7 +473,6 @@ class Magic:
                 and self.address_map.is_magic_region(address)
                 and self.address_map.home_of(address) == self.node_id):
             # Range check: local MAGIC region rejects processor writes (§3.3).
-            self.stats.range_check_rejections += 1
             error = BusError(BusErrorKind.RANGE_CHECK, address,
                              "MAGIC-protected region")
             return self._pi_bus_error(event, error)
@@ -611,42 +603,6 @@ class Magic:
             pending.event.trigger(("ok", payload.get("value")))
         return self.params.handler_time
 
-    # ------------------------------------------------------------- page scrub
-
-    def request_scrub(self, page_address):
-        """OS service: reset a page's incoherent lines at its home (§4.6).
-
-        Returns an event triggering with ``("ok", lines_reset)``.
-        """
-        event = Event(self.sim, name="scrub%d" % self.node_id)
-        home = self.address_map.home_of(page_address)
-        if home == self.node_id:
-            event.trigger(("ok", self.scrub_page(page_address)))
-            return event
-        if home not in self.node_map:
-            event.trigger(("error", BusError(
-                BusErrorKind.INACCESSIBLE_NODE, page_address,
-                "scrub target home unavailable")))
-            return event
-        self._uc_seq += 1
-        key = ("scrub", self._uc_seq)
-        self.outstanding[key] = _Outstanding(
-            None, event, MessageKind.PAGE_SCRUB, key, None, home)
-        self.send_message(home, MessageKind.PAGE_SCRUB,
-                          {"page": page_address,
-                           "requester": self.node_id, "scrub_key": key})
-        return event
-
-    def _complete_scrub(self, packet):
-        payload = packet.payload or {}
-        key = payload.get("scrub_key")
-        pending = self.outstanding.pop(key, None)
-        if pending is None:
-            self.stats.stray_messages += 1
-            return self.params.short_handler_time
-        pending.event.trigger(("ok", payload.get("reset", 0)))
-        return self.params.short_handler_time
-
     def _capture_uc_reply(self, packet):
         """Save the result of a pending uncached read that arrives during
         recovery into an internal buffer (§4.2)."""
@@ -755,7 +711,6 @@ class Magic:
         """A MAGIC firmware assertion (§4.2): failure triggers recovery."""
         if condition:
             return True
-        self.stats.assertion_failures += 1
         self.trigger_recovery("assertion:%s" % message, cause=self._cause)
         return False
 
@@ -872,7 +827,9 @@ class Magic:
 
     def scrub_page(self, page_address):
         """MAGIC service used by the OS to reset incoherent lines of a page
-        before reuse (§4.6)."""
+        before reuse (§4.6).  Local: the OS calls it at the page's home
+        (Hive's file server homes its pages at its own lead node); it
+        returns the number of lines reset."""
         reset = 0
         line_size = self.address_map.line_size
         for offset in range(0, self.address_map.page_size, line_size):
@@ -919,8 +876,7 @@ _NO_LINEAGE = (None, None)
 
 _RECOVERY_KINDS = frozenset({
     MessageKind.PING, MessageKind.PING_REPLY, MessageKind.DISSEMINATE,
-    MessageKind.BARRIER_UP, MessageKind.BARRIER_DOWN, MessageKind.RESTART,
-    MessageKind.FLUSH_DONE,
+    MessageKind.BARRIER_UP, MessageKind.BARRIER_DOWN, MessageKind.FLUSH_DONE,
 })
 
 _ROUTER_REPLY_KINDS = frozenset({ROUTER_PROBE_REPLY, ROUTER_CTRL_ACK})
@@ -928,5 +884,4 @@ _ROUTER_REPLY_KINDS = frozenset({ROUTER_PROBE_REPLY, ROUTER_CTRL_ACK})
 _REPLY_KINDS = frozenset({
     MessageKind.DATA_SHARED, MessageKind.DATA_EXCL, MessageKind.NAK,
     MessageKind.BUS_ERROR_REPLY, MessageKind.UC_DATA, MessageKind.UC_ACK,
-    MessageKind.SCRUB_ACK,
 })

@@ -108,7 +108,6 @@ class FlushLine:
 
 class ProcessorStats:
     def __init__(self):
-        self.ops_executed = 0
         self.loads = 0
         self.stores = 0
         self.uncached_ops = 0
@@ -130,7 +129,6 @@ class Processor:
         self.done = Event(sim, name="cpu%d.done" % node_id)
         self.program_result = None
         self.program_error = None
-        self.halted = False
         self._proc = None
         #: event the processor waits on while recovery runs; recreated by
         #: the recovery manager for every recovery episode
@@ -153,7 +151,6 @@ class Processor:
         self.done = Event(self.sim, name="cpu%d.done" % self.node_id)
         self.program_result = None
         self.program_error = None
-        self.halted = False
         self._proc = self.sim.spawn(
             self._run(program),
             name=name or "cpu%d" % self.node_id)
@@ -204,13 +201,11 @@ class Processor:
             else:
                 self.stats.bus_errors += 1
                 throw_error = value
-        self.halted = True
         self.done.trigger(self.program_result)
         return self.program_result
 
     def _execute(self, op):
         """Execute one operation; returns ("ok", value) or ("error", err)."""
-        self.stats.ops_executed += 1
         if op.kind == "compute":
             yield op.duration
             return ("ok", None)
@@ -280,7 +275,6 @@ class Processor:
     def kill(self):
         if self._proc is not None:
             self._proc.kill()
-        self.halted = True
 
     def interrupt_for_recovery(self):
         """MAGIC forces the processor out of normal execution (§4.2)."""

@@ -165,11 +165,6 @@ class SystemView:
         snapshot itself."""
         return self.encode()
 
-    def copy(self):
-        clone = SystemView()
-        clone.merge(self)
-        return clone
-
     def __eq__(self, other):
         return (isinstance(other, SystemView)
                 and self.encode() == other.encode())

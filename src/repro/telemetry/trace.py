@@ -159,9 +159,6 @@ class TraceRecorder:
             self._events = []
         self.total_emitted = 0
 
-    def to_dicts(self):
-        return [event.to_dict() for event in self._events]
-
     def dump(self, limit=None):
         """JSON-friendly snapshot of the retained events.
 

@@ -6,9 +6,8 @@ stand-in MAGIC over abstract single-line configurations;
 :mod:`repro.verify.checker` exhaustively explores the reachable space
 and checks the paper's containment invariants (single-owner, lock
 bookkeeping and drainability, sharer consistency, firewall escape), and
-delivers the uncached and scrub kinds once each (uncached-I/O
-containment, scrub acknowledgement).  :func:`check_protocol` runs all
-of it as ``repro.cli verify-protocol``.
+delivers the uncached kinds once each (uncached-I/O containment).
+:func:`check_protocol` runs all of it as ``repro.cli verify-protocol``.
 """
 
 from repro.verify.checker import (Report, ScenarioResult, Violation,

@@ -20,11 +20,12 @@ Three scenarios, mirroring the paper's containment argument:
   which is the recovery subsystem's job, not the protocol's.
 
 Every delivery calls the handler the simulator runs
-(:class:`~repro.verify.model.StandInMagic`).  The uncached and scrub
-kinds never enter the stateful exploration (the model line is ordinary
-memory); :func:`direct_checks` delivers each of them once instead — a
-remote I/O request must be rejected without touching the device
-(§3.3), and a scrub must be acknowledged.
+(:class:`~repro.verify.model.StandInMagic`).  The uncached kinds never
+enter the stateful exploration (the model line is ordinary memory);
+:func:`direct_checks` delivers each of them once instead — a remote I/O
+request must be rejected without touching the device (§3.3).  Page scrub
+is no message: it is a local MAGIC service the OS calls at the page's
+home (§4.6).
 
 :func:`check_protocol` is the whole ``repro.cli verify-protocol`` gate.
 """
@@ -33,13 +34,13 @@ import os
 import traceback
 
 from repro.coherence.messages import MessageKind
-from repro.common.types import BusErrorKind, page_of
+from repro.common.types import BusErrorKind
 from repro.verify.model import (GRANT_KINDS, HOME, REPLY_KINDS, ModelError,
                                 Scenario, StandInMagic, enqueue, dequeue,
                                 initial_config, make_line, message)
 
 #: kinds delivered once by :func:`direct_checks` instead of explored.
-DIRECT_KINDS = ("UC_READ", "UC_WRITE", "PAGE_SCRUB")
+DIRECT_KINDS = ("UC_READ", "UC_WRITE")
 
 _TRACE_LIMIT = 20
 
@@ -137,7 +138,7 @@ class Report:
                                            scenario.transitions,
                                            len(scenario.violations)))
         lines.append("  %-26s %3d violation(s)" % (
-            "direct (UC, PAGE_SCRUB)", len(self.direct_violations)))
+            "direct (UC_READ, UC_WRITE)", len(self.direct_violations)))
         for violation in self.violations():
             lines.append("VIOLATION [%s] in %s: %s"
                          % (violation.invariant, violation.scenario,
@@ -177,24 +178,18 @@ def check_protocol(handlers=None, engine_class=None, scenarios=None,
 
 def direct_checks(handlers=None, engine_class=None):
     """Deliver each of :data:`DIRECT_KINDS` once, from a remote requester,
-    to the home of an I/O register (uncached) or the model page (scrub)."""
+    to the home of an I/O register."""
     scenario = default_scenarios()[0]
     requester = 1
     violations = []
     for kind in DIRECT_KINDS:
         machine = StandInMagic(scenario, handlers, engine_class)
-        address_map = machine.address_map
         if MessageKind[kind] not in machine.handlers:
             violations.append(Violation(
                 "missing-handler", "direct", "%s has no handler" % kind))
             continue
-        if kind == "PAGE_SCRUB":
-            payload = {"page": page_of(machine.line, address_map.page_size),
-                       "requester": requester, "scrub_key": ("scrub", 1)}
-        else:
-            payload = {"address": address_map.io_region_start(HOME),
-                       "requester": requester, "uc_key": ("uc", 1),
-                       "value": 1}
+        payload = {"address": machine.address_map.io_region_start(HOME),
+                   "requester": requester, "uc_key": ("uc", 1), "value": 1}
         trace = ["deliver %s %d->%d %s" % (kind, requester, HOME, payload)]
         try:
             outcome = machine.run(initial_config(scenario.num_nodes),
@@ -209,14 +204,6 @@ def direct_checks(handlers=None, engine_class=None):
                    for target, sent, sent_payload in outcome.sends
                    if target == requester]
         trace.extend("reply %s %s" % sent for sent in replies)
-        if kind == "PAGE_SCRUB":
-            if not any(reply_kind == "SCRUB_ACK"
-                       for reply_kind, _ in replies):
-                violations.append(Violation(
-                    "silent-handler", "direct",
-                    "PAGE_SCRUB was not acknowledged with SCRUB_ACK; the "
-                    "requester would wedge", trace))
-            continue
         reply = "UC_DATA" if kind == "UC_READ" else "UC_ACK"
         rejected = any(
             reply_kind == reply and reply_payload.get("error_kind")

@@ -33,8 +33,8 @@ Model assumptions (documented deviations from the concrete machine):
 * failure units are singletons, so ``requester in failure_unit``
   means ``requester == node``;
 * the modeled line is ordinary memory (never in the MAGIC region) and
-  never I/O — the uncached and scrub kinds are delivered once each by
-  the checker instead of being explored statefully;
+  never I/O — the uncached kinds are delivered once each by the checker
+  instead of being explored statefully;
 * the firewall ACL is scenario policy: open in fault-free scenarios,
   deny-failed-cell in fault scenarios (paper §4.1: recovery closes the
   firewall against dead cells).
@@ -347,9 +347,6 @@ class StandInMagic:
         fields = tuple((key, payload[key]) for key in ("home", "requester")
                        if key in payload)
         self.sends.append((dst, (kind.name, fields), payload))
-
-    def scrub_page(self, page_address):
-        return 0
 
     # ------------------------------------------------------------ delivery
 

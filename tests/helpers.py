@@ -8,6 +8,18 @@ from repro.node.node import Node
 from repro.sim import Simulator
 
 
+def cached_value(cache, line_address):
+    """The value ``cache`` holds for a line, or None; counts no hit and
+    leaves the LRU order alone."""
+    line = cache._lines.get(line_address)
+    return line.value if line else None
+
+
+def buffered_packets(network):
+    """Packets held in the input buffers of every router of ``network``."""
+    return sum(router.buffered_packet_count() for router in network.routers)
+
+
 class RawMachine:
     """A bare machine (no recovery manager, no OS) for protocol-level tests."""
 

@@ -37,7 +37,7 @@ class TestBasics:
         cache = make_cache()
         cache.fill(0x100, "old", CacheState.EXCLUSIVE)
         cache.write(0x100, "new")
-        assert cache.value_of(0x100) == "new"
+        assert cache.lookup(0x100).value == "new"
 
     def test_write_to_shared_raises(self):
         cache = make_cache()

@@ -19,7 +19,6 @@ from repro.campaign import (
 )
 from repro.campaign.records import (
     append_record,
-    completed_indices,
     load_records,
 )
 from repro.campaign.runner import derive_run_seed
@@ -87,7 +86,7 @@ class TestRecords:
         append_record(path, record)
         loaded = load_records(path)
         assert loaded == [record]
-        assert completed_indices(loaded) == {3}
+        assert [r.run_index for r in loaded] == [3]
 
     def test_torn_trailing_line_is_ignored(self, tmp_path):
         path = tmp_path / "runs.jsonl"
@@ -161,14 +160,14 @@ class TestRunner:
         CampaignRunner(runs=2, **kwargs).run()
         data = path.read_bytes()
         path.write_bytes(data[:-40])               # tear run 1's line
-        assert completed_indices(load_records(path)) == {0}
+        assert [r.run_index for r in load_records(path)] == [0]
         executed = []
         summary = CampaignRunner(
             runs=3, progress=lambda record: executed.append(
                 record.run_index), **kwargs).run()
         assert executed == [1, 2]
         assert summary.total == 3
-        assert completed_indices(load_records(path)) == {0, 1, 2}
+        assert sorted(r.run_index for r in load_records(path)) == [0, 1, 2]
 
     def test_crashing_run_is_recorded_not_fatal(self, tmp_path):
         # Node 9 does not exist on a 4-node machine: the worker raises

@@ -2,9 +2,10 @@
 
 import pytest
 
-from tests.helpers import RawMachine
+from tests.helpers import RawMachine, cached_value
 from repro.common.errors import BusError
 from repro.common.types import BusErrorKind, CacheState, DirState
+from repro.node.memory import initial_value
 from repro.node.processor import (
     Compute,
     FlushLine,
@@ -216,7 +217,7 @@ class TestContention:
         # The directory must end in a consistent single-owner state.
         entry = machine.node(0).directory.entry(line)
         assert entry.state == DirState.EXCLUSIVE
-        owner_value = machine.node(entry.owner).cache.value_of(line)
+        owner_value = cached_value(machine.node(entry.owner).cache, line)
         assert owner_value is not None
 
     def test_readers_and_writer_interleaved(self):
@@ -429,21 +430,17 @@ class TestIncoherentLines:
         assert caught and caught[0].kind == BusErrorKind.INCOHERENT_LINE
 
     def test_scrub_resets_incoherent_lines(self):
+        """§4.6: the OS scrubs a page at its home (Hive's file server homes
+        its pages at its own lead node), and a remote reader then sees
+        the page's initial contents again."""
         machine = RawMachine()
         line = remote_line(machine, 1)
         page = line - (line % machine.params.page_size)
-        entry = machine.node(1).directory.entry(line)
-        entry.unlock(DirState.INCOHERENT)
-
-        collected = []
-
-        def program():
-            event = machine.node(0).magic.request_scrub(page)
-            status, reset = yield event
-            collected.append((status, reset))
-
-        machine.sim.spawn(program())
-        machine.run(until=machine.sim.now + 10_000_000)
-        assert collected == [("ok", 1)]
+        home = machine.node(1).magic
+        home.directory.entry(line).unlock(DirState.INCOHERENT)
+        home.memory.write_line(line, "lost")
+        assert home.scrub_page(page) == 1
+        assert home.directory.entry(line).state == DirState.UNOWNED
+        assert home.memory.read_line(line) == initial_value(line)
         results = run_one(machine, 0, [Load(line)])
         assert results[0][0] == "init"   # fresh value after scrub

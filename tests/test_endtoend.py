@@ -3,10 +3,7 @@
 import pytest
 
 from repro.faults.models import FaultSpec
-from repro.hive.endtoend import (
-    expected_dead_cells,
-    run_end_to_end_experiment,
-)
+from repro.hive.endtoend import run_end_to_end_experiment
 from repro.hive.os import HiveConfig, HiveOS
 
 
@@ -110,8 +107,9 @@ def test_expected_dead_cells_for_multi_node_cells():
     hive_config = config(seed=69, cells=4, nodes_per_cell=2)
     hive = HiveOS(hive_config)
     fault = FaultSpec.node_failure(5)   # node 5 belongs to cell 2
-    assert expected_dead_cells(hive, fault) == {2}
-    assert expected_dead_cells(hive, FaultSpec.link_failure(0, 1)) == set()
+    assert fault.destroys_node_state
+    assert hive.cell_of_node(fault.target).cell_id == 2
+    assert not FaultSpec.link_failure(0, 1).destroys_node_state
 
 
 def test_multi_node_cells_end_to_end():

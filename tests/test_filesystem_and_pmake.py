@@ -23,6 +23,11 @@ def small_hive(**overrides):
     return HiveOS(HiveConfig(**defaults)).start()
 
 
+def settle(hive, process, limit):
+    """Run until ``process`` stops running."""
+    hive.sim.run_until(lambda: process.state != "running", limit=limit)
+
+
 class TestFileService:
     def test_create_allocates_server_pages(self):
         hive = small_hive()
@@ -126,7 +131,7 @@ class TestPmakeWorkload:
         create_build_tree(hive, range(4))
         process = hive.spawn_process(
             1, "cc1", compile_job(hive, 1, 1), dependencies={0})
-        hive.run_until_processes_settle([process], limit=60_000_000_000)
+        settle(hive, process, limit=60_000_000_000)
         assert process.state == "done"
         assert process.result == "ok"
 
@@ -135,7 +140,7 @@ class TestPmakeWorkload:
         create_build_tree(hive, range(4))
         process = hive.spawn_process(
             2, "cc2", compile_job(hive, 2, 2), dependencies={0})
-        hive.run_until_processes_settle([process], limit=60_000_000_000)
+        settle(hive, process, limit=60_000_000_000)
         machine = hive.machine
         for line, expected in expected_object_lines(hive, 2):
             assert machine.oracle.committed_value(line) == expected
@@ -145,7 +150,7 @@ class TestPmakeWorkload:
         create_build_tree(hive, range(4))
         process = hive.spawn_process(
             3, "cc3", compile_job(hive, 3, 3), dependencies={0})
-        hive.run_until_processes_settle([process], limit=60_000_000_000)
+        settle(hive, process, limit=60_000_000_000)
         # The compile on cell 3 must have missed into the server's memory.
         server_magic = hive.cells[0].magic
         assert server_magic.stats.handlers_run > 0
@@ -160,7 +165,7 @@ class TestPmakeWorkload:
         hive.sim.run(until=500_000)
         hive.machine.injector.inject(
             FaultSpec.node_failure(hive.cells[3].lead_node))
-        hive.run_until_processes_settle([process], limit=120_000_000_000)
+        settle(hive, process, limit=120_000_000_000)
         assert process.state == "done", process.termination_reason
 
     def test_log_read_of_dead_jobs_slot_is_refetched(self):
@@ -176,6 +181,6 @@ class TestPmakeWorkload:
         hive.sim.run(until=1_200_000)
         hive.machine.injector.inject(
             FaultSpec.node_failure(hive.cells[3].lead_node))
-        hive.run_until_processes_settle([survivor], limit=120_000_000_000)
+        settle(hive, survivor, limit=120_000_000_000)
         assert survivor.state == "done", survivor.termination_reason
         assert victim.state in ("terminated", "failed", "done")

@@ -36,7 +36,7 @@ class TestFailureDetectors:
         machine = RawMachine(memory_op_timeout=50_000.0)
         machine.node(0).magic.recovery_trigger = (
             lambda node, reason: triggers.append((node, reason)))
-        machine.network.fail_node_interface(3)
+        machine.node(3).fail()
 
         def program():
             try:
@@ -247,7 +247,7 @@ class TestRecoveryServices:
     def test_enter_recovery_clears_outstanding(self):
         machine = RawMachine()
         magic = machine.node(0).magic
-        machine.network.fail_node_interface(3)
+        machine.node(3).fail()
 
         def program():
             yield Load(remote_line(machine, 3))

@@ -14,6 +14,7 @@ from repro.interconnect.routing import compute_source_route
 from repro.interconnect.topology import Mesh2D
 from repro.sim import Simulator
 from repro.telemetry.trace import TraceRecorder
+from tests.helpers import buffered_packets
 
 
 def build(width=3, height=3, **param_overrides):
@@ -162,7 +163,7 @@ class TestRouterProbes:
         sim, _, network = build(2, 1)
         received = []
         drain_all(sim, network, 0, received)
-        network.fail_node_interface(1)   # node dead, router powered
+        network.interface(1).fail()   # node dead, router powered
         network.interface(0).send(
             Packet(src=0, dst=None, lane=Lane.RECOVERY_A,
                    kind=ROUTER_PROBE, source_route=[Mesh2D.EAST]))
@@ -173,7 +174,7 @@ class TestRouterProbes:
 class TestFailures:
     def test_failed_node_sinks_packets(self):
         sim, _, network = build(2, 1)
-        network.fail_node_interface(1)
+        network.interface(1).fail()
         network.interface(0).send(
             Packet(src=0, dst=1, lane=Lane.REQUEST, kind="doomed"))
         sim.run(until=1_000_000)
@@ -211,11 +212,10 @@ class TestFailures:
         assert packet.payload is None
 
     def test_failed_router_drops_buffered_packets(self):
-        # Wedge node 2 so the flood backs up into router 1's buffers, then
-        # fail router 1: whatever it held must be lost.
+        # Nothing drains node 2, so the flood backs up into router 1's
+        # buffers; then fail router 1: whatever it held must be lost.
         sim, _, network = build(3, 1, magic_inbox_capacity=1,
                                 buffer_capacity=1)
-        network.wedge_node_interface(2)
         for _ in range(6):
             network.interface(0).send(
                 Packet(src=0, dst=2, lane=Lane.REQUEST, kind="through"))
@@ -227,30 +227,30 @@ class TestFailures:
         assert network.router(1).buffered_packet_count() == 0
 
     def test_wedged_interface_backs_up_traffic(self):
-        """A controller that stops accepting packets congests the fabric
-        (paper §3.1: infinite-loop firmware fault)."""
+        """A controller that stops draining its inbox congests the fabric
+        (paper §3.1: infinite-loop firmware fault).  Nothing drains node 2
+        here, which is all a wedged MAGIC does to its interface."""
         sim, params, network = build(3, 1, magic_inbox_capacity=2,
                                      buffer_capacity=2)
-        network.wedge_node_interface(2)
         for i in range(30):
             network.interface(0).send(
                 Packet(src=0, dst=2, lane=Lane.REQUEST,
                        kind="flood", payload=i))
         sim.run(until=5_000_000)
         # Traffic must be stuck: buffered in routers or in the source outbox,
-        # with the wedged inbox full.
+        # with the undrained inbox full.
         inbox_depth = len(network.interface(2).inbox)
         assert inbox_depth <= params.magic_inbox_capacity
-        stuck = (network.total_buffered_packets()
-                 + network.interface(0).outbox_depth
+        stuck = (buffered_packets(network)
+                 + len(network.interface(0)._outbox)
                  + inbox_depth)
         assert stuck >= 25
 
     def test_congestion_blocks_unrelated_traffic(self):
-        """Back-pressure from a wedged node delays traffic that shares links."""
+        """Back-pressure from an undrained node delays traffic that shares
+        links."""
         sim, params, network = build(4, 1, magic_inbox_capacity=1,
                                      buffer_capacity=1)
-        network.wedge_node_interface(3)
         for i in range(20):
             network.interface(0).send(
                 Packet(src=0, dst=3, lane=Lane.REQUEST, kind="flood"))
@@ -280,7 +280,7 @@ class TestFlushBarrierOrdering:
         sender.send(make_packet(params, 0, 3, MessageKind.FLUSH_DONE,
                                 {"sender": 0}))
         sim.run(until=100_000)
-        assert network.total_buffered_packets() >= 3   # lane backed up
+        assert buffered_packets(network) >= 3   # lane backed up
         received = []
         drain_all(sim, network, 3, received)
         sim.run(until=1_000_000)
@@ -295,9 +295,9 @@ class TestRecoveryLaneStallDiscard:
         sim, params, network = build(3, 1, recovery_stall_discard=1_000.0,
                                      recovery_buffer_capacity=2,
                                      magic_inbox_capacity=2)
-        # Wedge node 1: its inbox fills, recovery packets stall at router 1
-        # and must be discarded rather than congest the recovery lane.
-        network.wedge_node_interface(1)
+        # Nothing drains node 1: its inbox fills, recovery packets stall at
+        # router 1 and must be discarded rather than congest the recovery
+        # lane.
         for i in range(10):
             network.interface(0).send(
                 Packet(src=0, dst=1, lane=Lane.RECOVERY_A, kind="rec",
@@ -305,12 +305,11 @@ class TestRecoveryLaneStallDiscard:
         sim.run(until=10_000_000)
         # All packets either delivered (up to inbox capacity) or discarded;
         # nothing remains buffered in the fabric.
-        assert network.total_buffered_packets() == 0
+        assert buffered_packets(network) == 0
         assert network.router(1).stats.dropped_stall >= 1
 
     def test_normal_lanes_do_not_stall_discard(self):
         sim, params, network = build(3, 1, recovery_stall_discard=1_000.0)
-        network.wedge_node_interface(1)
         for i in range(30):
             network.interface(0).send(
                 Packet(src=0, dst=1, lane=Lane.REQUEST, kind="norm"))
@@ -465,9 +464,9 @@ class TestCoalescedWakeups:
                 Packet(src=0, dst=1, lane=Lane.REQUEST, kind="seq",
                        payload=seq))
         assert sim.pending_events == 1
-        assert network.interface(0).outbox_depth == 4
+        assert len(network.interface(0)._outbox) == 4
         sim.step()
-        assert network.interface(0).outbox_depth == 0
+        assert len(network.interface(0)._outbox) == 0
 
     def test_kicks_before_start_schedule_nothing(self):
         sim = Simulator(seed=1)
@@ -721,7 +720,6 @@ class TestOccupancyMask:
                                 buffer_capacity=1)
         sim.profiler = AfterEvent(
             lambda: assert_occupancy_masks_match(network))
-        network.wedge_node_interface(2)
         for _ in range(6):
             network.interface(0).send(
                 Packet(src=0, dst=2, lane=Lane.REQUEST, kind="through"))
@@ -738,11 +736,10 @@ class TestOccupancyMask:
                                 magic_inbox_capacity=2)
         sim.profiler = AfterEvent(
             lambda: assert_occupancy_masks_match(network))
-        network.wedge_node_interface(1)
         for _ in range(10):
             network.interface(0).send(
                 Packet(src=0, dst=1, lane=Lane.RECOVERY_A, kind="rec",
                        source_route=[Mesh2D.EAST]))
         sim.run(until=10_000_000)
         assert network.router(1).stats.dropped_stall >= 1
-        assert network.total_buffered_packets() == 0
+        assert buffered_packets(network) == 0

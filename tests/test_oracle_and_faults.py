@@ -5,11 +5,13 @@ import random
 import pytest
 
 from repro import FlashMachine, MachineConfig
+from repro.campaign.schedule import FaultSchedule, TimedFault
 from repro.faults.models import FaultSpec, FaultType
 from repro.faults.oracle import Oracle
 from repro.interconnect.topology import Mesh2D
 from repro.node.memory import initial_value
-from repro.node.processor import Store
+from repro.coherence.messages import MessageKind
+from repro.node.processor import Load, Store
 
 
 def machine_with_oracle(seed=3):
@@ -140,6 +142,32 @@ class TestInjector:
         machine.injector.inject(FaultSpec.infinite_loop(3))
         assert machine.nodes[3].magic.wedged
 
+    def test_infinite_loop_backs_up_the_fabric_until_a_timeout(self):
+        """§3.1: a wedged MAGIC stops draining its inbox.  The inbox fills,
+        back-pressure parks packets in the routers upstream, and a
+        requester's memory-op timeout is what detects the fault."""
+        machine, oracle = machine_with_oracle()
+        params = machine.params
+        machine.injector.inject(FaultSpec.infinite_loop(3))
+        flood = machine.nodes[0].magic
+        for index in range(40):
+            flood.send_message(3, MessageKind.GET, {
+                "line": machine.line_homed_at(3, index), "requester": 0})
+
+        def reader():
+            yield Load(machine.line_homed_at(3, 100))
+
+        machine.nodes[1].processor.run_program(reader())
+        machine.run(until=params.memory_op_timeout / 2)
+        assert len(machine.network.interface(3).inbox) == (
+            params.magic_inbox_capacity)
+        # 2x2 mesh, X then Y: node 0's packets reach 3 through router 1.
+        assert machine.network.router(1).buffered_packet_count() > 0
+        assert oracle.recovery_triggers == []
+        machine.sim.run_until(lambda: oracle.recovery_triggers,
+                              limit=10 * params.memory_op_timeout)
+        assert oracle.recovery_triggers[0] == (1, "memory_op_timeout")
+
     def test_false_alarm_triggers_recovery(self):
         machine, oracle = machine_with_oracle()
         machine.injector.inject(FaultSpec.false_alarm(1))
@@ -154,7 +182,9 @@ class TestInjector:
 
     def test_scheduled_injection(self):
         machine, _ = machine_with_oracle()
-        machine.injector.inject_after(FaultSpec.node_failure(3), 5_000.0)
+        machine.injector.inject_schedule(FaultSchedule(
+            (TimedFault(FaultSpec.node_failure(3), time=5_000.0),),
+            num_nodes=4))
         assert not machine.nodes[3].failed
         machine.run(until=10_000)
         assert machine.nodes[3].failed

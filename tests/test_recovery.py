@@ -6,6 +6,7 @@ from repro import FlashMachine, MachineConfig, FaultSpec
 from repro.common.errors import BusError
 from repro.common.types import DirState
 from repro.node.processor import Load, Store
+from tests.helpers import buffered_packets
 
 
 def small_config(num_nodes=4, **overrides):
@@ -213,7 +214,7 @@ class TestOtherFaultTypes:
         fill_some_state(machine)
         trigger_and_recover(machine, FaultSpec.infinite_loop(1))
         machine.quiesce()
-        assert machine.network.total_buffered_packets() == 0
+        assert buffered_packets(machine.network) == 0
 
     def test_false_alarm_no_data_loss(self):
         machine = FlashMachine(small_config()).start()

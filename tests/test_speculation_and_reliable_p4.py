@@ -9,6 +9,7 @@ from repro import FlashMachine, MachineConfig, FaultSpec
 from repro.common.errors import BusError
 from repro.common.types import CacheState, DirState
 from repro.node.processor import Compute, Load, SpeculativeStore, Store
+from tests.helpers import cached_value
 
 
 def small_config(**overrides):
@@ -30,7 +31,7 @@ class TestSpeculativeStores:
         machine.run_programs([(0, program())])
         # Exclusive in the cache, but the value is still the memory copy.
         assert machine.nodes[0].cache.state_of(line) == CacheState.EXCLUSIVE
-        assert machine.nodes[0].cache.value_of(line) == ("init", line)
+        assert cached_value(machine.nodes[0].cache, line) == ("init", line)
         entry = machine.nodes[1].directory.entry(line)
         assert entry.state == DirState.EXCLUSIVE and entry.owner == 0
 

@@ -60,8 +60,7 @@ class TestTraceRecorder:
         assert recorder.count("pkt", "recv") == 1
         assert [e.key for e in recorder.events_of("detect")] == [
             "detect.timeout"]
-        dicts = recorder.to_dicts()
-        assert dicts[0]["category"] == "pkt"
+        assert recorder.dump()["events"][0]["category"] == "pkt"
         recorder.clear()
         assert len(recorder) == 0 and recorder.dropped_events == 0
 

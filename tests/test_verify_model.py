@@ -283,7 +283,7 @@ MEASURED_MUTATIONS = [
         "", {"handler-cost"}, id="put-default-removed"),
     _unhandled("FWD_MISS", "_home_fwd_miss", {"model-gap"}),
     _unhandled("INVAL_ACK", "_home_inval_ack", {"model-gap"}),
-    _unhandled("PAGE_SCRUB", "_home_page_scrub",
+    _unhandled("UC_WRITE", "_home_uc_write",
                {"dispatch-coverage", "missing-handler"}),
     pytest.param(*INCOHERENT_RENAMED_BROKEN, {"handler-exception"},
                  id="incoherent-renamed-broken"),

@@ -17,6 +17,13 @@ from repro.recovery.view import (
 )
 
 
+def copy_of(view):
+    """An independent copy: a fresh view that merged ``view``."""
+    copy = SystemView()
+    copy.merge(view)
+    return copy
+
+
 class TestObservations:
     def test_alive_observation(self):
         view = SystemView()
@@ -142,7 +149,7 @@ class TestSnapshotAliasing:
         view = self.view()
         sent = view.encode()
         assert view.merge(sent) is False
-        assert view.merge(view.copy()) is False
+        assert view.merge(copy_of(view)) is False
         view.observe_node(0, NodeStatus.ALIVE)
         view.observe_node(0, NodeStatus.DEAD)     # ALIVE already won
         view.observe_node(5, NodeStatus.DEAD)
@@ -164,7 +171,7 @@ class TestCopyAndQueries:
         view = SystemView()
         view.observe_node(0, NodeStatus.ALIVE)
         view.observe_link(0, 1, LinkStatus.UP)
-        clone = view.copy()
+        clone = copy_of(view)
         clone.observe_node(1, NodeStatus.DEAD)
         clone.observe_link(0, 1, LinkStatus.DOWN)
         assert view == SystemView(
@@ -270,7 +277,7 @@ def reference_merge(nodes, links, other_nodes, other_links):
 def test_property_merge_matches_reference(a, b, as_snapshot):
     nodes, links = a.nodes, a.links
     expected_changed = reference_merge(nodes, links, b.nodes, b.links)
-    b_before = b.copy()
+    b_before = copy_of(b)
     changed = a.merge(b.encode() if as_snapshot else b)
     assert changed is expected_changed
     assert a.nodes == nodes and a.links == links
@@ -283,9 +290,9 @@ def test_property_merge_matches_reference(a, b, as_snapshot):
 @given(view_strategy, view_strategy)
 @settings(max_examples=100, deadline=None)
 def test_property_merge_commutative(a, b):
-    left = a.copy()
+    left = copy_of(a)
     left.merge(b)
-    right = b.copy()
+    right = copy_of(b)
     right.merge(a)
     assert left == right
 
@@ -293,12 +300,12 @@ def test_property_merge_commutative(a, b):
 @given(view_strategy, view_strategy, view_strategy)
 @settings(max_examples=100, deadline=None)
 def test_property_merge_associative(a, b, c):
-    left = a.copy()
+    left = copy_of(a)
     left.merge(b)
     left.merge(c)
-    bc = b.copy()
+    bc = copy_of(b)
     bc.merge(c)
-    right = a.copy()
+    right = copy_of(a)
     right.merge(bc)
     assert left == right
 
@@ -306,7 +313,7 @@ def test_property_merge_associative(a, b, c):
 @given(view_strategy)
 @settings(max_examples=100, deadline=None)
 def test_property_merge_idempotent(a):
-    merged = a.copy()
+    merged = copy_of(a)
     changed = merged.merge(a)
     assert not changed
     assert merged == a
