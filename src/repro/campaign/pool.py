@@ -21,6 +21,12 @@ payload is a function of its (schedule, seed) alone, whichever worker
 runs it and whatever that worker ran before; directed tests compare
 forward against reversed run order in one worker, and ``jobs=1``
 against ``jobs=3``.
+
+That is also what lets a campaign run skip the flight recorder.  A PASS
+reads none of its events, so a campaign run executes unrecorded, and
+only a run whose record needs evidence (a red verdict or a stray
+storm) is executed a second time, recording, in the same worker.  A
+fuzz run records every time: its coverage reads the event stream.
 """
 
 import multiprocessing
@@ -28,8 +34,8 @@ import time
 from multiprocessing.connection import wait
 
 from repro.campaign.records import RunStatus
-# the window every pooled run records into: one number, defined beside
-# the retention policy it sizes
+# the window a recording run (a fuzz run, a campaign run's evidence
+# replay) keeps: one number, defined beside the retention policy it sizes
 from repro.telemetry.flight import DEFAULT_CAPACITY as FLIGHT_CAPACITY
 
 #: newest events a dumped flight window keeps in the run record (the full
@@ -44,10 +50,13 @@ STRAY_DUMP_THRESHOLD = 5
 #: status heartbeats and of noticing a worker that died without reporting
 HEARTBEAT_S = 0.5
 
+#: payload keys an evidence replay must reproduce exactly
+REPLAY_KEYS = ("status", "problems", "restarts", "episodes", "metrics")
+
 
 def _attach_flight(payload, telemetry):
-    """Attach the recorder's tail window to a worker payload; a crash
-    before the recorder exists adds none."""
+    """Attach the recorder's tail window to a worker payload; a run
+    without a recorder, or a crash before it exists, adds none."""
     if telemetry is not None:
         payload["flight"] = telemetry.recorder.dump(limit=FLIGHT_DUMP_EVENTS)
     return payload
@@ -57,13 +66,47 @@ def _execute_schedule_run(schedule_dict, seed, run_limit, mem_per_node,
                           l2_size, coverage=False):
     """Run one (schedule, seed) to a payload dict; never raises.
 
-    The run records the last :data:`FLIGHT_CAPACITY` events; a
-    FAIL/HUNG/CRASHED verdict (or a stray-message storm) dumps the tail
-    window into the payload.  With ``coverage=True`` the payload
-    additionally carries the fuzzer's per-run coverage summary (feature
-    strings + containment times).
+    A campaign run executes without a recorder.  When its outcome needs
+    evidence -- a FAIL/HUNG/CRASHED verdict or a stray-message storm --
+    the worker runs the same inputs again recording the last
+    :data:`FLIGHT_CAPACITY` events and takes ``forensics`` and ``flight``
+    from that replay.  A run is a function of (schedule, seed) and the
+    recorder does not perturb it (DESIGN.md §9), so the replay reaches the
+    same verdict; one whose :data:`REPLAY_KEYS` differ becomes a CRASHED
+    payload naming them.  ``elapsed_s`` covers both attempts.
+
+    With ``coverage=True`` (a fuzz run) the one attempt records, because
+    the fuzzer's per-run coverage summary (feature strings + containment
+    times), which the payload then carries, reads the event stream.
     """
     started = time.monotonic()
+    inputs = (schedule_dict, seed, run_limit, mem_per_node, l2_size)
+    payload, needs_evidence = _attempt(*inputs, record=coverage,
+                                       coverage=coverage)
+    if needs_evidence and not coverage:
+        replay, _ = _attempt(*inputs, record=True)
+        diverged = [key for key in REPLAY_KEYS
+                    if payload.get(key) != replay.get(key)]
+        if diverged:
+            payload = {"status": RunStatus.CRASHED.value,
+                       "error": "evidence replay diverged: %s"
+                                % ", ".join(diverged)}
+        else:
+            for key in ("forensics", "flight"):
+                if key in replay:
+                    payload[key] = replay[key]
+    payload["elapsed_s"] = time.monotonic() - started
+    return payload
+
+
+def _attempt(schedule_dict, seed, run_limit, mem_per_node, l2_size,
+             record, coverage=False):
+    """Execute one run; returns ``(payload, needs_evidence)``.
+
+    With ``record`` the machine carries a flight recorder, and a payload
+    that needs evidence gets its ``forensics`` (FAIL only) and ``flight``
+    window.  The payload has no ``elapsed_s``.
+    """
     telemetry = None
     try:
         from repro.campaign.schedule import FaultSchedule
@@ -76,10 +119,8 @@ def _execute_schedule_run(schedule_dict, seed, run_limit, mem_per_node,
         config = MachineConfig(
             num_nodes=schedule.num_nodes, topology=schedule.topology,
             mem_per_node=mem_per_node, l2_size=l2_size, seed=seed)
-        # A recorder is attached to every campaign run (bit-identical to
-        # untraced by the §9 contract) so a red verdict arrives with its
-        # forensic story attached instead of needing a re-run to diagnose.
-        telemetry = Telemetry(trace=False, flight=FLIGHT_CAPACITY)
+        if record:
+            telemetry = Telemetry(trace=False, flight=FLIGHT_CAPACITY)
         machine = FlashMachine(config, telemetry=telemetry)
         result = run_schedule_experiment(schedule, seed=seed,
                                          run_limit=run_limit,
@@ -92,28 +133,29 @@ def _execute_schedule_run(schedule_dict, seed, run_limit, mem_per_node,
             "problems": list(result.problems),
             "restarts": result.restarts,
             "episodes": result.episodes,
-            "elapsed_s": time.monotonic() - started,
             "metrics": result.metrics or {},
         }
-        if not result.passed:
-            payload["forensics"] = forensic_summary(telemetry.recorder)
         strays = sum(node.magic.stats.stray_messages
                      for node in machine.nodes)
-        if not result.passed or strays >= STRAY_DUMP_THRESHOLD:
-            _attach_flight(payload, telemetry)
+        needs_evidence = (not result.passed
+                          or strays >= STRAY_DUMP_THRESHOLD)
+        if telemetry is not None:
+            if not result.passed:
+                payload["forensics"] = forensic_summary(telemetry.recorder)
+            if needs_evidence:
+                _attach_flight(payload, telemetry)
         if coverage:
             from repro.fuzz.coverage import run_coverage
             payload["coverage"] = run_coverage(machine, result,
                                                telemetry.recorder)
-        return payload
+        return payload, needs_evidence
     except (TimeoutError, RuntimeError) as exc:
         # Simulation-limit and deadlock/heap-drain conditions: the run
         # never reached a verdict.
         return _attach_flight({
             "status": RunStatus.HUNG.value,
             "error": "%s: %s" % (type(exc).__name__, exc),
-            "elapsed_s": time.monotonic() - started,
-        }, telemetry)
+        }, telemetry), True
     except BaseException:   # repro-lint: disable=broad-except — the
         # crash-isolation boundary itself: any worker death must become a
         # CRASHED record, not kill the campaign batch.
@@ -121,8 +163,7 @@ def _execute_schedule_run(schedule_dict, seed, run_limit, mem_per_node,
         return _attach_flight({
             "status": RunStatus.CRASHED.value,
             "error": traceback.format_exc(),
-            "elapsed_s": time.monotonic() - started,
-        }, telemetry)
+        }, telemetry), True
 
 
 def _batch_worker(conn, run_limit, mem_per_node, l2_size, coverage):

@@ -56,7 +56,7 @@ class RunRecord:
     restarts: int = 0
     episodes: int = 0
     error: str = ""              # traceback / watchdog message for aborts
-    elapsed_s: float = 0.0       # wall-clock of the worker
+    elapsed_s: float = 0.0       # worker wall clock, evidence replay included
     #: per-run hardware metrics summary (telemetry.summarize_run): packet
     #: counters, detector trips, per-phase recovery latency — {} for aborts
     metrics: dict = dataclasses.field(default_factory=dict)
@@ -64,10 +64,11 @@ class RunRecord:
     #: root causes, blast radii and the containment-audit verdict —
     #: attached to FAIL runs only, {} otherwise
     forensics: dict = dataclasses.field(default_factory=dict)
-    #: flight-mode tail window (TraceRecorder.dump) — attached by
-    #: flight-mode workers on FAIL/HUNG/CRASHED verdicts and stray-message
-    #: storms, {} otherwise; replayable through telemetry.flight
-    #: .events_from_dump for forensics/timeline analysis
+    #: flight-mode tail window (TraceRecorder.dump) — attached on
+    #: FAIL/HUNG/CRASHED verdicts the worker reports and on stray-message
+    #: storms, from the worker's recording replay of the run (a fuzz run's
+    #: one recording attempt), {} otherwise; replayable through
+    #: telemetry.flight.events_from_dump for forensics/timeline analysis
     flight: dict = dataclasses.field(default_factory=dict)
     #: what a fuzz planner chose and learned (fuzz.engine.FuzzEngine
     #: .account): lineage, op, fingerprint, features, new_features,

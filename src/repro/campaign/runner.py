@@ -114,8 +114,9 @@ class CampaignRunner:
     ``status_path`` overrides the sidecar's place beside ``out_path``.
     ``reuse_machines`` is accepted for old callers and ignored: every
     campaign runs on the persistent worker pool.  ``telemetry_mode`` is
-    accepted for old callers and ignored: every pooled run records the
-    same way (:func:`~repro.campaign.pool._execute_schedule_run`).
+    accepted for old callers and ignored: the worker decides whether a
+    run records (:func:`~repro.campaign.pool._execute_schedule_run`: a
+    fuzz run always, a campaign run only in the replay of a red one).
     """
 
     def __init__(self, kind="random-multi", runs=50, campaign_seed=0,

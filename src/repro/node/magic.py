@@ -185,14 +185,8 @@ class Magic:
     # ------------------------------------------------------------- dispatch loop
 
     def _dispatch_loop(self):
+        # fail() and wedge() stop this loop by killing its process.
         while True:
-            if self.failed:
-                yield Event(self.sim)   # never resumes: controller is dead
-                return
-            if self.wedged:
-                # Firmware infinite loop: stop accepting packets (§3.1).
-                yield Event(self.sim)
-                return
             packet = self.ni.try_receive()
             if packet is not None:
                 self._cause = packet.cause_eid

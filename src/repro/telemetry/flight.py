@@ -5,9 +5,11 @@ work, where the fault roots and the episode structure live at the front,
 and the wrong shape for a fleet: in a 100k-schedule sweep a failure
 surfaces at the *end* of a run, exactly the window a head cap has already
 dropped.  ``keep="last"`` inverts the cap, like an aircraft flight
-recorder.  Every campaign and fuzz run records with it, so an oracle
-violation, a hung or crashed run or a stray message storm arrives with
-its tail window of evidence.
+recorder.  Every fuzz run records with it, and so does the replay a
+pooled worker makes of a campaign run whose record needs evidence (a
+campaign PASS executes unrecorded), so an oracle violation, a hung or
+crashed run or a stray message storm arrives with its tail window of
+evidence.
 
 It is a policy of :class:`~repro.telemetry.trace.TraceRecorder`, not a
 second recorder: the §9 guard idiom, the no-perturbation rule, global
@@ -15,8 +17,9 @@ stream-index eids (an evicted parent is a dangling edge forensics
 tolerates) and ``dropped_events`` (the forensics truncation caveat) are
 that class's and hold under both policies.  :class:`FlightRecorder` is
 only the spelling of the policy that callers outside ``src/`` import.
-"Always-on" is not free: the recorder costs roughly a tenth of a recovery
-point's wall time (EXPERIMENTS.md has the paired measurement).
+Recording is not free: the recorder costs roughly a tenth of a recovery
+point's wall time (EXPERIMENTS.md has the paired measurement), which is
+why a campaign records only its red runs.
 
 This module also owns the dump side of the window:
 :func:`events_from_dump` and :func:`analyze_dump` read what
@@ -25,9 +28,9 @@ This module also owns the dump side of the window:
 
 from repro.telemetry.trace import TraceEvent, TraceRecorder
 
-#: the window every campaign/fuzz run records into.  Above the ~64k events
-#: a 32-node campaign run emits at most, so such a run loses nothing to it
-#: and its forensics see the whole run.
+#: the window a fuzz run, or a campaign run's evidence replay, records
+#: into.  Above the ~64k events a 32-node campaign run emits at most, so
+#: such a run loses nothing to it and its forensics see the whole run.
 DEFAULT_CAPACITY = 200_000
 
 

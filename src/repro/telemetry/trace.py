@@ -182,8 +182,9 @@ class Telemetry:
     ``Telemetry()`` records every event;
     ``Telemetry(max_events=N)`` keeps the *first* N events;
     ``Telemetry(trace=False, flight=N)`` keeps the *last* N events (what
-    every campaign/fuzz run records, :mod:`repro.telemetry.flight`: a
-    failure arrives with its tail window).
+    a fuzz run and a red campaign run's replay record,
+    :mod:`repro.telemetry.flight`: a failure arrives with its tail
+    window).
     """
 
     def __init__(self, trace=True, max_events=None, flight=None):

@@ -1,6 +1,6 @@
-"""The always-on flight recorder and the sim-time profiler (DESIGN.md §15).
+"""The flight recorder and the sim-time profiler (DESIGN.md §15).
 
-Two contracts anchor this file:
+Three contracts anchor this file:
 
 * **bit-identity** — a run with a FlightRecorder or SimProfiler attached
   executes the same events to the same virtual time and recovery outcome
@@ -8,7 +8,11 @@ Two contracts anchor this file:
   observers);
 * **tail-window semantics** — the ring keeps the *last* N events with
   global eids, its dump survives a JSON round trip, and forensics can
-  audit the window with the truncation caveat intact.
+  audit the window with the truncation caveat intact;
+* **evidence on demand** — a pooled campaign run executes unrecorded,
+  and only a run whose record needs evidence (a red verdict or a stray
+  storm) is replayed with the recorder, which must reach the same
+  verdict.
 """
 
 import dataclasses
@@ -18,6 +22,7 @@ import random
 
 import pytest
 
+from repro.campaign import pool
 from repro.campaign.pool import _execute_schedule_run
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.schedule import SCHEDULE_GENERATORS, make_schedule
@@ -34,6 +39,7 @@ from repro.telemetry.flight import (
 from repro.telemetry.forensics import analyze, forensic_summary
 from repro.telemetry.profiler import SimProfiler
 from repro.telemetry.scalability import run_scalability_point
+from repro.telemetry.trace import TraceRecorder
 
 
 def small_schedule(num_nodes=4, seed=17):
@@ -295,10 +301,10 @@ class TestWorkerFlightMode:
 
     @pytest.mark.parametrize("status", ["hung", "crashed", "fail"])
     def test_red_run_dumps_tail_window(self, status, monkeypatch):
-        """Every red verdict arrives with the recorder's tail window —
-        the always-on evidence contract.  HUNG: the run blows a tiny
-        event budget.  CRASHED: the harness raises after the recorder
-        exists.  FAIL: the oracle is forced to object."""
+        """Every red verdict arrives with the recorder's tail window,
+        taken from the worker's recording replay.  HUNG: the run blows a
+        tiny event budget.  CRASHED: the harness raises where the replay
+        has a recorder.  FAIL: the oracle is forced to object."""
         import repro.core.experiment as experiment
         run_limit = 50_000 if status == "hung" else 60_000_000_000
         if status == "crashed":
@@ -325,6 +331,53 @@ class TestWorkerFlightMode:
         # The dump is line-JSON-safe and forensics-readable.
         json.dumps(dump)
         analyze_dump(dump)
+
+    def test_pass_run_builds_no_recorder(self, monkeypatch):
+        """A clean campaign PASS never records: an ``emit`` that raises
+        would turn any recorded run into a CRASHED payload."""
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a PASS run must not record")
+        monkeypatch.setattr(TraceRecorder, "emit", refuse)
+        payload = _execute_schedule_run(
+            small_schedule().to_dict(), seed=4, run_limit=60_000_000_000,
+            mem_per_node=64 << 10, l2_size=8 << 10)
+        assert payload["status"] == "pass"
+        assert "flight" not in payload
+
+    def test_stray_storm_pass_carries_a_window(self, monkeypatch):
+        """A PASS whose stray messages reach the threshold is replayed for
+        its window (no campaign plan reaches 5 strays, so the threshold
+        drops to 0 here); it stays a PASS and carries no forensics."""
+        monkeypatch.setattr(pool, "STRAY_DUMP_THRESHOLD", 0)
+        payload = _execute_schedule_run(
+            small_schedule().to_dict(), seed=4, run_limit=60_000_000_000,
+            mem_per_node=64 << 10, l2_size=8 << 10)
+        assert payload["status"] == "pass"
+        assert "forensics" not in payload
+        assert payload["flight"]["events"]
+        analyze_dump(payload["flight"])
+
+    def test_diverged_replay_is_crashed(self, monkeypatch):
+        """The evidence replay must reach the first attempt's verdict; a
+        replay whose ``problems`` differ turns the run into a CRASHED
+        payload that names the key."""
+        import repro.core.experiment as experiment
+        real = experiment.run_schedule_experiment
+        calls = []
+
+        def drifting(*args, **kwargs):
+            calls.append(kwargs["telemetry"])
+            return dataclasses.replace(
+                real(*args, **kwargs), passed=False,
+                problems=["attempt %d" % len(calls)])
+        monkeypatch.setattr(experiment, "run_schedule_experiment", drifting)
+        payload = _execute_schedule_run(
+            small_schedule().to_dict(), seed=4, run_limit=60_000_000_000,
+            mem_per_node=64 << 10, l2_size=8 << 10)
+        assert calls[0] is None and calls[1] is not None
+        assert payload["status"] == "crashed"
+        assert payload["error"] == "evidence replay diverged: problems"
+        assert "flight" not in payload
 
     def test_worker_payloads_match_pinned_digest(self):
         """Byte identity of what a worker hands back — summaries, metrics
