@@ -31,6 +31,8 @@ from repro.campaign.schedule import (
 )
 
 _MS = 1_000_000.0
+#: the machine sizes pass 3 tries, smallest first
+_MACHINE_SIZES = (2, 4, 6)
 
 
 @dataclasses.dataclass
@@ -49,8 +51,7 @@ class ShrinkResult:
                    self.checks))
 
 
-def shrink_schedule(schedule, still_fails, machine_sizes=(2, 4, 6),
-                    max_checks=200):
+def shrink_schedule(schedule, still_fails, max_checks=200):
     """Minimize ``schedule`` while ``still_fails(candidate)`` holds.
 
     ``still_fails`` must be a pure-ish predicate (typically: run the
@@ -116,7 +117,7 @@ def shrink_schedule(schedule, still_fails, machine_sizes=(2, 4, 6),
                 break
 
     # Pass 3: fewest nodes on which every target still exists.
-    for num_nodes in sorted(machine_sizes):
+    for num_nodes in _MACHINE_SIZES:
         if num_nodes >= current.num_nodes:
             break
         if not valid_for_machine(current, num_nodes):

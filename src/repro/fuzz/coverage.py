@@ -100,7 +100,7 @@ def _forensic_features(recorder):
 
 
 def run_coverage(machine, result, recorder):
-    """The fuzzer's per-run payload: features + containment times.
+    """The fuzzer's per-run payload: features, injector skips, escape.
 
     Called in the worker after :func:`run_schedule_experiment` returns;
     everything is read-only over state the run already produced.
@@ -126,11 +126,8 @@ def run_coverage(machine, result, recorder):
     features.add("ep|%d" % bucket(result.episodes))
     features.add("rs|%d" % bucket(result.restarts))
     features.add("skip|%d" % bucket(result.skipped_injections))
-    containment = [report.total_duration for report in result.reports
-                   if report.total_duration is not None]
     return {
         "features": sorted(features),
-        "containment_ns": containment,
         "skipped_injections": result.skipped_injections,
         "escape": escape,
     }

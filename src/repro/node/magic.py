@@ -201,7 +201,16 @@ class Magic:
             if request is not None:
                 yield self._handle_pi(request)
                 continue
-            yield AnyOf([self.ni.inbox.watch(), self.pi_queue.watch()])
+            # Idle: wake on the first put to either queue, then take back
+            # the other queue's watch, which would otherwise outlive the
+            # wait (during recovery the PI queue sees no put at all).
+            inbox, pi_queue = self.ni.inbox, self.pi_queue
+            watches = (inbox.watch(), pi_queue.watch())
+            index, _ = yield AnyOf(watches)
+            if index == 0:
+                pi_queue.abandon(watches[1])
+            else:
+                inbox.abandon(watches[0])
 
     # ------------------------------------------------------------ network side
 

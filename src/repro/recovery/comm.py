@@ -167,13 +167,12 @@ class RecoveryComm:
                 return reply.payload["router_id"]
         return None
 
-    def ping_node(self, target, source_route, deadline=None):
+    def ping_node(self, target, source_route):
         """Ping a node controller until its recovery code replies (§4.2).
 
         Returns True if the node proved alive before the ping deadline.
         """
-        if deadline is None:
-            deadline = self.sim.now + self.params.ping_deadline
+        deadline = self.sim.now + self.params.ping_deadline
         while self.sim.now < deadline:
             self.send(MessageKind.PING,
                       {"target": target, "return_to": self.node_id},
@@ -237,19 +236,18 @@ class RecoveryComm:
 
     # ---------------------------------------------------------------- barrier
 
-    def barrier(self, name, tree, routes, value=False, combine=None):
+    def barrier(self, name, tree, routes, value=False):
         """Fault-tolerant combining-tree barrier (§4.4).
 
         ``tree`` is ``(parent, children)`` for this node over the cwn graph;
         ``routes[n]`` is the source route to cwn member ``n``.  ``value`` is
-        this node's contribution; ``combine`` (default OR) reduces values up
-        the tree.  Returns the reduced value broadcast down from the root.
+        this node's contribution; values are OR-ed up the tree.  Returns the
+        reduced value broadcast down from the root.
 
         Raises :class:`RecoveryCommError` if a partner never arrives — a new
         fault happened, and recovery must restart.
         """
         parent, children = tree
-        combine = combine or (lambda a, b: a or b)
         reduced = value
         deadline = self.sim.now + self.params.barrier_timeout
 
@@ -264,7 +262,7 @@ class RecoveryComm:
                 raise RecoveryCommError(
                     "barrier %r: child %d missing at node %d"
                     % (name, child, self.node_id))
-            reduced = combine(reduced, packet.payload.get("value"))
+            reduced = reduced or packet.payload.get("value")
 
         if parent is not None:
             self.send(MessageKind.BARRIER_UP,

@@ -115,19 +115,24 @@ def aggregate(sources):
 
 # -------------------------------------------------------------- rendering
 
-def _svg_bars(pairs, width=640, height=180, color="#1565c0"):
+#: every chart's plot area in SVG user units (the page scales it to fit)
+_CHART_W, _CHART_H = 640, 180
+
+
+def _svg_bars(pairs, color):
     """Vertical bar chart of ``(label, value)`` pairs as inline SVG."""
     if not pairs:
         return "<p class='empty'>no data</p>"
     top = max(value for _, value in pairs) or 1
     pad, axis = 8, 22
-    slot = (width - pad * 2) / len(pairs)
+    slot = (_CHART_W - pad * 2) / len(pairs)
     bar_w = max(2.0, slot * 0.7)
-    parts = ["<svg viewBox='0 0 %d %d' role='img'>" % (width, height + axis)]
+    parts = ["<svg viewBox='0 0 %d %d' role='img'>"
+             % (_CHART_W, _CHART_H + axis)]
     for index, (label, value) in enumerate(pairs):
-        bar_h = (height - pad) * value / top
+        bar_h = (_CHART_H - pad) * value / top
         x = pad + index * slot + (slot - bar_w) / 2
-        y = height - bar_h
+        y = _CHART_H - bar_h
         parts.append(
             "<rect x='%.1f' y='%.1f' width='%.1f' height='%.1f' "
             "fill='%s'><title>%s: %s</title></rect>"
@@ -136,7 +141,7 @@ def _svg_bars(pairs, width=640, height=180, color="#1565c0"):
         parts.append(
             "<text x='%.1f' y='%.1f' font-size='10' fill='#444' "
             "text-anchor='middle'>%s</text>"
-            % (x + bar_w / 2, height + 14, html.escape(str(label))))
+            % (x + bar_w / 2, _CHART_H + 14, html.escape(str(label))))
         parts.append(
             "<text x='%.1f' y='%.1f' font-size='10' fill='#222' "
             "text-anchor='middle'>%s</text>"
@@ -145,17 +150,17 @@ def _svg_bars(pairs, width=640, height=180, color="#1565c0"):
     return "".join(parts)
 
 
-def _svg_line(points, width=640, height=180, color="#1565c0"):
+def _svg_line(points, color):
     """Line chart of ``(x, y)`` points as inline SVG."""
     if len(points) < 2:
         return "<p class='empty'>fewer than two points</p>"
     pad, axis = 8, 22
     x_max = max(x for x, _ in points) or 1
     y_max = max(y for _, y in points) or 1
-    scale_x = (width - pad * 2) / x_max
-    scale_y = (height - pad * 2) / y_max
+    scale_x = (_CHART_W - pad * 2) / x_max
+    scale_y = (_CHART_H - pad * 2) / y_max
     coords = " ".join(
-        "%.1f,%.1f" % (pad + x * scale_x, height - pad - y * scale_y)
+        "%.1f,%.1f" % (pad + x * scale_x, _CHART_H - pad - y * scale_y)
         for x, y in points)
     last_x, last_y = points[-1]
     return (
@@ -165,9 +170,9 @@ def _svg_line(points, width=640, height=180, color="#1565c0"):
         "text-anchor='end'>%d features @ run %d</text>"
         "<text x='%.1f' y='%.1f' font-size='10' fill='#444'>runs -></text>"
         "</svg>"
-        % (width, height + axis, coords, color,
-           width - pad, max(12.0, height - pad - last_y * scale_y - 6),
-           last_y, last_x, pad, height + 14))
+        % (_CHART_W, _CHART_H + axis, coords, color,
+           _CHART_W - pad, max(12.0, _CHART_H - pad - last_y * scale_y - 6),
+           last_y, last_x, pad, _CHART_H + 14))
 
 
 def _outcome_section(agg):

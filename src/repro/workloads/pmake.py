@@ -35,6 +35,12 @@ def object_name(job_id):
 #: the OS handling path the paper's bugs lived in.
 LOG_NAME = "makelog"
 
+#: one compile's simulated compute time (ns), half spent over the source
+#: passes and half on code generation
+COMPILE_NS = 3_000_000.0
+#: lexing/parsing passes over the source
+READ_PASSES = 2
+
 
 def object_token(job_id, line_address):
     return ("obj", job_id, line_address)
@@ -81,8 +87,7 @@ def file_access(hive, cell, file_name, op):
                     "refetch of %s failed: %s" % (file_name, reply["error"]))
 
 
-def compile_job(hive, cell_id, job_id, compute_ns=3_000_000.0,
-                read_passes=2):
+def compile_job(hive, cell_id, job_id):
     """One compile: read source through shared memory, compute, write the
     object file.  Returns "ok"; any uncontained failure raises."""
     cell = hive.cells[cell_id]
@@ -99,7 +104,7 @@ def compile_job(hive, cell_id, job_id, compute_ns=3_000_000.0,
 
     # Lexing/parsing passes: stream the source through the cache, logging
     # progress into the shared build log (held exclusive between writes).
-    for pass_no in range(read_passes):
+    for pass_no in range(READ_PASSES):
         for line in src_lines:
             value = yield from file_access(hive, cell, src, Load(line))
             if value != disk_token(src, line):
@@ -108,10 +113,10 @@ def compile_job(hive, cell_id, job_id, compute_ns=3_000_000.0,
         yield from file_access(
             hive, cell, LOG_NAME,
             Store(log_line, value=("log", job_id, pass_no)))
-        yield compute_ns / (2.0 * read_passes)
+        yield COMPILE_NS / (2.0 * READ_PASSES)
 
     # Code generation.
-    yield compute_ns / 2.0
+    yield COMPILE_NS / 2.0
 
     reply = yield from cell.rpc.call(server, "fs.grant_write",
                                      {"name": obj})

@@ -16,14 +16,14 @@ from repro.common.errors import BusError
 from repro.node.processor import Load, Store
 
 
-def cache_fill_program(machine, node_id, fill_lines, seed,
-                       exclusive_fraction=0.5):
-    """Fill a node's cache with random shared/exclusive lines (§5.2)."""
+def cache_fill_program(machine, node_id, fill_lines, seed):
+    """Fill a node's cache with random lines (§5.2), each fetched
+    exclusive or shared with even odds."""
     rng = random.Random("%s-%s" % (seed, node_id))
     all_lines = machine.all_usable_lines()
     for _ in range(fill_lines):
         line = rng.choice(all_lines)
-        if rng.random() < exclusive_fraction:
+        if rng.random() < 0.5:
             yield Store(line, value=("fill", node_id, line, rng.random()))
         else:
             yield Load(line)

@@ -10,6 +10,7 @@ from repro.campaign.pool import _execute_schedule_run
 from repro.campaign.schedule import FaultSchedule, TimedFault
 from repro.faults.models import FaultSpec
 from repro.fuzz.coverage import CoverageMap, bucket, feature_hash
+from repro.telemetry.metrics import containment_times_ms
 
 
 class TestBucket:
@@ -91,9 +92,9 @@ class TestRunCoverage:
         assert "bl" in families   # forensic blast-radius shape
 
     def test_containment_times_extracted(self):
-        cover = self.payload["coverage"]
-        assert cover["containment_ns"], "node failure must open an episode"
-        assert all(value > 0 for value in cover["containment_ns"])
+        times = containment_times_ms(self.payload["metrics"])
+        assert times, "node failure must open an episode"
+        assert all(value > 0 for value in times)
 
     def test_no_injector_skips_for_clean_schedule(self):
         assert self.payload["coverage"]["skipped_injections"] == 0
@@ -107,5 +108,5 @@ class TestRunCoverage:
             mem_per_node=64 << 10, l2_size=8 << 10, coverage=True)
         assert repeat["coverage"]["features"] \
             == self.payload["coverage"]["features"]
-        assert repeat["coverage"]["containment_ns"] \
-            == self.payload["coverage"]["containment_ns"]
+        assert containment_times_ms(repeat["metrics"]) \
+            == containment_times_ms(self.payload["metrics"])

@@ -293,3 +293,32 @@ class TestSavedUncachedBuffer:
         assert consumed and value == 42
         # Exactly-once: the device serviced a single read.
         assert machine.node(1).io_device.read_counts[0] == 1
+
+
+class TestIdleWait:
+    def test_recovery_leaves_no_dead_watches(self):
+        """MAGIC's idle wait takes back the watch it did not wake on.
+        Recovery puts nothing on the PI queue, so without that a 32-node
+        recovery leaves 3 470 dead watches behind."""
+        from repro.core.config import MachineConfig
+        from repro.core.experiment import start_recovery_run
+        from repro.interconnect.topology import make_topology
+        from repro.sim.process import Event
+        from repro.telemetry.scalability import default_fault
+
+        config = MachineConfig(num_nodes=32, topology="mesh",
+                               mem_per_node=64 << 10, l2_size=8 << 10,
+                               seed=0)
+        fault = default_fault("node_failure", 32, make_topology("mesh", 32))
+        machine, _, _ = start_recovery_run(config, fault, 0.25,
+                                           200_000_000_000)
+        report = machine.run_until_recovered(limit=200_000_000_000)
+        assert "P4" in report.phase_ends
+        for node in machine.nodes:
+            magic = node.magic
+            for channel in (magic.ni.inbox, magic.pi_queue,
+                            magic.recovery_inbox, magic.os_inbox):
+                unfired = [watcher for watcher in channel._watchers
+                           if isinstance(watcher, Event)
+                           and not watcher.triggered]
+                assert len(unfired) <= 1, channel
