@@ -207,16 +207,6 @@ def cmd_report(args):
     return 0 if runs else 1
 
 
-def cmd_lint(args):
-    from repro.lint import format_github, format_json, format_text, run_lint
-
-    findings = run_lint(paths=args.paths or None)
-    formatter = {"json": format_json, "github": format_github,
-                 "text": format_text}[args.format]
-    print(formatter(findings))
-    return 1 if findings else 0
-
-
 def cmd_verify_protocol(args):
     from repro.verify import check_protocol
 
@@ -398,18 +388,6 @@ def build_parser():
     p_report.add_argument("--json", action="store_true",
                           help="also print the aggregate as JSON")
     p_report.set_defaults(func=cmd_report)
-
-    p_lint = sub.add_parser(
-        "lint",
-        help="AST code-hygiene linter: causal telemetry, sim-process "
-             "hygiene")
-    p_lint.add_argument("paths", nargs="*",
-                        help="files or directories to lint (default: the "
-                             "installed repro package)")
-    p_lint.add_argument("--format", choices=["text", "json", "github"],
-                        default="text",
-                        help="github emits workflow error annotations")
-    p_lint.set_defaults(func=cmd_lint)
 
     p_verify = sub.add_parser(
         "verify-protocol",

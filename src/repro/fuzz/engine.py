@@ -44,7 +44,7 @@ from repro.fuzz.mutate import (
     rng_for,
     root_schedule,
 )
-from repro.telemetry.metrics import Histogram, containment_times_ms
+from repro.telemetry.metrics import containment_times_ms, percentile
 
 #: mutation attempts per planned run before falling back to a fresh root
 _MUTATE_ATTEMPTS = 8
@@ -69,7 +69,7 @@ class FuzzEngine:
         self.strategy = strategy
         self.coverage = CoverageMap()
         self.corpus = Corpus()
-        self.containment = Histogram()
+        self.containment_ns = []  # completed episodes, accounting order
         self.growth = []          # (run_count, coverage_size) checkpoints
         self.seen_fingerprints = set()
         self.accounted = 0        # finished runs folded in, live or resumed
@@ -153,8 +153,9 @@ class FuzzEngine:
         self.accounted += 1
         self.stats["injector_skips"] += fuzz["injector_skips"]
         self.seen_fingerprints.add(fuzz["fingerprint"])
-        for duration_ms in containment_times_ms(record.metrics):
-            self.containment.observe(round(duration_ms * 1e6))
+        self.containment_ns.extend(
+            round(duration_ms * 1e6)
+            for duration_ms in containment_times_ms(record.metrics))
         new = fuzz["new_features"] = self.coverage.add(fuzz["features"])
         if new:
             self.stats["new_coverage_runs"] += 1
@@ -173,8 +174,7 @@ class FuzzEngine:
     def report(self, campaign, summary, elapsed_s=0.0, shrunk=()):
         """The session report: the runner's outcome counts plus what the
         engine learned."""
-        percentiles = (self.containment.percentiles()
-                       if self.containment.count else {})
+        containment = sorted(self.containment_ns)
         stats = {"runs": summary.total}
         stats.update((status.value, count)
                      for status, count in summary.counts.items())
@@ -190,10 +190,10 @@ class FuzzEngine:
             "corpus_size": len(self.corpus),
             "growth": list(self.growth),
             "containment_ns": {
-                "count": self.containment.count,
-                "p50": percentiles.get("p50"),
-                "p95": percentiles.get("p95"),
-                "p99": percentiles.get("p99"),
+                "count": len(containment),
+                "p50": percentile(containment, 50),
+                "p95": percentile(containment, 95),
+                "p99": percentile(containment, 99),
             },
             "failures": len(summary.failures()),
             "shrunk": list(shrunk),

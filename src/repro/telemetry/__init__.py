@@ -9,7 +9,7 @@ Everything is disabled by default (zero-cost when off):
   attached; every emission site is guarded by a single ``is None`` check,
   which is the whole overhead contract (see DESIGN.md §9).  The recorder
   takes a retention policy: unbounded, the first N events, or the last N.
-* :mod:`repro.telemetry.metrics` — the power-of-two histogram and
+* :mod:`repro.telemetry.metrics` — the containment percentile and
   :func:`summarize_run`, the one post-run sweep of the hardware stats
   (RouterStats, MagicStats, RecoveryReports) that the model maintains
   anyway; its ``recovery.timeline`` is the one per-episode account of

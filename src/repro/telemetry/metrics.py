@@ -1,7 +1,8 @@
-"""Metrics: the histogram and the per-run summary.
+"""Metrics: containment-time percentiles and the per-run summary.
 
-* :class:`Histogram` is the power-of-two bucketed distribution the
-  fleet report's containment times and the fuzz report share;
+* :func:`percentile` is the nearest-rank percentile the fleet report's
+  containment times and the fuzz report share, so every reported
+  percentile is an observed duration;
 * :func:`summarize_run` is the one post-run sweep of the statistics the
   hardware model keeps anyway (RouterStats, MagicStats, RecoveryReports,
   the simulator's executed-event counter) — zero cost during the run —
@@ -10,63 +11,16 @@
   recovery time went; :func:`containment_times_ms` reads it back.
 """
 
+import math
 
-class Histogram:
-    """Power-of-two bucketed histogram plus count/sum/min/max: the
-    containment-time distribution of the fleet report and the fuzz
-    session report, fed from ``recovery.timeline``."""
 
-    __slots__ = ("count", "total", "min", "max", "buckets")
-
-    def __init__(self):
-        self.count = 0
-        self.total = 0.0
-        self.min = None
-        self.max = None
-        self.buckets = {}      # bucket upper bound (2**k) -> count
-
-    def observe(self, value):
-        self.count += 1
-        self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        bound = 1
-        while bound < value:
-            bound <<= 1
-        self.buckets[bound] = self.buckets.get(bound, 0) + 1
-
-    @property
-    def mean(self):
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, q):
-        """Estimated q-th percentile (0 < q <= 100).
-
-        Walks the cumulative bucket counts and returns the upper bound of
-        the bucket containing the target rank, clipped to the observed max
-        — accurate to within one power of two, which is all the bucketing
-        keeps.  Returns None for an empty histogram.
-        """
-        if not self.count:
-            return None
-        target = self.count * q / 100.0
-        cumulative = 0
-        for bound in sorted(self.buckets):
-            cumulative += self.buckets[bound]
-            if cumulative >= target:
-                return min(bound, self.max)
-        return self.max
-
-    def percentiles(self):
-        return {"p50": self.percentile(50), "p95": self.percentile(95),
-                "p99": self.percentile(99)}
-
-    def snapshot(self):
-        snap = {"count": self.count, "sum": self.total, "min": self.min,
-                "max": self.max, "mean": self.mean,
-                "buckets": dict(sorted(self.buckets.items()))}
-        snap.update(self.percentiles())
-        return snap
+def percentile(ordered, q):
+    """Nearest-rank q-th percentile (0 < q <= 100) of sorted values: the
+    smallest value with at least q % of the values at or below it, or
+    None when there are none."""
+    if not ordered:
+        return None
+    return ordered[math.ceil(len(ordered) * q / 100) - 1]
 
 
 # ------------------------------------------------------------ run summary

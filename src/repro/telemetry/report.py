@@ -10,8 +10,7 @@ external assets, no dependencies) with the paper-facing statistics:
   recovery episode observed across all sources (each record's
   ``recovery.timeline``), recomputed over the raw durations rather than
   averaged over per-run figures — the headline distribution (PAPERS.md:
-  containment-time distributions for self-stabilizing systems) plus its
-  bucket histogram;
+  containment-time distributions for self-stabilizing systems);
 * **blast-radius distribution** — how many nodes each injected fault
   actually reached (forensic summaries), the observational containment
   evidence;
@@ -28,7 +27,7 @@ import os
 import sys
 
 from repro.campaign.records import RunStatus, load_json_lines
-from repro.telemetry.metrics import Histogram, containment_times_ms
+from repro.telemetry.metrics import containment_times_ms, percentile
 
 _STATUSES = tuple(status.value for status in RunStatus)
 
@@ -61,7 +60,7 @@ def collect_sources(paths):
 def aggregate(sources):
     """Fold sources into the report aggregate (JSON-friendly)."""
     outcomes = {status: 0 for status in _STATUSES}
-    containment = Histogram()
+    containment = []
     blast = {}
     growth = []
     per_source = []
@@ -73,8 +72,7 @@ def aggregate(sources):
             status = record.get("status", RunStatus.CRASHED.value)
             counts[status] = counts.get(status, 0) + 1
             outcomes[status] = outcomes.get(status, 0) + 1
-            for duration_ms in containment_times_ms(record.get("metrics")):
-                containment.observe(duration_ms)
+            containment.extend(containment_times_ms(record.get("metrics")))
             for fault in (record.get("forensics") or {}).get("faults", ()):
                 radius = len(fault.get("blast_nodes", ()))
                 blast[radius] = blast.get(radius, 0) + 1
@@ -93,19 +91,19 @@ def aggregate(sources):
                 growth.append((fuzz_runs, seen))
 
     total = sum(outcomes.values())
+    containment.sort()
     return {
         "sources": per_source,
         "runs": total,
         "outcomes": outcomes,
         "containment_ms": {
-            "count": containment.count,
-            "mean": round(containment.mean, 6) if containment.count else None,
-            "p50": containment.percentile(50),
-            "p95": containment.percentile(95),
-            "p99": containment.percentile(99),
-            "max": containment.max,
-            "buckets": {str(bound): count for bound, count
-                        in sorted(containment.buckets.items())},
+            "count": len(containment),
+            "mean": (round(sum(containment) / len(containment), 6)
+                     if containment else None),
+            "p50": percentile(containment, 50),
+            "p95": percentile(containment, 95),
+            "p99": percentile(containment, 99),
+            "max": containment[-1] if containment else None,
         },
         "blast_radius": {str(radius): count for radius, count
                          in sorted(blast.items())},
@@ -201,20 +199,12 @@ def _containment_section(agg):
     if not stats["count"]:
         return "<h2>Containment time</h2><p class='empty'>no recovery " \
                "episodes observed</p>"
-    buckets = [(_bucket_label(bound), count)
-               for bound, count in stats["buckets"].items()]
     return (
         "<h2>Containment time — %d episodes</h2>"
         "<p>p50=<b>%s ms</b> p95=<b>%s ms</b> p99=<b>%s ms</b> "
-        "mean=%s ms max=%s ms</p>%s"
+        "mean=%s ms max=%s ms</p>"
         % (stats["count"], stats["p50"], stats["p95"], stats["p99"],
-           stats["mean"], stats["max"],
-           _svg_bars(buckets, color="#1565c0")))
-
-
-def _bucket_label(bound):
-    value = float(bound)
-    return ("<=%g" % value) if value < 1024 else "<=%gk" % (value / 1024)
+           stats["mean"], stats["max"]))
 
 
 def _blast_section(agg):

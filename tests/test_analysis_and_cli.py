@@ -67,12 +67,12 @@ class TestCli:
         for argv in (["scale", "--nodes", "4"], ["bench", "--micro"],
                      ["bench", "--flight-overhead"], ["trace"],
                      ["forensics"], ["validate", "--no-firewall"],
-                     ["validate", "--format", "json"]):
+                     ["validate", "--format", "json"], ["lint"]):
             with pytest.raises(SystemExit):
                 parser.parse_args(argv)
         subcommands, = (action for action in parser._actions
                         if action.dest == "command")
-        assert len(subcommands.choices) == 9
+        assert len(subcommands.choices) == 8
 
         def options(command):
             return {flag for action in subcommands.choices[command]._actions

@@ -30,6 +30,7 @@ from repro.fuzz.mutate import (
     rng_for,
     root_schedule,
 )
+from repro.telemetry.metrics import containment_times_ms
 
 
 def _session(out, executed=None, **campaign):
@@ -190,7 +191,7 @@ class TestFuzzSession:
         assert [entry.fingerprint for entry in resumed.corpus.entries] \
             == [entry.fingerprint for entry in live.corpus.entries]
         assert resumed.seen_fingerprints == live.seen_fingerprints
-        assert resumed.containment.buckets == live.containment.buckets
+        assert resumed.containment_ns == live.containment_ns
 
     def test_resume_credits_first_seen_in_file_order(self, tmp_path):
         """Not in run-index order: the record a live session accounted
@@ -290,8 +291,12 @@ class TestPinnedTrajectory:
         assert report["growth"] == [(1, 36), (2, 40), (3, 44), (4, 48),
                                     (6, 51)]
         assert report["containment_ns"] == {
-            "count": 8, "p50": 16777216, "p95": 225851450.0,
+            "count": 8, "p50": 16205092, "p95": 225851450.0,
             "p99": 225851450.0}
+        # Every percentile is an observed episode, not a bucket bound.
+        observed = [round(ms * 1e6) for r in records
+                    for ms in containment_times_ms(r["metrics"])]
+        assert report["containment_ns"]["p50"] in observed
         assert report["stats"] == {
             "runs": 8, "pass": 8, "fail": 0, "crashed": 0, "hung": 0,
             "skip_noop": 0, "skip_dup": 1, "new_coverage_runs": 5,

@@ -193,6 +193,10 @@ class TestAggregate:
         assert agg["containment_ms"]["count"] == 4
         assert agg["containment_ms"]["p50"] is not None
         assert agg["containment_ms"]["p50"] <= agg["containment_ms"]["p99"]
+        # Nearest-rank over the observed durations: no bucket bounds.
+        assert agg["containment_ms"] == {
+            "count": 4, "mean": 40.0, "p50": 25.0, "p95": 80.0,
+            "p99": 80.0, "max": 80.0}
         assert "availability" not in agg
         assert agg["blast_radius"] == {"1": 1, "2": 1}
         assert agg["coverage_growth"] == [(1, 2), (2, 3)]

@@ -1,5 +1,5 @@
-"""Tests for the histogram and the per-run summary the campaign engine
-records."""
+"""Tests for the containment percentiles and the per-run summary the
+campaign engine records."""
 
 import pytest
 
@@ -9,58 +9,38 @@ from repro.core.config import MachineConfig
 from repro.core.experiment import run_schedule_experiment
 from repro.faults.models import FaultSpec
 from repro.telemetry.metrics import (
-    Histogram,
     containment_times_ms,
+    percentile,
     summarize_run,
 )
 from repro.telemetry.scalability import run_scalability_point
 
 
 class TestInstruments:
-    def test_histogram_stats(self):
-        histogram = Histogram()
-        for value in (1, 3, 100):
-            histogram.observe(value)
-        assert histogram.count == 3
-        assert histogram.min == 1 and histogram.max == 100
-        assert abs(histogram.mean - 104 / 3) < 1e-9
-
-    def test_histogram_power_of_two_buckets(self):
-        histogram = Histogram()
-        histogram.observe(3)     # -> bucket 4
-        histogram.observe(4)     # -> bucket 4
-        histogram.observe(5)     # -> bucket 8
-        assert histogram.buckets == {4: 2, 8: 1}
-        snapshot = histogram.snapshot()
-        assert snapshot["count"] == 3
-        assert snapshot["buckets"] == {4: 2, 8: 1}
-
-    def test_percentile_empty_histogram(self):
-        histogram = Histogram()
-        assert histogram.percentile(50) is None
-        assert histogram.percentiles() == {"p50": None, "p95": None,
-                                           "p99": None}
-
-    def test_percentile_walks_buckets(self):
-        histogram = Histogram()
-        for value in range(1, 101):          # buckets 1, 2, 4, ... 128
-            histogram.observe(value)
-        # p50 lands in the bucket holding rank 50 (bound 64); the top
-        # percentiles land in the last bucket, clipped to the true max.
-        assert histogram.percentile(50) == 64
-        assert histogram.percentile(95) == 100
-        assert histogram.percentile(99) == 100
+    def test_percentile_empty(self):
+        assert percentile([], 50) is None
 
     def test_percentile_single_observation(self):
-        histogram = Histogram()
-        histogram.observe(7)
-        assert histogram.percentiles() == {"p50": 7, "p95": 7, "p99": 7}
+        assert [percentile([7], q) for q in (50, 95, 99)] == [7, 7, 7]
 
-    def test_snapshot_includes_percentiles(self):
-        histogram = Histogram()
-        histogram.observe(3)
-        snapshot = histogram.snapshot()
-        assert snapshot["p50"] == 3 and snapshot["p99"] == 3
+    def test_percentile_is_an_observed_value_not_a_bucket_bound(self):
+        # A power-of-two histogram reported 4, its bucket bound: none
+        # of the values.
+        values = [3, 5, 6]
+        assert percentile(values, 50) == 5
+        assert all(percentile(values, q) in values for q in (50, 95, 99))
+
+    def test_percentile_is_the_nearest_rank_observation(self):
+        values = list(range(1, 101))
+        assert percentile(values, 50) == 50
+        assert percentile(values, 95) == 95
+        assert percentile(values, 99) == 99
+        assert percentile(values, 100) == 100
+        # Eight values: p99 and p95 are the largest, p50 the fourth.
+        durations = [3, 5, 8, 13, 21, 34, 55, 89]
+        assert percentile(durations, 50) == 13
+        assert percentile(durations, 95) == 89
+        assert percentile(durations, 99) == 89
 
 
 class TestHarvestAndSummary:

@@ -17,9 +17,9 @@ import pytest
 from repro.cli import build_parser, main
 from repro.coherence.messages import MessageKind
 from repro.coherence.protocol import _HANDLERS
-from repro.lint import Module, Project, lint_project
 from repro.node.magic import _RECOVERY_KINDS, _REPLY_KINDS
 from repro.verify import check_protocol
+from tests.test_hygiene import findings
 
 PROTOCOL_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -59,15 +59,15 @@ def undispatched(handlers):
 
 def rejections(source, max_states=200000):
     """The checker's report on ``source``, and everything that rejects
-    it: the checker's invariants, the lint rules that fire on it as
+    it: the checker's invariants, the hygiene rules that fire on it as
     ``coherence/protocol.py``, and ``dispatch-coverage``."""
     module = load_protocol(source)
     report = check_protocol(handlers=module._HANDLERS,
                             engine_class=module.ProtocolEngine,
                             max_states=max_states)
     found = {violation.invariant for violation in report.violations()}
-    lint = lint_project(Project([Module("coherence/protocol.py", source)]))
-    found |= {finding.rule for finding in lint}
+    found |= {rule for _, rule, _ in findings("coherence/protocol.py",
+                                               source)}
     if undispatched(module._HANDLERS):
         found.add("dispatch-coverage")
     return report, found
