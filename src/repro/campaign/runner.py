@@ -8,9 +8,10 @@ infinite event loop, a drained event heap — is *data* (a
 The pool's :meth:`~repro.campaign.pool.BatchWorkerPool.drive` is the one
 driving loop; :class:`CampaignRunner` is the one harness around it — task
 source (planned runs), result sink (records, JSONL, status heartbeat),
-outcome counts and resume — for generator campaigns, fixed-schedule
-replays and fuzz sessions alike.  The console helpers at the bottom are
-what ``repro.cli campaign`` and ``repro.cli fuzz`` print per record.
+outcome counts and resume — for generator campaigns, the shrinker's
+fixed-schedule runs and fuzz sessions alike.  The console helpers at the
+bottom are what ``repro.cli campaign`` and ``repro.cli fuzz`` print per
+record.
 
 Determinism and resume:
 
@@ -273,7 +274,7 @@ def run_schedule_isolated(schedule, seed, timeout_s=300.0,
                           mem_per_node=64 << 10, l2_size=8 << 10):
     """Run one exact (schedule, seed) in a crash-isolated worker.
 
-    Used by the shrinker's still-fails predicate and by replay: a
+    The run behind the shrinker's still-fails predicate.  A
     fixed-schedule campaign uses its seed literally, so the seed is the
     failing run's own, not derived, and the reproduction is exact.
     Returns a :class:`~repro.campaign.records.RunRecord`.
@@ -306,14 +307,16 @@ def print_progress(record):
     print(line, file=sys.stderr)
 
 
-def print_failure(record):
-    """A non-PASS record with its ready-to-paste reproduction."""
+def print_failure(record, mem_per_node, l2_size):
+    """A non-PASS record with its ready-to-paste reproduction on the
+    campaign's machine sizing."""
     print("  %s run %d (seed %d): %s" % (
         record.status.value, record.run_index, record.seed,
         record.problems[:3] if record.problems
         else record.error.strip().splitlines()[-1:]))
     print("    repro: %s" % repro_command(
-        FaultSchedule.from_dict(record.schedule), record.seed))
+        FaultSchedule.from_dict(record.schedule), record.seed,
+        mem_per_node, l2_size))
 
 
 def print_shrunk(entry):

@@ -4,7 +4,8 @@ A randomly generated schedule that breaks recovery usually carries noise:
 faults that play no part in the bug, odd timestamps, a bigger machine than
 needed.  :func:`shrink_schedule` strips all of that while a caller-supplied
 predicate keeps confirming "still fails", then :func:`repro_command` turns
-the minimized schedule into a ready-to-paste reproduction command.
+the minimized schedule into a ready-to-paste ``repro.cli validate``
+command.
 
 The passes (each run to a fixpoint, in order of expected payoff):
 
@@ -133,20 +134,13 @@ def shrink_schedule(schedule, still_fails, max_checks=200):
                         checks=state["checks"], steps=steps)
 
 
-def repro_command(schedule, seed=0):
-    """A ready-to-paste command replaying exactly this schedule + seed."""
+def repro_command(schedule, seed=0, mem_per_node=64 << 10, l2_size=8 << 10):
+    """A ready-to-paste ``validate`` command replaying exactly this
+    schedule and seed on a machine of this sizing."""
     payload = json.dumps(schedule.to_dict(), sort_keys=True)
-    return ("PYTHONPATH=src python -m repro.cli campaign "
-            "--replay '%s' --runs 1 --seed %d" % (payload, seed))
-
-
-def replay_command(lineage, campaign):
-    """A ready-to-paste bit-identical rebuild-and-run of one fuzz lineage
-    of ``campaign``."""
-    return ("PYTHONPATH=src python -m repro.cli fuzz --replay '%s' "
-            "--seed %d --nodes-count %d --topology %s"
-            % (lineage, campaign.campaign_seed, campaign.num_nodes,
-               campaign.topology))
+    return ("PYTHONPATH=src python -m repro.cli validate --schedule '%s' "
+            "--seed %d --mem-kb %d --l2-kb %d"
+            % (payload, seed, mem_per_node >> 10, l2_size >> 10))
 
 
 def shrink_failures(campaign, failures, limit=1, max_checks=200,
@@ -194,11 +188,11 @@ def shrink_failures(campaign, failures, limit=1, max_checks=200,
             "shrink_summary": str(result),
             "shrink_steps": result.steps,
             "shrink_checks": result.checks,
-            "repro": repro_command(result.schedule, record.seed),
+            "repro": repro_command(result.schedule, record.seed,
+                                   campaign.mem_per_node, campaign.l2_size),
         }
         if record.fuzz:
             entry["lineage"] = record.fuzz["lineage"]
-            entry["replay"] = replay_command(entry["lineage"], campaign)
         entries.append(entry)
         if out_path:
             append_json_line(out_path, entry)

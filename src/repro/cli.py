@@ -7,6 +7,8 @@ Usage::
     python -m repro.cli validate --fault node_failure --target 3
     python -m repro.cli validate --fault node_failure --target 3 \\
         --trace trace.json
+    python -m repro.cli validate --schedule '<record schedule JSON>' \\
+        --seed <record seed>
     python -m repro.cli endtoend --fault infinite_loop --target 5
     python -m repro.cli bench --sizes 4 8 16 32 --topology mesh
     python -m repro.cli campaign --runs 50 --seed 7 \\
@@ -19,13 +21,13 @@ import os
 import time
 
 from repro.core.config import MachineConfig
-from repro.core.experiment import run_validation_experiment
+from repro.core.experiment import run_schedule_experiment
 from repro.faults.models import LINK_FAULT_TYPES, FaultSpec, FaultType
 from repro.telemetry.scalability import DEFAULT_SIZES
 
 
 def _fault_from_args(args):
-    fault_type = FaultType(args.fault)
+    fault_type = FaultType(args.fault or FaultType.NODE_FAILURE.value)
     if fault_type in LINK_FAULT_TYPES:
         if args.target2 is None:
             raise SystemExit("%s needs --target and --target2"
@@ -37,30 +39,53 @@ def _fault_from_args(args):
                      dwell=getattr(args, "dwell", None))
 
 
+def _schedule_from_args(args):
+    """The run ``validate`` makes: the ``--schedule`` JSON, or ``--fault``
+    as a one-entry schedule on a ``--nodes-count`` mesh."""
+    from repro.campaign.schedule import FaultSchedule, TimedFault
+    if args.schedule is None:
+        return FaultSchedule((TimedFault(_fault_from_args(args)),),
+                             num_nodes=args.nodes_count)
+    try:
+        return FaultSchedule.from_dict(json.loads(args.schedule))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SystemExit("bad --schedule JSON: %s" % exc)
+
+
 def cmd_validate(args):
     from repro.telemetry import Telemetry
     from repro.telemetry.forensics import write_run_evidence
 
+    schedule = _schedule_from_args(args)
     telemetry = Telemetry(max_events=args.max_events) if args.trace else None
+    # The machine and run limit a pooled campaign run of this schedule
+    # gets, so a record's (schedule, seed) replays here exactly.
     config = MachineConfig(
-        num_nodes=args.nodes_count, mem_per_node=args.mem_kb << 10,
-        l2_size=args.l2_kb << 10, seed=args.seed)
-    result = run_validation_experiment(
-        _fault_from_args(args), config=config, seed=args.seed,
-        telemetry=telemetry)
-    episodes = len(result.reports)
-    if args.episode is not None and not 0 <= args.episode < episodes:
+        num_nodes=schedule.num_nodes, topology=schedule.topology,
+        mem_per_node=args.mem_kb << 10, l2_size=args.l2_kb << 10,
+        seed=args.seed)
+    try:
+        result = run_schedule_experiment(schedule, config=config,
+                                         seed=args.seed, telemetry=telemetry)
+        reports = result.reports
+    except (TimeoutError, RuntimeError) as exc:
+        # What the pool records as a HUNG run's error.
+        result, reports = None, []
+        hung = "[HUNG] %s: %s: %s" % (schedule, type(exc).__name__, exc)
+    if args.episode is not None and not 0 <= args.episode < len(reports):
         raise SystemExit("--episode %d out of range (run has %d "
-                         "episode(s))" % (args.episode, episodes))
-    print(result.describe(args.episode))
+                         "episode(s))" % (args.episode, len(reports)))
+    print(hung if result is None else result.describe(args.episode))
+    passed = result is not None and result.passed
     if telemetry is None:
-        return 0 if result.passed else 1
+        return 0 if passed else 1
     audit = write_run_evidence(
         telemetry.recorder, args.trace,
-        label="repro %d nodes, %s" % (args.nodes_count, args.fault),
-        episode=None if args.episode is None
-        else result.reports[args.episode])
-    return 0 if result.passed and audit.verdict != "escape" else 1
+        label="repro %d nodes, %s" % (
+            schedule.num_nodes,
+            ", ".join(spec.fault_type.value for spec in schedule.specs())),
+        episode=None if args.episode is None else reports[args.episode])
+    return 0 if passed and audit.verdict != "escape" else 1
 
 
 def cmd_endtoend(args):
@@ -90,7 +115,7 @@ def _pool_runner(args, **kwargs):
 
 
 def cmd_campaign(args):
-    from repro.campaign import SCHEDULE_GENERATORS, FaultSchedule
+    from repro.campaign import SCHEDULE_GENERATORS
     from repro.campaign.runner import (
         print_failure,
         print_shrunk,
@@ -98,25 +123,13 @@ def cmd_campaign(args):
     )
     from repro.campaign.shrink import shrink_failures
 
-    fixed_schedule = None
-    if args.replay:
-        try:
-            fixed_schedule = FaultSchedule.from_dict(json.loads(args.replay))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise SystemExit("bad --replay JSON: %s" % exc)
-    elif args.schedule not in SCHEDULE_GENERATORS:
+    if args.schedule not in SCHEDULE_GENERATORS:
         raise SystemExit(
             "unknown schedule %r (have: %s)"
             % (args.schedule, ", ".join(sorted(SCHEDULE_GENERATORS))))
-    if args.runs is None:
-        args.runs = 1 if fixed_schedule is not None else 50
-    out_path = args.out
-    if out_path is None:
-        label = "replay" if fixed_schedule is not None else args.schedule
-        out_path = "campaign_%s_seed%d.jsonl" % (label, args.seed)
-
-    runner = _pool_runner(args, kind=args.schedule, schedule=fixed_schedule,
-                          out_path=out_path)
+    out_path = args.out or "campaign_%s_seed%d.jsonl" % (args.schedule,
+                                                          args.seed)
+    runner = _pool_runner(args, kind=args.schedule, out_path=out_path)
     summary = runner.run()
     forensics_path = report_evidence(out_path, summary.records)
     failures = summary.failures()
@@ -127,7 +140,7 @@ def cmd_campaign(args):
         print(summary)
         print("records: %s" % out_path)
         for record in failures:
-            print_failure(record)
+            print_failure(record, runner.mem_per_node, runner.l2_size)
 
     if args.shrink and failures:
         print("shrinking %s run %d ..." % (failures[0].status.value,
@@ -143,15 +156,7 @@ def cmd_campaign(args):
 
 def cmd_fuzz(args):
     from repro.campaign.shrink import shrink_failures
-    from repro.fuzz.engine import (SHRINK_CHECKS, FuzzEngine,
-                                   format_report, replay_lineage)
-
-    if args.replay:
-        passed = replay_lineage(
-            args.seed, args.replay, args.nodes_count, args.topology,
-            as_json=args.summary_json, timeout_s=args.timeout,
-            mem_per_node=args.mem_kb << 10, l2_size=args.l2_kb << 10)
-        return 0 if passed else 1
+    from repro.fuzz.engine import SHRINK_CHECKS, FuzzEngine, format_report
 
     out_dir = args.out or "fuzz_seed%d" % args.seed
     records_path = os.path.join(out_dir, "records.jsonl")
@@ -248,21 +253,29 @@ def build_parser():
                        help="print one machine-readable JSON summary "
                             "line instead of the human report")
 
-    def add_fault(p, target):
+    def add_fault(p, target, fault_group=None):
         """What ``_fault_from_args`` reads, and the machine size."""
         add_common(p)
         p.add_argument("--nodes-count", type=int, default=8)
-        p.add_argument(
-            "--fault", default="node_failure",
-            choices=[t.value for t in FaultType])
+        # No default value: argparse tells a given option from its
+        # default by identity, which an interned string defeats.
+        (fault_group or p).add_argument(
+            "--fault", default=None, choices=[t.value for t in FaultType],
+            help="the fault type (default: node_failure)")
         p.add_argument("--target", type=int, default=target)
         p.add_argument("--target2", type=int, default=None)
 
     p_validate = sub.add_parser(
         "validate",
-        help="one Table 5.3-style validation run; with --trace, also the "
-             "Chrome trace and the containment audit")
-    add_fault(p_validate, target=7)
+        help="one Table 5.3-style validation run, of one fault or of a "
+             "campaign record's schedule; with --trace, also the Chrome "
+             "trace and the containment audit")
+    run = p_validate.add_mutually_exclusive_group()
+    add_fault(p_validate, target=7, fault_group=run)
+    run.add_argument("--schedule", default=None, metavar="JSON",
+                     help="replay a multi-fault run: a record's schedule "
+                          "(with its --seed and the campaign's --mem-kb/"
+                          "--l2-kb); the schedule sets the machine shape")
     p_validate.add_argument("--dwell", type=float, default=None,
                             help="heal/manifestation delay in ns "
                                  "(transient link, delayed wedge)")
@@ -294,14 +307,10 @@ def build_parser():
     p_camp = sub.add_parser(
         "campaign",
         help="multi-fault campaign: crash-isolated runs, JSONL records")
-    add_pool_run(p_camp, runs=None, timeout=300.0)   # 50; a replay is 1
+    add_pool_run(p_camp, runs=50, timeout=300.0)
     p_camp.add_argument("--schedule", default="random-multi",
                         help="schedule generator name (see "
                              "repro.campaign.SCHEDULE_GENERATORS)")
-    p_camp.add_argument("--replay", default=None, metavar="JSON",
-                        help="replay one exact schedule (JSON, as printed "
-                             "by a failure's repro command); one run "
-                             "unless --runs is given")
     p_camp.add_argument("--out", default=None,
                         help="JSONL results file (default: "
                              "campaign_<schedule>_seed<N>.jsonl); "
@@ -314,7 +323,7 @@ def build_parser():
     p_fuzz = sub.add_parser(
         "fuzz",
         help="coverage-guided schedule fuzzing: mutate fault schedules "
-             "against a live coverage map, shrink and replay findings")
+             "against a live coverage map, shrink findings")
     add_pool_run(p_fuzz, runs=200, timeout=120.0)
     p_fuzz.add_argument("--wall-clock", type=float, default=None,
                         metavar="SECONDS",
@@ -325,9 +334,6 @@ def build_parser():
                              "failures.jsonl")
     p_fuzz.add_argument("--resume", action="store_true",
                         help="continue the session already in --out")
-    p_fuzz.add_argument("--replay", default=None, metavar="LINEAGE",
-                        help="rebuild one schedule from its lineage and "
-                             "run it once, bit-identically")
     p_fuzz.add_argument("--strategy", default="coverage",
                         choices=["coverage", "random"],
                         help="'random' disables mutation (generator-only "

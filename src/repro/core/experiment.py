@@ -46,15 +46,14 @@ def fill_caches(machine, fill_fraction, seed, run_limit):
     machine.quiesce()
 
 
-def run_validation_experiment(fault, config=None, fill_fraction=0.6,
-                              seed=0, run_limit=30_000_000_000,
-                              telemetry=None):
+def run_validation_experiment(fault, config=None, seed=0, **run_kwargs):
     """One complete §5.2 validation run of a single fault (Table 5.3).
 
     A single fault is a one-entry schedule: ``fault`` is wrapped in a
     :class:`~repro.campaign.schedule.FaultSchedule` (one passes through
-    as it is) and :func:`run_schedule_experiment` does the run; returns
-    its :class:`ScheduleResult`.
+    as it is) and :func:`run_schedule_experiment` does the run, with its
+    defaults and any of its keyword arguments; returns its
+    :class:`ScheduleResult`.
     """
     from repro.campaign.schedule import FaultSchedule, TimedFault
     if not isinstance(fault, FaultSchedule):
@@ -62,9 +61,8 @@ def run_validation_experiment(fault, config=None, fill_fraction=0.6,
         fault = FaultSchedule((TimedFault(fault),),
                               num_nodes=config.num_nodes,
                               topology=config.topology)
-    return run_schedule_experiment(
-        fault, config=config, fill_fraction=fill_fraction, seed=seed,
-        run_limit=run_limit, telemetry=telemetry)
+    return run_schedule_experiment(fault, config=config, seed=seed,
+                                   **run_kwargs)
 
 
 def _judge_observation(machine, oracle, available, line, kind, detail):

@@ -18,16 +18,16 @@ finished run teaches:
 Resumability: the runner replays the recorded runs through ``account`` in
 file order — the order the live session accounted them in — so a resumed
 engine holds the same coverage map, corpus and growth curve.  Every
-schedule is bit-reproducible from ``(campaign_seed, lineage)`` alone — see
-``repro.cli fuzz --replay``.
+schedule is bit-reproducible from ``(campaign_seed, lineage)`` alone
+(:func:`~repro.fuzz.mutate.rebuild_from_lineage`), and every record
+carries its schedule and machine seed, which ``repro.cli validate
+--schedule`` replays.
 
 Planning note: with ``jobs > 1`` the *trajectory* (which parent breeds
 when) depends on result arrival order, exactly as in AFL; the
 determinism contract is per-schedule via lineage, not per-session.  With
 ``jobs=1`` the whole session is deterministic.
 """
-
-import json
 
 from repro.campaign.records import RunStatus, format_counts
 from repro.campaign.schedule import (
@@ -40,7 +40,6 @@ from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.mutate import (
     derive_mutant_seed,
     mutate,
-    rebuild_from_lineage,
     rng_for,
     root_schedule,
 )
@@ -237,35 +236,8 @@ def format_report(report):
             entry["run_index"], entry["status"], entry["lineage"]))
         for problem in entry["problems"][:3]:
             lines.append("      problem: %s" % problem)
-        lines.append("      repro:  %s" % entry["repro"])
-        lines.append("      replay: %s" % entry["replay"])
+        lines.append("      repro: %s" % entry["repro"])
     return "\n".join(lines)
-
-
-def replay_lineage(campaign_seed, lineage, num_nodes, topology,
-                   as_json=False, **run_kwargs):
-    """``repro.cli fuzz --replay``: rebuild one schedule from its lineage,
-    run it once, bit-identically, in a crash-isolated worker and print
-    the record (as JSON with ``as_json``); returns whether it passed."""
-    from repro.campaign.runner import print_failure, run_schedule_isolated
-    try:
-        schedule = rebuild_from_lineage(
-            campaign_seed, lineage, num_nodes=num_nodes, topology=topology)
-    except ValueError as exc:
-        raise SystemExit("bad --replay lineage: %s" % exc)
-    seed = derive_mutant_seed(campaign_seed, lineage)
-    record = run_schedule_isolated(schedule, seed, **run_kwargs)
-    passed = record.status is RunStatus.PASS
-    if as_json:
-        print(json.dumps(record.to_dict(), sort_keys=True))
-    else:
-        print("replay %s" % lineage)
-        print("  schedule: %s" % schedule)
-        print("  machine seed: %d" % seed)
-        print("  -> [%s]" % record.status.value)
-        if not passed:
-            print_failure(record)
-    return passed
 
 
 def _thin(points, limit):

@@ -67,7 +67,9 @@ class TestCli:
         for argv in (["scale", "--nodes", "4"], ["bench", "--micro"],
                      ["bench", "--flight-overhead"], ["trace"],
                      ["forensics"], ["validate", "--no-firewall"],
-                     ["validate", "--format", "json"], ["lint"]):
+                     ["validate", "--format", "json"], ["lint"],
+                     ["campaign", "--replay", "{}"],
+                     ["fuzz", "--replay", "g:flaky-links:0"]):
             with pytest.raises(SystemExit):
                 parser.parse_args(argv)
         subcommands, = (action for action in parser._actions
@@ -84,7 +86,7 @@ class TestCli:
         assert options("validate") == {
             "--seed", "--mem-kb", "--l2-kb", "--nodes-count", "--fault",
             "--target", "--target2", "--dwell", "--drop-rate", "--trace",
-            "--max-events", "--episode"}
+            "--max-events", "--episode", "--schedule"}
 
 
 NODE_FAILURE_3 = ["validate", "--fault", "node_failure", "--target", "3",
@@ -170,6 +172,107 @@ class TestForensicsCli:
         code = main(NODE_FAILURE_3 + ["--trace", str(tmp_path / "t.json")])
         assert code == 1
         assert "[PASS]" in capsys.readouterr().out
+
+
+#: ROADMAP item 3's shape 1: link 2-4 fails, then node 2 loops as it
+#: enters P3.  The event heap drains before recovery ends.
+DRAINED_HEAP = {"num_nodes": 8, "topology": "mesh", "entries": [
+    {"spec": {"fault_type": "link_failure", "target": [2, 4]}, "time": 0.0},
+    {"spec": {"fault_type": "infinite_loop", "target": 2}, "time": 0.0,
+     "phase": "P3", "phase_node": 2}]}
+
+
+def _schedule_argv(schedule, seed, *extra):
+    import json
+    return ["validate", "--schedule", json.dumps(schedule),
+            "--seed", str(seed)] + list(extra)
+
+
+class TestValidateSchedule:
+    """``validate --schedule``: any campaign record's run, replayed."""
+
+    @pytest.fixture(scope="class")
+    def red_records(self, tmp_path_factory):
+        """Runs 0-3 of the red ``correlated-link-router`` campaign at seed
+        0: run 0 loses the whole machine (ROADMAP item 2, sub-class A),
+        run 3 over-marks (sub-class B)."""
+        from repro.campaign.records import load_records
+        out = tmp_path_factory.mktemp("red") / "red.jsonl"
+        main(["campaign", "--runs", "4", "--seed", "0", "--schedule",
+              "correlated-link-router", "--out", str(out)])
+        return {record.run_index: record for record in load_records(out)}
+
+    @pytest.mark.parametrize("run_index", [0, 3])
+    def test_fail_record_replays_exactly(self, red_records, run_index,
+                                         capsys):
+        record = red_records[run_index]
+        assert record.status.value == "fail"
+        code = main(_schedule_argv(record.schedule, record.seed))
+        printed = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert printed[0].startswith("[FAIL] ")
+        assert "restarts=%d " % record.restarts in printed[0]
+        assert [line[4:] for line in printed
+                if line.startswith("  ! ")] == record.problems
+        assert sum(line.startswith("episode ")
+                   for line in printed) == record.episodes
+
+    def test_printed_repro_replays_the_campaign_machine(self, red_records,
+                                                        capsys):
+        """A campaign's printed repro carries its sizing: run 3 at 128 KB
+        of memory and a 16 KB L2 fails on other lines than at the
+        default 64 KB/8 KB, and its repro reproduces those."""
+        import shlex
+        from repro.campaign import FaultSchedule
+        from repro.campaign.runner import print_failure, run_schedule_isolated
+        default = red_records[3]
+        record = run_schedule_isolated(
+            FaultSchedule.from_dict(default.schedule), default.seed,
+            mem_per_node=128 << 10, l2_size=16 << 10)
+        assert record.problems and record.problems != default.problems
+        capsys.readouterr()
+        print_failure(record, 128 << 10, 16 << 10)
+        repro, = (line.split("repro: ", 1)[1]
+                  for line in capsys.readouterr().out.splitlines()
+                  if "repro: " in line)
+        argv = shlex.split(repro)
+        assert main(argv[argv.index("repro.cli") + 1:]) == 1
+        assert [line[4:] for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  ! ")] == record.problems
+
+    def test_drained_heap_prints_the_pools_hung_error(self, capsys):
+        from repro.campaign import FaultSchedule
+        from repro.campaign.runner import run_schedule_isolated
+        record = run_schedule_isolated(
+            FaultSchedule.from_dict(DRAINED_HEAP), 0)
+        assert record.status.value == "hung"
+        assert main(_schedule_argv(DRAINED_HEAP, 0)) == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == ["[HUNG] %s: %s" % (
+            FaultSchedule.from_dict(DRAINED_HEAP), record.error)]
+        assert "event heap drained" in record.error
+
+    def test_trace_of_a_two_fault_run(self, capsys, tmp_path):
+        """A HUNG run still writes the trace and audit of its events."""
+        out = tmp_path / "hung.json"
+        code = main(_schedule_argv(DRAINED_HEAP, 0, "--trace", str(out)))
+        assert code == 1
+        printed = capsys.readouterr().out
+        assert printed.startswith("[HUNG] ")
+        assert "containment audit" in printed
+        assert out.exists()
+        assert (tmp_path / "hung.json.forensics.json").exists()
+
+    def test_bad_json_is_rejected(self):
+        for payload in ("not json", "[1, 2]", '{"entries": [{"spec": {}}]}'):
+            with pytest.raises(SystemExit, match="bad --schedule JSON"):
+                main(["validate", "--schedule", payload])
+
+    def test_fault_and_schedule_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(_schedule_argv(DRAINED_HEAP, 0, "--fault", "node_failure"))
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
 
 class TestBenchCli:

@@ -245,37 +245,38 @@ class TestShrinker:
         assert result.schedule.fault_count == 1
 
     def test_repro_command_roundtrips_schedule(self):
+        """The repro is a ``validate --schedule`` command on the failing
+        campaign's machine sizing."""
+        import shlex
+
+        from repro.cli import build_parser
         schedule = false_alarm_schedule()
-        command = repro_command(schedule, seed=99)
-        assert "--seed 99" in command
-        payload = command.split("--replay '")[1].split("'")[0]
-        assert FaultSchedule.from_dict(json.loads(payload)) == schedule
+        command = repro_command(schedule, seed=99, mem_per_node=128 << 10,
+                                l2_size=16 << 10)
+        argv = shlex.split(command)
+        args = build_parser().parse_args(argv[argv.index("repro.cli") + 1:])
+        assert args.command == "validate"
+        assert FaultSchedule.from_dict(json.loads(args.schedule)) == schedule
+        assert (args.seed, args.mem_kb, args.l2_kb) == (99, 128, 16)
 
 
 # ------------------------------------------------------------------------ CLI
 
 class TestCampaignCli:
-    def test_campaign_subcommand_end_to_end(self, tmp_path):
+    def test_campaign_subcommand_end_to_end(self, tmp_path, monkeypatch):
+        """Without --out, the records land in the working directory under
+        the generator's name and the campaign seed."""
         from repro.cli import main
-        out = tmp_path / "cli.jsonl"
-        replay = json.dumps(false_alarm_schedule().to_dict())
+        monkeypatch.chdir(tmp_path)
         code = main([
-            "campaign", "--replay", replay, "--runs", "2", "--seed", "3",
-            "--out", str(out), "--timeout", "120",
+            "campaign", "--schedule", "false-alarm-storm", "--runs", "2",
+            "--seed", "3", "--nodes-count", "4", "--timeout", "120",
         ])
         assert code == 0
-        records = load_records(out)
-        assert len(records) == 2
+        records = load_records(
+            tmp_path / "campaign_false-alarm-storm_seed3.jsonl")
+        assert [r.run_index for r in records] == [0, 1]
         assert all(r.status is RunStatus.PASS for r in records)
-
-    def test_replay_without_runs_is_one_run(self, tmp_path):
-        from repro.cli import main
-        out = tmp_path / "replay.jsonl"
-        replay = json.dumps(false_alarm_schedule().to_dict())
-        code = main(["campaign", "--replay", replay, "--seed", "3",
-                     "--out", str(out), "--timeout", "120"])
-        assert code == 0
-        assert [r.run_index for r in load_records(out)] == [0]
 
     def test_campaign_generator_subcommand(self, tmp_path):
         from repro.cli import main

@@ -54,7 +54,7 @@ class TestSeedDerivation:
 
     def test_derive_mutant_seed_golden_values(self):
         """BLAKE2b-derived, must never change — recorded corpora and
-        printed --replay commands reference machine seeds by them."""
+        printed repro commands reference machine seeds by them."""
         assert derive_mutant_seed(0, "g:random-multi:0") \
             == 5951196366663144337
         assert derive_mutant_seed(7, "g:flaky-links:2/m5:add") \
