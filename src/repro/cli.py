@@ -41,11 +41,20 @@ def _fault_from_args(args):
 
 def _schedule_from_args(args):
     """The run ``validate`` makes: the ``--schedule`` JSON, or ``--fault``
-    as a one-entry schedule on a ``--nodes-count`` mesh."""
+    as a one-entry schedule on a ``--nodes-count`` mesh.  The options a
+    schedule sets itself parse as None, so a given one is refused."""
     from repro.campaign.schedule import FaultSchedule, TimedFault
     if args.schedule is None:
+        args.nodes_count = 8 if args.nodes_count is None else args.nodes_count
+        args.target = 7 if args.target is None else args.target
         return FaultSchedule((TimedFault(_fault_from_args(args)),),
                              num_nodes=args.nodes_count)
+    given = ["--" + name.replace("_", "-") for name in (
+        "nodes_count", "target", "target2", "dwell", "drop_rate")
+        if getattr(args, name) is not None]
+    if given:
+        raise SystemExit("--schedule sets the machine and its faults: "
+                         "drop %s" % ", ".join(given))
     try:
         return FaultSchedule.from_dict(json.loads(args.schedule))
     except (ValueError, KeyError, TypeError) as exc:
@@ -64,6 +73,7 @@ def cmd_validate(args):
         num_nodes=schedule.num_nodes, topology=schedule.topology,
         mem_per_node=args.mem_kb << 10, l2_size=args.l2_kb << 10,
         seed=args.seed)
+    error = None
     try:
         result = run_schedule_experiment(schedule, config=config,
                                          seed=args.seed, telemetry=telemetry)
@@ -71,11 +81,12 @@ def cmd_validate(args):
     except (TimeoutError, RuntimeError) as exc:
         # What the pool records as a HUNG run's error.
         result, reports = None, []
-        hung = "[HUNG] %s: %s: %s" % (schedule, type(exc).__name__, exc)
+        error = "%s: %s" % (type(exc).__name__, exc)
     if args.episode is not None and not 0 <= args.episode < len(reports):
         raise SystemExit("--episode %d out of range (run has %d "
                          "episode(s))" % (args.episode, len(reports)))
-    print(hung if result is None else result.describe(args.episode))
+    print("[HUNG] %s: %s" % (schedule, error) if result is None
+          else result.describe(args.episode))
     passed = result is not None and result.passed
     if telemetry is None:
         return 0 if passed else 1
@@ -84,7 +95,8 @@ def cmd_validate(args):
         label="repro %d nodes, %s" % (
             schedule.num_nodes,
             ", ".join(spec.fault_type.value for spec in schedule.specs())),
-        episode=None if args.episode is None else reports[args.episode])
+        episode=None if args.episode is None else reports[args.episode],
+        error=error)
     return 0 if passed and audit.verdict != "escape" else 1
 
 
@@ -253,10 +265,10 @@ def build_parser():
                        help="print one machine-readable JSON summary "
                             "line instead of the human report")
 
-    def add_fault(p, target, fault_group=None):
+    def add_fault(p, target, nodes_count, fault_group=None):
         """What ``_fault_from_args`` reads, and the machine size."""
         add_common(p)
-        p.add_argument("--nodes-count", type=int, default=8)
+        p.add_argument("--nodes-count", type=int, default=nodes_count)
         # No default value: argparse tells a given option from its
         # default by identity, which an interned string defeats.
         (fault_group or p).add_argument(
@@ -271,7 +283,7 @@ def build_parser():
              "campaign record's schedule; with --trace, also the Chrome "
              "trace and the containment audit")
     run = p_validate.add_mutually_exclusive_group()
-    add_fault(p_validate, target=7, fault_group=run)
+    add_fault(p_validate, target=None, nodes_count=None, fault_group=run)
     run.add_argument("--schedule", default=None, metavar="JSON",
                      help="replay a multi-fault run: a record's schedule "
                           "(with its --seed and the campaign's --mem-kb/"
@@ -299,7 +311,7 @@ def build_parser():
         "endtoend",
         help="one Table 5.4-style Hive parallel-make run (one cell per "
              "node)")
-    add_fault(p_e2e, target=3)
+    add_fault(p_e2e, target=3, nodes_count=8)
     p_e2e.add_argument("--bug-rate", type=float, default=0.0,
                        help="Hive incoherent-line bug emulation rate")
     p_e2e.set_defaults(func=cmd_endtoend)

@@ -1,7 +1,7 @@
 """The MAGIC programmable node controller.
 
 MAGIC sits between the processor (PI), the network (NI), the node's memory
-and its I/O devices.  A single dispatch process services both interfaces,
+and its I/O devices.  One dispatch callback services both interfaces,
 running a *handler* per message with a cost model taken from the paper
 (120 ns for the common remote-read handler).
 
@@ -41,7 +41,7 @@ from repro.interconnect.packet import (
 )
 from repro.node.iodevice import IODevice
 from repro.node.memory import NodeMemory, initial_value
-from repro.sim import AnyOf, Channel, Event
+from repro.sim import Channel, Event
 
 
 class NullHooks:
@@ -145,7 +145,9 @@ class Magic:
         self.recovery_trigger = None
         self.stats = MagicStats()
         self.trace = None           # telemetry recorder (None: disabled)
-        self._proc = None
+        self._idle = False          # started and no dispatch on the heap
+        self._next = None           # handle of the last dispatch scheduled
+        self.ni.inbox.on_put = self.pi_queue.on_put = self._wake
 
         # Causal context (forensics, DESIGN.md §11).  ``_cause``/
         # ``_cause_root`` hold the lineage of the packet currently being
@@ -164,8 +166,8 @@ class Magic:
     # ------------------------------------------------------------------ wiring
 
     def start(self):
-        self._proc = self.sim.spawn(
-            self._dispatch_loop(), name="magic%d" % self.node_id)
+        """Schedule the first dispatch."""
+        self._next = self.sim.schedule(0.0, self._dispatch)
 
     def set_failure_unit(self, node_ids):
         self.failure_unit = frozenset(node_ids)
@@ -182,35 +184,36 @@ class Magic:
             return True      # unconfigured pages are open (boot state)
         return writer_node in allowed
 
-    # ------------------------------------------------------------- dispatch loop
+    # ---------------------------------------------------------------- dispatch
 
-    def _dispatch_loop(self):
-        # fail() and wedge() stop this loop by killing its process.
-        while True:
-            packet = self.ni.try_receive()
-            if packet is not None:
-                self._cause = packet.cause_eid
-                self._cause_root = packet.root_cause
-                cost = self._handle_network(packet)
-                self._cause = None
-                self._cause_root = None
-                self.stats.handlers_run += 1
-                yield cost
-                continue
+    def _wake(self):
+        """``on_put`` of both queues: one dispatch on the heap if idle (so
+        not before :meth:`start`, during a handler, or once stopped)."""
+        if self._idle:
+            self._idle = False
+            self._next = self.sim.schedule(0.0, self._dispatch)
+
+    def _dispatch(self):
+        """Run one handler, network packets first, and come back when its
+        cost has elapsed; go idle when both queues are empty."""
+        packet = self.ni.try_receive()
+        if packet is not None:
+            self._cause = packet.cause_eid
+            self._cause_root = packet.root_cause
+            cost = self._handle_network(packet)
+            self._cause = None
+            self._cause_root = None
+            self.stats.handlers_run += 1
+        else:
             request = self.pi_queue.try_get()
-            if request is not None:
-                yield self._handle_pi(request)
-                continue
-            # Idle: wake on the first put to either queue, then take back
-            # the other queue's watch, which would otherwise outlive the
-            # wait (during recovery the PI queue sees no put at all).
-            inbox, pi_queue = self.ni.inbox, self.pi_queue
-            watches = (inbox.watch(), pi_queue.watch())
-            index, _ = yield AnyOf(watches)
-            if index == 0:
-                pi_queue.abandon(watches[1])
-            else:
-                inbox.abandon(watches[0])
+            if request is None:
+                self._idle = True
+                return
+            cost = self._handle_pi(request)
+        if not (self.failed or self.wedged):
+            self._next = self.sim.schedule(cost, self._dispatch)
+
+    _dispatch.profile_label = "magicN"
 
     # ------------------------------------------------------------ network side
 
@@ -864,14 +867,18 @@ class Magic:
         self.outstanding.clear()
         if self.cache is not None:
             self.cache.drop_all()
-        if self._proc is not None:
-            self._proc.kill()
+        self._stop()
 
     def wedge(self):
         """Firmware infinite loop: stop accepting packets (§3.1)."""
         self.wedged = True
-        if self._proc is not None:
-            self._proc.kill()
+        self._stop()
+
+    def _stop(self):
+        """Take back the pending dispatch, and stay deaf to puts."""
+        self._idle = False
+        if self._next is not None:
+            self.sim.cancel(self._next)
 
 
 #: "no causal context" sentinel unpacked onto outgoing packets

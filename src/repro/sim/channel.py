@@ -1,35 +1,16 @@
 """Unbounded FIFO message channel with blocking ``get``.
 
 Capacity limits in the interconnect model are enforced by the *senders*
-(credit-based flow control), so the channel itself never blocks a put.  The
-channel also exposes :meth:`Channel.watch`, a one-shot "next put" event for
-consumers that multiplex over several channels (MAGIC's main loop and the
-recovery communicator), and :meth:`Channel.abandon`, which takes back a
-watch whose waiter woke on another channel.
+(credit-based flow control), so the channel itself never blocks a put.  A
+consumer that is not a process sets :attr:`Channel.on_put`, called on every
+put (MAGIC's dispatch wakes from it); a process that waits on several
+channels at once (the recovery communicator) takes a one-shot "next put"
+event from :meth:`Channel.watch`.
 """
 
 from collections import deque
 
 from repro.sim.process import Event
-
-
-class _AbandonedWatch:
-    """Stands in for every watch :meth:`Channel.abandon` took back from
-    one channel.  A put triggers it once per slot it holds, scheduling the
-    zero-delay wake the watch would have had to the first abandoned
-    waiter, which woke elsewhere and so resumes nobody: each put schedules
-    what it did before the watches were taken back."""
-
-    __slots__ = ("sim", "wake")
-
-    triggered = False
-
-    def __init__(self, sim, wake):
-        self.sim = sim
-        self.wake = wake
-
-    def trigger(self, value):
-        self.sim.schedule(0.0, self.wake, value)
 
 
 class Channel:
@@ -43,7 +24,9 @@ class Channel:
         self._items = deque()
         self._getters = deque()
         self._watchers = []
-        self._abandoned = None
+        #: optional ``on_put()``, called on every put once the item is
+        #: queued and before any watch fires
+        self.on_put = None
 
     def put(self, item):
         """Append ``item``; wakes the oldest blocked getter, if any."""
@@ -52,6 +35,9 @@ class Channel:
             event.trigger(item)
         else:
             self._items.append(item)
+        on_put = self.on_put
+        if on_put is not None:
+            on_put()
         watchers = self._watchers
         if watchers:
             # Snapshot-swap delivery: every current watcher is one-shot
@@ -84,20 +70,6 @@ class Channel:
         event = Event(self.sim, name=self._watch_name)
         self._watchers.append(event)
         return event
-
-    def abandon(self, event):
-        """Take back ``event``, a :meth:`watch` whose one waiter woke on
-        something else (the losing slot of an ``AnyOf``), so that the
-        watch and its waiter chain do not live until the next put, which
-        on an idle channel may never come.  Only an unfired watch that is
-        still the newest is swapped for the placeholder."""
-        watchers = self._watchers
-        if watchers and watchers[-1] is event and not event.triggered:
-            abandoned = self._abandoned
-            if abandoned is None:
-                (wake,) = event._waiters
-                abandoned = self._abandoned = _AbandonedWatch(self.sim, wake)
-            watchers[-1] = abandoned
 
     def clear(self):
         """Drop all queued items (used when a component fails)."""

@@ -196,24 +196,29 @@ class FaultForensics:
 class ForensicsReport:
     """The full audit of one traced run."""
 
-    def __init__(self, faults, total_events, dropped_events, dangling):
+    def __init__(self, faults, total_events, dropped_events, dangling,
+                 error=None):
         self.faults = faults
         self.total_events = total_events
         self.dropped_events = dropped_events
         self.dangling_edges = dangling
         self.truncated = dropped_events > 0
+        self.error = error      # what a run that did not finish raised
 
     @property
     def verdict(self):
-        if not self.faults:
-            return "no-fault"
+        """A violation is an ``escape``; short of one, a run that raised
+        is ``unfinished``: the events it got to prove nothing contained."""
         if any(fault.verdict == "escape" for fault in self.faults):
             return "escape"
-        return "contained"
+        if self.error is not None:
+            return "unfinished"
+        return "contained" if self.faults else "no-fault"
 
     def to_dict(self):
         return {
             "verdict": self.verdict,
+            "error": self.error,
             "truncated": self.truncated,
             "dropped_events": self.dropped_events,
             "dangling_edges": self.dangling_edges,
@@ -228,11 +233,11 @@ def _event_ref(event):
             "line": event.data.get("line"), "uid": event.data.get("uid")}
 
 
-def analyze(source, dropped_events=None):
+def analyze(source, dropped_events=None, error=None):
     """Run the forensic audit; returns a :class:`ForensicsReport`.
 
     ``source`` is a :class:`~repro.telemetry.trace.TraceRecorder` or a
-    plain iterable of :class:`TraceEvent`.
+    plain iterable of :class:`TraceEvent`; ``error`` as in the report.
     """
     events = getattr(source, "events", source)
     if dropped_events is None:
@@ -297,7 +302,8 @@ def analyze(source, dropped_events=None):
         fault.blast_packets = len(packets)
         faults.append(fault)
 
-    return ForensicsReport(faults, len(events), dropped_events, dangling)
+    return ForensicsReport(faults, len(events), dropped_events, dangling,
+                           error)
 
 
 def forensic_summary(source):
@@ -359,11 +365,12 @@ def format_forensics(report):
     return "\n".join(lines)
 
 
-def write_run_evidence(recorder, path, label, episode=None):
+def write_run_evidence(recorder, path, label, episode=None, error=None):
     """``repro.cli validate --trace``: write the Chrome trace to ``path``
     (only ``episode``'s events, a RecoveryReport, when given) and the
     whole run's audit to ``<path>.forensics.json`` as a campaign names
-    its own; print the audit; returns the :class:`ForensicsReport`."""
+    its own; print the audit; returns the :class:`ForensicsReport`, which
+    a run that raised ``error`` leaves ``unfinished``."""
     from repro.telemetry.chrome import write_chrome_trace
     events = recorder.events
     if episode is not None:
@@ -372,7 +379,7 @@ def write_run_evidence(recorder, path, label, episode=None):
                   <= episode.complete_time]
     write_chrome_trace(events, path, label=label,
                        dropped_events=recorder.dropped_events)
-    report = analyze(recorder)
+    report = analyze(recorder, error=error)
     audit_path = path + ".forensics.json"
     with open(audit_path, "w", encoding="utf-8") as handle:
         json.dump(report.to_dict(), handle, indent=1, sort_keys=True)

@@ -253,20 +253,31 @@ class TestValidateSchedule:
         assert "event heap drained" in record.error
 
     def test_trace_of_a_two_fault_run(self, capsys, tmp_path):
-        """A HUNG run still writes the trace and audit of its events."""
+        """A HUNG run still writes the trace and audit of its events, and
+        the audit calls it unfinished, not contained."""
+        import json
         out = tmp_path / "hung.json"
         code = main(_schedule_argv(DRAINED_HEAP, 0, "--trace", str(out)))
         assert code == 1
         printed = capsys.readouterr().out
         assert printed.startswith("[HUNG] ")
-        assert "containment audit" in printed
+        assert "containment audit: unfinished" in printed
         assert out.exists()
-        assert (tmp_path / "hung.json.forensics.json").exists()
+        audit = json.loads((tmp_path / "hung.json.forensics.json").read_text())
+        assert audit["verdict"] == "unfinished"
+        assert "event heap drained" in audit["error"]
 
     def test_bad_json_is_rejected(self):
         for payload in ("not json", "[1, 2]", '{"entries": [{"spec": {}}]}'):
             with pytest.raises(SystemExit, match="bad --schedule JSON"):
                 main(["validate", "--schedule", payload])
+
+    def test_schedule_refuses_the_options_it_sets(self):
+        schedule = {"num_nodes": 4, "topology": "mesh", "entries": [
+            {"spec": {"fault_type": "node_failure", "target": 3},
+             "time": 0.0}]}
+        with pytest.raises(SystemExit, match="--nodes-count"):
+            main(_schedule_argv(schedule, 0, "--nodes-count", "8"))
 
     def test_fault_and_schedule_are_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:

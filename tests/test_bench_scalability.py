@@ -43,7 +43,9 @@ class TestPinnedSimulatedOutcome:
     """Two small points pinned to the numbers the tree produced before the
     dissemination views became set snapshots, re-pinned (events, P4 and
     total only) when P3's tables moved to up*/down* over every surviving
-    link, which shortens the P4 flush barrier.  A host-side optimisation
+    link, which shortens the P4 flush barrier, and re-pinned (events only)
+    when MAGIC's dispatch became a scheduled callback, which drops the
+    no-op wakes of its idle wait.  A host-side optimisation
     must leave every one of them alone: simulated cost is charged through
     ``recovery_work`` and flit counts only, never through how long the
     Python takes.  Update the literals only for a change that is meant to
@@ -51,7 +53,7 @@ class TestPinnedSimulatedOutcome:
 
     PINNED = {
         (16, "node_failure", "mesh"): {
-            "events_executed": 16255,
+            "events_executed": 16252,
             "sim_ns": 25656760.0,
             "phase_durations_ms": {"P1": 8.96486, "P2": 17.53192,
                                    "P3": 2.7914, "P4": 0.27693,
@@ -61,7 +63,7 @@ class TestPinnedSimulatedOutcome:
             "agent_rounds": dict.fromkeys(range(15), 12),
         },
         (16, "link_failure", "hypercube"): {
-            "events_executed": 15928,
+            "events_executed": 15926,
             "sim_ns": 16657152.0,
             "phase_durations_ms": {"P1": 4.61472, "P2": 8.89712,
                                    "P3": 1.75455, "P4": 0.27644,

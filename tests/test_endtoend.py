@@ -16,10 +16,10 @@ def config(seed, **overrides):
 
 @pytest.mark.parametrize(
     "fault_factory, expected_survivor_compiles, events, now", [
-        (lambda: FaultSpec.node_failure(3), 7, 44376, 83557116.0),
-        (lambda: FaultSpec.router_failure(6), 7, 21942, 75031080.0),
-        (lambda: FaultSpec.infinite_loop(2), 7, 91028, 131512456.0),
-        (lambda: FaultSpec.link_failure(0, 1), 8, 25595, 83139190.0),
+        (lambda: FaultSpec.node_failure(3), 7, 42404, 83557116.0),
+        (lambda: FaultSpec.router_failure(6), 7, 20922, 75031080.0),
+        (lambda: FaultSpec.infinite_loop(2), 7, 85697, 131512456.0),
+        (lambda: FaultSpec.link_failure(0, 1), 8, 24417, 83139190.0),
     ], ids=["node", "router", "loop", "link"])
 def test_surviving_compiles_finish_correctly(monkeypatch, fault_factory,
                                              expected_survivor_compiles,
@@ -31,7 +31,9 @@ def test_surviving_compiles_finish_correctly(monkeypatch, fault_factory,
     order that depends on the process: waking ``set(waiters)`` instead
     of the subscription list moved the ``node`` and ``loop`` runs in 5 of
     5 processes (``node`` read 44 278 to 44 625 events), while every
-    other tier-1 test passed.
+    other tier-1 test passed.  The event counts were re-pinned (end times
+    unchanged) when MAGIC's dispatch became a scheduled callback, which
+    drops the no-op wakes of its idle wait.
     """
     started = []
     real_start = HiveOS.start

@@ -390,10 +390,12 @@ class TestWorkerFlightMode:
         when packet uids became per machine (only the dumps' uids moved:
         every status, restart count and HUNG dump stayed), and re-pinned
         when ``recovery.timeline`` replaced ``metrics.availability`` and
-        ``recovery.total_ms_percentiles`` (no other field moved).  A change
-        that moves it changed the records campaigns write.  The dumps are
-        hashed as they are: a run's uids start at 0 in its own machine,
-        so the digest cannot depend on which tests ran before."""
+        ``recovery.total_ms_percentiles`` (no other field moved), and
+        re-pinned when MAGIC's dispatch became a scheduled callback (only
+        ``metrics.sim_events`` moved, 3-4 % down; every HUNG dump stayed).
+        A change that moves it changed the records campaigns write.  The
+        dumps are hashed as they are: a run's uids start at 0 in its own
+        machine, so the digest cannot depend on which tests ran before."""
         digest = hashlib.sha256()
         hung_dumps = 0
         for kind in ("fault-during-recovery", "random-multi", "flaky-links"):
@@ -405,7 +407,7 @@ class TestWorkerFlightMode:
                         payload, sort_keys=True).encode())
         assert hung_dumps == 12     # every 3 ms run, no other
         assert digest.hexdigest() == (
-            "1e65b8125708ff4a10a98af7aac014528a4a6b2c91990c5fb590b8045f063a28")
+            "39b6cc9e5d81966a0a4fa79ffa61e2026d1c38a092c5871869b2d98254aed01e")
 
 
 class TestFlightForensics:

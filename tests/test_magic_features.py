@@ -1,5 +1,7 @@
 """Tests for MAGIC's fault-containment features and failure detectors."""
 
+import pytest
+
 from tests.helpers import RawMachine
 from repro.common.errors import BusError
 from repro.common.types import DirState
@@ -295,11 +297,50 @@ class TestSavedUncachedBuffer:
         assert machine.node(1).io_device.read_counts[0] == 1
 
 
+def stray_put(machine, node_id):
+    """A writeback to ``node_id`` from a node that never owned the line."""
+    from repro.coherence.messages import MessageKind, make_packet
+    return make_packet(machine.params, 0, node_id, MessageKind.PUT,
+                       {"line": remote_line(machine, node_id),
+                        "value": "x"})
+
+
 class TestIdleWait:
+    def test_same_instant_puts_wake_once_packet_first(self):
+        machine = RawMachine()
+        machine.run(until=1_000)
+        magic = machine.node(1).magic
+        handled = []
+        handle_network, handle_pi = magic._handle_network, magic._handle_pi
+        magic._handle_network = (
+            lambda packet: handled.append("ni") or handle_network(packet))
+        magic._handle_pi = (
+            lambda request: handled.append("pi") or handle_pi(request))
+        pending = machine.sim.pending_events
+        magic.pi_request(Load(remote_line(machine, 1)))
+        magic.ni.inbox.put(stray_put(machine, 1))
+        assert machine.sim.pending_events == pending + 1
+        machine.run(until=100_000)
+        assert handled[:2] == ["ni", "pi"]
+
+    @pytest.mark.parametrize("stop", ["fail", "wedge"])
+    def test_put_after_stop_schedules_nothing(self, stop):
+        machine = RawMachine()
+        machine.run(until=1_000)
+        magic = machine.node(1).magic
+        pending = machine.sim.pending_events
+        magic.ni.inbox.put(stray_put(machine, 1))
+        assert machine.sim.pending_events == pending + 1
+        getattr(magic, stop)()
+        assert machine.sim.pending_events == pending
+        magic.ni.inbox.put(stray_put(machine, 1))
+        magic.pi_request(Load(remote_line(machine, 1)))
+        assert machine.sim.pending_events == pending
+
     def test_recovery_leaves_no_dead_watches(self):
-        """MAGIC's idle wait takes back the watch it did not wake on.
-        Recovery puts nothing on the PI queue, so without that a 32-node
-        recovery leaves 3 470 dead watches behind."""
+        """MAGIC's idle wait holds no channel watch, so a 32-node
+        recovery, which puts nothing on the PI queue, leaves no dead
+        watch behind."""
         from repro.core.config import MachineConfig
         from repro.core.experiment import start_recovery_run
         from repro.interconnect.topology import make_topology

@@ -532,98 +532,15 @@ def test_channel_many_watchers_all_fire_once():
     assert channel._watchers == []
 
 
-def _won_by_other(sim, channel):
-    """Wait on a fresh channel and ``channel``; the fresh one wins.
-    Returns ``channel``'s (losing, unfired) watch and the wake log."""
-    other = Channel(sim, "other")
-    watches = (other.watch(), channel.watch())
-    woke = []
-
-    def waiter():
-        woke.append((yield AnyOf(watches)))
-        woke.append((yield 10**6))
-
-    sim.spawn(waiter())
-    sim.schedule(5, other.put, "x")
-    sim.run(until=sim.now + 100)
-    assert woke == [(0, other)]
-    return watches[1], woke
-
-
-def test_channel_abandon_keeps_the_next_puts_schedule():
-    # The placeholder schedules the one zero-delay wake the dead watch
-    # would have, and that wake resumes nobody, so a run's events are
-    # the same with or without the abandon.
-    runs = {}
-    for abandon in (False, True):
-        sim = Simulator()
-        channel = Channel(sim)
-        watch, woke = _won_by_other(sim, channel)
-        if abandon:
-            channel.abandon(watch)
-        assert (watch in channel._watchers) is not abandon
-        queued = sim.heap_size
-        channel.put("y")
-        scheduled = sim.heap_size - queued
-        executed = sim.events_executed
-        sim.run(until=200)
-        runs[abandon] = (scheduled, sim.events_executed - executed,
-                         len(woke))
-    assert runs[True] == runs[False] == (1, 1, 1)
-
-
-def test_channel_abandon_placeholder_is_shared():
-    sim = Simulator()
-    channel = Channel(sim)
-    for _ in range(3):
-        watch, _ = _won_by_other(sim, channel)
-        channel.abandon(watch)
-    assert len(channel._watchers) == 3
-    assert len({id(watcher) for watcher in channel._watchers}) == 1
-    queued = sim.heap_size
-    channel.put("y")
-    assert sim.heap_size - queued == 3
-    assert channel._watchers == []
-
-
-def test_channel_abandon_leaves_a_watch_that_is_not_last():
-    sim = Simulator()
-    channel = Channel(sim)
-    older, newer = channel.watch(), channel.watch()
-    channel.abandon(older)
-    assert channel._watchers == [older, newer]
-
-
-def test_channel_abandon_leaves_a_watch_a_put_swapped_out():
+def test_channel_on_put_sees_the_item_before_any_watch_fires():
     sim = Simulator()
     channel = Channel(sim)
     watch = channel.watch()
+    seen = []
+    channel.on_put = lambda: seen.append((len(channel), watch.triggered))
     channel.put("x")
-    later = channel.watch()
-    channel.abandon(watch)
-    assert watch.triggered
-    assert channel._watchers == [later]
-
-
-def test_channel_abandon_after_both_channels_fired_is_a_no_op():
-    # Both puts land before the waiter runs: the loser's watch already
-    # fired, so there is nothing to take back.
-    sim = Simulator()
-    a, b = Channel(sim), Channel(sim)
-    watches = (a.watch(), b.watch())
-    woke = []
-
-    def waiter():
-        woke.append((yield AnyOf(watches)))
-        b.abandon(watches[1])
-
-    sim.spawn(waiter())
-    sim.schedule(5, a.put, "x")
-    sim.schedule(5, b.put, "y")
-    sim.run()
-    assert woke == [(0, a)]
-    assert watches[1].triggered
-    assert b._watchers == []
+    channel.put("y")
+    assert seen == [(1, False), (2, True)]
 
 
 def test_run_until_predicate():
