@@ -3,6 +3,8 @@
 A router has no process: :meth:`Router.notify` puts one forwarding scan
 (:meth:`Router._run`) on the event heap unless one is already pending, and
 the scan is a plain callback (DESIGN.md §12 states the scheduling rule).
+Wakes are exact-match: a freed slot wakes its feeder only if the feeder
+was refused one, and a busy output arms one timer per instant.
 Input buffers exist per ``(port, lane)``; a packet is forwarded when its
 output port is idle and the downstream buffer has a free slot (credit
 reserved at transfer start).  A full downstream buffer therefore backs
@@ -176,7 +178,8 @@ class NodeInterface:
             self.sim.schedule(0.0, self._pump)
 
     def notify_space(self):
-        """Router informs us a local input-buffer slot was freed."""
+        """Router informs us a local input-buffer slot was freed on the
+        lane that refused the pump."""
         self._kick_pump()
 
     def _pump(self):
@@ -214,6 +217,7 @@ class Router:
         self._inputs = {}            # port -> its _Buffers, indexed by lane
         self._outputs = {}           # link port -> _Output
         self._local_busy_until = 0.0 # the local port's output (the NI)
+        self._local_timer_at = 0.0   # when its pending busy timer fires
         self._scan_order = ()        # every _Buffer, in scan order
         self._occupied = 0           # bits of the non-empty buffers
         self._idle = False           # started and no scan on the heap
@@ -222,8 +226,8 @@ class Router:
     # -- wiring ---------------------------------------------------------------
 
     def _add_inputs(self, port, feeder):
-        """One buffer per lane on ``port``; ``feeder`` is woken whenever
-        one of them frees a slot."""
+        """One buffer per lane on ``port``; ``feeder`` is woken when one
+        of them frees a slot it was refused."""
         buffers = tuple(_Buffer(port, lane, self.params, feeder)
                         for lane in sorted(Lane))
         self._inputs[port] = buffers
@@ -312,6 +316,7 @@ class Router:
             return True
         buffer = self._inputs[LOCAL_PORT][packet.lane]
         if len(buffer.queue) + buffer.reserved >= buffer.capacity:
+            buffer.feeder_waiting = True
             return False
         self._enqueue(buffer, packet)
         return True
@@ -362,7 +367,9 @@ class Router:
                         buffer.head_since = now
                     else:
                         self._occupied &= ~buffer.bit
-                    buffer.wake_feeder()
+                    if buffer.feeder_waiting:
+                        buffer.feeder_waiting = False
+                        buffer.wake_feeder()
                     continue
                 if buffer.recovery:
                     self._maybe_stall_discard(buffer, now)
@@ -382,7 +389,9 @@ class Router:
                 buffer.head_since = now
             else:
                 self._occupied &= ~buffer.bit
-            buffer.wake_feeder()
+            if buffer.feeder_waiting:
+                buffer.feeder_waiting = False
+                buffer.wake_feeder()
             self.notify()
         else:
             # Re-check when the threshold would be crossed.
@@ -443,7 +452,9 @@ class Router:
 
         busy_until = output.busy_until
         if busy_until > now:
-            self.sim.schedule(busy_until - now, self.notify)
+            if output.timer_at != busy_until:
+                output.timer_at = busy_until
+                self.sim.schedule(busy_until - now, self.notify)
             return False
 
         link = output.link
@@ -465,6 +476,7 @@ class Router:
         target = output.targets[buffer.lane]
         if not downstream.failed:
             if len(target.queue) + target.reserved >= target.capacity:
+                target.feeder_waiting = True
                 return False
             target.reserved += 1
 
@@ -496,7 +508,9 @@ class Router:
             return False
         busy_until = self._local_busy_until
         if busy_until > now:
-            self.sim.schedule(busy_until - now, self.notify)
+            if self._local_timer_at != busy_until:
+                self._local_timer_at = busy_until
+                self.sim.schedule(busy_until - now, self.notify)
             return False
         interface.reserve()
         params = self.params
@@ -594,7 +608,8 @@ class _Buffer:
     to its feeder, and its place in the scan."""
 
     __slots__ = ("port", "lane", "queue", "capacity", "reserved",
-                 "head_since", "bit", "recovery", "wake_feeder")
+                 "head_since", "bit", "recovery", "wake_feeder",
+                 "feeder_waiting")
 
     def __init__(self, port, lane, params, wake_feeder):
         self.port = port
@@ -606,20 +621,23 @@ class _Buffer:
         self.reserved = 0            # credits handed upstream, in flight
         self.head_since = 0.0        # when the head packet got to the front
         self.bit = 0                 # its bit in Router._occupied
-        #: whoever feeds this buffer, woken when a slot frees: the router
-        #: across the link, or the node interface's pump
+        #: whoever feeds this buffer, woken when a slot frees after it was
+        #: refused one: the router across the link, or the node
+        #: interface's pump
         self.wake_feeder = wake_feeder
+        self.feeder_waiting = False  # refused a slot; wake it on a pop
 
 
 class _Output:
     """One link port's output side."""
 
-    __slots__ = ("link", "downstream", "busy_until", "targets")
+    __slots__ = ("link", "downstream", "busy_until", "timer_at", "targets")
 
     def __init__(self, link, downstream):
         self.link = link
         self.downstream = downstream
         self.busy_until = 0.0
+        self.timer_at = 0.0          # when its pending busy timer fires
         #: the downstream router's input buffers on this link, by lane
         self.targets = ()
 

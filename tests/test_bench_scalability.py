@@ -45,7 +45,9 @@ class TestPinnedSimulatedOutcome:
     total only) when P3's tables moved to up*/down* over every surviving
     link, which shortens the P4 flush barrier, and re-pinned (events only)
     when MAGIC's dispatch became a scheduled callback, which drops the
-    no-op wakes of its idle wait.  A host-side optimisation
+    no-op wakes of its idle wait, and again (events only) when a freed
+    router credit began to wake only a sender that waits for it and a
+    busy port began to arm one timer.  A host-side optimisation
     must leave every one of them alone: simulated cost is charged through
     ``recovery_work`` and flit counts only, never through how long the
     Python takes.  Update the literals only for a change that is meant to
@@ -53,7 +55,7 @@ class TestPinnedSimulatedOutcome:
 
     PINNED = {
         (16, "node_failure", "mesh"): {
-            "events_executed": 16252,
+            "events_executed": 13129,
             "sim_ns": 25656760.0,
             "phase_durations_ms": {"P1": 8.96486, "P2": 17.53192,
                                    "P3": 2.7914, "P4": 0.27693,
@@ -63,7 +65,7 @@ class TestPinnedSimulatedOutcome:
             "agent_rounds": dict.fromkeys(range(15), 12),
         },
         (16, "link_failure", "hypercube"): {
-            "events_executed": 15926,
+            "events_executed": 12984,
             "sim_ns": 16657152.0,
             "phase_durations_ms": {"P1": 4.61472, "P2": 8.89712,
                                    "P3": 1.75455, "P4": 0.27644,

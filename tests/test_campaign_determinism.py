@@ -170,7 +170,9 @@ class TestPinnedCampaignFile:
         ``metrics.availability`` and ``recovery.total_ms_percentiles``
         (no other field moved), and re-pinned when MAGIC's dispatch became
         a scheduled callback (only ``metrics.sim_events`` moved; the
-        digest below held).  A change that moves it changed what
+        digest below held), and re-pinned when router and NI-pump wakes
+        became exact-match (only ``metrics.sim_events`` moved; the digest
+        below held).  A change that moves it changed what
         campaigns put on disk — a key that should have been left out when
         empty, say."""
         digest = hashlib.sha256()
@@ -185,7 +187,7 @@ class TestPinnedCampaignFile:
             del row["elapsed_s"]
             digest.update(json.dumps(row, sort_keys=True).encode())
         assert digest.hexdigest() == (
-            "42297ac4c2c745d9cfd038788438ecba466b57e319ac4ec026a8ca8e84dffe52")
+            "1b1cda24e5996254a657c981030cd007ee10473f422f9a470f39a647a5e14b55")
 
     def test_campaign_verdicts_match_pinned_digest(self, tmp_path):
         """The same file minus ``metrics.sim_events`` as well: every

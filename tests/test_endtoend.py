@@ -16,10 +16,10 @@ def config(seed, **overrides):
 
 @pytest.mark.parametrize(
     "fault_factory, expected_survivor_compiles, events, now", [
-        (lambda: FaultSpec.node_failure(3), 7, 42404, 83557116.0),
-        (lambda: FaultSpec.router_failure(6), 7, 20922, 75031080.0),
-        (lambda: FaultSpec.infinite_loop(2), 7, 85697, 131512456.0),
-        (lambda: FaultSpec.link_failure(0, 1), 8, 24417, 83139190.0),
+        (lambda: FaultSpec.node_failure(3), 7, 34018, 83557116.0),
+        (lambda: FaultSpec.router_failure(6), 7, 17001, 75031080.0),
+        (lambda: FaultSpec.infinite_loop(2), 7, 69667, 131512456.0),
+        (lambda: FaultSpec.link_failure(0, 1), 8, 19738, 83139190.0),
     ], ids=["node", "router", "loop", "link"])
 def test_surviving_compiles_finish_correctly(monkeypatch, fault_factory,
                                              expected_survivor_compiles,
@@ -33,7 +33,8 @@ def test_surviving_compiles_finish_correctly(monkeypatch, fault_factory,
     5 processes (``node`` read 44 278 to 44 625 events), while every
     other tier-1 test passed.  The event counts were re-pinned (end times
     unchanged) when MAGIC's dispatch became a scheduled callback, which
-    drops the no-op wakes of its idle wait.
+    drops the no-op wakes of its idle wait, and again when a freed router
+    credit began to wake only a sender that waits for it.
     """
     started = []
     real_start = HiveOS.start

@@ -392,7 +392,11 @@ class TestWorkerFlightMode:
         when ``recovery.timeline`` replaced ``metrics.availability`` and
         ``recovery.total_ms_percentiles`` (no other field moved), and
         re-pinned when MAGIC's dispatch became a scheduled callback (only
-        ``metrics.sim_events`` moved, 3-4 % down; every HUNG dump stayed).
+        ``metrics.sim_events`` moved, 3-4 % down; every HUNG dump stayed),
+        and re-pinned when router and NI-pump wakes became exact-match
+        (``metrics.sim_events`` fell ~20 %; in the three HUNG dumps of run
+        0, three deliveries to three nodes at one instant, 848 ns, are
+        recorded in another order; every time, uid and later eid stayed).
         A change that moves it changed the records campaigns write.  The
         dumps are hashed as they are: a run's uids start at 0 in its own
         machine, so the digest cannot depend on which tests ran before."""
@@ -407,7 +411,7 @@ class TestWorkerFlightMode:
                         payload, sort_keys=True).encode())
         assert hung_dumps == 12     # every 3 ms run, no other
         assert digest.hexdigest() == (
-            "39b6cc9e5d81966a0a4fa79ffa61e2026d1c38a092c5871869b2d98254aed01e")
+            "de6b900b681a88fdd7a7b1908aad51794062e80840a86f5ef059e53df1b2ac9a")
 
 
 class TestFlightForensics:
